@@ -1,7 +1,8 @@
 """Pluggable data-source adapters behind one fetch contract.
 
 Three kinds ship: ``synthetic`` (deterministic, seeded), ``http`` (keyed
-REST, one GET per instrument code), and ``csv`` (offline exported files).
+REST, one GET per instrument code, up to HTTP_POOL_SIZE at a time), and
+``csv`` (offline exported files).
 Adapters are stateless given their config; rate limiting and caching are
 enforced by the caller. Providers deal in calendar dates only; close-of-day
 timestamps are materialized during normalization.
@@ -18,6 +19,7 @@ import datetime as dt
 import math
 import os
 import string
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -32,6 +34,8 @@ if TYPE_CHECKING:
 CANONICAL_FIELDS = ("close", "open", "high", "low", "volume", "pb_lf", "turn")
 
 PROVIDER_KINDS = ("synthetic", "http", "csv")
+
+HTTP_POOL_SIZE = 8  # most GETs one http fetch keeps in flight
 
 _URL_PLACEHOLDERS = frozenset({"code", "field", "start", "end", "apikey"})
 
@@ -253,78 +257,113 @@ def _coerce_numeric(value: Any, column: str, config: ProviderConfig) -> float | 
     return value
 
 
+def _fetch_http_code(
+    config: ProviderConfig,
+    query: DataQuery,
+    code: str,
+    wanted: list[str],
+    apikey: str,
+    codes: set[str],
+) -> list[dict[str, Any]]:
+    """GET one code's rows, retrying connection failures, and keep those within the query."""
+    url = config.base_url_template.format(
+        code=code,
+        field=",".join(wanted),
+        start=query.start_date.isoformat(),
+        end=query.end_date.isoformat(),
+        apikey=apikey,
+    )
+    response = None
+    for attempt in range(config.retries + 1):
+        try:
+            response = requests.get(url, timeout=config.timeout_ms / 1000.0)
+            break
+        except requests.Timeout as exc:
+            if attempt == config.retries:
+                raise ProviderFailure(
+                    f"provider {config.id!r} timed out after {config.timeout_ms}ms",
+                    data={"timeout": True},
+                ) from exc
+        except requests.RequestException as exc:
+            if attempt == config.retries:
+                raise ProviderFailure(
+                    f"provider {config.id!r} request failed: {exc}",
+                    data={"reason": "connection"},
+                ) from exc
+    if not 200 <= response.status_code < 300:
+        raise ProviderFailure(
+            f"provider {config.id!r} returned HTTP {response.status_code}",
+            data={"status": response.status_code},
+        )
+    try:
+        body = response.json()
+    except ValueError:
+        raise ProviderFailure(
+            f"provider {config.id!r} returned a non-JSON body",
+            data={"reason": "schema"},
+        ) from None
+    if not isinstance(body, dict) or not isinstance(body.get("rows"), list):
+        raise ProviderFailure(
+            f'provider {config.id!r} body must be shaped {{"rows": [...]}}',
+            data={"reason": "schema"},
+        )
+    rows: list[dict[str, Any]] = []
+    for raw_row in body["rows"]:
+        if not isinstance(raw_row, dict):
+            raise ProviderFailure(
+                f"provider {config.id!r} returned a non-object row",
+                data={"reason": "schema"},
+            )
+        try:
+            day = dt.date.fromisoformat(str(raw_row.get("date")))
+        except ValueError:
+            raise ProviderFailure(
+                f"provider {config.id!r} returned unparseable date {raw_row.get('date')!r}",
+                data={"reason": "schema"},
+            ) from None
+        row_code = raw_row.get("code", code)
+        if row_code not in codes or not query.start_date <= day <= query.end_date:
+            continue  # keep the payload within the query contract
+        row: dict[str, Any] = {"code": row_code, "date": day}
+        for column in wanted:
+            row[column] = _coerce_numeric(raw_row.get(column), column, config)
+        rows.append(row)
+    return rows
+
+
 def _fetch_http(
     config: ProviderConfig, query: DataQuery, credentials: "CredentialStore"
 ) -> list[dict[str, Any]]:
+    """Fan the per-code GETs out on at most HTTP_POOL_SIZE threads.
+
+    Rows merge in query order. On failure the first failing code in query
+    order is reported as soon as it and every earlier code are known,
+    whichever GET finished first; GETs not yet started are cancelled and
+    those in flight are left to finish unawaited.
+    """
     wanted = _provider_fields(config, query.fields)
     apikey = ""
     if "{apikey}" in config.base_url_template:
         apikey = credentials.resolve(config.credential_ref or config.id)
-    rows: list[dict[str, Any]] = []
     codes = set(query.codes)
-    for code in query.codes:
-        url = config.base_url_template.format(
-            code=code,
-            field=",".join(wanted),
-            start=query.start_date.isoformat(),
-            end=query.end_date.isoformat(),
-            apikey=apikey,
-        )
-        response = None
-        for attempt in range(config.retries + 1):
-            try:
-                response = requests.get(url, timeout=config.timeout_ms / 1000.0)
-                break
-            except requests.Timeout as exc:
-                if attempt == config.retries:
-                    raise ProviderFailure(
-                        f"provider {config.id!r} timed out after {config.timeout_ms}ms",
-                        data={"timeout": True},
-                    ) from exc
-            except requests.RequestException as exc:
-                if attempt == config.retries:
-                    raise ProviderFailure(
-                        f"provider {config.id!r} request failed: {exc}",
-                        data={"reason": "connection"},
-                    ) from exc
-        if not 200 <= response.status_code < 300:
-            raise ProviderFailure(
-                f"provider {config.id!r} returned HTTP {response.status_code}",
-                data={"status": response.status_code},
-            )
-        try:
-            body = response.json()
-        except ValueError:
-            raise ProviderFailure(
-                f"provider {config.id!r} returned a non-JSON body",
-                data={"reason": "schema"},
-            ) from None
-        if not isinstance(body, dict) or not isinstance(body.get("rows"), list):
-            raise ProviderFailure(
-                f'provider {config.id!r} body must be shaped {{"rows": [...]}}',
-                data={"reason": "schema"},
-            )
-        for raw_row in body["rows"]:
-            if not isinstance(raw_row, dict):
-                raise ProviderFailure(
-                    f"provider {config.id!r} returned a non-object row",
-                    data={"reason": "schema"},
-                )
-            try:
-                day = dt.date.fromisoformat(str(raw_row.get("date")))
-            except ValueError:
-                raise ProviderFailure(
-                    f"provider {config.id!r} returned unparseable date {raw_row.get('date')!r}",
-                    data={"reason": "schema"},
-                ) from None
-            row_code = raw_row.get("code", code)
-            if row_code not in codes or not query.start_date <= day <= query.end_date:
-                continue  # keep the payload within the query contract
-            row: dict[str, Any] = {"code": row_code, "date": day}
-            for column in wanted:
-                row[column] = _coerce_numeric(raw_row.get(column), column, config)
-            rows.append(row)
-    return rows
+    pool = ThreadPoolExecutor(max_workers=min(len(query.codes), HTTP_POOL_SIZE))
+    try:
+        futures = [
+            pool.submit(_fetch_http_code, config, query, code, wanted, apikey, codes)
+            for code in query.codes
+        ]
+        return [row for future in futures for row in future.result()]
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
+
+
+def http_fetch_bound_s(config: ProviderConfig, n_codes: int) -> float:
+    """Longest an http fetch of ``n_codes`` codes may spend on GETs.
+
+    The GETs run in waves of HTTP_POOL_SIZE; each code makes up to
+    ``retries + 1`` attempts of at most ``timeout_ms`` each.
+    """
+    return math.ceil(n_codes / HTTP_POOL_SIZE) * (config.retries + 1) * config.timeout_ms / 1000.0
 
 
 def fetch_historical(

@@ -256,6 +256,9 @@ def cache_key(provider_id: str, query: DataQuery, kind: str = "historical") -> i
     return fnv1a64(canonical.encode("utf-8"))
 
 
+FILL_WAIT_S = 30.0  # default wait on an identical in-flight miss
+
+
 class ResponseCache:
     """TTL cache with single-flight deduplication of concurrent misses."""
 
@@ -278,12 +281,14 @@ class ResponseCache:
             return self.live_ttl_s
         return self.historical_ttl_s
 
-    def lookup_or_store(self, key: int, compute: Callable[[], Any], ttl: float) -> tuple[Any, bool]:
+    def lookup_or_store(
+        self, key: int, compute: Callable[[], Any], ttl: float, wait_s: float = FILL_WAIT_S
+    ) -> tuple[Any, bool]:
         """Return (payload, cache_hit). A miss invokes ``compute`` exactly once.
 
-        Concurrent identical misses wait on the in-flight producer and share
-        its outcome; a failing producer propagates its exception and caches
-        nothing, so the next call retries.
+        Concurrent identical misses wait on the in-flight producer, for at
+        most ``wait_s`` seconds, and share its outcome; a failing producer
+        propagates its exception and caches nothing, so the next call retries.
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -297,7 +302,7 @@ class ResponseCache:
             else:
                 owner = False
         if not owner:
-            if not flight.event.wait(timeout=30.0):
+            if not flight.event.wait(timeout=wait_s):
                 raise InternalError("timed out waiting for an in-flight cache fill")
             if flight.exc is not None:
                 raise flight.exc

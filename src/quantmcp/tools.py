@@ -17,7 +17,7 @@ from typing import Any, Callable
 
 from .errors import CredentialMissing, ProviderFailure, RateLimitedError, ValidationError
 from .normalize import CanonicalRecord, apply_fill, normalize_payload, parse_options
-from .providers import DataQuery, ProviderConfig, fetch_historical, trading_days
+from .providers import DataQuery, ProviderConfig, fetch_historical, http_fetch_bound_s, trading_days
 from .registry import (
     DATE_PATTERN,
     ParamSpec,
@@ -26,7 +26,10 @@ from .registry import (
     ValidatedArgs,
     validate_arguments,
 )
-from .security import CredentialStore, RateLimiter, ResponseCache, cache_key
+from .security import FILL_WAIT_S, CredentialStore, RateLimiter, ResponseCache, cache_key
+
+
+FILL_WAIT_MARGIN_S = 1.0  # normalize and fill after an http fetch's last GET
 
 
 def _utc_now() -> dt.datetime:
@@ -149,7 +152,10 @@ def fetch_normalized(
         records = normalize_payload(raw, query, provider.close_time, provider.field_map)
         return apply_fill(records, fill, query.fields), raw.fetched_at
 
-    (records, fetched_at), cache_hit = ctx.cache.lookup_or_store(key, produce, ttl)
+    wait_s = FILL_WAIT_S
+    if provider.kind == "http":
+        wait_s = max(FILL_WAIT_S, http_fetch_bound_s(provider, len(query.codes)) + FILL_WAIT_MARGIN_S)
+    (records, fetched_at), cache_hit = ctx.cache.lookup_or_store(key, produce, ttl, wait_s)
     meta = {
         "provider_id": provider.id,
         "fetched_at": fetched_at,

@@ -77,6 +77,10 @@ def _valid_id(value: Any) -> bool:
     return isinstance(value, (int, str)) and not isinstance(value, bool)
 
 
+def _reject_constant(name: str) -> None:
+    raise ParseError(f"malformed JSON: {name} is not a JSON number")
+
+
 def parse_message(line: bytes | bytearray | str) -> JsonRpcMessage:
     """Parse one complete frame into a structurally valid message.
 
@@ -92,7 +96,7 @@ def parse_message(line: bytes | bytearray | str) -> JsonRpcMessage:
     else:
         text = line
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc.msg}") from exc
 

@@ -6,6 +6,9 @@ import dataclasses
 import datetime as dt
 import json
 import random
+import threading
+import time
+from urllib.parse import parse_qs, urlsplit
 
 import pytest
 import requests
@@ -293,6 +296,83 @@ def test_http_never_retries_more_than_configured(monkeypatch):
     with pytest.raises(ProviderFailure):
         fetch_historical(_http_config("http://127.0.0.1:9"), _query(), EMPTY_STORE)
     assert len(attempts) == 1
+
+
+class _FakeResponse:
+    def __init__(self, status_code: int, rows: list[dict]):
+        self.status_code = status_code
+        self._rows = rows
+
+    def json(self):
+        return {"rows": self._rows}
+
+
+def _code_of(url: str) -> str:
+    return parse_qs(urlsplit(url).query)["code"][0]
+
+
+def test_http_fan_out_merges_in_query_order_with_bounded_concurrency(monkeypatch):
+    codes = [f"C{i:02d}.SZ" for i in range(12)]
+    lock = threading.Lock()
+    in_flight = [0]
+    peak = [0]
+
+    def fake_get(url, timeout):
+        code = _code_of(url)
+        with lock:
+            in_flight[0] += 1
+            peak[0] = max(peak[0], in_flight[0])
+        try:
+            time.sleep(0.01 + 0.005 * (len(codes) - codes.index(code)))  # later codes answer sooner
+            return _FakeResponse(200, [{"code": code, "date": "2024-01-02", "close": 1.0}])
+        finally:
+            with lock:
+                in_flight[0] -= 1
+
+    monkeypatch.setattr(requests, "get", fake_get)
+    query = _query(codes=codes, fields=["close"], start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2))
+    payload = fetch_historical(_http_config("http://stub.invalid"), query, EMPTY_STORE)
+    assert [row["code"] for row in payload.rows] == codes
+    assert 1 < peak[0] <= 8
+
+
+def test_http_reports_the_first_failing_code_in_query_order(monkeypatch):
+    def fake_get(url, timeout):
+        code = _code_of(url)
+        if code == "B.SZ":
+            time.sleep(0.2)
+            return _FakeResponse(503, [])
+        if code == "D.SZ":
+            return _FakeResponse(404, [])
+        return _FakeResponse(200, [])
+
+    monkeypatch.setattr(requests, "get", fake_get)
+    query = _query(codes=["A.SZ", "B.SZ", "C.SZ", "D.SZ"])
+    with pytest.raises(ProviderFailure) as excinfo:
+        fetch_historical(_http_config("http://stub.invalid"), query, EMPTY_STORE)
+    assert excinfo.value.data["status"] == 503
+
+
+def test_http_reports_a_fast_failure_without_awaiting_slower_gets(monkeypatch):
+    release = threading.Event()
+
+    def fake_get(url, timeout):
+        if _code_of(url) == "A.SZ":
+            return _FakeResponse(404, [])
+        release.wait(timeout=5.0)
+        return _FakeResponse(200, [])
+
+    monkeypatch.setattr(requests, "get", fake_get)
+    query = _query(codes=["A.SZ", "B.SZ", "C.SZ"])
+    started = time.monotonic()
+    try:
+        with pytest.raises(ProviderFailure) as excinfo:
+            fetch_historical(_http_config("http://stub.invalid"), query, EMPTY_STORE)
+        elapsed = time.monotonic() - started
+    finally:
+        release.set()
+    assert excinfo.value.data["status"] == 404
+    assert elapsed < 2.0
 
 
 def test_http_template_with_unknown_placeholder_is_a_config_error():

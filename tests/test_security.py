@@ -322,3 +322,26 @@ def test_concurrent_identical_misses_invoke_the_producer_once():
     assert len(calls) == 1
     assert {value for value, _ in results} == {"shared"}
     assert sum(1 for _, hit in results if not hit) == 1
+
+
+def test_a_waiter_gives_up_after_its_wait_while_the_producer_runs_on():
+    cache = ResponseCache(clock=FakeMonoClock())
+    entered, release = threading.Event(), threading.Event()
+
+    def slow():
+        entered.set()
+        release.wait(timeout=5.0)
+        return "late"
+
+    owner = []
+    thread = threading.Thread(target=lambda: owner.append(cache.lookup_or_store(1, slow, ttl=10.0)))
+    thread.start()
+    try:
+        assert entered.wait(timeout=5.0)
+        with pytest.raises(InternalError, match="in-flight cache fill"):
+            cache.lookup_or_store(1, slow, ttl=10.0, wait_s=0.05)
+    finally:
+        release.set()
+        thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert owner == [("late", False)]

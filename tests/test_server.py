@@ -263,6 +263,20 @@ def test_garbage_input_yields_parse_error_and_the_server_survives():
     assert frames[3]["id"] == 2
 
 
+def test_non_finite_number_yields_parse_error_and_the_server_survives():
+    summary = {
+        "name": "tool_compute_summary",
+        "arguments": {"records": [{"code": "A", "timestamp": "t", "close": 1.0}], "summarize_fields": ["close"]},
+    }
+    nan_call = json.dumps({"jsonrpc": "2.0", "id": 7, "method": "tools/call", "params": summary})
+    nan_call = nan_call.replace("1.0", "NaN")
+    lines = [_session_lines()[0], nan_call, _session_lines()[1]]
+    frames = _run_session(lines)
+    assert frames[1]["error"]["code"] == -32700
+    assert frames[1]["id"] is None
+    assert frames[2]["id"] == 2
+
+
 def test_invalid_envelope_answers_32600_with_recovered_id():
     lines = [json.dumps({"jsonrpc": "2.0", "id": 9, "result": 1, "error": {"code": -32603, "message": "x"}})]
     frames = _run_session(lines)

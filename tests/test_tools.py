@@ -7,6 +7,7 @@ import json
 import math
 
 import pytest
+import requests
 
 from conftest import FakeWallClock, make_ctx
 from oracle_utils import mean_oracle, synthetic_value_oracle, weekdays_oracle
@@ -102,6 +103,47 @@ def test_missing_credential_is_a_tool_level_error():
     result = _call_historical(ctx)
     assert result.is_error
     assert result.content["error_kind"] == "credential_missing"
+
+
+@pytest.mark.parametrize(
+    ("n_codes", "timeout_ms", "retries", "expected_wait_s"),
+    [
+        (1, 5000, 0, 30.0),  # derived 6 s: never below the 30 s default
+        (40, 5000, 0, 30.0),  # derived 26 s
+        (9, 5000, 2, 31.0),  # 2 waves x 3 attempts x 5 s + 1 s margin
+        (20, 20000, 0, 61.0),  # 3 waves x 20 s + 1 s margin
+    ],
+)
+def test_http_single_flight_wait_only_grows_past_the_default(
+    monkeypatch, n_codes, timeout_ms, retries, expected_wait_s
+):
+    class Response:
+        status_code = 200
+
+        def json(self):
+            return {"rows": []}
+
+    monkeypatch.setattr(requests, "get", lambda url, timeout: Response())
+    http = ProviderConfig(
+        id="alpha",
+        kind="http",
+        base_url_template="http://stub.invalid/q?code={code}",
+        timeout_ms=timeout_ms,
+        retries=retries,
+        rate=RateSpec(1000, 1000.0),
+    )
+    ctx = make_ctx(providers={"alpha": http})
+    waits: list[float] = []
+    lookup_or_store = ctx.cache.lookup_or_store
+
+    def recording_lookup(key, compute, ttl, wait_s):
+        waits.append(wait_s)
+        return lookup_or_store(key, compute, ttl, wait_s)
+
+    monkeypatch.setattr(ctx.cache, "lookup_or_store", recording_lookup)
+    arguments = dict(Q1_ARGS, codes=[f"{i:06d}.SZ" for i in range(n_codes)])
+    assert not _call_historical(ctx, arguments).is_error
+    assert waits == [expected_wait_s]
 
 
 def test_rate_limit_denial_is_a_protocol_error():

@@ -90,6 +90,13 @@ def test_malformed_text_is_a_parse_error(line):
         parse_message(line)
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_constants_are_a_parse_error(constant):
+    line = '{"jsonrpc":"2.0","id":1,"method":"m","params":{"x":%s}}' % constant
+    with pytest.raises(ParseError):
+        parse_message(line)
+
+
 @pytest.mark.parametrize(
     "obj",
     [
