@@ -7,6 +7,7 @@ Exit codes are pinned for CI scripting: 0 success, 1 tool-level error,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import logging
 import sys
@@ -15,10 +16,8 @@ from typing import Any
 from . import __version__
 from .config import build_context, load_config
 from .errors import ConfigError
-from .security import redact, redact_message
 from .server import Dispatcher, StdioServer
 from .tools import build_registry
-from .transport import REQUEST, JsonRpcMessage, parse_message, round_floats, serialize_message
 
 # Volatile fields ignored when diffing replayed frames against a transcript.
 REPLAY_MASKED_KEYS = ("fetched_at", "version")
@@ -33,6 +32,13 @@ def _build_dispatcher(config_path: str) -> Dispatcher:
     config = load_config(config_path)
     ctx = build_context(config, warn=lambda msg: print(f"warning: {msg}", file=sys.stderr))
     return Dispatcher(build_registry(), ctx, server_name=config.name)
+
+
+def _serve_frames(dispatcher: Dispatcher, frames: list[dict[str, Any]]) -> list[dict[str, Any]]:
+    """Run ``frames`` through an in-process serve loop and return its response frames."""
+    out = io.StringIO()
+    StdioServer(dispatcher, io.StringIO("".join(json.dumps(f) + "\n" for f in frames)), out).run()
+    return [json.loads(line) for line in out.getvalue().splitlines()]
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -67,8 +73,8 @@ def cmd_tools_list(args: argparse.Namespace) -> int:
 def cmd_call(args: argparse.Namespace) -> int:
     try:
         arguments = json.loads(args.params)
-    except json.JSONDecodeError as exc:
-        print(f"params error: not valid JSON: {exc.msg}", file=sys.stderr)
+    except ValueError as exc:  # also an integer with too many digits
+        print(f"params error: not valid JSON: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if not isinstance(arguments, dict):
         print("params error: params must be a JSON object", file=sys.stderr)
@@ -78,28 +84,20 @@ def cmd_call(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    dispatcher.dispatch(
-        JsonRpcMessage(
-            REQUEST,
-            id=1,
-            method="initialize",
-            params={"clientInfo": {"name": "quantmcp-cli", "version": __version__}},
-        )
-    )
-    response = dispatcher.dispatch(
-        JsonRpcMessage(
-            REQUEST,
-            id=2,
-            method="tools/call",
-            params={"name": args.tool, "arguments": arguments},
-        )
-    )
-    store = dispatcher.ctx.credentials
-    if response.error is not None:
-        print(json.dumps(redact(response.error.to_obj(), store), indent=2), file=sys.stderr)
+    client = {"name": "quantmcp-cli", "version": __version__}
+    frame = _serve_frames(
+        dispatcher,
+        [
+            {"jsonrpc": "2.0", "id": 1, "method": "initialize", "params": {"clientInfo": client}},
+            {"jsonrpc": "2.0", "id": 2, "method": "tools/call",
+             "params": {"name": args.tool, "arguments": arguments}},
+        ],
+    )[-1]
+    if "error" in frame:
+        print(json.dumps(frame["error"], indent=2), file=sys.stderr)
         return EXIT_USAGE
-    result = response.result
-    print(json.dumps(round_floats(redact(result["content"], store)), indent=2, ensure_ascii=False))
+    result = frame["result"]
+    print(json.dumps(result["content"], indent=2, ensure_ascii=False))
     return EXIT_TOOL_ERROR if result["is_error"] else EXIT_OK
 
 
@@ -139,22 +137,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
         print(f"replay error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    store = dispatcher.ctx.credentials
-    produced: list[dict[str, Any]] = []
-    expected: list[dict[str, Any]] = []
-    for direction, message in entries:
-        if direction == "out":
-            expected.append(message)
-            continue
-        try:
-            msg = parse_message(json.dumps(message))
-        except Exception as exc:
-            print(f"replay error: unreplayable frame: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        response = dispatcher.dispatch(msg)
-        if response is not None:
-            wire = serialize_message(redact_message(response, store))
-            produced.append(json.loads(wire))
+    produced = _serve_frames(dispatcher, [message for direction, message in entries if direction == "in"])
+    expected = [message for direction, message in entries if direction == "out"]
 
     failures = 0
     total = max(len(produced), len(expected))

@@ -14,14 +14,12 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from .errors import InternalError, ValidationError
-from .providers import DataQuery, RawProviderPayload, trading_days
+from .providers import DataQuery, RawProviderPayload
 
 RECOGNIZED_OPTIONS = {
     "PriceAdj": frozenset({"F", "B", "N"}),
     "Fill": frozenset({"Previous", "Blank"}),
 }
-
-FILL_POLICIES = ("Previous", "Blank")
 
 DEFAULT_CLOSE_TIME = dt.time(15, 0, 0)
 
@@ -107,7 +105,6 @@ def normalize_payload(
     asked for, are a provider contract breach and raise InternalError. Rows
     on non-trading days inside the range are ignored.
     """
-    days = trading_days(query.start_date, query.end_date)
     fmap = field_map or {}
     wanted_codes = set(query.codes)
     index: dict[tuple[str, dt.date], dict[str, Any]] = {}
@@ -128,7 +125,7 @@ def normalize_payload(
     suffix = " " + close_time.strftime("%H:%M:%S")
     records = []
     for code in sorted(wanted_codes):
-        for day in days:
+        for day in query.days:
             row = index.get((code, day))
             values: dict[str, float | int | None] = {}
             for f in query.fields:
@@ -147,8 +144,9 @@ def apply_fill(
     ``Blank`` returns the input unchanged. Non-null values are never touched,
     so the operation is idempotent.
     """
-    if policy not in FILL_POLICIES:
-        raise ValidationError(f"unknown fill policy {policy!r}", data={"allowed": list(FILL_POLICIES)})
+    allowed = RECOGNIZED_OPTIONS["Fill"]
+    if policy not in allowed:
+        raise ValidationError(f"unknown fill policy {policy!r}", data={"allowed": sorted(allowed)})
     if policy == "Blank":
         return list(records)
     keys = [(r.code, r.timestamp) for r in records]

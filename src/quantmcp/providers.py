@@ -21,6 +21,7 @@ import os
 import string
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable
 
 import requests
@@ -142,6 +143,11 @@ class DataQuery:
         if violations:
             raise ValidationError("invalid query", data={"violations": violations})
 
+    @cached_property
+    def days(self) -> list[dt.date]:
+        """The query's trading days, computed once per query."""
+        return trading_days(self.start_date, self.end_date)
+
 
 @dataclass(frozen=True)
 class RawProviderPayload:
@@ -192,9 +198,8 @@ def _provider_fields(config: ProviderConfig, fields: list[str]) -> list[str]:
 
 def _fetch_synthetic(config: ProviderConfig, query: DataQuery) -> list[dict[str, Any]]:
     rows = []
-    days = trading_days(query.start_date, query.end_date)
     for code in query.codes:
-        for day in days:
+        for day in query.days:
             row: dict[str, Any] = {"code": code, "date": day}
             for f in query.fields:
                 row[config.field_map.get(f, f)] = synthetic_value(code, f, day, config.seed)

@@ -188,52 +188,35 @@ class StdioServer:
         if response is not None:
             self._emit(response)
 
-    def handle_line(self, raw: str) -> None:
-        """Process one frame; unparseable input answers -32700 with id null."""
+    def handle_line(self, raw: str, executor: ThreadPoolExecutor | None = None) -> None:
+        """Process one frame; unparseable input answers -32700 with id null.
+
+        With an executor, tools/call requests after initialize run on it.
+        """
         stripped = raw.strip()
         if not stripped:
             return
         try:
             msg = parse_message(stripped)
-        except ParseError as exc:
-            self._emit(make_error(None, exc.code, exc.message))
-            return
-        except InvalidRequestError as exc:
+        except (ParseError, InvalidRequestError) as exc:
             self._emit(make_error(exc.request_id, exc.code, exc.message))
             return
-        self._dispatch_and_emit(msg)
+        if (
+            executor is not None
+            and msg.kind == REQUEST
+            and msg.method == "tools/call"
+            and self.dispatcher.state.initialized
+        ):
+            executor.submit(self._dispatch_and_emit, msg)
+        else:
+            self._dispatch_and_emit(msg)
 
     def run(self) -> int:
         """Serve until the input stream closes; returns the process exit code."""
         executor = ThreadPoolExecutor(max_workers=self.concurrency) if self.concurrency > 0 else None
         try:
-            while True:
-                try:
-                    line = self._in.readline()
-                except KeyboardInterrupt:
-                    break
-                if line == "":
-                    break
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    msg = parse_message(stripped)
-                except ParseError as exc:
-                    self._emit(make_error(None, exc.code, exc.message))
-                    continue
-                except InvalidRequestError as exc:
-                    self._emit(make_error(exc.request_id, exc.code, exc.message))
-                    continue
-                if (
-                    executor is not None
-                    and msg.kind == REQUEST
-                    and msg.method == "tools/call"
-                    and self.dispatcher.state.initialized
-                ):
-                    executor.submit(self._dispatch_and_emit, msg)
-                else:
-                    self._dispatch_and_emit(msg)
+            for line in iter(self._in.readline, ""):
+                self.handle_line(line, executor)
         except KeyboardInterrupt:
             pass
         finally:

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import sys
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from .errors import CredentialMissing, ProviderFailure, RateLimitedError, ValidationError
 from .normalize import CanonicalRecord, apply_fill, normalize_payload, parse_options
-from .providers import DataQuery, ProviderConfig, fetch_historical, http_fetch_bound_s, trading_days
+from .providers import DataQuery, ProviderConfig, fetch_historical, http_fetch_bound_s
 from .registry import (
     DATE_PATTERN,
     ParamSpec,
@@ -87,9 +88,12 @@ class SummaryStats:
 
 
 def compute_stats(field_name: str, values: list[float]) -> SummaryStats:
+    """Raises OverflowError when the sum or the variance does not fit a double."""
     count = len(values)
     mean = math.fsum(values) / count
     variance = math.fsum((v - mean) ** 2 for v in values) / count
+    if not math.isfinite(variance):  # a difference from the mean overflowed to inf
+        raise OverflowError("variance overflows a double")
     return SummaryStats(
         field=field_name,
         count=count,
@@ -169,66 +173,65 @@ def _records_content(records: list[CanonicalRecord], meta: dict[str, Any]) -> di
     return {"records": [r.to_obj() for r in records], "meta": meta}
 
 
-def tool_get_historical_data(args: ValidatedArgs, ctx: ToolContext) -> ToolResult:
-    """Daily history for the requested codes/fields over an inclusive range."""
-    values = args.values
+def _run_query(
+    ctx: ToolContext, values: dict[str, Any], kind: str, prefix: str = ""
+) -> tuple[list[CanonicalRecord], dict[str, Any]] | ToolResult:
+    """Build, check and run the query ``values`` describe.
+
+    Validation errors raise in a fixed order: provider, then options, then
+    dates. An empty calendar yields no records without a fetch; provider and
+    credential failures come back as an error result.
+    """
     provider = _resolve_provider(ctx, values.get("provider_id"))
-    options = parse_options(values.get("options", ""))
+    if kind == "quote":
+        options = None
+        day = _parse_date(values["as_of"], "as_of") if "as_of" in values else ctx.wall_clock().date()
+        start = end = day - dt.timedelta(days=max(0, day.weekday() - 4))  # a weekend rolls back to Friday
+    else:
+        options = parse_options(values.get("options", ""))
+        start = _parse_date(values["start_date"], prefix + "start_date")
+        end = _parse_date(values["end_date"], prefix + "end_date")
     query = DataQuery(
         codes=list(values["codes"]),
         fields=list(values["fields"]),
-        start_date=_parse_date(values["start_date"], "start_date"),
-        end_date=_parse_date(values["end_date"], "end_date"),
+        start_date=start,
+        end_date=end,
         options=options,
         provider_id=provider.id,
     )
     query.check()
-    if not trading_days(query.start_date, query.end_date):
+    if not query.days:
         meta = {
             "provider_id": provider.id,
             "fetched_at": ctx.wall_clock().isoformat(),
             "row_count": 0,
             "cache_hit": False,
         }
-        return ToolResult(
-            content=_records_content([], meta),
-            human_summary="no trading days in the requested range",
-        )
+        return [], meta
     try:
-        records, meta = fetch_normalized(ctx, provider, query, kind="historical")
+        return fetch_normalized(ctx, provider, query, kind)
     except ProviderFailure as exc:
         return _error_result("provider_failure", exc.message)
     except CredentialMissing as exc:
         return _error_result("credential_missing", exc.message)
-    return ToolResult(content=_records_content(records, meta))
+
+
+def tool_get_historical_data(args: ValidatedArgs, ctx: ToolContext) -> ToolResult:
+    """Daily history for the requested codes/fields over an inclusive range."""
+    out = _run_query(ctx, args.values, "historical")
+    if isinstance(out, ToolResult):
+        return out
+    records, meta = out
+    summary = None if records else "no trading days in the requested range"
+    return ToolResult(content=_records_content(records, meta), human_summary=summary)
 
 
 def tool_get_quote(args: ValidatedArgs, ctx: ToolContext) -> ToolResult:
     """One record per code for the last trading day at or before ``as_of``."""
-    values = args.values
-    provider = _resolve_provider(ctx, values.get("provider_id"))
-    if "as_of" in values:
-        as_of = _parse_date(values["as_of"], "as_of")
-    else:
-        as_of = ctx.wall_clock().date()
-    day = as_of
-    while day.weekday() >= 5:
-        day -= dt.timedelta(days=1)
-    query = DataQuery(
-        codes=list(values["codes"]),
-        fields=list(values["fields"]),
-        start_date=day,
-        end_date=day,
-        options=None,
-        provider_id=provider.id,
-    )
-    query.check()
-    try:
-        records, meta = fetch_normalized(ctx, provider, query, kind="quote")
-    except ProviderFailure as exc:
-        return _error_result("provider_failure", exc.message)
-    except CredentialMissing as exc:
-        return _error_result("credential_missing", exc.message)
+    out = _run_query(ctx, args.values, "quote")
+    if isinstance(out, ToolResult):
+        return out
+    records, meta = out
     kept = [r for r in records if any(v is not None for v in r.values.values())]
     meta["row_count"] = len(kept)
     summary = None if kept else "no data for the requested codes"
@@ -247,26 +250,10 @@ def _summary_inputs(values: dict[str, Any], ctx: ToolContext) -> tuple[list[dict
     if has_records:
         return list(values["records"]), None
     validated = validate_arguments(HISTORICAL_DESCRIPTOR, values["query"])
-    provider = _resolve_provider(ctx, validated.values.get("provider_id"))
-    options = parse_options(validated.values.get("options", ""))
-    query = DataQuery(
-        codes=list(validated.values["codes"]),
-        fields=list(validated.values["fields"]),
-        start_date=_parse_date(validated.values["start_date"], "query.start_date"),
-        end_date=_parse_date(validated.values["end_date"], "query.end_date"),
-        options=options,
-        provider_id=provider.id,
-    )
-    query.check()
-    if not trading_days(query.start_date, query.end_date):
-        return [], None
-    try:
-        records, _ = fetch_normalized(ctx, provider, query, kind="historical")
-    except ProviderFailure as exc:
-        return [], _error_result("provider_failure", exc.message)
-    except CredentialMissing as exc:
-        return [], _error_result("credential_missing", exc.message)
-    return [r.to_obj() for r in records], None
+    out = _run_query(ctx, validated.values, "historical", prefix="query.")
+    if isinstance(out, ToolResult):
+        return [], out
+    return [r.to_obj() for r in out[0]], None
 
 
 def tool_compute_summary(args: ValidatedArgs, ctx: ToolContext) -> ToolResult:
@@ -289,15 +276,20 @@ def tool_compute_summary(args: ValidatedArgs, ctx: ToolContext) -> ToolResult:
             v = row.get(f)
             if v is not None and (isinstance(v, bool) or not isinstance(v, (int, float))):
                 violations.append(f"records[{i}].{f}: expected number or null")
+            elif isinstance(v, int) and abs(v) > sys.float_info.max:
+                violations.append(f"records[{i}].{f}: integer beyond the largest double")
     if violations:
         raise ValidationError("records hold non-numeric values", data={"violations": violations})
     summaries: list[dict[str, Any]] = []
     for f in summarize_fields:
-        nums = [row[f] for row in rows if row.get(f) is not None]
+        nums = [float(row[f]) for row in rows if row.get(f) is not None]
         if not nums:
             summaries.append({"field": f, "error": "no non-null values"})
-        else:
-            summaries.append(compute_stats(f, [float(v) for v in nums]).to_obj())
+            continue
+        try:
+            summaries.append(compute_stats(f, nums).to_obj())
+        except OverflowError:
+            summaries.append({"field": f, "error": "statistics overflow a double"})
     return ToolResult(content={"summaries": summaries, "inputs": {"row_count": len(rows)}})
 
 

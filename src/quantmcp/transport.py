@@ -10,6 +10,7 @@ platforms and replayable byte-for-byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -81,6 +82,13 @@ def _reject_constant(name: str) -> None:
     raise ParseError(f"malformed JSON: {name} is not a JSON number")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ParseError(f"malformed JSON: {text} overflows a double")
+    return value
+
+
 def parse_message(line: bytes | bytearray | str) -> JsonRpcMessage:
     """Parse one complete frame into a structurally valid message.
 
@@ -96,9 +104,9 @@ def parse_message(line: bytes | bytearray | str) -> JsonRpcMessage:
     else:
         text = line
     try:
-        obj = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc.msg}") from exc
+        obj = json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
+    except (ValueError, RecursionError) as exc:  # also too many digits, or nesting too deep
+        raise ParseError(f"malformed JSON: {getattr(exc, 'msg', exc)}") from exc
 
     rid = obj.get("id") if isinstance(obj, dict) and _valid_id(obj.get("id")) else None
 

@@ -79,6 +79,13 @@ def test_malformed_params_json_exits_2(capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_params_with_an_integer_past_the_digit_limit_exit_2(capsys):
+    params = '{"records": [{"code": "A", "timestamp": "t", "close": %s}], "summarize_fields": ["close"]}' % ("9" * 5000)
+    rc = main(["call", "tool_compute_summary", params, "--config", SYNTH_CONF])
+    assert rc == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
 def test_invalid_config_exits_2_naming_the_field(tmp_path, capsys):
     bad = tmp_path / "bad.conf"
     bad.write_text("[server]\ndefault_provider = s\n\n[provider.s]\nkind = quantum\n")
@@ -144,6 +151,19 @@ def test_replay_of_a_malformed_transcript_exits_2(tmp_path, capsys):
     rc = main(["replay", str(bad), "--config", SYNTH_CONF])
     assert rc == 2
     assert "replay error" in capsys.readouterr().err
+
+
+def test_replay_answers_a_structurally_invalid_frame_as_serve_does(tmp_path, capsys):
+    error = {"code": -32600, "message": "message carries no method, result, or error"}
+    entries = [
+        {"direction": "in", "message": {"jsonrpc": "2.0", "id": 7}},
+        {"direction": "out", "message": {"jsonrpc": "2.0", "id": 7, "error": error}},
+    ]
+    transcript = tmp_path / "invalid.jsonl"
+    transcript.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    rc = main(["replay", str(transcript), "--config", SYNTH_CONF])
+    assert rc == 0
+    assert "replayed 1 frames: 1 passed, 0 failed" in capsys.readouterr().out
 
 
 def test_replay_is_deterministic_across_runs(capsys):

@@ -215,8 +215,9 @@ def test_fill_requires_sorted_input():
 
 
 def test_unknown_policy_is_rejected():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as excinfo:
         apply_fill(_series([1.0]), "Forward", ["close"])
+    assert excinfo.value.data == {"allowed": ["Blank", "Previous"]}
 
 
 def test_fill_only_touches_requested_fields():

@@ -1,0 +1,46 @@
+"""The benchmark tracer patches functions by module attribute name.
+
+A refactor that renames or moves one of those names breaks
+``perfbench/run.py --trace 1`` without failing any other test, so this runs
+the tracing launcher in a subprocess (its patches must not leak into other
+tests) over a short session.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+from conftest import REPO_ROOT
+
+SYNTH_CONF = str(REPO_ROOT / "configs" / "synthetic.conf")
+
+
+def test_benchmark_tracer_installs_and_records_spans(tmp_path):
+    frames = [
+        {"jsonrpc": "2.0", "id": 1, "method": "initialize"},
+        {"jsonrpc": "2.0", "id": 2, "method": "tools/call",
+         "params": {"name": "tool_get_historical_data",
+                    "arguments": {"codes": ["300750.SZ"], "fields": ["close"],
+                                  "start_date": "2024-01-01", "end_date": "2024-01-31"}}},
+    ]
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "perfbench" / "launcher.py"), str(spans_path),
+         "serve", "--config", SYNTH_CONF],
+        input="".join(json.dumps(f) + "\n" for f in frames),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+        cwd=str(REPO_ROOT),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [json.loads(line)["id"] for line in proc.stdout.splitlines()] == [1, 2]
+    names = {span[1] for span in json.loads(spans_path.read_text())}
+    for name in ("transport.parse_message", "transport.serialize_message",
+                 "tools.tool_get_historical_data", "normalize.normalize_payload"):
+        assert name in names

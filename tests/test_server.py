@@ -263,15 +263,26 @@ def test_garbage_input_yields_parse_error_and_the_server_survives():
     assert frames[3]["id"] == 2
 
 
-def test_non_finite_number_yields_parse_error_and_the_server_survives():
+def _summary_call_holding(number: str) -> str:
     summary = {
         "name": "tool_compute_summary",
         "arguments": {"records": [{"code": "A", "timestamp": "t", "close": 1.0}], "summarize_fields": ["close"]},
     }
-    nan_call = json.dumps({"jsonrpc": "2.0", "id": 7, "method": "tools/call", "params": summary})
-    nan_call = nan_call.replace("1.0", "NaN")
-    lines = [_session_lines()[0], nan_call, _session_lines()[1]]
+    call = json.dumps({"jsonrpc": "2.0", "id": 7, "method": "tools/call", "params": summary})
+    return call.replace("1.0", number)
+
+
+def test_non_finite_number_yields_parse_error_and_the_server_survives():
+    lines = [_session_lines()[0], _summary_call_holding("NaN"), _session_lines()[1]]
     frames = _run_session(lines)
+    assert frames[1]["error"]["code"] == -32700
+    assert frames[1]["id"] is None
+    assert frames[2]["id"] == 2
+
+
+@pytest.mark.parametrize("number", ["1e999", "7" * 5000], ids=["overflowing-float", "5000-digit-int"])
+def test_unholdable_number_yields_parse_error_and_the_server_survives(number):
+    frames = _run_session([_session_lines()[0], _summary_call_holding(number), _session_lines()[1]])
     assert frames[1]["error"]["code"] == -32700
     assert frames[1]["id"] is None
     assert frames[2]["id"] == 2

@@ -172,6 +172,16 @@ def test_inverted_range_is_a_validation_error(ctx):
         _call_historical(ctx, dict(Q1_ARGS, start_date="2024-03-31", end_date="2024-01-01"))
 
 
+def test_provider_error_fires_before_options_and_date_errors(ctx):
+    args = dict(Q1_ARGS, provider_id="ghost", options="Fill=Sideways", start_date="2024-13-45")
+    with pytest.raises(ValidationError) as excinfo:
+        _call_historical(ctx, args)
+    assert excinfo.value.data == {"violations": ["provider_id: unknown provider 'ghost'"]}
+    with pytest.raises(ValidationError) as excinfo:
+        _call_historical(ctx, dict(args, provider_id="synth"))
+    assert excinfo.value.data == {"key": "Fill", "allowed": ["Blank", "Previous"]}
+
+
 def test_fill_previous_applies_to_csv_gaps(tmp_path):
     path = tmp_path / "gappy.csv"
     path.write_text(
@@ -228,6 +238,16 @@ def test_as_of_defaults_to_the_server_clock():
     ctx = make_ctx(wall=wall)
     result = _call_quote(ctx, {"codes": ["300750.SZ"], "fields": ["close"]})
     assert result.content["records"][0]["timestamp"].startswith("2024-05-31")
+
+
+def test_quote_checks_the_provider_before_as_of(ctx):
+    args = {"codes": ["300750.SZ"], "fields": ["close"], "as_of": "2024-02-30", "provider_id": "ghost"}
+    with pytest.raises(ValidationError) as excinfo:
+        _call_quote(ctx, args)
+    assert excinfo.value.data == {"violations": ["provider_id: unknown provider 'ghost'"]}
+    with pytest.raises(ValidationError) as excinfo:
+        _call_quote(ctx, dict(args, provider_id="synth"))
+    assert excinfo.value.data == {"violations": ["as_of: '2024-02-30' is not a valid YYYY-MM-DD date"]}
 
 
 def test_unknown_code_on_csv_yields_no_data(tmp_path):
@@ -323,11 +343,46 @@ def test_nested_query_arguments_are_schema_checked(ctx):
     assert "codes" in named and "start_date" in named
 
 
+def test_nested_query_date_errors_name_the_query_prefix(ctx):
+    args = dict(Q1_ARGS, end_date="2024-02-30")
+    with pytest.raises(ValidationError) as excinfo:
+        _call_summary(ctx, {"query": args, "summarize_fields": ["close"]})
+    assert excinfo.value.data == {"violations": ["query.end_date: '2024-02-30' is not a valid YYYY-MM-DD date"]}
+
+
+def test_query_backed_summary_of_the_code_field_is_a_validation_error(ctx):
+    with pytest.raises(ValidationError) as excinfo:
+        _call_summary(ctx, {"query": Q1_ARGS, "summarize_fields": ["close", "code"]})
+    assert excinfo.value.data["violations"][0] == "records[0].code: expected number or null"
+
+
 def test_non_numeric_record_values_are_rejected(ctx):
     records = [{"code": "A", "timestamp": "t", "close": "180.50"}]
     with pytest.raises(ValidationError) as excinfo:
         _call_summary(ctx, {"records": records, "summarize_fields": ["close"]})
     assert "records[0].close" in excinfo.value.data["violations"][0]
+
+
+@pytest.mark.parametrize(
+    "closes", [[1e308, 1e308], [1e308, -1e308]], ids=["sum-overflows", "variance-overflows"]
+)
+def test_overflowing_statistics_get_a_per_field_error(ctx, closes):
+    records = [
+        {"code": "A", "timestamp": f"2024-01-0{i + 1} 15:00:00", "close": c, "turn": float(i)}
+        for i, c in enumerate(closes)
+    ]
+    result = _call_summary(ctx, {"records": records, "summarize_fields": ["close", "turn"]})
+    assert not result.is_error
+    by_field = {s["field"]: s for s in result.content["summaries"]}
+    assert by_field["close"] == {"field": "close", "error": "statistics overflow a double"}
+    assert by_field["turn"]["mean"] == 0.5
+
+
+def test_integer_beyond_the_largest_double_is_a_validation_error(ctx):
+    records = [{"code": "A", "timestamp": "t", "close": 10**400}, {"code": "A", "timestamp": "t", "close": 1}]
+    with pytest.raises(ValidationError) as excinfo:
+        _call_summary(ctx, {"records": records, "summarize_fields": ["close"]})
+    assert excinfo.value.data == {"violations": ["records[0].close: integer beyond the largest double"]}
 
 
 def test_summary_over_failing_provider_is_a_tool_error():

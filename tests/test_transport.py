@@ -90,11 +90,39 @@ def test_malformed_text_is_a_parse_error(line):
         parse_message(line)
 
 
-@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "constant",
+    [
+        "NaN",
+        "Infinity",
+        "-Infinity",
+        pytest.param("1e999", id="overflowing-float"),
+        pytest.param("-1e999", id="overflowing-negative-float"),
+    ],
+)
 def test_non_finite_constants_are_a_parse_error(constant):
     line = '{"jsonrpc":"2.0","id":1,"method":"m","params":{"x":%s}}' % constant
     with pytest.raises(ParseError):
         parse_message(line)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"jsonrpc":"2.0","id":1,"method":"m","params":{"x":%s}}' % ("1" * 4301),
+        '{"jsonrpc":"2.0","id":1,"method":"m","params":{"x":-%s}}' % ("9" * 5000),
+        "[" * 100_000 + "]" * 100_000,
+    ],
+    ids=["4301-digit-int", "5000-digit-negative-int", "nesting-past-the-recursion-limit"],
+)
+def test_too_many_digits_or_too_deep_nesting_is_a_parse_error(line):
+    with pytest.raises(ParseError):
+        parse_message(line)
+
+
+def test_large_finite_numbers_still_parse():
+    msg = parse_message('{"jsonrpc":"2.0","id":1,"method":"m","params":{"x":1e308,"y":%s}}' % ("9" * 400))
+    assert msg.params == {"x": 1e308, "y": int("9" * 400)}
 
 
 @pytest.mark.parametrize(
