@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import itertools
 import math
 import os
 import string
@@ -45,12 +46,15 @@ FNV_PRIME = 1099511628211
 _U64 = (1 << 64) - 1
 
 
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash."""
-    h = FNV_OFFSET
+def fnv1a64(data: bytes, h: int = FNV_OFFSET) -> int:
+    """64-bit FNV-1a hash of ``data``, folded on from state ``h``.
+
+    FNV-1a folds one byte at a time, so ``fnv1a64(b, fnv1a64(a))`` equals
+    ``fnv1a64(a + b)``: a shared prefix can be hashed once.
+    """
+    prime, mask = FNV_PRIME, _U64
     for byte in data:
-        h ^= byte
-        h = (h * FNV_PRIME) & _U64
+        h = ((h ^ byte) * prime) & mask
     return h
 
 
@@ -172,6 +176,18 @@ def trading_days(start: dt.date, end: dt.date) -> list[dt.date]:
     return days
 
 
+def _scale_unit(field_name: str, h: int) -> float | int:
+    """Map a 64-bit hash into [0, 1) and scale it into ``field_name``'s range."""
+    u = (h % 1_000_000) / 1_000_000
+    if field_name in ("close", "open", "high", "low"):
+        return round(100 + 100 * u, 2)
+    if field_name == "volume":
+        return math.floor(1_000_000 * u)
+    if field_name == "pb_lf":
+        return round(1 + 9 * u, 3)
+    return round(10 * u, 4)  # turn
+
+
 def synthetic_value(code: str, field_name: str, day: dt.date, seed: int) -> float | int:
     """Deterministic pseudo-market value for (code, field, day, seed).
 
@@ -182,14 +198,7 @@ def synthetic_value(code: str, field_name: str, day: dt.date, seed: int) -> floa
     if field_name not in CANONICAL_FIELDS:
         raise ValidationError(f"unknown field {field_name!r}")
     key = f"{code}|{field_name}|{day.isoformat()}|{seed}"
-    u = (fnv1a64(key.encode("utf-8")) % 1_000_000) / 1_000_000
-    if field_name in ("close", "open", "high", "low"):
-        return round(100 + 100 * u, 2)
-    if field_name == "volume":
-        return math.floor(1_000_000 * u)
-    if field_name == "pb_lf":
-        return round(1 + 9 * u, 3)
-    return round(10 * u, 4)  # turn
+    return _scale_unit(field_name, fnv1a64(key.encode("utf-8")))
 
 
 def _provider_fields(config: ProviderConfig, fields: list[str]) -> list[str]:
@@ -197,13 +206,29 @@ def _provider_fields(config: ProviderConfig, fields: list[str]) -> list[str]:
 
 
 def _fetch_synthetic(config: ProviderConfig, query: DataQuery) -> list[dict[str, Any]]:
+    """``synthetic_value`` for every cell, folding each shared key prefix once.
+
+    A cell's key is ``code|field|YYYY-MM-DD|seed``. ``code|field|`` is folded
+    once per (code, field) and ``YYYY-MM-`` on from that once per month; each
+    cell then folds only its ``DD|seed`` tail, encoded once per day.
+    """
+    months = [
+        (head.encode("utf-8"), [(day, f"{day.day:02d}|{config.seed}".encode("utf-8")) for day in days])
+        for head, days in itertools.groupby(query.days, key=lambda day: day.isoformat()[:8])
+    ]
     rows = []
     for code in query.codes:
-        for day in query.days:
-            row: dict[str, Any] = {"code": code, "date": day}
-            for f in query.fields:
-                row[config.field_map.get(f, f)] = synthetic_value(code, f, day, config.seed)
-            rows.append(row)
+        prefixes = [
+            (f, config.field_map.get(f, f), fnv1a64(f"{code}|{f}|".encode("utf-8")))
+            for f in query.fields
+        ]
+        for head, days in months:
+            block: list[dict[str, Any]] = [{"code": code, "date": day} for day, _ in days]
+            for f, column, prefix in prefixes:
+                h = fnv1a64(head, prefix)
+                for row, (_, tail) in zip(block, days):
+                    row[column] = _scale_unit(f, fnv1a64(tail, h))
+            rows.extend(block)
     return rows
 
 
@@ -212,12 +237,15 @@ def _parse_cell(raw: str, column: str, config: ProviderConfig) -> float | None:
     if cell == "":
         return None
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
+        value = None
+    if value is None or not math.isfinite(value):
         raise ProviderFailure(
-            f"provider {config.id!r} csv column {column!r} holds non-numeric value {cell!r}",
+            f"provider {config.id!r} csv column {column!r} holds non-numeric or non-finite value {cell!r}",
             data={"reason": "schema", "column": column},
-        ) from None
+        )
+    return value
 
 
 def _fetch_csv(config: ProviderConfig, query: DataQuery) -> list[dict[str, Any]]:
@@ -254,9 +282,13 @@ def _fetch_csv(config: ProviderConfig, query: DataQuery) -> list[dict[str, Any]]
 def _coerce_numeric(value: Any, column: str, config: ProviderConfig) -> float | int | None:
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, float):
+        numeric = math.isfinite(value)
+    else:
+        numeric = isinstance(value, int) and not isinstance(value, bool)
+    if not numeric:
         raise ProviderFailure(
-            f"provider {config.id!r} returned non-numeric value for {column!r}",
+            f"provider {config.id!r} returned non-numeric or non-finite value for {column!r}",
             data={"reason": "schema", "column": column},
         )
     return value

@@ -2,13 +2,15 @@
 
 Secrets live server-side only: the store never serializes them, its repr
 shows provider ids alone, and :func:`redact` scrubs every outgoing frame and
-log line. The token-bucket limiter and the TTL cache are the only shared
-mutable state in the server; both are safe for concurrent use.
+log line in which :meth:`CredentialStore.shows_in` finds a secret. The
+token-bucket limiter and the TTL cache are the only shared mutable state in
+the server; both are safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import json
 import math
 import os
 import re
@@ -39,6 +41,9 @@ class CredentialStore:
     def __init__(self, secrets: Mapping[str, str], source: str = "file"):
         self._secrets = dict(secrets)
         self.source = source
+        # Longest first, so a secret that contains another is replaced whole.
+        self.secrets_longest_first = tuple(sorted(self._secrets.values(), key=len, reverse=True))
+        self._escaped = tuple(json.dumps(s, ensure_ascii=False)[1:-1] for s in self.secrets_longest_first)
 
     def resolve(self, provider_id: str) -> str:
         try:
@@ -55,8 +60,15 @@ class CredentialStore:
     def provider_ids(self) -> tuple[str, ...]:
         return tuple(self._secrets)
 
-    def secret_values(self) -> tuple[str, ...]:
-        return tuple(self._secrets.values())
+    def shows_in(self, text: str) -> bool:
+        """Whether any secret's JSON-escaped form occurs in serialized ``text``.
+
+        JSON escapes each character on its own, so a secret inside any
+        string or key of a value serialized with ``ensure_ascii=False``
+        always shows as its escaped form: False means nothing to redact.
+        True may be a false alarm (the form also occurs across tokens).
+        """
+        return any(e in text for e in self._escaped)
 
     def __len__(self) -> int:
         return len(self._secrets)
@@ -146,10 +158,9 @@ def redact(payload: Any, store: CredentialStore) -> Any:
     Works on plain text and on structured values (keys included), returning
     a same-shaped copy. With no loaded secrets the input is returned as-is.
     """
-    secrets = tuple(sorted(store.secret_values(), key=len, reverse=True))
-    if not secrets:
+    if not store.secrets_longest_first:
         return payload
-    return _redact_value(payload, secrets)
+    return _redact_value(payload, store.secrets_longest_first)
 
 
 def redact_message(msg: JsonRpcMessage, store: CredentialStore) -> JsonRpcMessage:

@@ -3,8 +3,9 @@
 Requests on a connection are processed strictly in order by default, which
 keeps transcripts deterministic. An opt-in concurrent mode runs tools/call
 handlers in a bounded pool; responses may then interleave, correlated by
-id. Every outgoing frame and log line passes through credential redaction
-before it leaves the process.
+id. Every outgoing frame and log line is serialized, searched for loaded
+secrets and, on a match, redacted and serialized again before it leaves the
+process.
 """
 
 from __future__ import annotations
@@ -71,8 +72,12 @@ class Dispatcher:
         self.server_version = server_version
 
     def log_event(self, event: str, **fields: Any) -> None:
-        payload = redact({"event": event, **fields}, self.ctx.credentials)
-        logger.info(json.dumps(payload, ensure_ascii=False, default=str))
+        payload = {"event": event, **fields}
+        store = self.ctx.credentials
+        line = json.dumps(payload, ensure_ascii=False, default=str)
+        if store.shows_in(line):
+            line = json.dumps(redact(payload, store), ensure_ascii=False, default=str)
+        logger.info(line)
 
     def dispatch(self, msg: JsonRpcMessage) -> JsonRpcMessage | None:
         """Route one message; notifications and inbound responses yield None."""
@@ -169,16 +174,23 @@ class StdioServer:
         self.concurrency = concurrency
         self._write_lock = threading.Lock()
 
+    def _encode(self, msg: JsonRpcMessage) -> str:
+        """Serialize ``msg``; redact and serialize again only if a secret shows."""
+        store = self.dispatcher.ctx.credentials
+        line = serialize_message(msg).decode("utf-8")
+        if store.shows_in(line):
+            line = serialize_message(redact_message(msg, store)).decode("utf-8")
+        return line
+
     def _emit(self, msg: JsonRpcMessage) -> None:
-        msg = redact_message(msg, self.dispatcher.ctx.credentials)
         try:
-            line = serialize_message(msg).decode("utf-8")
+            line = self._encode(msg)
         except InternalError as exc:
             # An invariant-violating message must never reach the wire; the
             # client still deserves an answer instead of a dropped frame.
             self.dispatcher.log_event("unserializable_response", detail=exc.message)
             fallback = make_error(msg.id if msg.kind == RESPONSE else None, INTERNAL_ERROR, "internal error")
-            line = serialize_message(fallback).decode("utf-8")
+            line = self._encode(fallback)
         with self._write_lock:
             self._out.write(line)
             self._out.flush()

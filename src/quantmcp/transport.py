@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -174,6 +175,13 @@ def round_floats(value: Any) -> Any:
     return value
 
 
+def _dumps(obj: Any) -> str:
+    return json.dumps(obj, ensure_ascii=False, allow_nan=False, separators=(",", ":"))
+
+
+_LONG_FRACTION = re.compile(r"\.[0-9]{7}")
+
+
 def _check_emittable(msg: JsonRpcMessage) -> None:
     if msg.kind == REQUEST:
         if not isinstance(msg.method, str) or not msg.method:
@@ -231,9 +239,13 @@ def serialize_message(msg: JsonRpcMessage) -> bytes:
         if key not in obj and key != "jsonrpc":
             obj[key] = value
     try:
-        text = json.dumps(
-            round_floats(obj), ensure_ascii=False, allow_nan=False, separators=(",", ":")
-        )
+        text = _dumps(obj)
+        # A float that round(x, 6) changes prints (as its shortest repr) with
+        # a negative exponent or more than six fractional digits, so a frame
+        # with neither needs no rounding pass. A match inside a string only
+        # costs that pass.
+        if "e-" in text or _LONG_FRACTION.search(text):
+            text = _dumps(round_floats(obj))
     except (TypeError, ValueError) as exc:
         raise InternalError(f"unserializable message payload: {exc}") from exc
     return text.encode("utf-8") + b"\n"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import datetime as dt
 import json
+import math
 import random
 import threading
 import time
@@ -89,6 +90,11 @@ def test_fnv1a64_matches_reference_constants():
     )
 
 
+def test_fnv1a64_folds_on_from_a_prefix_state():
+    for prefix, suffix in [(b"", b""), (b"300750.SZ|close|", b"2024-01-02|0"), ("贵州|turn|".encode(), b"x")]:
+        assert fnv1a64(suffix, fnv1a64(prefix)) == fnv1a64_oracle(prefix + suffix)
+
+
 def test_synthetic_values_match_the_committed_golden_file():
     cases = json.loads((GOLDEN_DIR / "synthetic_values.json").read_text())
     assert len(cases) >= 100
@@ -157,6 +163,24 @@ def test_synthetic_fetch_is_pure_given_seed_and_query():
     assert first.rows == second.rows
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_synthetic_fetch_equals_synthetic_value_cell_by_cell(seed):
+    field_map = {"close": "CLOSE", "turn": "turnover_rate"}
+    config = ProviderConfig(id="synth", kind="synthetic", seed=seed, field_map=field_map)
+    codes = ["300750.SZ", "600519.SH", "贵州茅台", "A"]
+    fields = list(reversed(CANONICAL_FIELDS))
+    query = _query(codes=codes, fields=fields, start_date=dt.date(2023, 12, 20), end_date=dt.date(2024, 2, 5))
+    rows = fetch_historical(config, query, EMPTY_STORE).rows
+    days = trading_days(query.start_date, query.end_date)
+    assert [(row["code"], row["date"]) for row in rows] == [(c, d) for c in codes for d in days]
+    for row in rows:
+        assert list(row) == ["code", "date", *(field_map.get(f, f) for f in fields)]
+        for f in fields:
+            expected = synthetic_value(row["code"], f, row["date"], seed)
+            got = row[field_map.get(f, f)]
+            assert got == expected and type(got) is type(expected), (row["code"], f, row["date"])
+
+
 def test_query_validation_reports_unknown_fields():
     config = ProviderConfig(id="synth", kind="synthetic")
     with pytest.raises(ValidationError) as excinfo:
@@ -204,6 +228,15 @@ def test_csv_non_numeric_cell_is_a_provider_failure(tmp_path):
         fetch_historical(_csv_config(path), _query(codes=["A"], fields=["close"]), EMPTY_STORE)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_csv_non_finite_cell_is_a_schema_failure(tmp_path, cell):
+    path = tmp_path / "non_finite.csv"
+    path.write_text(f"code,date,close\nA,2024-01-02,{cell}\n")
+    with pytest.raises(ProviderFailure) as excinfo:
+        fetch_historical(_csv_config(path), _query(codes=["A"], fields=["close"]), EMPTY_STORE)
+    assert excinfo.value.data == {"reason": "schema", "column": "close"}
+
+
 def test_csv_config_requires_a_readable_file(tmp_path):
     with pytest.raises(ConfigError, match="csv_path"):
         ProviderConfig(id="x", kind="csv", csv_path=str(tmp_path / "absent.csv")).check()
@@ -243,6 +276,15 @@ def test_http_issues_one_request_per_code():
         query = _query(codes=["A.SZ", "B.SZ", "C.SZ"], start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2))
         fetch_historical(_http_config(base_url), query, EMPTY_STORE)
     assert len(state.requests) == 3
+
+
+def test_http_non_finite_value_is_a_schema_failure():
+    fixture = [{"code": "300750.SZ", "date": "2024-01-02", "close": math.nan}]
+    with stub_rows_server(fixture) as (base_url, _):
+        query = _query(fields=["close"], start_date=dt.date(2024, 1, 1), end_date=dt.date(2024, 1, 5))
+        with pytest.raises(ProviderFailure) as excinfo:
+            fetch_historical(_http_config(base_url), query, EMPTY_STORE)
+    assert excinfo.value.data == {"reason": "schema", "column": "close"}
 
 
 def test_http_non_2xx_is_a_provider_failure_with_status():

@@ -11,15 +11,21 @@ import pytest
 
 from conftest import initialize, make_ctx
 
+import quantmcp.server as server_module
+from quantmcp.errors import InternalError, ValidationError
 from quantmcp.providers import ProviderConfig, RateSpec
 from quantmcp.registry import ParamSpec, ToolDescriptor, ToolRegistry
+from quantmcp.security import CredentialStore, redact, redact_message
 from quantmcp.server import Dispatcher, StdioServer
 from quantmcp.tools import ToolResult, build_registry
 from quantmcp.transport import (
     NOTIFICATION,
     REQUEST,
+    RESPONSE,
     JsonRpcMessage,
+    make_error,
     parse_message,
+    serialize_message,
 )
 
 Q1_CALL_PARAMS = {
@@ -390,3 +396,148 @@ def test_concurrent_writes_never_shear_frames(ctx):
     assert server.run() == 0
     frames = [parse_message(line) for line in out.getvalue().splitlines()]
     assert sorted(f.id for f in frames) == list(range(21))
+
+
+def test_csv_nan_cell_answers_a_provider_failure_over_stdio(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("code,date,close\nA,2024-01-02,nan\n")
+    csv_provider = ProviderConfig(id="f", kind="csv", csv_path=str(path), rate=RateSpec(1000, 1000.0))
+    call = {"name": "tool_get_historical_data",
+            "arguments": {"codes": ["A"], "fields": ["close"], "start_date": "2024-01-01", "end_date": "2024-01-05"}}
+    lines = [_session_lines()[0], json.dumps({"jsonrpc": "2.0", "id": 2, "method": "tools/call", "params": call})]
+    frames = _run_session(lines, ctx=make_ctx(providers={"f": csv_provider}))
+    assert "error" not in frames[1]
+    assert frames[1]["result"]["is_error"] is True
+    assert frames[1]["result"]["content"]["error_kind"] == "provider_failure"
+
+
+# --- redaction: serialize first, redact only when a secret shows ------------------
+
+# Each needs escaping in JSON or is multi-byte in UTF-8; "hunter2" sits inside
+# "xhunter2-long", so the longest-first order matters.
+SECRETS = {
+    "quote": 'sk"quo\\te',
+    "ctl": "line\nbreak\x01ctl",
+    "uni": "cl\u00e9\u2028sep",
+    "short": "hunter2",
+    "long": "xhunter2-long",
+}
+S = list(SECRETS.values())
+
+
+def _leak(args, _ctx):
+    case = args.values["case"]
+    if case == "value":
+        content = {f"key-{s}": [s, f"pre{s}post", {"n": 1.23456789, s: None}] for s in S}
+        return ToolResult(content=content, human_summary=f"done {S[0]}")
+    if case == "tool_error":
+        return ToolResult(content={"detail": f"bad {S[1]}", S[2]: 1}, is_error=True)
+    if case == "raise":
+        raise ValidationError(f"rejected {S[3]}", data={"why": S[4], S[0]: [S[1]]})
+    if case == "crash":
+        raise RuntimeError(f"crashed on {S[2]}")
+    if case == "unserializable":
+        return ToolResult(content={"set": {S[0]}})
+    return ToolResult(content={"plain": "nothing secret", "x": 0.5})
+
+
+def _leak_registry() -> ToolRegistry:
+    registry = ToolRegistry()
+    registry.register(
+        ToolDescriptor(
+            name="leak",
+            description="returns secrets in every part of its answer",
+            params={"case": ParamSpec("string", "which answer", required=True)},
+        ),
+        _leak,
+    )
+    return registry
+
+
+class _RedactFirstDispatcher(Dispatcher):
+    """The reference stderr path: redact the whole tree, then serialize."""
+
+    def log_event(self, event, **fields):
+        payload = redact({"event": event, **fields}, self.ctx.credentials)
+        logging.getLogger("quantmcp.server").info(json.dumps(payload, ensure_ascii=False, default=str))
+
+
+class _RedactFirstServer(StdioServer):
+    """The reference stdout path: redact the whole message, then serialize."""
+
+    def _emit(self, msg):
+        msg = redact_message(msg, self.dispatcher.ctx.credentials)
+        try:
+            line = serialize_message(msg).decode("utf-8")
+        except InternalError as exc:
+            self.dispatcher.log_event("unserializable_response", detail=exc.message)
+            fallback = make_error(msg.id if msg.kind == RESPONSE else None, -32603, "internal error")
+            line = serialize_message(fallback).decode("utf-8")
+        self._out.write(line)
+
+
+def _leak_call(id, case, name="leak"):
+    return json.dumps({"jsonrpc": "2.0", "id": id, "method": "tools/call",
+                       "params": {"name": name, "arguments": {"case": case}}})
+
+
+def _leak_session() -> list[str]:
+    return [
+        json.dumps({"jsonrpc": "2.0", "id": f"init-{S[4]}", "method": "initialize",
+                    "params": {"clientInfo": {"name": f"client {S[3]}", "version": S[2]}}}),
+        json.dumps({"jsonrpc": "2.0", "method": f"notify/{S[1]}"}),
+        json.dumps({"jsonrpc": "2.0", "id": f"resp-{S[0]}", "result": S[0]}),
+        _leak_call(f"id-{S[0]}", "value"),
+        _leak_call(f"id-{S[1]}", "tool_error"),
+        _leak_call(f"id-{S[2]}", "raise"),
+        _leak_call(f"id-{S[3]}", "crash"),
+        _leak_call(f"id-{S[4]}", "unserializable"),
+        _leak_call(7, "clean"),
+        _leak_call(f"id-{S[3]}", "clean", name=f"tool-{S[0]}"),
+        json.dumps({"jsonrpc": "2.0", "id": 8, "method": f"rpc/{S[2]}"}),
+        json.dumps({"jsonrpc": "2.0", "id": f"bad-{S[1]}", "result": 1,
+                    "error": {"code": -32603, "message": "x"}}),
+    ]
+
+
+def _run_leak_session(server_cls, dispatcher_cls, caplog) -> tuple[bytes, list[str]]:
+    dispatcher = dispatcher_cls(_leak_registry(), make_ctx(secrets=SECRETS))
+    out = io.StringIO()
+    server = server_cls(dispatcher, io.StringIO("".join(l + "\n" for l in _leak_session())), out)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="quantmcp.server"):
+        assert server.run() == 0
+    return out.getvalue().encode("utf-8"), [r.getMessage() for r in caplog.records]
+
+
+def test_scan_then_redact_emits_the_bytes_of_redact_then_serialize(caplog):
+    stdout, stderr = _run_leak_session(StdioServer, Dispatcher, caplog)
+    ref_stdout, ref_stderr = _run_leak_session(_RedactFirstServer, _RedactFirstDispatcher, caplog)
+    assert stdout == ref_stdout
+    assert stderr == ref_stderr
+    store = CredentialStore(SECRETS)
+    assert not store.shows_in(stdout.decode("utf-8"))
+    assert not any(store.shows_in(line) for line in stderr)
+    frames = [json.loads(line) for line in stdout.decode("utf-8").splitlines()]
+    assert len(frames) == 10
+    # the -32603 fallback for the unserializable answer keeps the redacted id
+    assert frames[5] == {"jsonrpc": "2.0", "id": "id-***REDACTED***",
+                         "error": {"code": -32603, "message": "internal error"}}
+    assert any('"event": "unserializable_response"' in line for line in stderr)
+
+
+def test_a_frame_without_a_secret_skips_the_tree_walk(monkeypatch):
+    walks = []
+
+    def counting_redact_message(msg, store):
+        walks.append(msg.id)
+        return redact_message(msg, store)
+
+    monkeypatch.setattr(server_module, "redact_message", counting_redact_message)
+    dispatcher = Dispatcher(_leak_registry(), make_ctx(secrets=SECRETS))
+    lines = [json.dumps({"jsonrpc": "2.0", "id": 1, "method": "initialize"}),
+             _leak_call(2, "clean"), _leak_call(3, "value")]
+    out = io.StringIO()
+    assert StdioServer(dispatcher, io.StringIO("".join(l + "\n" for l in lines)), out).run() == 0
+    assert len(out.getvalue().splitlines()) == 3
+    assert walks == [3]

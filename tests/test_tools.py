@@ -11,9 +11,11 @@ import requests
 
 from conftest import FakeWallClock, make_ctx
 from oracle_utils import mean_oracle, synthetic_value_oracle, weekdays_oracle
+from stub_provider import stub_rows_server
 
 from quantmcp.errors import RateLimitedError, ValidationError
-from quantmcp.providers import ProviderConfig, RateSpec, trading_days
+from quantmcp import tools
+from quantmcp.providers import ProviderConfig, RateSpec, fetch_historical, trading_days
 from quantmcp.registry import ValidatedArgs
 from quantmcp.tools import (
     build_registry,
@@ -248,6 +250,39 @@ def test_quote_checks_the_provider_before_as_of(ctx):
     with pytest.raises(ValidationError) as excinfo:
         _call_quote(ctx, dict(args, provider_id="synth"))
     assert excinfo.value.data == {"violations": ["as_of: '2024-02-30' is not a valid YYYY-MM-DD date"]}
+
+
+@pytest.mark.parametrize("source", ["csv:nan", "csv:inf", "csv:-inf", "http:NaN"])
+def test_non_finite_provider_value_is_an_uncached_provider_failure(tmp_path, monkeypatch, source):
+    kind, cell = source.split(":")
+    fetches = []
+
+    def counting_fetch(*args, **kwargs):
+        fetches.append(1)
+        return fetch_historical(*args, **kwargs)
+
+    monkeypatch.setattr(tools, "fetch_historical", counting_fetch)
+    args = {"codes": ["A"], "fields": ["close"], "start_date": "2024-01-01", "end_date": "2024-01-05"}
+    rate = RateSpec(1000, 1000.0)
+    if kind == "csv":
+        path = tmp_path / "non_finite.csv"
+        path.write_text(f"code,date,close\nA,2024-01-02,{cell}\n")
+        provider = ProviderConfig(id="f", kind="csv", csv_path=str(path), rate=rate)
+        ctx = make_ctx(providers={"f": provider})
+        results = [_call_historical(ctx, args) for _ in range(2)]
+    else:
+        with stub_rows_server([{"code": "A", "date": "2024-01-02", "close": math.nan}]) as (base_url, state):
+            provider = ProviderConfig(
+                id="h", kind="http", base_url_template=base_url + "/q?code={code}", rate=rate
+            )
+            ctx = make_ctx(providers={"h": provider})
+            results = [_call_historical(ctx, args) for _ in range(2)]
+        assert len(state.requests) == 2
+    for result in results:
+        assert result.is_error
+        assert result.content["error_kind"] == "provider_failure"
+        assert "'close'" in result.content["detail"]
+    assert len(fetches) == 2  # failures are not cached: the retry fetches again
 
 
 def test_unknown_code_on_csv_yields_no_data(tmp_path):

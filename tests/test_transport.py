@@ -6,7 +6,7 @@ import datetime as dt
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quantmcp.errors import (
@@ -28,6 +28,7 @@ from quantmcp.transport import (
     JsonRpcMessage,
     make_error,
     parse_message,
+    round_floats,
     serialize_message,
 )
 
@@ -192,6 +193,38 @@ def test_floats_are_emitted_with_at_most_six_decimals():
     obj = json.loads(serialize_message(msg))
     assert obj["result"]["v"] == 0.123457
     assert obj["result"]["w"] == 180.5
+
+
+_emitted = st.recursive(
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(min_value=-(2**63), max_value=2**64),
+        st.text(max_size=12),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=8), children, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_emitted)
+@example(1e-07)
+@example(5e-05)
+@example(0.1234567)
+@example(1.2345678e20)
+@example(1e16)
+@example(-0.0)
+@example(5e-324)
+@example("1e-05")
+@example({"a": [1e-07, 0.5, "x"], "b": {"c": 0.1234567}})
+def test_serialize_message_equals_rounding_every_float_first(obj):
+    msg = JsonRpcMessage(RESPONSE, id=1, result=obj)
+    envelope = {"jsonrpc": "2.0", "id": 1, "result": obj}
+    expected = json.dumps(round_floats(envelope), ensure_ascii=False, allow_nan=False, separators=(",", ":"))
+    assert serialize_message(msg) == (expected + "\n").encode("utf-8")
 
 
 def test_ten_thousand_records_fit_one_parseable_frame():
