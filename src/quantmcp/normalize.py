@@ -38,27 +38,6 @@ class OptionsMap:
         return ";".join(f"{k}={v}" for k, v in sorted(self.entries.items()))
 
 
-@dataclass
-class CanonicalRecord:
-    """One (code, day) row; serializes flat as ``{code, timestamp, <field>...}``."""
-
-    code: str
-    timestamp: str
-    values: dict[str, float | int | None]
-
-    def to_obj(self) -> dict[str, Any]:
-        return {"code": self.code, "timestamp": self.timestamp, **self.values}
-
-    @classmethod
-    def from_obj(cls, obj: dict[str, Any]) -> "CanonicalRecord":
-        code = obj.get("code")
-        timestamp = obj.get("timestamp")
-        if not isinstance(code, str) or not isinstance(timestamp, str):
-            raise ValidationError("record must carry string code and timestamp fields")
-        values = {k: v for k, v in obj.items() if k not in ("code", "timestamp")}
-        return cls(code=code, timestamp=timestamp, values=values)
-
-
 def parse_options(text: str | None) -> OptionsMap:
     """Parse ``"Key=Value;Key=Value"`` text; empty input yields an empty map.
 
@@ -98,75 +77,80 @@ def normalize_payload(
     query: DataQuery,
     close_time: dt.time = DEFAULT_CLOSE_TIME,
     field_map: dict[str, str] | None = None,
-) -> list[CanonicalRecord]:
+) -> list[dict[str, Any]]:
     """Shape raw rows into the canonical per-(code, trading day) record list.
 
-    Rows dated outside the query range, or carrying codes the query never
-    asked for, are a provider contract breach and raise InternalError. Rows
-    on non-trading days inside the range are ignored.
+    Each record is the dict the wire carries, ``{code, timestamp, <field>...}``
+    with fields in query order. Rows dated outside the query range, or
+    carrying codes the query never asked for, are a provider contract breach
+    and raise InternalError. Rows on non-trading days inside the range are
+    ignored.
     """
     fmap = field_map or {}
-    wanted_codes = set(query.codes)
-    index: dict[tuple[str, dt.date], dict[str, Any]] = {}
+    start, end = query.start_date, query.end_date
+    index: dict[str, dict[dt.date, dict[str, Any]]] = {code: {} for code in query.codes}
     for row in raw.rows:
         code = row.get("code")
         day = row.get("date")
-        if (
-            code not in wanted_codes
-            or not isinstance(day, dt.date)
-            or not query.start_date <= day <= query.end_date
-        ):
+        by_day = index.get(code)
+        if by_day is None or not isinstance(day, dt.date) or not start <= day <= end:
             raise InternalError(
                 f"provider {raw.provider_id!r} returned a row outside the query contract: "
                 f"code={code!r} date={day!r}"
             )
         if day.weekday() < 5:
-            index[(code, day)] = row
+            by_day[day] = row
     suffix = " " + close_time.strftime("%H:%M:%S")
+    stamps = [(day, day.isoformat() + suffix) for day in query.days]
+    columns = [(f, fmap.get(f, f)) for f in query.fields]
+    no_row: dict[str, Any] = {}
     records = []
-    for code in sorted(wanted_codes):
-        for day in query.days:
-            row = index.get((code, day))
-            values: dict[str, float | int | None] = {}
-            for f in query.fields:
-                values[f] = row.get(fmap.get(f, f)) if row is not None else None
-            records.append(CanonicalRecord(code=code, timestamp=day.isoformat() + suffix, values=values))
+    for code in sorted(index):
+        by_day = index[code]
+        for day, stamp in stamps:
+            row = by_day.get(day, no_row)
+            record = {"code": code, "timestamp": stamp}
+            for f, column in columns:
+                record[f] = row.get(column)
+            records.append(record)
     return records
 
 
-def apply_fill(
-    records: list[CanonicalRecord], policy: str, fields: Iterable[str]
-) -> list[CanonicalRecord]:
+def apply_fill(records: list[dict[str, Any]], policy: str, fields: Iterable[str]) -> list[dict[str, Any]]:
     """Apply the fill policy to ``records`` (already sorted by code, timestamp).
 
     ``Previous`` replaces each null with the most recent earlier non-null
     value of the same field for the same code; leading nulls stay null.
     ``Blank`` returns the input unchanged. Non-null values are never touched,
-    so the operation is idempotent.
+    so the operation is idempotent. Only a record that gains a value is
+    copied; the input list and its records are never mutated.
     """
     allowed = RECOGNIZED_OPTIONS["Fill"]
     if policy not in allowed:
         raise ValidationError(f"unknown fill policy {policy!r}", data={"allowed": sorted(allowed)})
     if policy == "Blank":
         return list(records)
-    keys = [(r.code, r.timestamp) for r in records]
-    if keys != sorted(keys):
-        raise InternalError("records must be sorted by (code, timestamp) before fill")
-    fill_fields = set(fields)
+    fill_fields = list(fields)
     filled = []
     last: dict[str, float | int] = {}
-    current_code: str | None = None
+    code = timestamp = None
     for rec in records:
-        if rec.code != current_code:
-            current_code = rec.code
+        if rec["code"] != code:
+            if code is not None and rec["code"] < code:
+                raise InternalError("records must be sorted by (code, timestamp) before fill")
+            code = rec["code"]
             last = {}
-        values: dict[str, float | int | None] = {}
-        for f, v in rec.values.items():
-            if v is None and f in fill_fields:
-                values[f] = last.get(f)
-            else:
-                values[f] = v
-                if v is not None and f in fill_fields:
-                    last[f] = v
-        filled.append(CanonicalRecord(code=rec.code, timestamp=rec.timestamp, values=values))
+        elif rec["timestamp"] < timestamp:
+            raise InternalError("records must be sorted by (code, timestamp) before fill")
+        timestamp = rec["timestamp"]
+        out = rec
+        for f in fill_fields:
+            v = rec.get(f)
+            if v is not None:
+                last[f] = v
+            elif f in last and f in rec:
+                if out is rec:
+                    out = dict(rec)
+                out[f] = last[f]
+        filled.append(out)
     return filled

@@ -25,11 +25,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable
 
-import requests
-
 from .errors import ConfigError, CredentialMissing, InternalError, ProviderFailure, ValidationError
 
 if TYPE_CHECKING:
+    import requests  # bound at runtime by _import_requests on the first http fetch
+
     from .normalize import OptionsMap
     from .security import CredentialStore
 
@@ -176,16 +176,20 @@ def trading_days(start: dt.date, end: dt.date) -> list[dt.date]:
     return days
 
 
-def _scale_unit(field_name: str, h: int) -> float | int:
-    """Map a 64-bit hash into [0, 1) and scale it into ``field_name``'s range."""
-    u = (h % 1_000_000) / 1_000_000
-    if field_name in ("close", "open", "high", "low"):
-        return round(100 + 100 * u, 2)
-    if field_name == "volume":
-        return math.floor(1_000_000 * u)
-    if field_name == "pb_lf":
-        return round(1 + 9 * u, 3)
-    return round(10 * u, 4)  # turn
+def _price(u: float) -> float:
+    return round(100 + 100 * u, 2)
+
+
+# Each field's scaling of a unit value in [0, 1) into a plausible range.
+_SCALERS: dict[str, Callable[[float], float | int]] = {
+    "close": _price,
+    "open": _price,
+    "high": _price,
+    "low": _price,
+    "volume": lambda u: math.floor(1_000_000 * u),
+    "pb_lf": lambda u: round(1 + 9 * u, 3),
+    "turn": lambda u: round(10 * u, 4),
+}
 
 
 def synthetic_value(code: str, field_name: str, day: dt.date, seed: int) -> float | int:
@@ -198,7 +202,7 @@ def synthetic_value(code: str, field_name: str, day: dt.date, seed: int) -> floa
     if field_name not in CANONICAL_FIELDS:
         raise ValidationError(f"unknown field {field_name!r}")
     key = f"{code}|{field_name}|{day.isoformat()}|{seed}"
-    return _scale_unit(field_name, fnv1a64(key.encode("utf-8")))
+    return _SCALERS[field_name]((fnv1a64(key.encode("utf-8")) % 1_000_000) / 1_000_000)
 
 
 def _provider_fields(config: ProviderConfig, fields: list[str]) -> list[str]:
@@ -210,24 +214,29 @@ def _fetch_synthetic(config: ProviderConfig, query: DataQuery) -> list[dict[str,
 
     A cell's key is ``code|field|YYYY-MM-DD|seed``. ``code|field|`` is folded
     once per (code, field) and ``YYYY-MM-`` on from that once per month; each
-    cell then folds only its ``DD|seed`` tail, encoded once per day.
+    cell then folds only its ``DD|seed`` tail, built once per day, inline.
     """
+    seed = config.seed
     months = [
-        (head.encode("utf-8"), [(day, f"{day.day:02d}|{config.seed}".encode("utf-8")) for day in days])
+        (head.encode("utf-8"), [(day, b"%02d|%d" % (day.day, seed)) for day in days])
         for head, days in itertools.groupby(query.days, key=lambda day: day.isoformat()[:8])
     ]
+    prime, mask = FNV_PRIME, _U64
     rows = []
     for code in query.codes:
         prefixes = [
-            (f, config.field_map.get(f, f), fnv1a64(f"{code}|{f}|".encode("utf-8")))
+            (config.field_map.get(f, f), _SCALERS[f], fnv1a64(f"{code}|{f}|".encode("utf-8")))
             for f in query.fields
         ]
         for head, days in months:
             block: list[dict[str, Any]] = [{"code": code, "date": day} for day, _ in days]
-            for f, column, prefix in prefixes:
-                h = fnv1a64(head, prefix)
+            for column, scale, prefix in prefixes:
+                state = fnv1a64(head, prefix)
                 for row, (_, tail) in zip(block, days):
-                    row[column] = _scale_unit(f, fnv1a64(tail, h))
+                    h = state
+                    for byte in tail:
+                        h = ((h ^ byte) * prime) & mask
+                    row[column] = scale((h % 1_000_000) / 1_000_000)
             rows.extend(block)
     return rows
 
@@ -368,6 +377,21 @@ def _fetch_http_code(
     return rows
 
 
+def _import_requests() -> Any:
+    """Import ``requests`` on first use, so a session that never fetches over http never loads it."""
+    global requests
+    import requests
+
+    return requests
+
+
+def __getattr__(name: str) -> Any:
+    # Keeps ``providers.requests`` resolvable (and patchable) before the first http fetch.
+    if name == "requests":
+        return _import_requests()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _fetch_http(
     config: ProviderConfig, query: DataQuery, credentials: "CredentialStore"
 ) -> list[dict[str, Any]]:
@@ -378,6 +402,7 @@ def _fetch_http(
     whichever GET finished first; GETs not yet started are cancelled and
     those in flight are left to finish unawaited.
     """
+    _import_requests()  # _fetch_http_code reads requests.get per call, where tests and tracers patch it
     wanted = _provider_fields(config, query.fields)
     apikey = ""
     if "{apikey}" in config.base_url_template:

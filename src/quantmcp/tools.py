@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .errors import CredentialMissing, ProviderFailure, RateLimitedError, ValidationError
-from .normalize import CanonicalRecord, apply_fill, normalize_payload, parse_options
+from .normalize import apply_fill, normalize_payload, parse_options
 from .providers import DataQuery, ProviderConfig, fetch_historical, http_fetch_bound_s
 from .registry import (
     DATE_PATTERN,
@@ -135,7 +135,7 @@ def _resolve_provider(ctx: ToolContext, provider_id: str | None) -> ProviderConf
 
 def fetch_normalized(
     ctx: ToolContext, provider: ProviderConfig, query: DataQuery, kind: str = "historical"
-) -> tuple[list[CanonicalRecord], dict[str, Any]]:
+) -> tuple[list[dict[str, Any]], dict[str, Any]]:
     """Rate-limit, consult the cache, then fetch + normalize + fill.
 
     Raises RateLimitedError on a denied acquire and propagates provider
@@ -151,7 +151,7 @@ def fetch_normalized(
     key = cache_key(provider.id, query, kind)
     ttl = ctx.cache.ttl_for(query, kind, today=ctx.wall_clock().date())
 
-    def produce() -> tuple[list[CanonicalRecord], str]:
+    def produce() -> tuple[list[dict[str, Any]], str]:
         raw = fetch_historical(provider, query, ctx.credentials, now=ctx.wall_clock)
         records = normalize_payload(raw, query, provider.close_time, provider.field_map)
         return apply_fill(records, fill, query.fields), raw.fetched_at
@@ -169,13 +169,9 @@ def fetch_normalized(
     return records, meta
 
 
-def _records_content(records: list[CanonicalRecord], meta: dict[str, Any]) -> dict[str, Any]:
-    return {"records": [r.to_obj() for r in records], "meta": meta}
-
-
 def _run_query(
     ctx: ToolContext, values: dict[str, Any], kind: str, prefix: str = ""
-) -> tuple[list[CanonicalRecord], dict[str, Any]] | ToolResult:
+) -> tuple[list[dict[str, Any]], dict[str, Any]] | ToolResult:
     """Build, check and run the query ``values`` describe.
 
     Validation errors raise in a fixed order: provider, then options, then
@@ -223,7 +219,7 @@ def tool_get_historical_data(args: ValidatedArgs, ctx: ToolContext) -> ToolResul
         return out
     records, meta = out
     summary = None if records else "no trading days in the requested range"
-    return ToolResult(content=_records_content(records, meta), human_summary=summary)
+    return ToolResult(content={"records": records, "meta": meta}, human_summary=summary)
 
 
 def tool_get_quote(args: ValidatedArgs, ctx: ToolContext) -> ToolResult:
@@ -232,10 +228,11 @@ def tool_get_quote(args: ValidatedArgs, ctx: ToolContext) -> ToolResult:
     if isinstance(out, ToolResult):
         return out
     records, meta = out
-    kept = [r for r in records if any(v is not None for v in r.values.values())]
+    fields = args.values["fields"]
+    kept = [r for r in records if any(r[f] is not None for f in fields)]
     meta["row_count"] = len(kept)
     summary = None if kept else "no data for the requested codes"
-    return ToolResult(content=_records_content(kept, meta), human_summary=summary)
+    return ToolResult(content={"records": kept, "meta": meta}, human_summary=summary)
 
 
 def _summary_inputs(values: dict[str, Any], ctx: ToolContext) -> tuple[list[dict[str, Any]], ToolResult | None]:
@@ -253,7 +250,7 @@ def _summary_inputs(values: dict[str, Any], ctx: ToolContext) -> tuple[list[dict
     out = _run_query(ctx, validated.values, "historical", prefix="query.")
     if isinstance(out, ToolResult):
         return [], out
-    return [r.to_obj() for r in out[0]], None
+    return out[0], None
 
 
 def tool_compute_summary(args: ValidatedArgs, ctx: ToolContext) -> ToolResult:

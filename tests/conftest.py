@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import os
 import sys
 from pathlib import Path
 
@@ -19,6 +20,12 @@ TESTS_DIR = Path(__file__).parent
 REPO_ROOT = TESTS_DIR.parent
 GOLDEN_DIR = TESTS_DIR / "golden"
 DATA_DIR = TESTS_DIR / "data"
+
+
+def src_env(*extra_paths: str) -> dict[str, str]:
+    """The environment with ``src`` (and ``extra_paths``) ahead on PYTHONPATH, for child interpreters."""
+    paths = [str(REPO_ROOT / "src"), *extra_paths, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
 
 
 class FakeMonoClock:

@@ -28,7 +28,7 @@ from oracle_utils import (
 )
 
 from quantmcp.cli import main as cli_main
-from quantmcp.normalize import CanonicalRecord, apply_fill
+from quantmcp.normalize import apply_fill
 from quantmcp.providers import ProviderConfig, RateSpec, trading_days
 from quantmcp.registry import ParamSpec
 from quantmcp.security import RateLimiter, cache_key
@@ -119,11 +119,11 @@ def test_criterion_04_fill_matches_the_backward_scan_oracle():
             length = rng.randrange(0, 30)
             values = [None if rng.random() < 0.4 else round(rng.uniform(1, 200), 2) for _ in range(length)]
             records = [
-                CanonicalRecord("X", f"{day_pool[i].isoformat()} 15:00:00", {"close": v})
+                {"code": "X", "timestamp": f"{day_pool[i].isoformat()} 15:00:00", "close": v}
                 for i, v in enumerate(values)
             ]
             filled = apply_fill(records, "Previous", ["close"])
-            assert [r.values["close"] for r in filled] == backfill_oracle(values)
+            assert [r["close"] for r in filled] == backfill_oracle(values)
             blank = apply_fill(records, "Blank", ["close"])
             assert blank == records
 

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from conftest import GOLDEN_DIR, REPO_ROOT, make_ctx
+from conftest import GOLDEN_DIR, REPO_ROOT, make_ctx, src_env
 
 from quantmcp.cli import main, mask_volatile
 from quantmcp.server import Dispatcher, StdioServer
@@ -186,6 +186,7 @@ def _spawn_serve(*extra_args) -> subprocess.Popen:
         stderr=subprocess.PIPE,
         text=True,
         cwd=str(REPO_ROOT),
+        env=src_env(),
     )
 
 
@@ -211,6 +212,7 @@ def test_serve_with_invalid_config_exits_2(tmp_path):
         text=True,
         timeout=30,
         cwd=str(REPO_ROOT),
+        env=src_env(),
     )
     assert proc.returncode == 2
     assert "provider.s.kind" in proc.stderr

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import datetime as dt
 import json
 
@@ -13,7 +14,6 @@ from oracle_utils import backfill_oracle
 
 from quantmcp.errors import InternalError, ValidationError
 from quantmcp.normalize import (
-    CanonicalRecord,
     OptionsMap,
     apply_fill,
     normalize_payload,
@@ -39,6 +39,11 @@ def _query(**overrides) -> DataQuery:
     )
     base.update(overrides)
     return DataQuery(**base)
+
+
+def _values(record) -> dict:
+    """A record's field values, without its code and timestamp."""
+    return {k: v for k, v in record.items() if k not in ("code", "timestamp")}
 
 
 # --- options grammar --------------------------------------------------------
@@ -99,8 +104,8 @@ def test_q1_synthetic_payload_normalizes_to_65_records():
     records = normalize_payload(raw, query, CLOSE)
     assert len(records) == 65
     # the weekday calendar makes Monday 2024-01-01 the first trading day
-    assert records[0].timestamp == "2024-01-01 15:00:00"
-    assert records[-1].timestamp == "2024-03-29 15:00:00"
+    assert records[0]["timestamp"] == "2024-01-01 15:00:00"
+    assert records[-1]["timestamp"] == "2024-03-29 15:00:00"
 
 
 def test_weekend_only_range_yields_no_records():
@@ -112,8 +117,8 @@ def test_provider_field_names_are_renamed_to_canonical():
     query = _query(fields=["pb_lf"], start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2))
     raw = _payload([{"code": "300750.SZ", "date": dt.date(2024, 1, 2), "PB_LF_RAW": 5.5}])
     records = normalize_payload(raw, query, CLOSE, field_map={"pb_lf": "PB_LF_RAW"})
-    assert records[0].values == {"pb_lf": 5.5}
-    assert records[0].to_obj() == {
+    assert _values(records[0]) == {"pb_lf": 5.5}
+    assert records[0] == {
         "code": "300750.SZ",
         "timestamp": "2024-01-02 15:00:00",
         "pb_lf": 5.5,
@@ -124,7 +129,7 @@ def test_missing_days_become_all_null_records():
     raw = _payload([{"code": "300750.SZ", "date": dt.date(2024, 1, 3), "close": 9.0}])
     records = normalize_payload(raw, _query(), CLOSE)
     assert len(records) == 5
-    assert [r.values["close"] for r in records] == [None, None, 9.0, None, None]
+    assert [r["close"] for r in records] == [None, None, 9.0, None, None]
 
 
 def test_row_outside_the_range_is_a_contract_breach():
@@ -142,9 +147,9 @@ def test_row_for_unrequested_code_is_a_contract_breach():
 def test_records_are_sorted_by_code_then_timestamp():
     query = _query(codes=["600000.SH", "300750.SZ"])
     records = normalize_payload(_payload([]), query, CLOSE)
-    keys = [(r.code, r.timestamp) for r in records]
+    keys = [(r["code"], r["timestamp"]) for r in records]
     assert keys == sorted(keys)
-    assert records[0].code == "300750.SZ"
+    assert records[0]["code"] == "300750.SZ"
 
 
 def test_record_count_law_holds_regardless_of_gaps():
@@ -157,7 +162,7 @@ def test_record_count_law_holds_regardless_of_gaps():
 def test_close_time_is_stamped_from_config():
     query = _query(start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2))
     records = normalize_payload(_payload([]), query, dt.time(16, 30, 0))
-    assert records[0].timestamp == "2024-01-02 16:30:00"
+    assert records[0]["timestamp"] == "2024-01-02 16:30:00"
 
 
 def test_record_list_serializes_to_json_and_back():
@@ -165,36 +170,34 @@ def test_record_list_serializes_to_json_and_back():
     query = _query(fields=["close", "volume"], end_date=dt.date(2024, 1, 9))
     raw = fetch_historical(config, query, CredentialStore({}))
     records = normalize_payload(raw, query, CLOSE)
-    text = json.dumps([r.to_obj() for r in records])
-    parsed = [CanonicalRecord.from_obj(o) for o in json.loads(text)]
+    text = json.dumps(records)
+    parsed = json.loads(text)
     assert parsed == records
 
 
 # --- apply_fill ---------------------------------------------------------------
 
 
-def _series(values, code="A") -> list[CanonicalRecord]:
+def _series(values, code="A") -> list[dict]:
     start = dt.date(2024, 1, 1)
     records = []
     day = start
     for v in values:
         while day.weekday() >= 5:
             day += dt.timedelta(days=1)
-        records.append(
-            CanonicalRecord(code=code, timestamp=f"{day.isoformat()} 15:00:00", values={"close": v})
-        )
+        records.append({"code": code, "timestamp": f"{day.isoformat()} 15:00:00", "close": v})
         day += dt.timedelta(days=1)
     return records
 
 
 def test_previous_fill_carries_last_observation_forward():
     filled = apply_fill(_series([100.0, None, None, 101.0]), "Previous", ["close"])
-    assert [r.values["close"] for r in filled] == [100.0, 100.0, 100.0, 101.0]
+    assert [r["close"] for r in filled] == [100.0, 100.0, 100.0, 101.0]
 
 
 def test_previous_fill_leaves_leading_nulls():
     filled = apply_fill(_series([None, None]), "Previous", ["close"])
-    assert [r.values["close"] for r in filled] == [None, None]
+    assert [r["close"] for r in filled] == [None, None]
 
 
 def test_blank_fill_is_identity():
@@ -205,11 +208,28 @@ def test_blank_fill_is_identity():
 def test_fill_does_not_leak_across_codes():
     records = _series([7.0, None], code="A") + _series([None, 3.0], code="B")
     filled = apply_fill(records, "Previous", ["close"])
-    assert [r.values["close"] for r in filled] == [7.0, 7.0, None, 3.0]
+    assert [r["close"] for r in filled] == [7.0, 7.0, None, 3.0]
+
+
+def test_fill_copies_only_the_records_it_fills_and_never_mutates_its_input():
+    records = _series([1.0, None, 2.0, None])
+    snapshot = copy.deepcopy(records)
+    before = [id(r) for r in records]
+    filled = apply_fill(records, "Previous", ["close"])
+    assert [r["close"] for r in filled] == [1.0, 1.0, 2.0, 2.0]
+    assert records == snapshot and [id(r) for r in records] == before
+    assert [f is r for f, r in zip(filled, records)] == [True, False, True, False]
+    assert apply_fill(records, "Blank", ["close"]) is not records
 
 
 def test_fill_requires_sorted_input():
     records = list(reversed(_series([1.0, None, 2.0])))
+    with pytest.raises(InternalError, match="sorted"):
+        apply_fill(records, "Previous", ["close"])
+
+
+def test_fill_requires_codes_in_order():
+    records = _series([1.0, None], code="B") + _series([None, 2.0], code="A")
     with pytest.raises(InternalError, match="sorted"):
         apply_fill(records, "Previous", ["close"])
 
@@ -222,18 +242,18 @@ def test_unknown_policy_is_rejected():
 
 def test_fill_only_touches_requested_fields():
     records = [
-        CanonicalRecord("A", "2024-01-01 15:00:00", {"close": 1.0, "turn": 2.0}),
-        CanonicalRecord("A", "2024-01-02 15:00:00", {"close": None, "turn": None}),
+        {"code": "A", "timestamp": "2024-01-01 15:00:00", "close": 1.0, "turn": 2.0},
+        {"code": "A", "timestamp": "2024-01-02 15:00:00", "close": None, "turn": None},
     ]
     filled = apply_fill(records, "Previous", ["close"])
-    assert filled[1].values == {"close": 1.0, "turn": None}
+    assert _values(filled[1]) == {"close": 1.0, "turn": None}
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)), max_size=40))
 def test_previous_fill_matches_the_backward_scan_oracle(values):
     filled = apply_fill(_series(values), "Previous", ["close"])
-    assert [r.values["close"] for r in filled] == backfill_oracle(values)
+    assert [r["close"] for r in filled] == backfill_oracle(values)
 
 
 @settings(max_examples=100, deadline=None)
@@ -244,6 +264,6 @@ def test_previous_fill_is_idempotent_and_preserves_non_nulls(values):
     twice = apply_fill(once, "Previous", ["close"])
     assert twice == once
     for before, after in zip(records, once):
-        if before.values["close"] is not None:
-            assert after.values["close"] == before.values["close"]
-        assert after.timestamp == before.timestamp
+        if before["close"] is not None:
+            assert after["close"] == before["close"]
+        assert after["timestamp"] == before["timestamp"]

@@ -7,12 +7,16 @@ import datetime as dt
 import json
 import math
 import random
+import subprocess
+import sys
 import threading
 import time
 from urllib.parse import parse_qs, urlsplit
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle_utils import fnv1a64_oracle, synthetic_value_oracle, weekdays_oracle
 from stub_provider import stub_rows_server
@@ -29,7 +33,7 @@ from quantmcp.providers import (
 )
 from quantmcp.security import CredentialStore
 
-from conftest import DATA_DIR, GOLDEN_DIR
+from conftest import DATA_DIR, GOLDEN_DIR, REPO_ROOT, TESTS_DIR, src_env
 
 EMPTY_STORE = CredentialStore({})
 
@@ -181,6 +185,45 @@ def test_synthetic_fetch_equals_synthetic_value_cell_by_cell(seed):
             assert got == expected and type(got) is type(expected), (row["code"], f, row["date"])
 
 
+_CODES = st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=3, unique=True)
+# A prefix ahead of each mapped name keeps provider columns distinct from each
+# other, from the unmapped canonical names, and from "code" and "date".
+_FIELD_MAPS = st.tuples(st.text(min_size=1, max_size=3), st.sets(st.sampled_from(CANONICAL_FIELDS))).map(
+    lambda t: {f: t[0] + f for f in t[1]}
+)
+_FIELDS = st.permutations(CANONICAL_FIELDS).flatmap(lambda p: st.integers(1, 7).map(lambda n: list(p[:n])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    codes=_CODES,
+    fields=_FIELDS,
+    field_map=_FIELD_MAPS,
+    first_of_month=st.dates(dt.date(1999, 1, 1), dt.date(2031, 12, 1)).map(lambda d: d.replace(day=1)),
+    back=st.integers(0, 40),
+    forward=st.integers(0, 40),
+)
+def test_synthetic_fetch_equals_synthetic_value_for_generated_queries(
+    seed, codes, fields, field_map, first_of_month, back, forward
+):
+    # the range runs from ``back`` days before a first of month (January
+    # crosses a year end) to ``forward`` days after it
+    config = ProviderConfig(id="synth", kind="synthetic", seed=seed, field_map=field_map)
+    start = first_of_month - dt.timedelta(days=back)
+    end = first_of_month + dt.timedelta(days=forward)
+    query = _query(codes=codes, fields=fields, start_date=start, end_date=end)
+    rows = fetch_historical(config, query, EMPTY_STORE).rows
+    days = trading_days(start, end)
+    assert [(row["code"], row["date"]) for row in rows] == [(c, d) for c in codes for d in days]
+    for row in rows:
+        assert list(row) == ["code", "date", *(field_map.get(f, f) for f in fields)]
+        for f in fields:
+            expected = synthetic_value(row["code"], f, row["date"], seed)
+            got = row[field_map.get(f, f)]
+            assert got == expected and type(got) is type(expected), (row["code"], f, row["date"])
+
+
 def test_query_validation_reports_unknown_fields():
     config = ProviderConfig(id="synth", kind="synthetic")
     with pytest.raises(ValidationError) as excinfo:
@@ -269,6 +312,41 @@ def test_http_payload_matches_the_stub_fixture():
         {"code": "300750.SZ", "date": dt.date(2024, 1, 3), "close": 181.0, "pb_lf": None, "turn": None},
     ]
     assert state.requests and "code=300750.SZ" in state.requests[0]
+
+
+_LAZY_REQUESTS_CHILD = """
+import datetime as dt, io, json, sys
+from quantmcp import cli, providers
+from quantmcp.security import CredentialStore
+from stub_provider import stub_rows_server
+
+call = {"name": "tool_get_historical_data", "arguments": {
+    "codes": ["300750.SZ"], "fields": ["close"], "start_date": "2024-01-01", "end_date": "2024-01-31"}}
+frames = [{"jsonrpc": "2.0", "id": 1, "method": "initialize"},
+          {"jsonrpc": "2.0", "id": 2, "method": "tools/call", "params": call}]
+sys.stdin = io.StringIO("".join(json.dumps(f) + "\\n" for f in frames))
+sys.stdout = io.StringIO()
+code = cli.main(["serve", "--config", sys.argv[1]])
+served, sys.stdout = sys.stdout.getvalue(), sys.__stdout__
+loaded_after_serve = "requests" in sys.modules
+with stub_rows_server([{"code": "A", "date": "2024-01-02", "close": 1.5}]) as (base_url, _):
+    config = providers.ProviderConfig(id="h", kind="http", base_url_template=base_url + "/q?code={code}")
+    query = providers.DataQuery(["A"], ["close"], dt.date(2024, 1, 1), dt.date(2024, 1, 5))
+    rows = providers.fetch_historical(config, query, CredentialStore({})).rows
+print(json.dumps({"exit": code, "ids": [json.loads(line)["id"] for line in served.splitlines()],
+                  "loaded_after_serve": loaded_after_serve, "close": [r["close"] for r in rows],
+                  "resolvable": providers.requests is sys.modules["requests"]}))
+"""
+
+
+def test_requests_loads_on_the_first_http_fetch_not_at_import():
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_REQUESTS_CHILD, str(REPO_ROOT / "configs" / "synthetic.conf")],
+        capture_output=True, text=True, timeout=60, env=src_env(str(TESTS_DIR)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out == {"exit": 0, "ids": [1, 2], "loaded_after_serve": False, "close": [1.5], "resolvable": True}
 
 
 def test_http_issues_one_request_per_code():

@@ -335,6 +335,27 @@ def test_emitted_frames_are_redacted():
     assert frames[2]["result"]["content"]["error_kind"] == "provider_failure"
 
 
+def test_a_cache_hit_after_a_redacted_miss_returns_the_same_records():
+    secret = "sk-in-a-code-0451"
+    ctx = make_ctx(secrets={"synth": secret})
+    call = {"name": "tool_get_historical_data",
+            "arguments": {"codes": [f"X{secret}"], "fields": ["close", "turn"], "start_date": "2024-01-01",
+                          "end_date": "2024-01-31", "options": "Fill=Previous"}}
+    lines = [_session_lines()[0]] + [
+        json.dumps({"jsonrpc": "2.0", "id": i, "method": "tools/call", "params": call}) for i in (2, 3)
+    ]
+    miss, hit = (frame["result"]["content"] for frame in _run_session(lines, ctx=ctx)[1:])
+    assert (miss["meta"]["cache_hit"], hit["meta"]["cache_hit"]) == (False, True)
+    assert miss["records"][0]["code"] == "X***REDACTED***"
+    assert hit["records"] == miss["records"]
+    # the emit redacted a copy: the cached records still hold the code as fetched
+    dispatcher = Dispatcher(build_registry(), ctx)
+    initialize(dispatcher)
+    cached = dispatcher.dispatch(_req(4, "tools/call", call)).result["content"]["records"]
+    assert [r["code"] for r in cached] == [f"X{secret}"] * len(miss["records"])
+    assert [{**r, "code": "X***REDACTED***"} for r in cached] == miss["records"]
+
+
 def test_concurrent_mode_interleaves_but_correlates_ids(ctx):
     registry = ToolRegistry()
     order = []

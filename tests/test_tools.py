@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import gc
 import json
 import math
 
@@ -283,6 +284,20 @@ def test_non_finite_provider_value_is_an_uncached_provider_failure(tmp_path, mon
         assert result.content["error_kind"] == "provider_failure"
         assert "'close'" in result.content["detail"]
     assert len(fetches) == 2  # failures are not cached: the retry fetches again
+
+
+def test_records_from_a_miss_are_not_gc_tracked(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("code,date,close,turn\nA,2024-01-02,1.5,\nA,2024-01-04,,0.25\nB,2024-01-03,7.0,1.0\n")
+    provider = ProviderConfig(id="f", kind="csv", csv_path=str(path), rate=RateSpec(1000, 1000.0))
+    csv_args = {"codes": ["A", "B"], "fields": ["close", "turn"], "start_date": "2024-01-01",
+                "end_date": "2024-01-05", "options": "Fill=Previous"}
+    for ctx, args in ((make_ctx(), Q1_ARGS), (make_ctx(providers={"f": provider}), csv_args)):
+        miss = _call_historical(ctx, args).content["records"]
+        hit = _call_historical(ctx, args).content["records"]
+        assert all(h is m for h, m in zip(hit, miss))  # the cached records, handed on as they are
+        assert miss and all(gc.is_tracked(r) is False for r in miss)
+    assert [r["close"] for r in miss] == [None, 1.5, 1.5, 1.5, 1.5, None, None, 7.0, 7.0, 7.0]
 
 
 def test_unknown_code_on_csv_yields_no_data(tmp_path):

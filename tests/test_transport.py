@@ -238,7 +238,7 @@ def test_ten_thousand_records_fit_one_parseable_frame():
     )
     records = normalize_payload(fetch_historical(config, query, CredentialStore({})), query)
     assert len(records) == 10000
-    msg = JsonRpcMessage(RESPONSE, id=9, result={"records": [r.to_obj() for r in records]})
+    msg = JsonRpcMessage(RESPONSE, id=9, result={"records": records})
     wire = serialize_message(msg)
     assert wire.count(b"\n") == 1 and wire.endswith(b"\n")
     assert len(parse_message(wire).result["records"]) == 10000
