@@ -53,10 +53,6 @@ class InvalidRequestError(QuantMcpError):
     code = INVALID_REQUEST
 
 
-class MethodNotFoundError(QuantMcpError):
-    code = METHOD_NOT_FOUND
-
-
 class ValidationError(QuantMcpError):
     code = INVALID_PARAMS
 

@@ -1,10 +1,10 @@
 """Canonical record normalization: options grammar, record shaping, fill.
 
-Raw provider rows become one record per (code, trading day) sorted by
-(code, timestamp), with provider field names renamed to canonical ones.
-Days a provider skipped are materialized as all-null records before any
-fill policy runs, so ``Fill=Previous`` is well-defined and output length is
-predictable from the query alone.
+Provider rows, already under canonical field names, are laid out on the
+query's calendar: one record per (code, trading day), sorted by (code,
+timestamp). Days a provider skipped are materialized as all-null records
+before any fill policy runs, so ``Fill=Previous`` is well-defined and output
+length is predictable from the query alone.
 """
 
 from __future__ import annotations
@@ -73,46 +73,31 @@ def parse_options(text: str | None) -> OptionsMap:
 
 
 def normalize_payload(
-    raw: RawProviderPayload,
-    query: DataQuery,
-    close_time: dt.time = DEFAULT_CLOSE_TIME,
-    field_map: dict[str, str] | None = None,
+    raw: RawProviderPayload, query: DataQuery, close_time: dt.time = DEFAULT_CLOSE_TIME
 ) -> list[dict[str, Any]]:
-    """Shape raw rows into the canonical per-(code, trading day) record list.
+    """Lay ``raw.rows`` out as the per-(code, trading day) record list.
 
     Each record is the dict the wire carries, ``{code, timestamp, <field>...}``
-    with fields in query order. Rows dated outside the query range, or
-    carrying codes the query never asked for, are a provider contract breach
-    and raise InternalError. Rows on non-trading days inside the range are
-    ignored.
+    with fields in query order. A code the query never asked for, or a date
+    outside the query range, is a provider contract breach and raises
+    InternalError. Only the query's trading days are read, so rows on other
+    days inside the range are ignored.
     """
-    fmap = field_map or {}
     start, end = query.start_date, query.end_date
-    index: dict[str, dict[dt.date, dict[str, Any]]] = {code: {} for code in query.codes}
-    for row in raw.rows:
-        code = row.get("code")
-        day = row.get("date")
-        by_day = index.get(code)
-        if by_day is None or not isinstance(day, dt.date) or not start <= day <= end:
+    for code, by_day in raw.rows.items():
+        if code not in query.codes or by_day and (min(by_day) < start or max(by_day) > end):
             raise InternalError(
-                f"provider {raw.provider_id!r} returned a row outside the query contract: "
-                f"code={code!r} date={day!r}"
+                f"provider {raw.provider_id!r} returned rows outside the query contract for code={code!r}"
             )
-        if day.weekday() < 5:
-            by_day[day] = row
     suffix = " " + close_time.strftime("%H:%M:%S")
     stamps = [(day, day.isoformat() + suffix) for day in query.days]
-    columns = [(f, fmap.get(f, f)) for f in query.fields]
-    no_row: dict[str, Any] = {}
+    no_row = dict.fromkeys(query.fields)
     records = []
-    for code in sorted(index):
-        by_day = index[code]
-        for day, stamp in stamps:
-            row = by_day.get(day, no_row)
-            record = {"code": code, "timestamp": stamp}
-            for f, column in columns:
-                record[f] = row.get(column)
-            records.append(record)
+    for code in sorted(query.codes):
+        by_day = raw.rows.get(code, {})
+        records.extend(
+            {"code": code, "timestamp": stamp, **by_day.get(day, no_row)} for day, stamp in stamps
+        )
     return records
 
 

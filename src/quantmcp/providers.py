@@ -24,6 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable
+from urllib.parse import quote
 
 from .errors import ConfigError, CredentialMissing, InternalError, ProviderFailure, ValidationError
 
@@ -73,7 +74,7 @@ class ProviderConfig:
     base_url_template: str | None = None
     csv_path: str | None = None
     seed: int = 0
-    field_map: dict[str, str] = field(default_factory=dict)
+    field_map: dict[str, str] = field(default_factory=dict)  # canonical field -> provider column
     credential_ref: str | None = None
     rate: RateSpec = field(default_factory=RateSpec)
     timeout_ms: int = 5000
@@ -153,12 +154,15 @@ class DataQuery:
         return trading_days(self.start_date, self.end_date)
 
 
+Rows = dict[str, dict[dt.date, dict[str, Any]]]  # code -> day -> {canonical field: value}
+
+
 @dataclass(frozen=True)
 class RawProviderPayload:
-    """Rows as fetched, keyed by provider field names, dates within range."""
+    """Rows by query code then day, each holding the query's fields in order; days within range."""
 
     provider_id: str
-    rows: list[dict[str, Any]]
+    rows: Rows
     fetched_at: str
 
 
@@ -205,11 +209,7 @@ def synthetic_value(code: str, field_name: str, day: dt.date, seed: int) -> floa
     return _SCALERS[field_name]((fnv1a64(key.encode("utf-8")) % 1_000_000) / 1_000_000)
 
 
-def _provider_fields(config: ProviderConfig, fields: list[str]) -> list[str]:
-    return [config.field_map.get(f, f) for f in fields]
-
-
-def _fetch_synthetic(config: ProviderConfig, query: DataQuery) -> list[dict[str, Any]]:
+def _fetch_synthetic(config: ProviderConfig, query: DataQuery) -> Rows:
     """``synthetic_value`` for every cell, folding each shared key prefix once.
 
     A cell's key is ``code|field|YYYY-MM-DD|seed``. ``code|field|`` is folded
@@ -222,22 +222,18 @@ def _fetch_synthetic(config: ProviderConfig, query: DataQuery) -> list[dict[str,
         for head, days in itertools.groupby(query.days, key=lambda day: day.isoformat()[:8])
     ]
     prime, mask = FNV_PRIME, _U64
-    rows = []
+    rows: Rows = {}
     for code in query.codes:
-        prefixes = [
-            (config.field_map.get(f, f), _SCALERS[f], fnv1a64(f"{code}|{f}|".encode("utf-8")))
-            for f in query.fields
-        ]
+        prefixes = [(f, _SCALERS[f], fnv1a64(f"{code}|{f}|".encode("utf-8"))) for f in query.fields]
+        by_day = rows[code] = {day: {} for day in query.days}
         for head, days in months:
-            block: list[dict[str, Any]] = [{"code": code, "date": day} for day, _ in days]
-            for column, scale, prefix in prefixes:
+            for f, scale, prefix in prefixes:
                 state = fnv1a64(head, prefix)
-                for row, (_, tail) in zip(block, days):
+                for day, tail in days:
                     h = state
                     for byte in tail:
                         h = ((h ^ byte) * prime) & mask
-                    row[column] = scale((h % 1_000_000) / 1_000_000)
-            rows.extend(block)
+                    by_day[day][f] = scale((h % 1_000_000) / 1_000_000)
     return rows
 
 
@@ -257,14 +253,13 @@ def _parse_cell(raw: str, column: str, config: ProviderConfig) -> float | None:
     return value
 
 
-def _fetch_csv(config: ProviderConfig, query: DataQuery) -> list[dict[str, Any]]:
-    wanted = _provider_fields(config, query.fields)
-    rows = []
-    codes = set(query.codes)
+def _fetch_csv(config: ProviderConfig, query: DataQuery) -> Rows:
+    columns = [(f, config.field_map.get(f, f)) for f in query.fields]
+    rows: Rows = {code: {} for code in query.codes}
     with open(config.csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
-        for column in ["code", "date", *wanted]:
+        for column in ["code", "date", *(column for _, column in columns)]:
             if column not in header:
                 raise ProviderFailure(
                     f"provider {config.id!r} csv is missing column {column!r}",
@@ -278,13 +273,10 @@ def _fetch_csv(config: ProviderConfig, query: DataQuery) -> list[dict[str, Any]]
                     f"provider {config.id!r} csv holds unparseable date {rec.get('date')!r}",
                     data={"reason": "schema"},
                 ) from None
-            code = (rec.get("code") or "").strip()
-            if code not in codes or not query.start_date <= day <= query.end_date:
+            by_day = rows.get((rec.get("code") or "").strip())
+            if by_day is None or not query.start_date <= day <= query.end_date:
                 continue
-            row: dict[str, Any] = {"code": code, "date": day}
-            for column in wanted:
-                row[column] = _parse_cell(rec.get(column, ""), column, config)
-            rows.append(row)
+            by_day[day] = {f: _parse_cell(rec.get(column, ""), column, config) for f, column in columns}
     return rows
 
 
@@ -307,17 +299,17 @@ def _fetch_http_code(
     config: ProviderConfig,
     query: DataQuery,
     code: str,
-    wanted: list[str],
+    columns: list[tuple[str, str]],
     apikey: str,
     codes: set[str],
-) -> list[dict[str, Any]]:
+) -> list[tuple[str, dt.date, dict[str, Any]]]:
     """GET one code's rows, retrying connection failures, and keep those within the query."""
     url = config.base_url_template.format(
-        code=code,
-        field=",".join(wanted),
+        code=quote(code, safe=""),  # encoded whole, so a code cannot add parameters to the URL
+        field=quote(",".join(column for _, column in columns), safe=""),
         start=query.start_date.isoformat(),
         end=query.end_date.isoformat(),
-        apikey=apikey,
+        apikey=apikey,  # as configured: redaction scans error messages for the raw secret
     )
     response = None
     for attempt in range(config.retries + 1):
@@ -353,7 +345,7 @@ def _fetch_http_code(
             f'provider {config.id!r} body must be shaped {{"rows": [...]}}',
             data={"reason": "schema"},
         )
-    rows: list[dict[str, Any]] = []
+    rows = []
     for raw_row in body["rows"]:
         if not isinstance(raw_row, dict):
             raise ProviderFailure(
@@ -370,10 +362,8 @@ def _fetch_http_code(
         row_code = raw_row.get("code", code)
         if row_code not in codes or not query.start_date <= day <= query.end_date:
             continue  # keep the payload within the query contract
-        row: dict[str, Any] = {"code": row_code, "date": day}
-        for column in wanted:
-            row[column] = _coerce_numeric(raw_row.get(column), column, config)
-        rows.append(row)
+        row = {f: _coerce_numeric(raw_row.get(column), column, config) for f, column in columns}
+        rows.append((row_code, day, row))
     return rows
 
 
@@ -394,27 +384,32 @@ def __getattr__(name: str) -> Any:
 
 def _fetch_http(
     config: ProviderConfig, query: DataQuery, credentials: "CredentialStore"
-) -> list[dict[str, Any]]:
+) -> Rows:
     """Fan the per-code GETs out on at most HTTP_POOL_SIZE threads.
 
-    Rows merge in query order. On failure the first failing code in query
-    order is reported as soon as it and every earlier code are known,
-    whichever GET finished first; GETs not yet started are cancelled and
-    those in flight are left to finish unawaited.
+    Rows merge in query order, so of two GETs returning one (code, day) the
+    later wins. On failure the first failing code in query order is reported
+    as soon as it and every earlier code are known, whichever GET finished
+    first; GETs not yet started are cancelled and those in flight are left
+    to finish unawaited.
     """
     _import_requests()  # _fetch_http_code reads requests.get per call, where tests and tracers patch it
-    wanted = _provider_fields(config, query.fields)
+    columns = [(f, config.field_map.get(f, f)) for f in query.fields]
     apikey = ""
     if "{apikey}" in config.base_url_template:
         apikey = credentials.resolve(config.credential_ref or config.id)
     codes = set(query.codes)
+    rows: Rows = {code: {} for code in query.codes}
     pool = ThreadPoolExecutor(max_workers=min(len(query.codes), HTTP_POOL_SIZE))
     try:
         futures = [
-            pool.submit(_fetch_http_code, config, query, code, wanted, apikey, codes)
+            pool.submit(_fetch_http_code, config, query, code, columns, apikey, codes)
             for code in query.codes
         ]
-        return [row for future in futures for row in future.result()]
+        for future in futures:
+            for code, day, row in future.result():
+                rows[code][day] = row
+        return rows
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
 
@@ -434,7 +429,7 @@ def fetch_historical(
     credentials: "CredentialStore",
     now: Callable[[], dt.datetime] | None = None,
 ) -> RawProviderPayload:
-    """Fetch raw rows for ``query`` from the source described by ``config``.
+    """Fetch canonical rows for ``query`` from the source described by ``config``.
 
     Synthetic sources yield one row per (code, trading day) with every
     requested field populated; csv and http sources may leave gaps, which

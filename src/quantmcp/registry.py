@@ -183,9 +183,6 @@ class ToolRegistry:
     def __len__(self) -> int:
         return len(self._tools)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tools
-
     def descriptors(self) -> list[ToolDescriptor]:
         return [descriptor for descriptor, _ in self._tools.values()]
 

@@ -17,10 +17,10 @@ import re
 import stat
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from .errors import ConfigError, CredentialMissing, InternalError
-from .providers import DataQuery, RateSpec, fnv1a64
+from .providers import DataQuery, RateSpec
 from .transport import ErrorObject, JsonRpcMessage, MISSING
 
 REDACTED = "***REDACTED***"
@@ -53,12 +53,6 @@ class CredentialStore:
                 f"no credential loaded for provider {provider_id!r}",
                 data={"provider": provider_id},
             ) from None
-
-    def has(self, provider_id: str) -> bool:
-        return provider_id in self._secrets
-
-    def provider_ids(self) -> tuple[str, ...]:
-        return tuple(self._secrets)
 
     def shows_in(self, text: str) -> bool:
         """Whether any secret's JSON-escaped form occurs in serialized ``text``.
@@ -229,13 +223,6 @@ class RateLimiter:
             return RateDecision(False, retry_after_ms=math.ceil(needed / spec.refill_per_sec * 1000.0))
 
 
-@dataclass
-class CacheEntry:
-    key: int
-    payload: Any
-    expires_at: float
-
-
 class _Flight:
     __slots__ = ("event", "payload", "exc")
 
@@ -245,26 +232,22 @@ class _Flight:
         self.exc: BaseException | None = None
 
 
-def cache_key(provider_id: str, query: DataQuery, kind: str = "historical") -> int:
-    """Stable 64-bit key over the canonical query encoding.
+def cache_key(provider_id: str, query: DataQuery, kind: str = "historical") -> tuple:
+    """The canonical query itself, as a tuple: two distinct queries never share a key.
 
     Codes and fields are sorted and options rendered key-sorted, so
     argument order never splits the cache. ``kind`` separates quote lookups
     from plain historical ranges because their TTL rules differ.
     """
-    options = query.options.canonical() if query.options is not None else ""
-    canonical = "\x1f".join(
-        [
-            kind,
-            provider_id,
-            ",".join(sorted(query.codes)),
-            ",".join(sorted(query.fields)),
-            query.start_date.isoformat(),
-            query.end_date.isoformat(),
-            options,
-        ]
+    return (
+        kind,
+        provider_id,
+        tuple(sorted(query.codes)),
+        tuple(sorted(query.fields)),
+        query.start_date,
+        query.end_date,
+        query.options.canonical() if query.options is not None else "",
     )
-    return fnv1a64(canonical.encode("utf-8"))
 
 
 FILL_WAIT_S = 30.0  # default wait on an identical in-flight miss
@@ -282,8 +265,8 @@ class ResponseCache:
         self._clock = clock
         self.historical_ttl_s = float(historical_ttl_s)
         self.live_ttl_s = float(live_ttl_s)
-        self._entries: dict[int, CacheEntry] = {}
-        self._inflight: dict[int, _Flight] = {}
+        self._entries: dict[Hashable, tuple[Any, float]] = {}  # key -> (payload, expires_at)
+        self._inflight: dict[Hashable, _Flight] = {}
         self._lock = threading.Lock()
 
     def ttl_for(self, query: DataQuery, kind: str, today: dt.date) -> float:
@@ -293,7 +276,7 @@ class ResponseCache:
         return self.historical_ttl_s
 
     def lookup_or_store(
-        self, key: int, compute: Callable[[], Any], ttl: float, wait_s: float = FILL_WAIT_S
+        self, key: Hashable, compute: Callable[[], Any], ttl: float, wait_s: float = FILL_WAIT_S
     ) -> tuple[Any, bool]:
         """Return (payload, cache_hit). A miss invokes ``compute`` exactly once.
 
@@ -302,9 +285,9 @@ class ResponseCache:
         propagates its exception and caches nothing, so the next call retries.
         """
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry.expires_at > self._clock():
-                return entry.payload, True
+            payload, expires_at = self._entries.get(key, (None, -math.inf))
+            if expires_at > self._clock():
+                return payload, True
             flight = self._inflight.get(key)
             if flight is None:
                 flight = _Flight()
@@ -327,7 +310,7 @@ class ResponseCache:
             flight.event.set()
             raise
         with self._lock:
-            self._entries[key] = CacheEntry(key=key, payload=payload, expires_at=self._clock() + ttl)
+            self._entries[key] = (payload, self._clock() + ttl)
             self._inflight.pop(key, None)
         flight.payload = payload
         flight.event.set()

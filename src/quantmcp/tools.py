@@ -153,7 +153,7 @@ def fetch_normalized(
 
     def produce() -> tuple[list[dict[str, Any]], str]:
         raw = fetch_historical(provider, query, ctx.credentials, now=ctx.wall_clock)
-        records = normalize_payload(raw, query, provider.close_time, provider.field_map)
+        records = normalize_payload(raw, query, provider.close_time)
         return apply_fill(records, fill, query.fields), raw.fetched_at
 
     wait_s = FILL_WAIT_S

@@ -26,6 +26,7 @@ CLOSE = dt.time(15, 0, 0)
 
 
 def _payload(rows, provider_id="p") -> RawProviderPayload:
+    """A payload of ``rows``, shaped ``{code: {date: {field: value}}}``."""
     return RawProviderPayload(provider_id=provider_id, rows=rows, fetched_at="2024-06-01T00:00:00+00:00")
 
 
@@ -110,43 +111,46 @@ def test_q1_synthetic_payload_normalizes_to_65_records():
 
 def test_weekend_only_range_yields_no_records():
     query = _query(start_date=dt.date(2024, 1, 6), end_date=dt.date(2024, 1, 7))
-    assert normalize_payload(_payload([]), query, CLOSE) == []
-
-
-def test_provider_field_names_are_renamed_to_canonical():
-    query = _query(fields=["pb_lf"], start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2))
-    raw = _payload([{"code": "300750.SZ", "date": dt.date(2024, 1, 2), "PB_LF_RAW": 5.5}])
-    records = normalize_payload(raw, query, CLOSE, field_map={"pb_lf": "PB_LF_RAW"})
-    assert _values(records[0]) == {"pb_lf": 5.5}
-    assert records[0] == {
-        "code": "300750.SZ",
-        "timestamp": "2024-01-02 15:00:00",
-        "pb_lf": 5.5,
-    }
+    assert normalize_payload(_payload({}), query, CLOSE) == []
 
 
 def test_missing_days_become_all_null_records():
-    raw = _payload([{"code": "300750.SZ", "date": dt.date(2024, 1, 3), "close": 9.0}])
+    raw = _payload({"300750.SZ": {dt.date(2024, 1, 3): {"close": 9.0}}})
     records = normalize_payload(raw, _query(), CLOSE)
     assert len(records) == 5
     assert [r["close"] for r in records] == [None, None, 9.0, None, None]
 
 
 def test_row_outside_the_range_is_a_contract_breach():
-    raw = _payload([{"code": "300750.SZ", "date": dt.date(2024, 2, 1), "close": 1.0}])
+    raw = _payload({"300750.SZ": {dt.date(2024, 2, 1): {"close": 1.0}}})
     with pytest.raises(InternalError, match="contract"):
         normalize_payload(raw, _query(), CLOSE)
 
 
+def test_row_before_the_range_is_a_contract_breach():
+    raw = _payload({"300750.SZ": {dt.date(2024, 1, 3): {"close": 1.0}, dt.date(2023, 12, 29): {"close": 1.0}}})
+    with pytest.raises(InternalError, match="contract"):
+        normalize_payload(raw, _query(), CLOSE)
+
+
+def test_rows_on_weekend_days_inside_the_range_are_ignored():
+    query = _query(end_date=dt.date(2024, 1, 8))
+    saturday, monday = dt.date(2024, 1, 6), dt.date(2024, 1, 8)
+    raw = _payload({"300750.SZ": {saturday: {"close": 6.0}, monday: {"close": 8.0}}})
+    records = normalize_payload(raw, query, CLOSE)
+    assert [r["timestamp"][:10] for r in records][-2:] == ["2024-01-05", "2024-01-08"]
+    assert [r["close"] for r in records] == [None, None, None, None, None, 8.0]
+
+
 def test_row_for_unrequested_code_is_a_contract_breach():
-    raw = _payload([{"code": "999999.SZ", "date": dt.date(2024, 1, 2), "close": 1.0}])
+    raw = _payload({"999999.SZ": {dt.date(2024, 1, 2): {"close": 1.0}}})
     with pytest.raises(InternalError):
         normalize_payload(raw, _query(), CLOSE)
 
 
 def test_records_are_sorted_by_code_then_timestamp():
     query = _query(codes=["600000.SH", "300750.SZ"])
-    records = normalize_payload(_payload([]), query, CLOSE)
+    records = normalize_payload(_payload({}), query, CLOSE)
     keys = [(r["code"], r["timestamp"]) for r in records]
     assert keys == sorted(keys)
     assert records[0]["code"] == "300750.SZ"
@@ -154,14 +158,14 @@ def test_records_are_sorted_by_code_then_timestamp():
 
 def test_record_count_law_holds_regardless_of_gaps():
     query = _query(codes=["A", "B"], start_date=dt.date(2024, 1, 1), end_date=dt.date(2024, 1, 14))
-    raw = _payload([{"code": "A", "date": dt.date(2024, 1, 3), "close": 2.0}])
+    raw = _payload({"A": {dt.date(2024, 1, 3): {"close": 2.0}}})
     records = normalize_payload(raw, query, CLOSE)
     assert len(records) == 2 * 10
 
 
 def test_close_time_is_stamped_from_config():
     query = _query(start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2))
-    records = normalize_payload(_payload([]), query, dt.time(16, 30, 0))
+    records = normalize_payload(_payload({}), query, dt.time(16, 30, 0))
     assert records[0]["timestamp"] == "2024-01-02 16:30:00"
 
 

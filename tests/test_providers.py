@@ -22,6 +22,7 @@ from oracle_utils import fnv1a64_oracle, synthetic_value_oracle, weekdays_oracle
 from stub_provider import stub_rows_server
 
 from quantmcp.errors import ConfigError, CredentialMissing, ProviderFailure, ValidationError
+from quantmcp.normalize import normalize_payload
 from quantmcp.providers import (
     CANONICAL_FIELDS,
     DataQuery,
@@ -140,10 +141,10 @@ def test_unknown_field_is_rejected():
 def test_synthetic_fetch_covers_every_code_and_trading_day():
     config = ProviderConfig(id="synth", kind="synthetic", seed=0)
     payload = fetch_historical(config, _query(), EMPTY_STORE)
-    assert len(payload.rows) == 65
+    assert len(payload.rows["300750.SZ"]) == 65
     assert all(
         row["close"] is not None and row["pb_lf"] is not None and row["turn"] is not None
-        for row in payload.rows
+        for row in payload.rows["300750.SZ"].values()
     )
 
 
@@ -157,7 +158,7 @@ def test_synthetic_row_count_law_over_random_queries():
         end = start + dt.timedelta(days=rng.randrange(30))
         query = _query(codes=sorted(set(codes)), start_date=start, end_date=end)
         payload = fetch_historical(config, query, EMPTY_STORE)
-        assert len(payload.rows) == len(query.codes) * len(trading_days(start, end))
+        assert sum(map(len, payload.rows.values())) == len(query.codes) * len(trading_days(start, end))
 
 
 def test_synthetic_fetch_is_pure_given_seed_and_query():
@@ -167,6 +168,20 @@ def test_synthetic_fetch_is_pure_given_seed_and_query():
     assert first.rows == second.rows
 
 
+def _assert_synthetic_cells(rows, query: DataQuery, seed: int) -> None:
+    """Every (code, trading day, field) of ``query`` in order, each equal to ``synthetic_value``."""
+    days = trading_days(query.start_date, query.end_date)
+    assert list(rows) == query.codes
+    for code, by_day in rows.items():
+        assert list(by_day) == days
+        for day, row in by_day.items():
+            assert list(row) == query.fields
+            for f in query.fields:
+                expected = synthetic_value(code, f, day, seed)
+                got = row[f]
+                assert got == expected and type(got) is type(expected), (code, f, day)
+
+
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_synthetic_fetch_equals_synthetic_value_cell_by_cell(seed):
     field_map = {"close": "CLOSE", "turn": "turnover_rate"}
@@ -174,22 +189,13 @@ def test_synthetic_fetch_equals_synthetic_value_cell_by_cell(seed):
     codes = ["300750.SZ", "600519.SH", "贵州茅台", "A"]
     fields = list(reversed(CANONICAL_FIELDS))
     query = _query(codes=codes, fields=fields, start_date=dt.date(2023, 12, 20), end_date=dt.date(2024, 2, 5))
-    rows = fetch_historical(config, query, EMPTY_STORE).rows
-    days = trading_days(query.start_date, query.end_date)
-    assert [(row["code"], row["date"]) for row in rows] == [(c, d) for c in codes for d in days]
-    for row in rows:
-        assert list(row) == ["code", "date", *(field_map.get(f, f) for f in fields)]
-        for f in fields:
-            expected = synthetic_value(row["code"], f, row["date"], seed)
-            got = row[field_map.get(f, f)]
-            assert got == expected and type(got) is type(expected), (row["code"], f, row["date"])
+    _assert_synthetic_cells(fetch_historical(config, query, EMPTY_STORE).rows, query, seed)
 
 
 _CODES = st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=3, unique=True)
-# A prefix ahead of each mapped name keeps provider columns distinct from each
-# other, from the unmapped canonical names, and from "code" and "date".
-_FIELD_MAPS = st.tuples(st.text(min_size=1, max_size=3), st.sets(st.sampled_from(CANONICAL_FIELDS))).map(
-    lambda t: {f: t[0] + f for f in t[1]}
+# Synthetic rows ignore field_map; these maps rename, swap and merge columns.
+_FIELD_MAPS = st.dictionaries(
+    st.sampled_from(CANONICAL_FIELDS), st.sampled_from([*CANONICAL_FIELDS, "PX", "code", "date"])
 )
 _FIELDS = st.permutations(CANONICAL_FIELDS).flatmap(lambda p: st.integers(1, 7).map(lambda n: list(p[:n])))
 
@@ -213,15 +219,7 @@ def test_synthetic_fetch_equals_synthetic_value_for_generated_queries(
     start = first_of_month - dt.timedelta(days=back)
     end = first_of_month + dt.timedelta(days=forward)
     query = _query(codes=codes, fields=fields, start_date=start, end_date=end)
-    rows = fetch_historical(config, query, EMPTY_STORE).rows
-    days = trading_days(start, end)
-    assert [(row["code"], row["date"]) for row in rows] == [(c, d) for c in codes for d in days]
-    for row in rows:
-        assert list(row) == ["code", "date", *(field_map.get(f, f) for f in fields)]
-        for f in fields:
-            expected = synthetic_value(row["code"], f, row["date"], seed)
-            got = row[field_map.get(f, f)]
-            assert got == expected and type(got) is type(expected), (row["code"], f, row["date"])
+    _assert_synthetic_cells(fetch_historical(config, query, EMPTY_STORE).rows, query, seed)
 
 
 def test_query_validation_reports_unknown_fields():
@@ -244,7 +242,7 @@ def test_csv_filters_to_matching_rows():
         fields=["close"], start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2)
     )
     payload = fetch_historical(config, query, EMPTY_STORE)
-    assert payload.rows == [{"code": "300750.SZ", "date": dt.date(2024, 1, 2), "close": 180.5}]
+    assert payload.rows == {"300750.SZ": {dt.date(2024, 1, 2): {"close": 180.5}}}
 
 
 def test_csv_missing_column_is_a_provider_failure(tmp_path):
@@ -260,8 +258,32 @@ def test_csv_empty_cells_become_null(tmp_path):
     path.write_text("code,date,close\nA,2024-01-02,\nA,2024-01-03,9.5\n")
     query = _query(codes=["A"], fields=["close"], start_date=dt.date(2024, 1, 1), end_date=dt.date(2024, 1, 5))
     payload = fetch_historical(_csv_config(path), query, EMPTY_STORE)
-    assert payload.rows[0]["close"] is None
-    assert payload.rows[1]["close"] == 9.5
+    assert payload.rows["A"][dt.date(2024, 1, 2)]["close"] is None
+    assert payload.rows["A"][dt.date(2024, 1, 3)]["close"] == 9.5
+
+
+def test_csv_later_duplicate_row_wins(tmp_path):
+    path = tmp_path / "dupes.csv"
+    path.write_text("code,date,close\nA,2024-01-02,1.0\nB,2024-01-02,5.0\nA,2024-01-02,2.0\n")
+    query = _query(codes=["A"], fields=["close"], start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2))
+    rows = fetch_historical(_csv_config(path), query, EMPTY_STORE).rows
+    assert rows == {"A": {dt.date(2024, 1, 2): {"close": 2.0}}}
+
+
+def test_provider_field_names_are_renamed_to_canonical(tmp_path):
+    path = tmp_path / "renamed.csv"
+    path.write_text("code,date,PB_LF_RAW\n300750.SZ,2024-01-02,5.5\n")
+    config = ProviderConfig(id="x", kind="csv", csv_path=str(path), field_map={"pb_lf": "PB_LF_RAW"})
+    query = _query(fields=["pb_lf"], start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2))
+    raw = fetch_historical(config, query, EMPTY_STORE)
+    assert raw.rows == {"300750.SZ": {dt.date(2024, 1, 2): {"pb_lf": 5.5}}}
+    records = normalize_payload(raw, query, dt.time(15, 0, 0))
+    assert {k: v for k, v in records[0].items() if k not in ("code", "timestamp")} == {"pb_lf": 5.5}
+    assert records[0] == {
+        "code": "300750.SZ",
+        "timestamp": "2024-01-02 15:00:00",
+        "pb_lf": 5.5,
+    }
 
 
 def test_csv_non_numeric_cell_is_a_provider_failure(tmp_path):
@@ -307,10 +329,12 @@ def test_http_payload_matches_the_stub_fixture():
     with stub_rows_server(fixture) as (base_url, state):
         query = _query(start_date=dt.date(2024, 1, 1), end_date=dt.date(2024, 1, 5))
         payload = fetch_historical(_http_config(base_url), query, EMPTY_STORE)
-    assert payload.rows == [
-        {"code": "300750.SZ", "date": dt.date(2024, 1, 2), "close": 180.5, "pb_lf": 5.1, "turn": 1.23},
-        {"code": "300750.SZ", "date": dt.date(2024, 1, 3), "close": 181.0, "pb_lf": None, "turn": None},
-    ]
+    assert payload.rows == {
+        "300750.SZ": {
+            dt.date(2024, 1, 2): {"close": 180.5, "pb_lf": 5.1, "turn": 1.23},
+            dt.date(2024, 1, 3): {"close": 181.0, "pb_lf": None, "turn": None},
+        }
+    }
     assert state.requests and "code=300750.SZ" in state.requests[0]
 
 
@@ -334,7 +358,7 @@ with stub_rows_server([{"code": "A", "date": "2024-01-02", "close": 1.5}]) as (b
     query = providers.DataQuery(["A"], ["close"], dt.date(2024, 1, 1), dt.date(2024, 1, 5))
     rows = providers.fetch_historical(config, query, CredentialStore({})).rows
 print(json.dumps({"exit": code, "ids": [json.loads(line)["id"] for line in served.splitlines()],
-                  "loaded_after_serve": loaded_after_serve, "close": [r["close"] for r in rows],
+                  "loaded_after_serve": loaded_after_serve, "close": [r["close"] for r in rows["A"].values()],
                   "resolvable": providers.requests is sys.modules["requests"]}))
 """
 
@@ -396,7 +420,7 @@ def test_http_rows_outside_the_range_are_dropped():
     with stub_rows_server(fixture) as (base_url, _):
         query = _query(fields=["close"], start_date=dt.date(2024, 1, 1), end_date=dt.date(2024, 1, 5))
         payload = fetch_historical(_http_config(base_url), query, EMPTY_STORE)
-    assert [row["date"] for row in payload.rows] == [dt.date(2024, 1, 2)]
+    assert list(payload.rows["300750.SZ"]) == [dt.date(2024, 1, 2)]
 
 
 def test_http_never_retries_more_than_configured(monkeypatch):
@@ -452,8 +476,73 @@ def test_http_fan_out_merges_in_query_order_with_bounded_concurrency(monkeypatch
     monkeypatch.setattr(requests, "get", fake_get)
     query = _query(codes=codes, fields=["close"], start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2))
     payload = fetch_historical(_http_config("http://stub.invalid"), query, EMPTY_STORE)
-    assert [row["code"] for row in payload.rows] == codes
+    merged = [(code, list(by_day)) for code, by_day in payload.rows.items()]
+    assert merged == [(c, [dt.date(2024, 1, 2)]) for c in codes]
     assert 1 < peak[0] <= 8
+
+
+def test_http_shared_row_goes_to_the_later_code_in_query_order(monkeypatch):
+    # A's slow answer also carries a row for B; B's own GET answers first but merges later
+    def fake_get(url, timeout):
+        if _code_of(url) == "A.SZ":
+            time.sleep(0.1)
+            return _FakeResponse(200, [{"code": "B.SZ", "date": "2024-01-02", "close": 1.0}])
+        return _FakeResponse(200, [{"code": "B.SZ", "date": "2024-01-02", "close": 2.0}])
+
+    monkeypatch.setattr(requests, "get", fake_get)
+    day = dt.date(2024, 1, 2)
+    query = _query(codes=["A.SZ", "B.SZ"], fields=["close"], start_date=day, end_date=day)
+    payload = fetch_historical(_http_config("http://stub.invalid"), query, EMPTY_STORE)
+    assert payload.rows == {"A.SZ": {}, "B.SZ": {day: {"close": 2.0}}}
+
+
+def test_http_substitutes_each_code_as_one_encoded_query_value():
+    codes = ["X&key=attacker#", "贵州茅台", "300750.SZ"]
+    with stub_rows_server([]) as (base_url, state):
+        template = base_url + "/q?code={code}&key={apikey}"
+        config = ProviderConfig(id="alpha", kind="http", base_url_template=template)
+        fetch_historical(config, _query(codes=codes), CredentialStore({"alpha": "SECRET"}))
+    sent = [parse_qs(urlsplit(path).query) for path in state.requests]
+    assert sorted(q["code"][0] for q in sent) == sorted(codes)
+    assert all(q == {"code": q["code"], "key": ["SECRET"]} for q in sent)
+    assert "/q?code=300750.SZ&key=SECRET" in state.requests
+
+
+# (code, date, CLOSE, PB, turn); the provider calls close CLOSE and pb_lf PB,
+# and also serves a decoy "close" column. C is a code no query asks for.
+_RENAMED_CELLS = [
+    ("A", "2024-01-02", 1.5, 2.5, 0.5),
+    ("B", "2024-01-03", 3.5, 4.5, 0.25),
+    ("C", "2024-01-02", 9.0, 9.0, 9.0),
+]
+
+
+@pytest.mark.parametrize("kind", ["synthetic", "csv", "http"])
+def test_rows_are_keyed_by_query_code_then_date_with_exactly_the_query_fields(kind, tmp_path):
+    field_map = {"close": "CLOSE", "pb_lf": "PB"}
+    query = _query(codes=["B", "A"], fields=["pb_lf", "turn", "close"],
+                   start_date=dt.date(2024, 1, 1), end_date=dt.date(2024, 1, 5))
+    path = tmp_path / "renamed.csv"
+    path.write_text("date,turn,CLOSE,code,PB,close\n" + "".join(
+        f"{day},{turn},{close},{code},{pb},-1\n" for code, day, close, pb, turn in _RENAMED_CELLS))
+    fixture = [{"code": code, "date": day, "CLOSE": close, "PB": pb, "turn": turn, "close": -1}
+               for code, day, close, pb, turn in _RENAMED_CELLS]
+    with stub_rows_server(fixture) as (base_url, _):
+        config = {
+            "synthetic": ProviderConfig(id="s", kind="synthetic", field_map=field_map),
+            "csv": ProviderConfig(id="c", kind="csv", csv_path=str(path), field_map=field_map),
+            "http": _http_config(base_url, field_map=field_map),
+        }[kind]
+        payload = fetch_historical(config, query, EMPTY_STORE)
+    assert list(payload.rows) == query.codes
+    assert all(list(row) == query.fields for by_day in payload.rows.values() for row in by_day.values())
+    if kind == "synthetic":
+        _assert_synthetic_cells(payload.rows, query, 0)
+    else:
+        assert payload.rows == {
+            "B": {dt.date(2024, 1, 3): {"pb_lf": 4.5, "turn": 0.25, "close": 3.5}},
+            "A": {dt.date(2024, 1, 2): {"pb_lf": 2.5, "turn": 0.5, "close": 1.5}},
+        }
 
 
 def test_http_reports_the_first_failing_code_in_query_order(monkeypatch):

@@ -68,7 +68,6 @@ def test_env_name_flattens_non_alphanumerics():
 def test_missing_file_and_empty_env_yield_an_empty_store():
     store = load_credentials(None, environ={})
     assert len(store) == 0
-    assert not store.has("anything")
 
 
 def test_malformed_line_fails_with_line_number(tmp_path):

@@ -15,8 +15,8 @@ from oracle_utils import mean_oracle, synthetic_value_oracle, weekdays_oracle
 from stub_provider import stub_rows_server
 
 from quantmcp.errors import RateLimitedError, ValidationError
-from quantmcp import tools
-from quantmcp.providers import ProviderConfig, RateSpec, fetch_historical, trading_days
+from quantmcp import security, tools
+from quantmcp.providers import DataQuery, ProviderConfig, RateSpec, fetch_historical, trading_days
 from quantmcp.registry import ValidatedArgs
 from quantmcp.tools import (
     build_registry,
@@ -284,6 +284,30 @@ def test_non_finite_provider_value_is_an_uncached_provider_failure(tmp_path, mon
         assert result.content["error_kind"] == "provider_failure"
         assert "'close'" in result.content["detail"]
     assert len(fetches) == 2  # failures are not cached: the retry fetches again
+
+
+def test_many_to_one_synthetic_field_map_gives_each_field_its_own_value():
+    provider = ProviderConfig(id="s", kind="synthetic", field_map={"close": "PX", "open": "PX"})
+    ctx = make_ctx(providers={"s": provider})
+    args = {"codes": ["A"], "fields": ["close", "open"], "start_date": "2024-01-02", "end_date": "2024-01-02"}
+    [record] = _call_historical(ctx, args).content["records"]
+    assert record == {"code": "A", "timestamp": "2024-01-02 15:00:00", "close": 188.03, "open": 195.47}
+    assert (record["close"], record["open"]) == tuple(
+        synthetic_value_oracle("A", f, dt.date(2024, 1, 2), 0) for f in ("close", "open")
+    )
+
+
+def test_distinct_queries_keep_their_own_records_when_their_hashes_collide(ctx, monkeypatch):
+    # a cache keyed by a 64-bit hash of the query would answer the second query with the first's records
+    monkeypatch.setattr(security, "fnv1a64", lambda *args: 0, raising=False)
+    provider = ctx.providers["synth"]
+    first = DataQuery(["A"], ["close"], dt.date(2024, 1, 2), dt.date(2024, 1, 2), provider_id="synth")
+    second = DataQuery(["B"], ["turn"], dt.date(2024, 1, 3), dt.date(2024, 1, 3), provider_id="synth")
+    for query, code, field in ((first, "A", "close"), (second, "B", "turn")):
+        [record], meta = tools.fetch_normalized(ctx, provider, query)
+        assert meta["cache_hit"] is False
+        assert record["code"] == code
+        assert record[field] == synthetic_value_oracle(code, field, query.start_date, 0)
 
 
 def test_records_from_a_miss_are_not_gc_tracked(tmp_path):
