@@ -11,10 +11,10 @@ import io
 import json
 import logging
 import sys
-from typing import Any
+from typing import Any, Callable
 
 from . import __version__
-from .config import build_context, load_config
+from .config import ServerConfig, build_context, load_config
 from .errors import ConfigError
 from .server import Dispatcher, StdioServer
 from .tools import build_registry
@@ -28,10 +28,14 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 
-def _build_dispatcher(config_path: str) -> Dispatcher:
+def _build_dispatcher(config_path: str, warn: Callable[[str], None]) -> tuple[ServerConfig, Dispatcher]:
     config = load_config(config_path)
-    ctx = build_context(config, warn=lambda msg: print(f"warning: {msg}", file=sys.stderr))
-    return Dispatcher(build_registry(), ctx, server_name=config.name)
+    ctx = build_context(config, warn=warn)
+    return config, Dispatcher(build_registry(), ctx, server_name=config.name)
+
+
+def _warn_stderr(msg: str) -> None:
+    print(f"warning: {msg}", file=sys.stderr)
 
 
 def _serve_frames(dispatcher: Dispatcher, frames: list[dict[str, Any]]) -> list[dict[str, Any]]:
@@ -42,14 +46,8 @@ def _serve_frames(dispatcher: Dispatcher, frames: list[dict[str, Any]]) -> list[
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
-    ctx = build_context(config, warn=lambda msg: logging.getLogger("quantmcp").warning(msg))
-    dispatcher = Dispatcher(build_registry(), ctx, server_name=config.name)
+    config, dispatcher = _build_dispatcher(args.config, logging.getLogger("quantmcp").warning)
     concurrency = args.concurrent if args.concurrent is not None else config.concurrency
     server = StdioServer(dispatcher, sys.stdin, sys.stdout, concurrency=concurrency)
     try:
@@ -60,11 +58,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_tools_list(args: argparse.Namespace) -> int:
-    try:
-        dispatcher = _build_dispatcher(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    _, dispatcher = _build_dispatcher(args.config, _warn_stderr)
     manifest = [d.manifest_entry() for d in dispatcher.state.registry.descriptors()]
     print(json.dumps({"tools": manifest}, indent=2, ensure_ascii=False))
     return EXIT_OK
@@ -79,11 +73,7 @@ def cmd_call(args: argparse.Namespace) -> int:
     if not isinstance(arguments, dict):
         print("params error: params must be a JSON object", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        dispatcher = _build_dispatcher(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    _, dispatcher = _build_dispatcher(args.config, _warn_stderr)
     client = {"name": "quantmcp-cli", "version": __version__}
     frame = _serve_frames(
         dispatcher,
@@ -132,7 +122,7 @@ def _load_transcript(path: str) -> list[tuple[str, dict[str, Any]]]:
 def cmd_replay(args: argparse.Namespace) -> int:
     try:
         entries = _load_transcript(args.transcript)
-        dispatcher = _build_dispatcher(args.config)
+        _, dispatcher = _build_dispatcher(args.config, _warn_stderr)
     except (ConfigError, OSError) as exc:
         print(f"replay error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -23,38 +23,13 @@ import configparser
 import datetime as dt
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Callable, Mapping
 
 from .errors import ConfigError
-from .providers import ProviderConfig, RateSpec
+from .providers import CANONICAL_FIELDS, ProviderConfig, RateSpec
 from .security import RateLimiter, ResponseCache, load_credentials
 from .tools import ToolContext
-
-_SERVER_KEYS = {
-    "name",
-    "close_time",
-    "credentials",
-    "default_provider",
-    "concurrency",
-    "cache_ttl_historical_s",
-    "cache_ttl_live_s",
-    "strict_credential_permissions",
-}
-
-_PROVIDER_KEYS = {
-    "kind",
-    "base_url",
-    "csv_path",
-    "seed",
-    "field_map",
-    "credential_ref",
-    "rate_capacity",
-    "rate_refill_per_sec",
-    "timeout_ms",
-    "retries",
-    "close_time",
-}
 
 
 @dataclass
@@ -70,25 +45,33 @@ class ServerConfig:
     providers: dict[str, ProviderConfig] = field(default_factory=dict)
 
 
-def _parse_time(raw: str, where: str) -> dt.time:
-    try:
-        return dt.time.fromisoformat(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: {raw!r} is not a valid HH:MM:SS time") from None
+_Parse = Callable[[str, str], Any]  # (raw value, "<section>.<key>") -> parsed value
 
 
-def _parse_int(raw: str, where: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: {raw!r} is not an integer") from None
+def _parse_text(raw: str, where: str) -> str:
+    return raw.strip()
 
 
-def _parse_float(raw: str, where: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: {raw!r} is not a number") from None
+def _parse_path(raw: str, where: str) -> str:
+    """A path; ``_read_section`` resolves it against the config file's directory."""
+    return raw
+
+
+def _parse_with(convert: Callable[[str], Any], expected: str) -> _Parse:
+    """A parser applying ``convert``, whose ValueError becomes a ConfigError naming the key."""
+
+    def parse(raw: str, where: str) -> Any:
+        try:
+            return convert(raw)
+        except ValueError:
+            raise ConfigError(f"{where}: {raw!r} is not {expected}") from None
+
+    return parse
+
+
+_parse_time = _parse_with(dt.time.fromisoformat, "a valid HH:MM:SS time")
+_parse_int = _parse_with(int, "an integer")
+_parse_float = _parse_with(float, "a number")
 
 
 def _parse_bool(raw: str, where: str) -> bool:
@@ -108,9 +91,69 @@ def _parse_field_map(raw: str, where: str) -> dict[str, str]:
             continue
         if "=" not in token:
             raise ConfigError(f"{where}: entry {token!r} must look like canonical=provider_field")
-        canonical, _, provider_field = token.partition("=")
-        mapping[canonical.strip()] = provider_field.strip()
+        canonical, _, provider_field = (part.strip() for part in token.partition("="))
+        if canonical not in CANONICAL_FIELDS:
+            raise ConfigError(
+                f"{where}: {canonical!r} is not a canonical field ({', '.join(CANONICAL_FIELDS)})"
+            )
+        if not provider_field:
+            raise ConfigError(f"{where}: entry {token!r} names no provider column")
+        mapping[canonical] = provider_field
     return mapping
+
+
+# config key -> (dataclass field, parser), in the order keys are parsed, so
+# of two bad values the one listed first is reported.
+_SERVER_KEYS: dict[str, tuple[str, _Parse]] = {
+    "name": ("name", _parse_text),
+    "close_time": ("close_time", _parse_time),
+    "credentials": ("credentials_path", _parse_path),
+    "default_provider": ("default_provider", _parse_text),
+    "concurrency": ("concurrency", _parse_int),
+    "cache_ttl_historical_s": ("cache_ttl_historical_s", _parse_float),
+    "cache_ttl_live_s": ("cache_ttl_live_s", _parse_float),
+    "strict_credential_permissions": ("strict_credential_permissions", _parse_bool),
+}
+
+# Fields of RateSpec (capacity, refill_per_sec) are gathered into the provider's rate.
+_PROVIDER_KEYS: dict[str, tuple[str, _Parse]] = {
+    "kind": ("kind", _parse_text),
+    "base_url": ("base_url_template", _parse_text),
+    "csv_path": ("csv_path", _parse_path),
+    "seed": ("seed", _parse_int),
+    "field_map": ("field_map", _parse_field_map),
+    "credential_ref": ("credential_ref", _parse_text),
+    "rate_capacity": ("capacity", _parse_int),
+    "rate_refill_per_sec": ("refill_per_sec", _parse_float),
+    "timeout_ms": ("timeout_ms", _parse_int),
+    "retries": ("retries", _parse_int),
+    "close_time": ("close_time", _parse_time),
+}
+
+
+def _read_section(
+    section: configparser.SectionProxy,
+    table: dict[str, tuple[str, _Parse]],
+    target: type,
+    base_dir: str,
+) -> dict[str, Any]:
+    """Parse the keys ``section`` holds into ``{field: value}``, in table order.
+
+    An unknown key, or a missing key whose ``target`` field has no default,
+    aborts startup.
+    """
+    unknown = set(section) - table.keys()
+    if unknown:
+        raise ConfigError(f"{section.name}: unknown key(s) {sorted(unknown)}")
+    required = {f.name for f in fields(target) if f.default is MISSING and f.default_factory is MISSING}
+    values: dict[str, Any] = {}
+    for key, (attr, parse) in table.items():
+        if key in section:
+            value = parse(section[key], f"{section.name}.{key}")
+            values[attr] = os.path.join(base_dir, value) if parse is _parse_path else value
+        elif attr in required:
+            raise ConfigError(f"{section.name}.{key}: required")
+    return values
 
 
 def load_config(path: str | os.PathLike) -> ServerConfig:
@@ -125,35 +168,9 @@ def load_config(path: str | os.PathLike) -> ServerConfig:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
 
     base_dir = os.path.dirname(os.path.abspath(path))
-
-    def resolve(p: str) -> str:
-        return p if os.path.isabs(p) else os.path.join(base_dir, p)
-
     config = ServerConfig()
     if parser.has_section("server"):
-        section = parser["server"]
-        unknown = set(section) - _SERVER_KEYS
-        if unknown:
-            raise ConfigError(f"server: unknown key(s) {sorted(unknown)}")
-        config.name = section.get("name", config.name)
-        if "close_time" in section:
-            config.close_time = _parse_time(section["close_time"], "server.close_time")
-        if "credentials" in section:
-            config.credentials_path = resolve(section["credentials"])
-        config.default_provider = section.get("default_provider", "")
-        if "concurrency" in section:
-            config.concurrency = _parse_int(section["concurrency"], "server.concurrency")
-        if "cache_ttl_historical_s" in section:
-            config.cache_ttl_historical_s = _parse_float(
-                section["cache_ttl_historical_s"], "server.cache_ttl_historical_s"
-            )
-        if "cache_ttl_live_s" in section:
-            config.cache_ttl_live_s = _parse_float(section["cache_ttl_live_s"], "server.cache_ttl_live_s")
-        if "strict_credential_permissions" in section:
-            config.strict_credential_permissions = _parse_bool(
-                section["strict_credential_permissions"], "server.strict_credential_permissions"
-            )
-
+        config = ServerConfig(**_read_section(parser["server"], _SERVER_KEYS, ServerConfig, base_dir))
     for section_name in parser.sections():
         if section_name == "server":
             continue
@@ -162,41 +179,10 @@ def load_config(path: str | os.PathLike) -> ServerConfig:
         provider_id = section_name[len("provider."):]
         if not provider_id:
             raise ConfigError("provider section needs an id: [provider.<id>]")
-        section = parser[section_name]
-        unknown = set(section) - _PROVIDER_KEYS
-        if unknown:
-            raise ConfigError(f"{section_name}: unknown key(s) {sorted(unknown)}")
-        if "kind" not in section:
-            raise ConfigError(f"{section_name}.kind: required")
-        where = section_name
-        provider = ProviderConfig(
-            id=provider_id,
-            kind=section["kind"].strip(),
-            base_url_template=section.get("base_url"),
-            csv_path=resolve(section["csv_path"]) if "csv_path" in section else None,
-            seed=_parse_int(section["seed"], f"{where}.seed") if "seed" in section else 0,
-            field_map=_parse_field_map(section["field_map"], f"{where}.field_map")
-            if "field_map" in section
-            else {},
-            credential_ref=section.get("credential_ref"),
-            rate=RateSpec(
-                capacity=_parse_int(section["rate_capacity"], f"{where}.rate_capacity")
-                if "rate_capacity" in section
-                else 5,
-                refill_per_sec=_parse_float(
-                    section["rate_refill_per_sec"], f"{where}.rate_refill_per_sec"
-                )
-                if "rate_refill_per_sec" in section
-                else 1.0,
-            ),
-            timeout_ms=_parse_int(section["timeout_ms"], f"{where}.timeout_ms")
-            if "timeout_ms" in section
-            else 5000,
-            retries=_parse_int(section["retries"], f"{where}.retries") if "retries" in section else 0,
-            close_time=_parse_time(section["close_time"], f"{where}.close_time")
-            if "close_time" in section
-            else config.close_time,
-        )
+        values = _read_section(parser[section_name], _PROVIDER_KEYS, ProviderConfig, base_dir)
+        rate = {f.name: values.pop(f.name) for f in fields(RateSpec) if f.name in values}
+        values.setdefault("close_time", config.close_time)
+        provider = ProviderConfig(id=provider_id, rate=RateSpec(**rate), **values)
         provider.check()
         config.providers[provider_id] = provider
 
@@ -214,8 +200,6 @@ def load_config(path: str | os.PathLike) -> ServerConfig:
 def build_context(
     config: ServerConfig,
     environ: Mapping[str, str] | None = None,
-    wall_clock: Callable[[], dt.datetime] | None = None,
-    mono_clock: Callable[[], float] | None = None,
     warn: Callable[[str], None] | None = None,
 ) -> ToolContext:
     """Assemble the runtime dependencies a server needs from its config."""
@@ -226,22 +210,14 @@ def build_context(
         strict_permissions=config.strict_credential_permissions,
         warn=warn,
     )
-    limiter = RateLimiter({pid: p.rate for pid, p in config.providers.items()})
-    mono = mono_clock if mono_clock is not None else time.monotonic
-    cache = ResponseCache(
-        clock=mono,
-        historical_ttl_s=config.cache_ttl_historical_s,
-        live_ttl_s=config.cache_ttl_live_s,
-    )
-    kwargs = {}
-    if wall_clock is not None:
-        kwargs["wall_clock"] = wall_clock
     return ToolContext(
         providers=dict(config.providers),
         default_provider_id=config.default_provider,
         credentials=credentials,
-        rate_limiter=limiter,
-        cache=cache,
-        mono_clock=mono,
-        **kwargs,
+        rate_limiter=RateLimiter({pid: p.rate for pid, p in config.providers.items()}),
+        cache=ResponseCache(
+            clock=time.monotonic,
+            historical_ttl_s=config.cache_ttl_historical_s,
+            live_ttl_s=config.cache_ttl_live_s,
+        ),
     )

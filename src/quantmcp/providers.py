@@ -20,6 +20,7 @@ import itertools
 import math
 import os
 import string
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -283,11 +284,8 @@ def _fetch_csv(config: ProviderConfig, query: DataQuery) -> Rows:
 def _coerce_numeric(value: Any, column: str, config: ProviderConfig) -> float | int | None:
     if value is None:
         return None
-    if isinstance(value, float):
-        numeric = math.isfinite(value)
-    else:
-        numeric = isinstance(value, int) and not isinstance(value, bool)
-    if not numeric:
+    # The bound rejects nan, infinities and ints too large to become a float.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
         raise ProviderFailure(
             f"provider {config.id!r} returned non-numeric or non-finite value for {column!r}",
             data={"reason": "schema", "column": column},
@@ -360,6 +358,11 @@ def _fetch_http_code(
                 data={"reason": "schema"},
             ) from None
         row_code = raw_row.get("code", code)
+        if not isinstance(row_code, str):
+            raise ProviderFailure(
+                f"provider {config.id!r} returned a non-string code",
+                data={"reason": "schema"},
+            )
         if row_code not in codes or not query.start_date <= day <= query.end_date:
             continue  # keep the payload within the query contract
         row = {f: _coerce_numeric(raw_row.get(column), column, config) for f, column in columns}

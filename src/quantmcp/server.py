@@ -64,12 +64,10 @@ class Dispatcher:
         registry: ToolRegistry,
         ctx: ToolContext,
         server_name: str = SERVER_NAME,
-        server_version: str = __version__,
     ):
         self.state = ServerState(registry=registry)
         self.ctx = ctx
         self.server_name = server_name
-        self.server_version = server_version
 
     def log_event(self, event: str, **fields: Any) -> None:
         payload = {"event": event, **fields}
@@ -126,7 +124,7 @@ class Dispatcher:
         self.log_event("initialize", client=self.state.session_info)
         result = {
             "protocolVersion": self.state.protocol_version,
-            "serverInfo": {"name": self.server_name, "version": self.server_version},
+            "serverInfo": {"name": self.server_name, "version": __version__},
             "capabilities": {"tools": {}},
         }
         return JsonRpcMessage(RESPONSE, id=msg.id, result=result)

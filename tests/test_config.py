@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import datetime as dt
+import re
+from pathlib import Path
 
 import pytest
 
-from quantmcp.config import build_context, load_config
+from quantmcp.config import _PROVIDER_KEYS, _SERVER_KEYS, build_context, load_config
 from quantmcp.errors import ConfigError
+from quantmcp.providers import ProviderConfig
+
+EXAMPLE_FULL = Path(__file__).resolve().parent.parent / "configs" / "example_full.conf"
 
 GOOD = """
 [server]
@@ -125,3 +130,71 @@ def test_env_only_credentials(tmp_path):
     path = _write(tmp_path, "[server]\ndefault_provider = s\n\n[provider.s]\nkind = synthetic\n")
     ctx = build_context(load_config(path), environ={"QUANTMCP_CRED_S": "from-env"})
     assert ctx.credentials.resolve("s") == "from-env"
+
+
+@pytest.mark.parametrize(
+    ("section", "key"),
+    [
+        ("server", "concurrency"),
+        ("server", "cache_ttl_historical_s"),
+        ("server", "cache_ttl_live_s"),
+        ("server", "strict_credential_permissions"),
+        ("provider.s", "seed"),
+        ("provider.s", "rate_capacity"),
+        ("provider.s", "rate_refill_per_sec"),
+        ("provider.s", "timeout_ms"),
+        ("provider.s", "retries"),
+        ("provider.s", "close_time"),
+    ],
+)
+def test_a_bad_value_names_its_section_and_key(tmp_path, section, key):
+    lines = {"server": ["default_provider = s"], "provider.s": ["kind = synthetic"]}
+    lines[section].append(f"{key} = bogus")
+    path = _write(tmp_path, "".join(f"[{name}]\n" + "\n".join(body) + "\n" for name, body in lines.items()))
+    with pytest.raises(ConfigError, match=rf"^{re.escape(section)}\.{key}: 'bogus' "):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    ("body", "first_error"),
+    [
+        ("[server]\ndefault_provider = s\nconcurrency = x\n[provider.s]\nkind = synthetic\nseed = y\n",
+         "server.concurrency"),
+        ("[server]\ndefault_provider = s\n[provider.s]\nkind = synthetic\nretries = y\nseed = x\n",
+         "provider.s.seed"),
+        ("[server]\ndefault_provider = s\n[provider.s]\nseed = x\n", "provider.s.kind: required"),
+        ("[server]\ndefault_provider = s\n[provider.s]\nport = 1\n", r"provider.s: unknown key\(s\) \['port'\]"),
+    ],
+    ids=["server-first", "table-order", "missing-kind", "unknown-key-first"],
+)
+def test_of_two_faults_the_earlier_key_is_reported(tmp_path, body, first_error):
+    with pytest.raises(ConfigError, match="^" + first_error):
+        load_config(_write(tmp_path, body))
+
+
+def test_a_kind_only_provider_takes_every_other_default_and_the_server_close_time(tmp_path):
+    path = _write(
+        tmp_path, "[server]\ndefault_provider = s\nclose_time = 16:30:00\n[provider.s]\nkind = synthetic\n"
+    )
+    expected = ProviderConfig(id="s", kind="synthetic", close_time=dt.time(16, 30))
+    assert load_config(path).providers["s"] == expected
+
+
+@pytest.mark.parametrize("field_map", ["clsoe=PX", "close=PX, open="])
+def test_field_map_rejects_unknown_fields_and_empty_columns(tmp_path, field_map):
+    path = _write(
+        tmp_path, f"[server]\ndefault_provider = s\n[provider.s]\nkind = synthetic\nfield_map = {field_map}\n"
+    )
+    with pytest.raises(ConfigError, match=r"provider\.s\.field_map"):
+        load_config(path)
+
+
+def test_the_annotated_example_shows_every_key_and_no_other():
+    keys: dict[str, set[str]] = {"server": set(), "provider": set()}
+    section = None
+    for line in EXAMPLE_FULL.read_text().splitlines():
+        if header := re.match(r"#? ?\[(server|provider)\b", line):
+            section = header.group(1)
+        elif entry := re.match(r"#? ?(\w+) = ", line):
+            keys[section].add(entry.group(1))
+    assert keys == {"server": set(_SERVER_KEYS), "provider": set(_PROVIDER_KEYS)}

@@ -389,6 +389,16 @@ def test_http_non_finite_value_is_a_schema_failure():
     assert excinfo.value.data == {"reason": "schema", "column": "close"}
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_http_integer_past_the_largest_double_is_a_schema_failure(sign):
+    fixture = [{"code": "300750.SZ", "date": "2024-01-02", "close": sign * 10**400}]
+    with stub_rows_server(fixture) as (base_url, _):
+        query = _query(fields=["close"], start_date=dt.date(2024, 1, 1), end_date=dt.date(2024, 1, 5))
+        with pytest.raises(ProviderFailure) as excinfo:
+            fetch_historical(_http_config(base_url), query, EMPTY_STORE)
+    assert excinfo.value.data == {"reason": "schema", "column": "close"}
+
+
 def test_http_non_2xx_is_a_provider_failure_with_status():
     with stub_rows_server([], status=503) as (base_url, _):
         with pytest.raises(ProviderFailure) as excinfo:

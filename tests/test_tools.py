@@ -286,6 +286,29 @@ def test_non_finite_provider_value_is_an_uncached_provider_failure(tmp_path, mon
     assert len(fetches) == 2  # failures are not cached: the retry fetches again
 
 
+@pytest.mark.parametrize("code", [["A"], {"A": 1}, 7], ids=["list", "object", "number"])
+def test_http_row_with_a_non_string_code_is_an_uncached_provider_failure(monkeypatch, code):
+    class Response:
+        status_code = 200
+
+        def json(self):
+            return {"rows": [{"code": code, "date": "2024-01-02", "close": 1.0}]}
+
+    gets = []
+    monkeypatch.setattr(requests, "get", lambda url, timeout: gets.append(url) or Response())
+    provider = ProviderConfig(
+        id="h", kind="http", base_url_template="http://stub.invalid/q?code={code}", rate=RateSpec(1000, 1000.0)
+    )
+    ctx = make_ctx(providers={"h": provider})
+    args = {"codes": ["A"], "fields": ["close"], "start_date": "2024-01-01", "end_date": "2024-01-05"}
+    for _ in range(2):
+        result = _call_historical(ctx, args)
+        assert result.is_error
+        assert result.content["error_kind"] == "provider_failure"
+        assert "non-string code" in result.content["detail"]
+    assert len(gets) == 2  # failures are not cached: the retry fetches again
+
+
 def test_many_to_one_synthetic_field_map_gives_each_field_its_own_value():
     provider = ProviderConfig(id="s", kind="synthetic", field_map={"close": "PX", "open": "PX"})
     ctx = make_ctx(providers={"s": provider})
