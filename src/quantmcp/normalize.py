@@ -44,7 +44,7 @@ def parse_options(text: str | None) -> OptionsMap:
     Tokens are split on ';', each on its first '='; surrounding whitespace is
     trimmed and empty tokens are skipped. Keys must be unique, and recognized
     keys (PriceAdj, Fill) only accept their documented values. Unrecognized
-    keys are preserved untouched for provider forwarding.
+    keys are kept untouched; every key but Fill only enters the cache key.
     """
     entries: dict[str, str] = {}
     if not text:

@@ -127,7 +127,6 @@ class DataQuery:
     start_date: dt.date
     end_date: dt.date
     options: "OptionsMap | None" = None
-    provider_id: str = ""
 
     def check(self) -> None:
         violations = []
@@ -442,7 +441,12 @@ def fetch_historical(
     if config.kind == "synthetic":
         rows = _fetch_synthetic(config, query)
     elif config.kind == "csv":
-        rows = _fetch_csv(config, query)
+        try:
+            rows = _fetch_csv(config, query)
+        except (UnicodeDecodeError, csv.Error) as exc:  # a non-UTF-8 byte, or a cell past csv's field limit
+            raise ProviderFailure(
+                f"provider {config.id!r} csv is unreadable: {exc}", data={"reason": "schema"}
+            ) from None
     elif config.kind == "http":
         rows = _fetch_http(config, query, credentials)
     else:

@@ -40,7 +40,6 @@ class ToolDescriptor:
     name: str
     description: str
     params: dict[str, ParamSpec]
-    output_description: str = ""
 
     def check(self) -> None:
         """Enforce descriptor invariants; violations are startup failures."""

@@ -16,18 +16,22 @@ import os
 import re
 import stat
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from .errors import ConfigError, CredentialMissing, InternalError
 from .providers import DataQuery, RateSpec
-from .transport import ErrorObject, JsonRpcMessage, MISSING
+from .transport import JsonRpcMessage
 
 REDACTED = "***REDACTED***"
 
 ENV_PREFIX = "QUANTMCP_CRED_"
 
 _CRED_LINE_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
+
+# Redaction rewrites every occurrence of a secret, so a shorter one would
+# also rewrite protocol keys such as "serverInfo" on the wire.
+MIN_SECRET_CHARS = 8
 
 
 def env_credential_name(provider_id: str) -> str:
@@ -82,8 +86,9 @@ def load_credentials(
 
     ``QUANTMCP_CRED_<PROVIDERID>`` variables override file entries. A missing
     file with no matching environment variables yields an empty store. A
-    group- or world-readable file is a warning by default and a startup
-    failure with ``strict_permissions``.
+    secret shorter than ``MIN_SECRET_CHARS`` is a startup failure. A group-
+    or world-readable file is a warning by default and a startup failure
+    with ``strict_permissions``.
     """
     secrets: dict[str, str] = {}
     source = "environment"
@@ -113,6 +118,8 @@ def load_credentials(
                     raise ConfigError(f"{path}:{lineno}: invalid provider id {provider_id!r}")
                 if not value:
                     raise ConfigError(f"{path}:{lineno}: empty secret value")
+                if len(value) < MIN_SECRET_CHARS:
+                    raise ConfigError(f"{path}:{lineno}: secret is shorter than {MIN_SECRET_CHARS} characters")
                 if provider_id in secrets:
                     raise ConfigError(f"{path}:{lineno}: duplicate entry for provider {provider_id!r}")
                 secrets[provider_id] = value
@@ -121,6 +128,8 @@ def load_credentials(
     for name, value in env.items():
         if not name.startswith(ENV_PREFIX) or not value:
             continue
+        if len(value) < MIN_SECRET_CHARS:
+            raise ConfigError(f"{name}: secret is shorter than {MIN_SECRET_CHARS} characters")
         provider_id = by_env_name.get(name, name[len(ENV_PREFIX):].lower())
         secrets[provider_id] = value
     return CredentialStore(secrets, source=source)
@@ -159,21 +168,14 @@ def redact(payload: Any, store: CredentialStore) -> Any:
 
 def redact_message(msg: JsonRpcMessage, store: CredentialStore) -> JsonRpcMessage:
     """Scrub a protocol message before it is serialized onto the wire."""
-    if not len(store):
-        return msg
     error = msg.error
     if error is not None:
-        error = ErrorObject(
-            code=error.code,
-            message=redact(error.message, store),
-            data=redact(error.data, store) if error.data is not MISSING else MISSING,
-        )
-    return JsonRpcMessage(
-        kind=msg.kind,
-        id=redact(msg.id, store) if isinstance(msg.id, str) else msg.id,
-        method=msg.method,
-        params=redact(msg.params, store) if msg.params is not MISSING else MISSING,
-        result=redact(msg.result, store) if msg.result is not MISSING else MISSING,
+        error = replace(error, message=redact(error.message, store), data=redact(error.data, store))
+    return replace(
+        msg,
+        id=redact(msg.id, store),
+        params=redact(msg.params, store),
+        result=redact(msg.result, store),
         error=error,
         extra=redact(msg.extra, store),
     )

@@ -65,43 +65,24 @@ class ToolResult:
         return obj
 
 
-@dataclass(frozen=True)
-class SummaryStats:
-    """Per-field statistics over non-null values; stddev uses the n denominator."""
+def compute_stats(field_name: str, values: list[float]) -> dict[str, Any]:
+    """Per-field statistics over non-null values; stddev uses the n denominator.
 
-    field: str
-    count: int
-    mean: float
-    min: float
-    max: float
-    stddev: float
-
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "field": self.field,
-            "count": self.count,
-            "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-            "stddev": self.stddev,
-        }
-
-
-def compute_stats(field_name: str, values: list[float]) -> SummaryStats:
-    """Raises OverflowError when the sum or the variance does not fit a double."""
+    Raises OverflowError when the sum or the variance does not fit a double.
+    """
     count = len(values)
     mean = math.fsum(values) / count
     variance = math.fsum((v - mean) ** 2 for v in values) / count
     if not math.isfinite(variance):  # a difference from the mean overflowed to inf
         raise OverflowError("variance overflows a double")
-    return SummaryStats(
-        field=field_name,
-        count=count,
-        mean=mean,
-        min=min(values),
-        max=max(values),
-        stddev=math.sqrt(variance),
-    )
+    return {
+        "field": field_name,
+        "count": count,
+        "mean": mean,
+        "min": min(values),
+        "max": max(values),
+        "stddev": math.sqrt(variance),
+    }
 
 
 def _error_result(error_kind: str, detail: str) -> ToolResult:
@@ -138,28 +119,32 @@ def fetch_normalized(
 ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
     """Rate-limit, consult the cache, then fetch + normalize + fill.
 
-    Raises RateLimitedError on a denied acquire and propagates provider
-    errors; callers decide how those surface.
+    A query with no trading days yields no records without taking a token
+    or fetching. Raises RateLimitedError on a denied acquire and propagates
+    provider errors; callers decide how those surface.
     """
-    decision = ctx.rate_limiter.acquire(provider.id, ctx.mono_clock())
-    if not decision.allowed:
-        raise RateLimitedError(
-            f"rate limited for provider {provider.id!r}",
-            data={"provider": provider.id, "retry_after_ms": decision.retry_after_ms},
-        )
-    fill = query.options.get("Fill", "Blank") if query.options is not None else "Blank"
-    key = cache_key(provider.id, query, kind)
-    ttl = ctx.cache.ttl_for(query, kind, today=ctx.wall_clock().date())
+    if not query.days:
+        records, fetched_at, cache_hit = [], ctx.wall_clock().isoformat(), False
+    else:
+        decision = ctx.rate_limiter.acquire(provider.id, ctx.mono_clock())
+        if not decision.allowed:
+            raise RateLimitedError(
+                f"rate limited for provider {provider.id!r}",
+                data={"provider": provider.id, "retry_after_ms": decision.retry_after_ms},
+            )
+        fill = query.options.get("Fill", "Blank") if query.options is not None else "Blank"
+        key = cache_key(provider.id, query, kind)
+        ttl = ctx.cache.ttl_for(query, kind, today=ctx.wall_clock().date())
 
-    def produce() -> tuple[list[dict[str, Any]], str]:
-        raw = fetch_historical(provider, query, ctx.credentials, now=ctx.wall_clock)
-        records = normalize_payload(raw, query, provider.close_time)
-        return apply_fill(records, fill, query.fields), raw.fetched_at
+        def produce() -> tuple[list[dict[str, Any]], str]:
+            raw = fetch_historical(provider, query, ctx.credentials, now=ctx.wall_clock)
+            records = normalize_payload(raw, query, provider.close_time)
+            return apply_fill(records, fill, query.fields), raw.fetched_at
 
-    wait_s = FILL_WAIT_S
-    if provider.kind == "http":
-        wait_s = max(FILL_WAIT_S, http_fetch_bound_s(provider, len(query.codes)) + FILL_WAIT_MARGIN_S)
-    (records, fetched_at), cache_hit = ctx.cache.lookup_or_store(key, produce, ttl, wait_s)
+        wait_s = FILL_WAIT_S
+        if provider.kind == "http":
+            wait_s = max(FILL_WAIT_S, http_fetch_bound_s(provider, len(query.codes)) + FILL_WAIT_MARGIN_S)
+        (records, fetched_at), cache_hit = ctx.cache.lookup_or_store(key, produce, ttl, wait_s)
     meta = {
         "provider_id": provider.id,
         "fetched_at": fetched_at,
@@ -175,8 +160,7 @@ def _run_query(
     """Build, check and run the query ``values`` describe.
 
     Validation errors raise in a fixed order: provider, then options, then
-    dates. An empty calendar yields no records without a fetch; provider and
-    credential failures come back as an error result.
+    dates. Provider and credential failures come back as an error result.
     """
     provider = _resolve_provider(ctx, values.get("provider_id"))
     if kind == "quote":
@@ -193,17 +177,8 @@ def _run_query(
         start_date=start,
         end_date=end,
         options=options,
-        provider_id=provider.id,
     )
     query.check()
-    if not query.days:
-        meta = {
-            "provider_id": provider.id,
-            "fetched_at": ctx.wall_clock().isoformat(),
-            "row_count": 0,
-            "cache_hit": False,
-        }
-        return [], meta
     try:
         return fetch_normalized(ctx, provider, query, kind)
     except ProviderFailure as exc:
@@ -235,24 +210,6 @@ def tool_get_quote(args: ValidatedArgs, ctx: ToolContext) -> ToolResult:
     return ToolResult(content={"records": kept, "meta": meta}, human_summary=summary)
 
 
-def _summary_inputs(values: dict[str, Any], ctx: ToolContext) -> tuple[list[dict[str, Any]], ToolResult | None]:
-    """Resolve the record set: inline records or a nested historical query."""
-    has_records = "records" in values
-    has_query = "query" in values
-    if has_records == has_query:
-        raise ValidationError(
-            "provide exactly one of records or query",
-            data={"violations": ["records/query: provide exactly one of the two"]},
-        )
-    if has_records:
-        return list(values["records"]), None
-    validated = validate_arguments(HISTORICAL_DESCRIPTOR, values["query"])
-    out = _run_query(ctx, validated.values, "historical", prefix="query.")
-    if isinstance(out, ToolResult):
-        return [], out
-    return out[0], None
-
-
 def tool_compute_summary(args: ValidatedArgs, ctx: ToolContext) -> ToolResult:
     """Per-field count/mean/min/max/stddev over non-null record values."""
     values = args.values
@@ -262,29 +219,45 @@ def tool_compute_summary(args: ValidatedArgs, ctx: ToolContext) -> ToolResult:
             "summarize_fields must not be empty",
             data={"violations": ["summarize_fields: must name at least one field"]},
         )
-    rows, failure = _summary_inputs(values, ctx)
-    if failure is not None:
-        return failure
+    if ("records" in values) == ("query" in values):
+        raise ValidationError(
+            "provide exactly one of records or query",
+            data={"violations": ["records/query: provide exactly one of the two"]},
+        )
+    if "records" in values:
+        rows = values["records"]
+    else:
+        validated = validate_arguments(HISTORICAL_DESCRIPTOR, values["query"])
+        out = _run_query(ctx, validated.values, "historical", prefix="query.")
+        if isinstance(out, ToolResult):
+            return out
+        rows = out[0]
     if not rows:
         return _error_result("empty_input", "no records to summarize")
+    # One list per requested name, repeats included; one row-major pass over
+    # the cells keeps the violations in record order.
+    numbers: list[tuple[str, list[float]]] = [(f, []) for f in summarize_fields]
     violations = []
     for i, row in enumerate(rows):
-        for f in summarize_fields:
+        for f, nums in numbers:
             v = row.get(f)
-            if v is not None and (isinstance(v, bool) or not isinstance(v, (int, float))):
+            if v is None:
+                continue
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
                 violations.append(f"records[{i}].{f}: expected number or null")
             elif isinstance(v, int) and abs(v) > sys.float_info.max:
                 violations.append(f"records[{i}].{f}: integer beyond the largest double")
+            else:
+                nums.append(float(v))
     if violations:
         raise ValidationError("records hold non-numeric values", data={"violations": violations})
     summaries: list[dict[str, Any]] = []
-    for f in summarize_fields:
-        nums = [float(row[f]) for row in rows if row.get(f) is not None]
+    for f, nums in numbers:
         if not nums:
             summaries.append({"field": f, "error": "no non-null values"})
             continue
         try:
-            summaries.append(compute_stats(f, nums).to_obj())
+            summaries.append(compute_stats(f, nums))
         except OverflowError:
             summaries.append({"field": f, "error": "statistics overflow a double"})
     return ToolResult(content={"summaries": summaries, "inputs": {"row_count": len(rows)}})
@@ -338,10 +311,6 @@ HISTORICAL_DESCRIPTOR = ToolDescriptor(
         ),
         "provider_id": _PROVIDER_SPEC,
     },
-    output_description=(
-        "Object with records (list of {code, timestamp, <field>...}) and meta "
-        "(provider_id, fetched_at, row_count, cache_hit)."
-    ),
 )
 
 QUOTE_DESCRIPTOR = ToolDescriptor(
@@ -360,7 +329,6 @@ QUOTE_DESCRIPTOR = ToolDescriptor(
         ),
         "provider_id": _PROVIDER_SPEC,
     },
-    output_description="Object with records (at most one per code) and meta.",
 )
 
 SUMMARY_DESCRIPTOR = ToolDescriptor(
@@ -388,7 +356,6 @@ SUMMARY_DESCRIPTOR = ToolDescriptor(
             required=True,
         ),
     },
-    output_description="Object with summaries (one entry per requested field) and inputs.row_count.",
 )
 
 

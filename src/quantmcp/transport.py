@@ -90,6 +90,10 @@ def _finite_float(text: str) -> float:
     return value
 
 
+# A raw surrogate, or a \uD800-\uDFFF escape; only such a frame is checked for a lone one.
+_SURROGATE_HINT = re.compile(r"[\ud800-\udfff]|\\u[dD][89a-fA-F]")
+
+
 def parse_message(line: bytes | bytearray | str) -> JsonRpcMessage:
     """Parse one complete frame into a structurally valid message.
 
@@ -106,6 +110,12 @@ def parse_message(line: bytes | bytearray | str) -> JsonRpcMessage:
         text = line
     try:
         obj = json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
+        if _SURROGATE_HINT.search(text):
+            # A lone surrogate parses but cannot be written out as UTF-8;
+            # an escaped pair such as an emoji decodes to one character.
+            _dumps(obj).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ParseError("invalid Unicode: a lone surrogate or a byte that is not UTF-8") from exc
     except (ValueError, RecursionError) as exc:  # also too many digits, or nesting too deep
         raise ParseError(f"malformed JSON: {getattr(exc, 'msg', exc)}") from exc
 

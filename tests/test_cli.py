@@ -202,6 +202,30 @@ def test_serve_answers_initialize_and_exits_cleanly_on_eof():
     assert '"event": "initialize"' in err or '"event":"initialize"' in err
 
 
+def test_serve_answers_invalid_unicode_with_32700_and_keeps_serving():
+    frames = [
+        r'{"jsonrpc":"2.0","id":"\ud800","method":"initialize"}',
+        r'{"jsonrpc":"2.0","id":"\uDC00x","method":"initialize"}',
+        '{"jsonrpc":"2.0","id":1,"method":"initialize"}',
+        r'{"jsonrpc":"2.0","id":2,"method":"tools/call","params":{"name":"tool_get_quote",'
+        r'"arguments":{"codes":["\udcff"],"fields":["close"],"as_of":"2024-01-05"}}}',
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-m", "quantmcp", "serve", "--config", SYNTH_CONF],
+        input="".join(f + "\n" for f in frames),
+        capture_output=True,
+        text=True,
+        timeout=30,
+        cwd=str(REPO_ROOT),
+        env=src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    answers = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(a["id"], a.get("error", {}).get("code")) for a in answers] == [
+        (None, -32700), (None, -32700), (1, None), (None, -32700)
+    ]
+
+
 def test_serve_with_invalid_config_exits_2(tmp_path):
     bad = tmp_path / "bad.conf"
     bad.write_text("[provider.s]\nkind = nope\n")

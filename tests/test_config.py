@@ -36,7 +36,7 @@ close_time = 15:00:00
 
 @pytest.fixture
 def good_config(tmp_path):
-    (tmp_path / "creds.conf").write_text("export.key = s3cret\n")
+    (tmp_path / "creds.conf").write_text("export.key = s3cret-value\n")
     (tmp_path / "creds.conf").chmod(0o600)
     (tmp_path / "rows.csv").write_text("code,date,CLOSE,PB_LF_RAW\n")
     path = tmp_path / "server.conf"
@@ -66,7 +66,7 @@ def test_relative_paths_resolve_against_the_config_dir(good_config, tmp_path):
 def test_build_context_loads_credentials_and_limits(good_config):
     ctx = build_context(load_config(good_config), environ={})
     assert ctx.default_provider_id == "synth"
-    assert ctx.credentials.resolve("export") == "s3cret"
+    assert ctx.credentials.resolve("export") == "s3cret-value"
     assert ctx.rate_limiter.acquire("synth", 0.0).allowed
 
 

@@ -36,7 +36,6 @@ def _query(**overrides) -> DataQuery:
         fields=["close"],
         start_date=dt.date(2024, 1, 1),
         end_date=dt.date(2024, 1, 5),
-        provider_id="p",
     )
     base.update(overrides)
     return DataQuery(**base)

@@ -47,7 +47,6 @@ def _query(**overrides) -> DataQuery:
         fields=["close", "pb_lf", "turn"],
         start_date=Q1_2024[0],
         end_date=Q1_2024[1],
-        provider_id="p",
     )
     base.update(overrides)
     return DataQuery(**base)

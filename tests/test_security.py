@@ -32,7 +32,6 @@ def _query(**overrides) -> DataQuery:
         fields=["close"],
         start_date=dt.date(2024, 1, 1),
         end_date=dt.date(2024, 1, 5),
-        provider_id="p",
     )
     base.update(overrides)
     return DataQuery(**base)
@@ -43,11 +42,11 @@ def _query(**overrides) -> DataQuery:
 
 def test_file_line_parses_provider_and_secret(tmp_path):
     path = tmp_path / "creds.conf"
-    path.write_text("# comment\nalpha.key = abc123\n\n  tushare.key=t0ken  \n")
+    path.write_text("# comment\nalpha.key = abc12345\n\n  tushare.key=t0ken-t0ken  \n")
     path.chmod(0o600)
     store = load_credentials(path, environ={})
-    assert store.resolve("alpha") == "abc123"
-    assert store.resolve("tushare") == "t0ken"
+    assert store.resolve("alpha") == "abc12345"
+    assert store.resolve("tushare") == "t0ken-t0ken"
     assert store.source == "file"
 
 
@@ -55,14 +54,15 @@ def test_environment_overrides_the_file(tmp_path):
     path = tmp_path / "creds.conf"
     path.write_text("alpha.key = from-file\n")
     path.chmod(0o600)
-    store = load_credentials(path, environ={"QUANTMCP_CRED_ALPHA": "xyz"}, provider_ids=["alpha"])
-    assert store.resolve("alpha") == "xyz"
+    store = load_credentials(path, environ={"QUANTMCP_CRED_ALPHA": "from-environment"}, provider_ids=["alpha"])
+    assert store.resolve("alpha") == "from-environment"
 
 
 def test_env_name_flattens_non_alphanumerics():
     assert env_credential_name("my-provider.v2") == "QUANTMCP_CRED_MY_PROVIDER_V2"
-    store = load_credentials(None, environ={"QUANTMCP_CRED_MY_PROVIDER_V2": "s"}, provider_ids=["my-provider.v2"])
-    assert store.resolve("my-provider.v2") == "s"
+    environ = {"QUANTMCP_CRED_MY_PROVIDER_V2": "s3cret-value"}
+    store = load_credentials(None, environ=environ, provider_ids=["my-provider.v2"])
+    assert store.resolve("my-provider.v2") == "s3cret-value"
 
 
 def test_missing_file_and_empty_env_yield_an_empty_store():
@@ -72,7 +72,7 @@ def test_missing_file_and_empty_env_yield_an_empty_store():
 
 def test_malformed_line_fails_with_line_number(tmp_path):
     path = tmp_path / "creds.conf"
-    path.write_text("alpha.key = ok\nthis is not a credential\n")
+    path.write_text("alpha.key = ok-secret\nthis is not a credential\n")
     path.chmod(0o600)
     with pytest.raises(ConfigError, match=r":2:"):
         load_credentials(path, environ={})
@@ -87,19 +87,33 @@ def test_other_malformed_shapes_are_rejected(tmp_path, line):
         load_credentials(path, environ={})
 
 
+def test_a_secret_shorter_than_eight_characters_is_rejected_at_load(tmp_path):
+    path = tmp_path / "creds.conf"
+    path.write_text("alpha.key = eight-ch\nbeta.key = Zq7seve\n")
+    path.chmod(0o600)
+    with pytest.raises(ConfigError, match=r"creds\.conf:2: secret is shorter than 8 characters") as excinfo:
+        load_credentials(path, environ={})
+    assert "Zq7seve" not in str(excinfo.value)
+    with pytest.raises(ConfigError, match=r"^QUANTMCP_CRED_ALPHA: secret is shorter") as excinfo:
+        load_credentials(None, environ={"QUANTMCP_CRED_ALPHA": "Zq7"}, provider_ids=["alpha"])
+    assert "Zq7" not in str(excinfo.value)
+    store = load_credentials(None, environ={"QUANTMCP_CRED_ALPHA": "eight-ch"}, provider_ids=["alpha"])
+    assert store.resolve("alpha") == "eight-ch"
+
+
 def test_world_readable_file_warns_by_default(tmp_path):
     path = tmp_path / "creds.conf"
-    path.write_text("alpha.key = s\n")
+    path.write_text("alpha.key = s3cret-value\n")
     path.chmod(0o644)
     warnings: list[str] = []
     store = load_credentials(path, environ={}, warn=warnings.append)
-    assert store.resolve("alpha") == "s"
+    assert store.resolve("alpha") == "s3cret-value"
     assert warnings and "readable" in warnings[0]
 
 
 def test_world_readable_file_fails_in_strict_mode(tmp_path):
     path = tmp_path / "creds.conf"
-    path.write_text("alpha.key = s\n")
+    path.write_text("alpha.key = s3cret-value\n")
     path.chmod(0o644)
     with pytest.raises(ConfigError, match="readable"):
         load_credentials(path, environ={}, strict_permissions=True)

@@ -8,6 +8,8 @@ import logging
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import initialize, make_ctx
 
@@ -292,6 +294,48 @@ def test_unholdable_number_yields_parse_error_and_the_server_survives(number):
     assert frames[1]["error"]["code"] == -32700
     assert frames[1]["id"] is None
     assert frames[2]["id"] == 2
+
+
+def test_lone_surrogate_yields_parse_error_and_the_server_survives():
+    lone = r'{"jsonrpc":"2.0","id":"\ud800","method":"initialize"}'
+    frames = _run_session([lone, _session_lines()[0]])
+    assert frames[0]["error"]["code"] == -32700
+    assert frames[0]["id"] is None
+    assert frames[1]["id"] == 1 and "result" in frames[1]
+
+
+_LINE_PIECES = st.one_of(
+    st.text(max_size=6),
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+    st.sampled_from(["\\ud800", "\\uDFFF", "\\ud83d\\ude00", "\\\\", '"', "{", "}", "[", ",", ":", "1e999"]),
+)
+_LINE_TEMPLATES = [
+    "{}",
+    '{{"jsonrpc":"2.0","id":"{}","method":"initialize"}}',
+    '{{"jsonrpc":"2.0","id":1,"method":"{}"}}',
+    '{{"jsonrpc":"2.0","id":1,"method":"initialize","params":{{"clientInfo":{{"name":"{}"}}}}}}',
+    '{{"jsonrpc":"2.0","id":1,"method":"tools/call","params":{{"name":"{}","arguments":{{}}}}}}',
+    '{{"jsonrpc":"2.0","id":1,"method":"tools/call","params":{{"name":"tool_get_historical_data",'
+    '"arguments":{{"codes":["{}"],"fields":["close"],"start_date":"2024-01-01","end_date":"2024-01-05"}}}}}}',
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(_LINE_TEMPLATES),
+    st.lists(_LINE_PIECES, max_size=5).map("".join),
+    st.booleans(),
+)
+def test_no_line_makes_the_server_raise_or_emit_a_non_utf8_frame(template, piece, initialized_first):
+    dispatcher = Dispatcher(build_registry(), make_ctx())
+    out = io.StringIO()
+    server = StdioServer(dispatcher, io.StringIO(), out)
+    if initialized_first:
+        server.handle_line('{"jsonrpc":"2.0","id":0,"method":"initialize"}')
+    server.handle_line(template.format(piece))
+    server.handle_line('{"jsonrpc":"2.0","id":"probe","method":"initialize"}')
+    frames = [json.loads(line.encode("utf-8")) for line in out.getvalue().splitlines()]
+    assert frames[-1]["id"] == "probe"
 
 
 def test_invalid_envelope_answers_32600_with_recovered_id():

@@ -14,7 +14,7 @@ from conftest import FakeWallClock, make_ctx
 from oracle_utils import mean_oracle, synthetic_value_oracle, weekdays_oracle
 from stub_provider import stub_rows_server
 
-from quantmcp.errors import RateLimitedError, ValidationError
+from quantmcp.errors import ProviderFailure, RateLimitedError, ValidationError
 from quantmcp import security, tools
 from quantmcp.providers import DataQuery, ProviderConfig, RateSpec, fetch_historical, trading_days
 from quantmcp.registry import ValidatedArgs
@@ -286,6 +286,39 @@ def test_non_finite_provider_value_is_an_uncached_provider_failure(tmp_path, mon
     assert len(fetches) == 2  # failures are not cached: the retry fetches again
 
 
+@pytest.mark.parametrize(
+    ("body", "detail"),
+    [
+        (b"code,date,close\nA,2024-01-02,1\nB,2024-01-02,\xff\n", "can't decode byte 0xff"),
+        (b'code,date,close\nA,2024-01-02,"' + b"1" * 131_073 + b'"\n', "field larger than field limit"),
+    ],
+    ids=["non-utf8-byte", "cell-past-the-field-limit"],
+)
+def test_unreadable_csv_is_an_uncached_schema_failure(tmp_path, monkeypatch, body, detail):
+    path = tmp_path / "export.csv"
+    path.write_bytes(body)
+    provider = ProviderConfig(id="f", kind="csv", csv_path=str(path), rate=RateSpec(1000, 1000.0))
+    query = DataQuery(["A"], ["close"], dt.date(2024, 1, 1), dt.date(2024, 1, 5))
+    with pytest.raises(ProviderFailure) as excinfo:
+        fetch_historical(provider, query, security.CredentialStore({}))
+    assert excinfo.value.data == {"reason": "schema"}
+    fetches = []
+
+    def counting_fetch(*args, **kwargs):
+        fetches.append(1)
+        return fetch_historical(*args, **kwargs)
+
+    monkeypatch.setattr(tools, "fetch_historical", counting_fetch)
+    ctx = make_ctx(providers={"f": provider})
+    args = {"codes": ["A"], "fields": ["close"], "start_date": "2024-01-01", "end_date": "2024-01-05"}
+    for _ in range(2):
+        result = _call_historical(ctx, args)
+        assert result.is_error
+        assert result.content["error_kind"] == "provider_failure"
+        assert detail in result.content["detail"]
+    assert len(fetches) == 2  # failures are not cached: the retry fetches again
+
+
 @pytest.mark.parametrize("code", [["A"], {"A": 1}, 7], ids=["list", "object", "number"])
 def test_http_row_with_a_non_string_code_is_an_uncached_provider_failure(monkeypatch, code):
     class Response:
@@ -324,8 +357,8 @@ def test_distinct_queries_keep_their_own_records_when_their_hashes_collide(ctx, 
     # a cache keyed by a 64-bit hash of the query would answer the second query with the first's records
     monkeypatch.setattr(security, "fnv1a64", lambda *args: 0, raising=False)
     provider = ctx.providers["synth"]
-    first = DataQuery(["A"], ["close"], dt.date(2024, 1, 2), dt.date(2024, 1, 2), provider_id="synth")
-    second = DataQuery(["B"], ["turn"], dt.date(2024, 1, 3), dt.date(2024, 1, 3), provider_id="synth")
+    first = DataQuery(["A"], ["close"], dt.date(2024, 1, 2), dt.date(2024, 1, 2))
+    second = DataQuery(["B"], ["turn"], dt.date(2024, 1, 3), dt.date(2024, 1, 3))
     for query, code, field in ((first, "A", "close"), (second, "B", "turn")):
         [record], meta = tools.fetch_normalized(ctx, provider, query)
         assert meta["cache_hit"] is False
@@ -394,9 +427,9 @@ def test_single_record_statistics():
 
 def test_two_value_population_stddev():
     stats = compute_stats("x", [1.0, 3.0])
-    assert stats.mean == 2.0
-    assert stats.stddev == 1.0  # population (n) denominator
-    assert stats.count == 2
+    assert stats["mean"] == 2.0
+    assert stats["stddev"] == 1.0  # population (n) denominator
+    assert stats["count"] == 2
 
 
 def test_field_with_only_nulls_gets_a_per_field_error(ctx):
@@ -458,6 +491,23 @@ def test_non_numeric_record_values_are_rejected(ctx):
     with pytest.raises(ValidationError) as excinfo:
         _call_summary(ctx, {"records": records, "summarize_fields": ["close"]})
     assert "records[0].close" in excinfo.value.data["violations"][0]
+
+
+def test_a_repeated_summarize_field_repeats_its_violations_and_its_entry(ctx):
+    bad = [{"code": "A", "timestamp": "t", "close": "x", "turn": True}, {"code": "A", "timestamp": "t", "close": "y"}]
+    with pytest.raises(ValidationError) as excinfo:
+        _call_summary(ctx, {"records": bad, "summarize_fields": ["close", "turn", "close"]})
+    assert excinfo.value.data == {"violations": [
+        "records[0].close: expected number or null",
+        "records[0].turn: expected number or null",
+        "records[0].close: expected number or null",
+        "records[1].close: expected number or null",
+        "records[1].close: expected number or null",
+    ]}
+    records = [{"code": "A", "timestamp": "t", "close": 1.0}, {"code": "A", "timestamp": "t", "close": 3.0}]
+    result = _call_summary(ctx, {"records": records, "summarize_fields": ["close", "turn", "close"]})
+    close = {"field": "close", "count": 2, "mean": 2.0, "min": 1.0, "max": 3.0, "stddev": 1.0}
+    assert result.content["summaries"] == [close, {"field": "turn", "error": "no non-null values"}, close]
 
 
 @pytest.mark.parametrize(

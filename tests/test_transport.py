@@ -121,6 +121,27 @@ def test_too_many_digits_or_too_deep_nesting_is_a_parse_error(line):
         parse_message(line)
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        r'{"jsonrpc":"2.0","id":"\ud800","method":"initialize"}',
+        rb'{"jsonrpc":"2.0","id":1,"method":"m","params":{"\uDFFF":1}}',
+        r'{"jsonrpc":"2.0","id":1,"method":"m","params":["\ud83d\u0041"]}',
+        '{"jsonrpc":"2.0","id":"a\udcffb","method":"initialize"}',  # a 0xff byte read with surrogateescape
+    ],
+    ids=["escaped-high-in-id", "escaped-low-in-key", "high-before-a-non-low-escape", "raw-surrogate"],
+)
+def test_a_lone_surrogate_is_a_parse_error(line):
+    with pytest.raises(ParseError, match="invalid Unicode"):
+        parse_message(line)
+
+
+def test_escaped_surrogate_pairs_and_escaped_backslashes_still_parse():
+    msg = parse_message(r'{"jsonrpc":"2.0","id":"\ud83d\ude00","method":"m","params":["\\ud800"]}')
+    assert msg.id == "\U0001f600"
+    assert msg.params == ["\\ud800"]
+
+
 def test_large_finite_numbers_still_parse():
     msg = parse_message('{"jsonrpc":"2.0","id":1,"method":"m","params":{"x":1e308,"y":%s}}' % ("9" * 400))
     assert msg.params == {"x": 1e308, "y": int("9" * 400)}
@@ -234,7 +255,6 @@ def test_ten_thousand_records_fit_one_parseable_frame():
         fields=["close"],
         start_date=dt.date(2023, 1, 2),
         end_date=dt.date(2023, 12, 17),
-        provider_id="synth",
     )
     records = normalize_payload(fetch_historical(config, query, CredentialStore({})), query)
     assert len(records) == 10000
