@@ -10,7 +10,6 @@ the server; both are safe for concurrent use.
 from __future__ import annotations
 
 import datetime as dt
-import json
 import math
 import os
 import re
@@ -21,7 +20,7 @@ from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from .errors import ConfigError, CredentialMissing, InternalError
 from .providers import DataQuery, RateSpec
-from .transport import JsonRpcMessage
+from .transport import JsonRpcMessage, json_line
 
 REDACTED = "***REDACTED***"
 
@@ -47,7 +46,7 @@ class CredentialStore:
         self.source = source
         # Longest first, so a secret that contains another is replaced whole.
         self.secrets_longest_first = tuple(sorted(self._secrets.values(), key=len, reverse=True))
-        self._escaped = tuple(json.dumps(s, ensure_ascii=False)[1:-1] for s in self.secrets_longest_first)
+        self._escaped = tuple(json_line(s)[1:-1] for s in self.secrets_longest_first)
 
     def resolve(self, provider_id: str) -> str:
         try:
@@ -62,7 +61,7 @@ class CredentialStore:
         """Whether any secret's JSON-escaped form occurs in serialized ``text``.
 
         JSON escapes each character on its own, so a secret inside any
-        string or key of a value serialized with ``ensure_ascii=False``
+        string or key of a value serialized with ``json_line``
         always shows as its escaped form: False means nothing to redact.
         True may be a false alarm (the form also occurs across tokens).
         """

@@ -10,7 +10,6 @@ process.
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -37,6 +36,7 @@ from .transport import (
     REQUEST,
     RESPONSE,
     JsonRpcMessage,
+    json_line,
     make_error,
     parse_message,
     serialize_message,
@@ -72,9 +72,9 @@ class Dispatcher:
     def log_event(self, event: str, **fields: Any) -> None:
         payload = {"event": event, **fields}
         store = self.ctx.credentials
-        line = json.dumps(payload, ensure_ascii=False, default=str)
+        line = json_line(payload, default=str)
         if store.shows_in(line):
-            line = json.dumps(redact(payload, store), ensure_ascii=False, default=str)
+            line = json_line(redact(payload, store), default=str)
         logger.info(line)
 
     def dispatch(self, msg: JsonRpcMessage) -> JsonRpcMessage | None:

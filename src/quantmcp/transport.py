@@ -185,8 +185,26 @@ def round_floats(value: Any) -> Any:
     return value
 
 
+# Characters that json.dumps(ensure_ascii=False) leaves raw but that
+# str.splitlines and many line readers treat as line ends.
+_LINE_BREAK_ESCAPES = {ord(ch): f"\\u{ord(ch):04x}" for ch in "\x85\u2028\u2029"}
+
+
+def json_line(obj: Any, **kwargs: Any) -> str:
+    """``json.dumps`` with raw UTF-8 text that holds no line break of any kind.
+
+    Such a character can only sit inside a JSON string, where its ``\\uXXXX``
+    escape decodes to the same value, so the text still reads back unchanged.
+    """
+    text = json.dumps(obj, ensure_ascii=False, **kwargs)
+    # Each test is a quick scan, and none at all on a pure-ASCII text.
+    if "\x85" in text or "\u2028" in text or "\u2029" in text:
+        text = text.translate(_LINE_BREAK_ESCAPES)
+    return text
+
+
 def _dumps(obj: Any) -> str:
-    return json.dumps(obj, ensure_ascii=False, allow_nan=False, separators=(",", ":"))
+    return json_line(obj, allow_nan=False, separators=(",", ":"))
 
 
 _LONG_FRACTION = re.compile(r"\.[0-9]{7}")

@@ -24,6 +24,7 @@ from quantmcp.security import (
     load_credentials,
     redact,
 )
+from quantmcp.transport import RESPONSE, JsonRpcMessage, serialize_message
 
 
 def _query(**overrides) -> DataQuery:
@@ -358,3 +359,10 @@ def test_a_waiter_gives_up_after_its_wait_while_the_producer_runs_on():
         thread.join(timeout=10.0)
     assert not thread.is_alive()
     assert owner == [("late", False)]
+
+
+def test_a_secret_holding_a_unicode_line_break_shows_in_its_serialized_frame():
+    secret = "sk-line\u2028break"
+    store = CredentialStore({"alpha": secret})
+    line = serialize_message(JsonRpcMessage(RESPONSE, id=1, result={"detail": f"failed with {secret}"}))
+    assert store.shows_in(line.decode("utf-8"))

@@ -245,7 +245,18 @@ def test_serialize_message_equals_rounding_every_float_first(obj):
     msg = JsonRpcMessage(RESPONSE, id=1, result=obj)
     envelope = {"jsonrpc": "2.0", "id": 1, "result": obj}
     expected = json.dumps(round_floats(envelope), ensure_ascii=False, allow_nan=False, separators=(",", ":"))
+    for ch in "\x85\u2028\u2029":
+        expected = expected.replace(ch, f"\\u{ord(ch):04x}")
     assert serialize_message(msg) == (expected + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("ch", ["\x85", "\u2028", "\u2029"])
+def test_unicode_line_breaks_are_escaped_so_a_frame_stays_one_line(ch):
+    result = {f"k{ch}": f"a{ch}b"}
+    text = serialize_message(JsonRpcMessage(RESPONSE, id=1, result=result)).decode("utf-8")
+    assert ch not in text
+    assert len(text.splitlines()) == 1
+    assert json.loads(text)["result"] == result
 
 
 def test_ten_thousand_records_fit_one_parseable_frame():
