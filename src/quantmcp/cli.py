@@ -49,6 +49,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     config, dispatcher = _build_dispatcher(args.config, logging.getLogger("quantmcp").warning)
     concurrency = args.concurrent if args.concurrent is not None else config.concurrency
+    # The wire is UTF-8 whatever the locale. A byte that is not UTF-8 reads as
+    # a lone surrogate, which parse_message answers with -32700.
+    if hasattr(sys.stdin, "reconfigure"):
+        sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8")
     server = StdioServer(dispatcher, sys.stdin, sys.stdout, concurrency=concurrency)
     try:
         return server.run()

@@ -27,7 +27,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Callable, Mapping
 
 from .errors import ConfigError
-from .providers import CANONICAL_FIELDS, ProviderConfig, RateSpec
+from .providers import CANONICAL_FIELDS, DEFAULT_CLOSE_TIME, ProviderConfig, RateSpec
 from .security import RateLimiter, ResponseCache, load_credentials
 from .tools import ToolContext
 
@@ -35,7 +35,7 @@ from .tools import ToolContext
 @dataclass
 class ServerConfig:
     name: str = "quantmcp"
-    close_time: dt.time = dt.time(15, 0, 0)
+    close_time: dt.time = DEFAULT_CLOSE_TIME
     credentials_path: str | None = None
     default_provider: str = ""
     concurrency: int = 0

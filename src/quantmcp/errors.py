@@ -62,7 +62,6 @@ class UnknownToolError(ValidationError):
 
     def __init__(self, name: str):
         super().__init__(f"unknown tool {name!r}", data={"tool": name})
-        self.tool_name = name
 
 
 class InternalError(QuantMcpError):

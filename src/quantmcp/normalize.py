@@ -14,14 +14,12 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from .errors import InternalError, ValidationError
-from .providers import DataQuery, RawProviderPayload
+from .providers import DEFAULT_CLOSE_TIME, DataQuery, RawProviderPayload
 
 RECOGNIZED_OPTIONS = {
     "PriceAdj": frozenset({"F", "B", "N"}),
     "Fill": frozenset({"Previous", "Blank"}),
 }
-
-DEFAULT_CLOSE_TIME = dt.time(15, 0, 0)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,8 @@ CANONICAL_FIELDS = ("close", "open", "high", "low", "volume", "pb_lf", "turn")
 
 PROVIDER_KINDS = ("synthetic", "http", "csv")
 
+DEFAULT_CLOSE_TIME = dt.time(15, 0, 0)  # time of day on record timestamps unless configured
+
 HTTP_POOL_SIZE = 8  # most GETs one http fetch keeps in flight
 
 _URL_PLACEHOLDERS = frozenset({"code", "field", "start", "end", "apikey"})
@@ -80,7 +82,7 @@ class ProviderConfig:
     rate: RateSpec = field(default_factory=RateSpec)
     timeout_ms: int = 5000
     retries: int = 0
-    close_time: dt.time = dt.time(15, 0, 0)
+    close_time: dt.time = DEFAULT_CLOSE_TIME
 
     def check(self) -> None:
         """Enforce config invariants; violations abort startup."""

@@ -15,9 +15,22 @@ from typing import Any, Callable
 from .errors import ConfigError, UnknownToolError, ValidationError
 from .transport import MISSING
 
-PARAM_KINDS = frozenset(
-    {"string", "number", "integer", "boolean", "array-of-string", "array-of-object", "object"}
-)
+# Each parameter kind: (its JSON schema in the manifest, the test a value must pass).
+_KINDS: dict[str, tuple[dict[str, Any], Callable[[Any], bool]]] = {
+    "string": ({"type": "string"}, lambda v: isinstance(v, str)),
+    "number": ({"type": "number"}, lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    "integer": ({"type": "integer"}, lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "boolean": ({"type": "boolean"}, lambda v: isinstance(v, bool)),
+    "array-of-string": (
+        {"type": "array", "items": {"type": "string"}},
+        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    ),
+    "array-of-object": (
+        {"type": "array", "items": {"type": "object"}},
+        lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
+    ),
+    "object": ({"type": "object"}, lambda v: isinstance(v, dict)),
+}
 
 _NAME_RE = re.compile(r"[a-z0-9_]+\Z")
 
@@ -48,7 +61,7 @@ class ToolDescriptor:
         if not self.description:
             raise ConfigError(f"tool {self.name!r} has an empty description")
         for pname, spec in self.params.items():
-            if spec.kind not in PARAM_KINDS:
+            if spec.kind not in _KINDS:
                 raise ConfigError(f"tool {self.name!r} parameter {pname!r} has unknown type {spec.kind!r}")
             if not spec.description:
                 raise ConfigError(f"tool {self.name!r} parameter {pname!r} lacks a description")
@@ -59,13 +72,7 @@ class ToolDescriptor:
     def manifest_entry(self) -> dict[str, Any]:
         properties = {}
         for pname, spec in self.params.items():
-            if spec.kind == "array-of-string":
-                entry: dict[str, Any] = {"type": "array", "items": {"type": "string"}}
-            elif spec.kind == "array-of-object":
-                entry = {"type": "array", "items": {"type": "object"}}
-            else:
-                entry = {"type": spec.kind}
-            entry["description"] = spec.description
+            entry = {**_KINDS[spec.kind][0], "description": spec.description}
             if spec.pattern is not None:
                 entry["pattern"] = spec.pattern
             if spec.default is not MISSING:
@@ -86,24 +93,6 @@ class ToolDescriptor:
 class ValidatedArgs:
     tool_name: str
     values: dict[str, Any] = field(default_factory=dict)
-
-
-def _type_ok(value: Any, kind: str) -> bool:
-    if kind == "string":
-        return isinstance(value, str)
-    if kind == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind == "integer":
-        return isinstance(value, int) and not isinstance(value, bool)
-    if kind == "boolean":
-        return isinstance(value, bool)
-    if kind == "object":
-        return isinstance(value, dict)
-    if kind == "array-of-string":
-        return isinstance(value, list) and all(isinstance(v, str) for v in value)
-    if kind == "array-of-object":
-        return isinstance(value, list) and all(isinstance(v, dict) for v in value)
-    return False
 
 
 def _type_name(value: Any) -> str:
@@ -146,7 +135,7 @@ def validate_arguments(descriptor: ToolDescriptor, arguments: Any) -> ValidatedA
                 violations.append(f"{pname}: missing required parameter")
             continue
         value = arguments[pname]
-        if not _type_ok(value, spec.kind):
+        if not _KINDS[spec.kind][1](value):
             violations.append(f"{pname}: expected {spec.kind}, got {_type_name(value)}")
             continue
         if spec.pattern is not None and isinstance(value, str) and not re.fullmatch(spec.pattern, value):

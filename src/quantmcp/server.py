@@ -52,7 +52,6 @@ logger = logging.getLogger("quantmcp.server")
 class ServerState:
     registry: ToolRegistry
     initialized: bool = False
-    protocol_version: str = PROTOCOL_VERSION
     session_info: dict[str, Any] = field(default_factory=dict)
 
 
@@ -123,7 +122,7 @@ class Dispatcher:
         self.state.initialized = True
         self.log_event("initialize", client=self.state.session_info)
         result = {
-            "protocolVersion": self.state.protocol_version,
+            "protocolVersion": PROTOCOL_VERSION,
             "serverInfo": {"name": self.server_name, "version": __version__},
             "capabilities": {"tools": {}},
         }

@@ -94,6 +94,54 @@ def _finite_float(text: str) -> float:
 _SURROGATE_HINT = re.compile(r"[\ud800-\udfff]|\\u[dD][89a-fA-F]")
 
 
+def _classify(obj: Any) -> str:
+    """Return the kind of a decoded frame, or raise naming the rule it breaks.
+
+    Both directions apply these rules: :func:`parse_message` to what it
+    reads, :func:`serialize_message` to the frame it is about to write.
+    """
+    if not isinstance(obj, dict):
+        raise InvalidRequestError("message must be a JSON object")
+    if obj.get("jsonrpc") != "2.0":
+        raise InvalidRequestError('message must declare "jsonrpc":"2.0"')
+    has_result = "result" in obj
+    has_error = "error" in obj
+
+    if "method" in obj:
+        if has_result or has_error:
+            raise InvalidRequestError("request cannot carry result or error")
+        method = obj["method"]
+        if not isinstance(method, str) or not method:
+            raise InvalidRequestError("method must be a non-empty string")
+        if "params" in obj and not isinstance(obj["params"], (dict, list)):
+            raise InvalidRequestError("params must be an object or array")
+        if "id" not in obj:
+            return NOTIFICATION
+        if not _valid_id(obj["id"]):
+            raise InvalidRequestError("request id must be an integer or string")
+        return REQUEST
+
+    if has_result and has_error:
+        raise InvalidRequestError("response carries both result and error")
+    if not has_result and not has_error:
+        raise InvalidRequestError("message carries no method, result, or error")
+    if "id" not in obj:
+        raise InvalidRequestError("response requires an id")
+    if obj["id"] is not None and not _valid_id(obj["id"]):
+        raise InvalidRequestError("response id must be an integer, string, or null")
+    if has_error:
+        err = obj["error"]
+        if not isinstance(err, dict):
+            raise InvalidRequestError("error must be an object")
+        code = err.get("code")
+        if not isinstance(code, int) or isinstance(code, bool):
+            raise InvalidRequestError("error code must be an integer")
+        message = err.get("message")
+        if not isinstance(message, str) or not message:
+            raise InvalidRequestError("error message must be a non-empty string")
+    return RESPONSE
+
+
 def parse_message(line: bytes | bytearray | str) -> JsonRpcMessage:
     """Parse one complete frame into a structurally valid message.
 
@@ -119,59 +167,21 @@ def parse_message(line: bytes | bytearray | str) -> JsonRpcMessage:
     except (ValueError, RecursionError) as exc:  # also too many digits, or nesting too deep
         raise ParseError(f"malformed JSON: {getattr(exc, 'msg', exc)}") from exc
 
-    rid = obj.get("id") if isinstance(obj, dict) and _valid_id(obj.get("id")) else None
-
-    def invalid(reason: str) -> None:
-        exc = InvalidRequestError(reason)
-        exc.request_id = rid
-        raise exc
-
-    if not isinstance(obj, dict):
-        invalid("message must be a JSON object")
-    if obj.get("jsonrpc") != "2.0":
-        invalid('message must declare "jsonrpc":"2.0"')
+    try:
+        kind = _classify(obj)
+    except InvalidRequestError as exc:
+        rid = obj.get("id") if isinstance(obj, dict) else None
+        exc.request_id = rid if _valid_id(rid) else None
+        raise
 
     extra = {k: v for k, v in obj.items() if k not in _ENVELOPE_KEYS}
-    has_result = "result" in obj
-    has_error = "error" in obj
-
-    if "method" in obj:
-        if has_result or has_error:
-            invalid("request cannot carry result or error")
-        method = obj["method"]
-        if not isinstance(method, str) or not method:
-            invalid("method must be a non-empty string")
-        params = obj.get("params", MISSING)
-        if params is not MISSING and not isinstance(params, (dict, list)):
-            invalid("params must be an object or array")
-        if "id" in obj:
-            if not _valid_id(obj["id"]):
-                invalid("request id must be an integer or string")
-            return JsonRpcMessage(REQUEST, id=obj["id"], method=method, params=params, extra=extra)
-        return JsonRpcMessage(NOTIFICATION, method=method, params=params, extra=extra)
-
-    if has_result and has_error:
-        invalid("response carries both result and error")
-    if not has_result and not has_error:
-        invalid("message carries no method, result, or error")
-    if "id" not in obj:
-        invalid("response requires an id")
-    mid = obj["id"]
-    if mid is not None and not _valid_id(mid):
-        invalid("response id must be an integer, string, or null")
-    if has_error:
-        err = obj["error"]
-        if not isinstance(err, dict):
-            invalid("error must be an object")
-        code = err.get("code")
-        message = err.get("message")
-        if not isinstance(code, int) or isinstance(code, bool):
-            invalid("error code must be an integer")
-        if not isinstance(message, str) or not message:
-            invalid("error message must be a non-empty string")
-        error = ErrorObject(code=code, message=message, data=err.get("data", MISSING))
-        return JsonRpcMessage(RESPONSE, id=mid, error=error, extra=extra)
-    return JsonRpcMessage(RESPONSE, id=mid, result=obj["result"], extra=extra)
+    if kind != RESPONSE:
+        return JsonRpcMessage(
+            kind, id=obj.get("id"), method=obj["method"], params=obj.get("params", MISSING), extra=extra
+        )
+    err = obj.get("error")  # the classifier made it an object, if present
+    error = None if err is None else ErrorObject(err["code"], err["message"], err.get("data", MISSING))
+    return JsonRpcMessage(RESPONSE, id=obj["id"], result=obj.get("result", MISSING), error=error, extra=extra)
 
 
 def round_floats(value: Any) -> Any:
@@ -210,62 +220,40 @@ def _dumps(obj: Any) -> str:
 _LONG_FRACTION = re.compile(r"\.[0-9]{7}")
 
 
-def _check_emittable(msg: JsonRpcMessage) -> None:
-    if msg.kind == REQUEST:
-        if not isinstance(msg.method, str) or not msg.method:
-            raise InternalError("request method must be a non-empty string")
-        if not _valid_id(msg.id):
-            raise InternalError("request id must be an integer or string")
-    elif msg.kind == NOTIFICATION:
-        if not isinstance(msg.method, str) or not msg.method:
-            raise InternalError("notification method must be a non-empty string")
-        if msg.id is not None:
-            raise InternalError("notification must not carry an id")
-    elif msg.kind == RESPONSE:
-        has_result = msg.result is not MISSING
-        has_error = msg.error is not None
-        if has_result == has_error:
-            raise InternalError("response must carry exactly one of result or error")
-        if msg.id is not None and not _valid_id(msg.id):
-            raise InternalError("response id must be an integer, string, or null")
-        if has_error:
-            err = msg.error
-            if err.code not in KNOWN_CODES:
-                raise InternalError(f"error code {err.code} outside the documented taxonomy")
-            if not isinstance(err.message, str) or not err.message:
-                raise InternalError("error message must be a non-empty string")
-    else:
-        raise InternalError(f"unknown message kind {msg.kind!r}")
-    if msg.params is not MISSING and not isinstance(msg.params, (dict, list)):
-        raise InternalError("params must be an object or array")
-
-
 def serialize_message(msg: JsonRpcMessage) -> bytes:
     """Emit exactly one UTF-8 frame terminated by a single newline.
 
-    An invariant-violating message raises :class:`InternalError` and nothing
-    is emitted.
+    The frame holds every field ``msg`` sets and must read back as the same
+    message: one that breaks an envelope rule, reads back as another kind,
+    names an envelope member in ``extra``, puts ``params`` on a response or
+    uses an undocumented error code raises :class:`InternalError`, and
+    nothing is emitted.
     """
-    _check_emittable(msg)
     obj: dict[str, Any] = {"jsonrpc": "2.0"}
-    if msg.kind == REQUEST:
+    if msg.id is not None or msg.kind == RESPONSE:
         obj["id"] = msg.id
+    if msg.method is not None:
         obj["method"] = msg.method
-        if msg.params is not MISSING:
-            obj["params"] = msg.params
-    elif msg.kind == NOTIFICATION:
-        obj["method"] = msg.method
-        if msg.params is not MISSING:
-            obj["params"] = msg.params
-    else:
-        obj["id"] = msg.id
-        if msg.error is not None:
-            obj["error"] = msg.error.to_obj()
-        else:
-            obj["result"] = msg.result
+    if msg.params is not MISSING:
+        obj["params"] = msg.params
+    if msg.error is not None:
+        obj["error"] = msg.error.to_obj()
+    if msg.result is not MISSING:
+        obj["result"] = msg.result
+    try:
+        kind = _classify(obj)
+    except InvalidRequestError as exc:
+        raise InternalError(exc.message) from None
+    if kind != msg.kind:
+        raise InternalError(f"a {msg.kind!r} message would read back as a {kind!r}")
+    if kind == RESPONSE and "params" in obj:
+        raise InternalError("a response cannot carry params")
+    if msg.error is not None and msg.error.code not in KNOWN_CODES:
+        raise InternalError(f"error code {msg.error.code} outside the documented taxonomy")
     for key, value in msg.extra.items():
-        if key not in obj and key != "jsonrpc":
-            obj[key] = value
+        if key in _ENVELOPE_KEYS:
+            raise InternalError(f"extra key {key!r} names an envelope member")
+        obj[key] = value
     try:
         text = _dumps(obj)
         # A float that round(x, 6) changes prints (as its shortest repr) with

@@ -226,6 +226,34 @@ def test_serve_answers_invalid_unicode_with_32700_and_keeps_serving():
     ]
 
 
+@pytest.mark.parametrize(
+    "io_encoding, data, expected",
+    [
+        (  # a raw 0xff byte reaches parse_message instead of killing the read loop
+            "utf-8:strict",
+            b'{"jsonrpc":"2.0","id":"a\xffb","method":"initialize"}\n'
+            b'{"jsonrpc":"2.0","id":1,"method":"initialize"}\n',
+            [(None, -32700), (1, None)],
+        ),
+        ("ascii", '{"jsonrpc":"2.0","id":"宁","method":"initialize"}\n'.encode("utf-8"), [("宁", None)]),
+    ],
+    ids=["non-utf8-byte-strict", "utf8-id-ascii"],
+)
+def test_serve_speaks_utf8_whatever_the_locale(io_encoding, data, expected):
+    proc = subprocess.run(
+        [sys.executable, "-m", "quantmcp", "serve", "--config", SYNTH_CONF],
+        input=data,
+        capture_output=True,
+        timeout=30,
+        cwd=str(REPO_ROOT),
+        env=dict(src_env(), PYTHONIOENCODING=io_encoding),
+    )
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    answers = [json.loads(line) for line in proc.stdout.decode("utf-8").splitlines()]
+    assert [(a["id"], a.get("error", {}).get("code")) for a in answers] == expected
+    assert answers[-1]["result"]["serverInfo"]["name"] == "quantmcp"
+
+
 def test_serve_with_invalid_config_exits_2(tmp_path):
     bad = tmp_path / "bad.conf"
     bad.write_text("[provider.s]\nkind = nope\n")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 import json
 
@@ -207,6 +208,18 @@ def test_serialize_rejects_invariant_violations():
         serialize_message(JsonRpcMessage(REQUEST, id=None, method="m"))
     with pytest.raises(InternalError):
         serialize_message(JsonRpcMessage(NOTIFICATION, id=1, method="m"))
+    # Each frame would not read back as the message: invalid, another kind, or a field lost.
+    for msg in [
+        JsonRpcMessage(RESPONSE, id=1, result={}, extra={"error": 5}),
+        JsonRpcMessage(RESPONSE, id=1, result={}, extra={"method": "x"}),
+        JsonRpcMessage(REQUEST, id=1, method="m", extra={"params": 3}),
+        JsonRpcMessage(NOTIFICATION, method="m", extra={"id": 5}),
+        JsonRpcMessage(RESPONSE, id=1, method="m", result={}),
+        JsonRpcMessage(RESPONSE, id=1, params={}, result={}),
+        JsonRpcMessage(REQUEST, id=1, method="m", result={}),
+    ]:
+        with pytest.raises(InternalError):
+            serialize_message(msg)
 
 
 def test_floats_are_emitted_with_at_most_six_decimals():
@@ -338,4 +351,25 @@ def messages(draw) -> JsonRpcMessage:
 def test_parse_serialize_round_trip(msg):
     wire = serialize_message(msg)
     assert wire.count(b"\n") == 1 and wire.endswith(b"\n")
+    assert parse_message(wire) == msg
+
+
+_stray_extras = st.dictionaries(
+    st.one_of(st.sampled_from(("jsonrpc", "id", "method", "params", "result", "error")), st.text(max_size=12)),
+    _values,
+    max_size=3,
+)
+_stray_fields = st.fixed_dictionaries(
+    {}, optional={"method": _methods, "params": _structured, "result": _values}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(messages(), _stray_extras, _stray_fields)
+def test_an_emitted_frame_reads_back_as_the_message_or_nothing_is_emitted(msg, extra, stray):
+    msg = dataclasses.replace(msg, extra=extra, **stray)
+    try:
+        wire = serialize_message(msg)
+    except InternalError:
+        return
     assert parse_message(wire) == msg
