@@ -49,12 +49,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     config, dispatcher = _build_dispatcher(args.config, logging.getLogger("quantmcp").warning)
     concurrency = args.concurrent if args.concurrent is not None else config.concurrency
-    # The wire is UTF-8 whatever the locale. A byte that is not UTF-8 reads as
-    # a lone surrogate, which parse_message answers with -32700.
+    # The wire is UTF-8 whatever the locale (stdout: see main). A byte that is
+    # not UTF-8 reads as a lone surrogate, which parse_message answers with -32700.
     if hasattr(sys.stdin, "reconfigure"):
         sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
-    if hasattr(sys.stdout, "reconfigure"):
-        sys.stdout.reconfigure(encoding="utf-8")
     server = StdioServer(dispatcher, sys.stdin, sys.stdout, concurrency=concurrency)
     try:
         return server.run()
@@ -201,6 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(sys.stdout, "reconfigure"):  # every command prints UTF-8 whatever the locale
+        sys.stdout.reconfigure(encoding="utf-8")
     try:
         return args.func(args)
     except ConfigError as exc:

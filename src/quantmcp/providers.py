@@ -211,19 +211,41 @@ def synthetic_value(code: str, field_name: str, day: dt.date, seed: int) -> floa
     return _SCALERS[field_name]((fnv1a64(key.encode("utf-8")) % 1_000_000) / 1_000_000)
 
 
+_TAIL_TABLES: dict[bytes, list[int]] = {}  # cell key tail DD|seed -> its _tail_table
+
+
+def _tail_table(tail: bytes) -> list[int]:
+    """``T`` with ``fnv1a64(tail, h) == (h * FNV_PRIME**len(tail) + T[h & 255]) mod 2**64``.
+
+    Built on first use and kept in ``_TAIL_TABLES``. A seed has at most 31
+    tails, one per day of the month, so the cache holds at most 31 tables
+    per configured seed. Two threads that race on one tail build the same
+    table twice.
+    """
+    table = _TAIL_TABLES.get(tail)
+    if table is None:
+        step = pow(FNV_PRIME, len(tail), 1 << 64)
+        table = _TAIL_TABLES[tail] = [(fnv1a64(tail, lo) - lo * step) & _U64 for lo in range(256)]
+    return table
+
+
 def _fetch_synthetic(config: ProviderConfig, query: DataQuery) -> Rows:
     """``synthetic_value`` for every cell, folding each shared key prefix once.
 
     A cell's key is ``code|field|YYYY-MM-DD|seed``. ``code|field|`` is folded
-    once per (code, field) and ``YYYY-MM-`` on from that once per month; each
-    cell then folds only its ``DD|seed`` tail, built once per day, inline.
+    once per (code, field) and ``YYYY-MM-`` on from that once per month. XOR
+    with a byte and multiplication mod 2**64 never carry bits downward, so the
+    low byte of each FNV step depends only on the low byte of the state
+    before it; the ``DD|seed`` tail then folds by one lookup in its
+    ``_tail_table``.
     """
     seed = config.seed
+    step = pow(FNV_PRIME, len(b"01|%d" % seed), 1 << 64)  # every tail has this length
     months = [
-        (head.encode("utf-8"), [(day, b"%02d|%d" % (day.day, seed)) for day in days])
+        (head.encode("utf-8"), [(day, _tail_table(b"%02d|%d" % (day.day, seed))) for day in days])
         for head, days in itertools.groupby(query.days, key=lambda day: day.isoformat()[:8])
     ]
-    prime, mask = FNV_PRIME, _U64
+    mask = _U64
     rows: Rows = {}
     for code in query.codes:
         prefixes = [(f, _SCALERS[f], fnv1a64(f"{code}|{f}|".encode("utf-8"))) for f in query.fields]
@@ -231,11 +253,9 @@ def _fetch_synthetic(config: ProviderConfig, query: DataQuery) -> Rows:
         for head, days in months:
             for f, scale, prefix in prefixes:
                 state = fnv1a64(head, prefix)
-                for day, tail in days:
-                    h = state
-                    for byte in tail:
-                        h = ((h ^ byte) * prime) & mask
-                    by_day[day][f] = scale((h % 1_000_000) / 1_000_000)
+                base, lo = state * step, state & 255
+                for day, table in days:
+                    by_day[day][f] = scale((((base + table[lo]) & mask) % 1_000_000) / 1_000_000)
     return rows
 
 

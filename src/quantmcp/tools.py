@@ -226,29 +226,29 @@ def tool_compute_summary(args: ValidatedArgs, ctx: ToolContext) -> ToolResult:
         )
     if "records" in values:
         rows = values["records"]
-    else:
+        numbers, violations = [(f, []) for f in summarize_fields], []  # one list per name, repeats included
+        for i, row in enumerate(rows):
+            for f, nums in numbers:
+                if (v := row.get(f)) is None:
+                    continue
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    violations.append(f"records[{i}].{f}: expected number or null")
+                elif isinstance(v, int) and abs(v) > sys.float_info.max:
+                    violations.append(f"records[{i}].{f}: integer beyond the largest double")
+                else:
+                    nums.append(float(v))
+    else:  # server-built records hold a number or null in every field but the strings code and timestamp
         validated = validate_arguments(HISTORICAL_DESCRIPTOR, values["query"])
         out = _run_query(ctx, validated.values, "historical", prefix="query.")
         if isinstance(out, ToolResult):
             return out
         rows = out[0]
+        text = [f for f in summarize_fields if f in ("code", "timestamp")]
+        violations = [f"records[{i}].{f}: expected number or null" for i in range(len(rows)) for f in text]
+        numbers = [(f, [float(v) for row in rows if (v := row.get(f)) is not None])
+                   for f in summarize_fields if f not in text]  # unread when text is not empty
     if not rows:
         return _error_result("empty_input", "no records to summarize")
-    # One list per requested name, repeats included; one row-major pass over
-    # the cells keeps the violations in record order.
-    numbers: list[tuple[str, list[float]]] = [(f, []) for f in summarize_fields]
-    violations = []
-    for i, row in enumerate(rows):
-        for f, nums in numbers:
-            v = row.get(f)
-            if v is None:
-                continue
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                violations.append(f"records[{i}].{f}: expected number or null")
-            elif isinstance(v, int) and abs(v) > sys.float_info.max:
-                violations.append(f"records[{i}].{f}: integer beyond the largest double")
-            else:
-                nums.append(float(v))
     if violations:
         raise ValidationError("records hold non-numeric values", data={"violations": violations})
     summaries: list[dict[str, Any]] = []

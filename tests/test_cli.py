@@ -254,6 +254,19 @@ def test_serve_speaks_utf8_whatever_the_locale(io_encoding, data, expected):
     assert answers[-1]["result"]["serverInfo"]["name"] == "quantmcp"
 
 
+def test_call_prints_utf8_whatever_the_locale():
+    params = json.dumps({"codes": ["宁"], "fields": ["close"], "as_of": "2024-01-05"}, ensure_ascii=False)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quantmcp", "call", "tool_get_quote", params, "--config", SYNTH_CONF],
+        capture_output=True,
+        timeout=30,
+        cwd=str(REPO_ROOT),
+        env=dict(src_env(), PYTHONIOENCODING="ascii"),
+    )
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    assert [r["code"] for r in json.loads(proc.stdout.decode("utf-8"))["records"]] == ["宁"]
+
+
 def test_serve_with_invalid_config_exits_2(tmp_path):
     bad = tmp_path / "bad.conf"
     bad.write_text("[provider.s]\nkind = nope\n")

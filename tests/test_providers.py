@@ -23,8 +23,10 @@ from stub_provider import stub_rows_server
 
 from quantmcp.errors import ConfigError, CredentialMissing, ProviderFailure, ValidationError
 from quantmcp.normalize import normalize_payload
+from quantmcp import providers
 from quantmcp.providers import (
     CANONICAL_FIELDS,
+    FNV_PRIME,
     DataQuery,
     ProviderConfig,
     fetch_historical,
@@ -97,6 +99,17 @@ def test_fnv1a64_matches_reference_constants():
 def test_fnv1a64_folds_on_from_a_prefix_state():
     for prefix, suffix in [(b"", b""), (b"300750.SZ|close|", b"2024-01-02|0"), ("贵州|turn|".encode(), b"x")]:
         assert fnv1a64(suffix, fnv1a64(prefix)) == fnv1a64_oracle(prefix + suffix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=st.integers(0, 2**64 - 1), prefix=st.binary(max_size=12), tail=st.binary(max_size=24))
+def test_a_tail_folds_by_one_table_lookup_from_any_state(h, prefix, tail):
+    def fold(state: int) -> int:
+        table = providers._tail_table(tail)
+        return (state * FNV_PRIME ** len(tail) + table[state & 255]) % 2**64
+
+    assert fold(h) == fnv1a64(tail, h)
+    assert fold(fnv1a64(prefix)) == fnv1a64_oracle(prefix + tail)
 
 
 def test_synthetic_values_match_the_committed_golden_file():
@@ -219,6 +232,41 @@ def test_synthetic_fetch_equals_synthetic_value_for_generated_queries(
     end = first_of_month + dt.timedelta(days=forward)
     query = _query(codes=codes, fields=fields, start_date=start, end_date=end)
     _assert_synthetic_cells(fetch_historical(config, query, EMPTY_STORE).rows, query, seed)
+
+
+def test_the_tail_cache_holds_one_table_per_day_of_the_month_for_a_seed():
+    seed = 987_654_321
+    config = ProviderConfig(id="synth", kind="synthetic", seed=seed)
+    for start, end in [(dt.date(2019, 1, 1), dt.date(2023, 12, 31)), (dt.date(2020, 2, 3), dt.date(2020, 7, 9))]:
+        fetch_historical(config, _query(fields=["close"], start_date=start, end_date=end), EMPTY_STORE)
+        tails = {t for t in providers._TAIL_TABLES if t.endswith(b"|%d" % seed)}
+        assert tails == {b"%02d|%d" % (day, seed) for day in range(1, 32)}
+
+
+def test_threads_racing_to_build_the_tail_tables_all_get_the_reference_values():
+    seed = 123_456_789_012  # no other test uses it, so these threads build its tables
+    config = ProviderConfig(id="synth", kind="synthetic", seed=seed)
+    query = _query(
+        codes=["A", "B"], fields=["close", "volume"], start_date=dt.date(2024, 1, 1), end_date=dt.date(2024, 2, 29)
+    )
+    results = [None] * 6
+
+    def fetch(i: int) -> None:
+        results[i] = fetch_historical(config, query, EMPTY_STORE).rows
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fetch, args=(i,)) for i in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for rows in results:
+        _assert_synthetic_cells(rows, query, seed)
 
 
 def test_query_validation_reports_unknown_fields():

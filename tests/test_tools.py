@@ -486,6 +486,26 @@ def test_query_backed_summary_of_the_code_field_is_a_validation_error(ctx):
     assert excinfo.value.data["violations"][0] == "records[0].code: expected number or null"
 
 
+@pytest.mark.parametrize(
+    "summarize_fields",
+    [["close", "volume"], ["turn", "code", "close", "timestamp"], ["timestamp", "timestamp"], ["high", "volume", "high"]],
+)
+def test_query_backed_summary_equals_the_summary_of_its_records_inline(ctx, summarize_fields):
+    # server-built records are checked per field name, inline ones per cell; the
+    # json text also pins volume's min and max as floats on both paths
+    query = dict(Q1_ARGS, fields=["close", "volume", "turn"], options="Fill=Blank")
+    records = tool_get_historical_data(_validated("tool_get_historical_data", query), ctx).content["records"]
+
+    def summary_json(arguments):
+        try:
+            out = _call_summary(ctx, dict(arguments, summarize_fields=summarize_fields)).content
+        except ValidationError as exc:
+            out = exc.data
+        return json.dumps(out)
+
+    assert summary_json({"query": query}) == summary_json({"records": records})
+
+
 def test_non_numeric_record_values_are_rejected(ctx):
     records = [{"code": "A", "timestamp": "t", "close": "180.50"}]
     with pytest.raises(ValidationError) as excinfo:
