@@ -88,7 +88,7 @@ def normalize_payload(
                 f"provider {raw.provider_id!r} returned rows outside the query contract for code={code!r}"
             )
     suffix = " " + close_time.strftime("%H:%M:%S")
-    stamps = [(day, day.isoformat() + suffix) for day in query.days]
+    stamps = [(d, iso + suffix) for (days, isos, _), i, j in query.months for d, iso in zip(days[i:j], isos[i:j])]
     no_row = dict.fromkeys(query.fields)
     records = []
     for code in sorted(query.codes):

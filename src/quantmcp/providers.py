@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import itertools
 import math
 import os
 import string
 import sys
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Any, Callable
 from urllib.parse import quote
 
@@ -151,12 +151,27 @@ class DataQuery:
             raise ValidationError("invalid query", data={"violations": violations})
 
     @cached_property
+    def months(self) -> list[tuple[Month, int, int]]:
+        """The trading days as ``(entry, i, j)``: ``entry[k][i:j]`` of each ``_month`` entry holding any."""
+        start, end = self.start_date, self.end_date
+        first, last = start.year * 12 + start.month - 1, end.year * 12 + end.month - 1
+        slices = []
+        for n in range(first, last + 1):
+            days = (entry := _month(n // 12, n % 12 + 1))[0]
+            i = bisect_left(days, start) if n == first else 0
+            j = bisect_right(days, end) if n == last else len(days)
+            if i < j:
+                slices.append((entry, i, j))
+        return slices
+
+    @cached_property
     def days(self) -> list[dt.date]:
-        """The query's trading days, computed once per query."""
-        return trading_days(self.start_date, self.end_date)
+        """The query's trading days, ascending."""
+        return [day for (days, _, _), i, j in self.months for day in days[i:j]]
 
 
 Rows = dict[str, dict[dt.date, dict[str, Any]]]  # code -> day -> {canonical field: value}
+Month = tuple[tuple[dt.date, ...], tuple[str, ...], bytes]  # weekdays, their ISO strings, b"YYYY-MM-"
 
 
 @dataclass(frozen=True)
@@ -168,18 +183,21 @@ class RawProviderPayload:
     fetched_at: str
 
 
+@lru_cache(maxsize=1200)  # clients choose the months, so the memo shared by all queries is bounded
+def _month(year: int, month: int) -> Month:
+    """One month's weekdays, their ISO strings and ``b"YYYY-MM-"``; builds no date past the month."""
+    first = dt.date(year, month, 1)
+    length = 31 if month == 12 else (first.replace(month=month + 1) - first).days
+    head = "%04d-%02d-" % (year, month)
+    days = [d for d in range(1, length + 1) if (first.weekday() + d - 1) % 7 < 5]
+    return tuple(dt.date(year, month, d) for d in days), tuple(head + "%02d" % d for d in days), head.encode()
+
+
 def trading_days(start: dt.date, end: dt.date) -> list[dt.date]:
     """All Mondays through Fridays in [start, end], ascending."""
     if start > end:
         raise ValidationError("start_date must not be after end_date")
-    days = []
-    day = start
-    one = dt.timedelta(days=1)
-    while day <= end:
-        if day.weekday() < 5:
-            days.append(day)
-        day += one
-    return days
+    return DataQuery([], [], start, end).days
 
 
 def _price(u: float) -> float:
@@ -211,22 +229,16 @@ def synthetic_value(code: str, field_name: str, day: dt.date, seed: int) -> floa
     return _SCALERS[field_name]((fnv1a64(key.encode("utf-8")) % 1_000_000) / 1_000_000)
 
 
-_TAIL_TABLES: dict[bytes, list[int]] = {}  # cell key tail DD|seed -> its _tail_table
-
-
 def _tail_table(tail: bytes) -> list[int]:
-    """``T`` with ``fnv1a64(tail, h) == (h * FNV_PRIME**len(tail) + T[h & 255]) mod 2**64``.
+    """``T`` with ``fnv1a64(tail, h) == (h * FNV_PRIME**len(tail) + T[h & 255]) mod 2**64``."""
+    step = pow(FNV_PRIME, len(tail), 1 << 64)
+    return [(fnv1a64(tail, lo) - lo * step) & _U64 for lo in range(256)]
 
-    Built on first use and kept in ``_TAIL_TABLES``. A seed has at most 31
-    tails, one per day of the month, so the cache holds at most 31 tables
-    per configured seed. Two threads that race on one tail build the same
-    table twice.
-    """
-    table = _TAIL_TABLES.get(tail)
-    if table is None:
-        step = pow(FNV_PRIME, len(tail), 1 << 64)
-        table = _TAIL_TABLES[tail] = [(fnv1a64(tail, lo) - lo * step) & _U64 for lo in range(256)]
-    return table
+
+@lru_cache(maxsize=4)
+def _tail_tables(seed: int) -> list[list[int]]:
+    """The ``_tail_table`` of each cell key tail ``DD|seed``, at index ``DD - 1``, for recent seeds."""
+    return [_tail_table(b"%02d|%d" % (day, seed)) for day in range(1, 32)]
 
 
 def _fetch_synthetic(config: ProviderConfig, query: DataQuery) -> Rows:
@@ -239,12 +251,9 @@ def _fetch_synthetic(config: ProviderConfig, query: DataQuery) -> Rows:
     before it; the ``DD|seed`` tail then folds by one lookup in its
     ``_tail_table``.
     """
-    seed = config.seed
-    step = pow(FNV_PRIME, len(b"01|%d" % seed), 1 << 64)  # every tail has this length
-    months = [
-        (head.encode("utf-8"), [(day, _tail_table(b"%02d|%d" % (day.day, seed))) for day in days])
-        for head, days in itertools.groupby(query.days, key=lambda day: day.isoformat()[:8])
-    ]
+    tables = _tail_tables(config.seed)
+    step = pow(FNV_PRIME, len(b"01|%d" % config.seed), 1 << 64)  # every tail has this length
+    months = [(head, [(day, tables[day.day - 1]) for day in days[i:j]]) for (days, _, head), i, j in query.months]
     mask = _U64
     rows: Rows = {}
     for code in query.codes:

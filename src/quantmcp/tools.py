@@ -123,7 +123,7 @@ def fetch_normalized(
     or fetching. Raises RateLimitedError on a denied acquire and propagates
     provider errors; callers decide how those surface.
     """
-    if not query.days:
+    if not query.months:
         records, fetched_at, cache_hit = [], ctx.wall_clock().isoformat(), False
     else:
         decision = ctx.rate_limiter.acquire(provider.id, ctx.mono_clock())

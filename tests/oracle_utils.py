@@ -20,7 +20,8 @@ def fnv1a64_oracle(data: bytes) -> int:
 
 def synthetic_value_oracle(code: str, field: str, day: dt.date, seed: int) -> float | int:
     """Recompute a synthetic market value directly from its definition."""
-    key = "{}|{}|{}|{}".format(code, field, day.strftime("%Y-%m-%d"), seed)
+    ymd = "%04d-%02d-%02d" % (day.year, day.month, day.day)  # strftime's %Y drops the zeros of years < 1000 on glibc
+    key = "{}|{}|{}|{}".format(code, field, ymd, seed)
     u = (fnv1a64_oracle(key.encode("utf-8")) % 1000000) / 1000000.0
     if field in ("close", "open", "high", "low"):
         return round(100 + 100 * u, 2)

@@ -58,7 +58,8 @@ def stub_rows_server(
             pass  # clients abandoning a connection (timeout tests) are expected
 
     server = _QuietServer(("127.0.0.1", 0), _make_handler(state))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll, since shutdown() waits up to one poll interval
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True)
     thread.start()
     try:
         host, port = server.server_address

@@ -168,6 +168,14 @@ def test_close_time_is_stamped_from_config():
     assert records[0]["timestamp"] == "2024-01-02 16:30:00"
 
 
+def test_every_stamp_is_the_iso_day_then_the_configured_close_time():
+    query = _query(codes=["A", "B"], start_date=dt.date(2023, 12, 20), end_date=dt.date(2024, 3, 4))
+    records = normalize_payload(_payload({}), query, dt.time(9, 5, 7))
+    days = [day.isoformat() + " 09:05:07" for day in query.days]
+    assert len(days) == 54
+    assert [r["timestamp"] for r in records] == days + days
+
+
 def test_record_list_serializes_to_json_and_back():
     config = ProviderConfig(id="synth", kind="synthetic", seed=5)
     query = _query(fields=["close", "volume"], end_date=dt.date(2024, 1, 9))

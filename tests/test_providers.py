@@ -85,6 +85,28 @@ def test_inverted_range_is_a_validation_error():
         trading_days(dt.date(2024, 1, 2), dt.date(2024, 1, 1))
 
 
+@settings(max_examples=200, deadline=None)
+@given(start=st.dates(), span=st.integers(0, 800))
+def test_trading_days_and_the_month_slices_match_the_oracle_on_any_range(start, span):
+    end = start + dt.timedelta(days=min(span, (dt.date.max - start).days))  # clipped at date.max
+    expected = weekdays_oracle(start, end)
+    assert trading_days(start, end) == expected
+    query = _query(start_date=start, end_date=end)
+    assert [day for (days, _, _), i, j in query.months for day in days[i:j]] == expected == query.days
+    for (days, isos, head), _, _ in query.months:
+        assert list(isos) == [day.isoformat() for day in days]
+        assert {head} == {day.isoformat()[:8].encode() for day in days}
+
+
+def test_the_month_memo_stays_bounded_over_more_months_than_it_holds():
+    start, end = dt.date(1800, 1, 1), dt.date(1905, 12, 31)  # 1,272 months
+    query = _query(start_date=start, end_date=end)
+    assert len(query.months) == 1_272
+    assert providers._month.cache_info().currsize <= 1_200
+    assert query.days == weekdays_oracle(start, end)
+    assert trading_days(start, dt.date(1800, 1, 31)) == weekdays_oracle(start, dt.date(1800, 1, 31))  # evicted, rebuilt
+
+
 # --- synthetic values ---------------------------------------------------------
 
 
@@ -239,8 +261,19 @@ def test_the_tail_cache_holds_one_table_per_day_of_the_month_for_a_seed():
     config = ProviderConfig(id="synth", kind="synthetic", seed=seed)
     for start, end in [(dt.date(2019, 1, 1), dt.date(2023, 12, 31)), (dt.date(2020, 2, 3), dt.date(2020, 7, 9))]:
         fetch_historical(config, _query(fields=["close"], start_date=start, end_date=end), EMPTY_STORE)
-        tails = {t for t in providers._TAIL_TABLES if t.endswith(b"|%d" % seed)}
-        assert tails == {b"%02d|%d" % (day, seed) for day in range(1, 32)}
+        hits = providers._tail_tables.cache_info().hits
+        tables = providers._tail_tables(seed)
+        assert providers._tail_tables.cache_info().hits == hits + 1  # the fetch left them cached
+        assert tables == [providers._tail_table(b"%02d|%d" % (day, seed)) for day in range(1, 32)]
+
+
+def test_the_tail_cache_keeps_the_tables_of_a_bounded_number_of_seeds():
+    query = _query(fields=["close"], start_date=dt.date(2024, 1, 1), end_date=dt.date(2024, 1, 31))
+    limit = providers._tail_tables.cache_info().maxsize
+    for seed in range(4_000, 4_000 + 3 * limit):
+        config = ProviderConfig(id="synth", kind="synthetic", seed=seed)
+        _assert_synthetic_cells(fetch_historical(config, query, EMPTY_STORE).rows, query, seed)
+        assert providers._tail_tables.cache_info().currsize <= limit
 
 
 def test_threads_racing_to_build_the_tail_tables_all_get_the_reference_values():

@@ -80,6 +80,19 @@ def test_weekend_only_range_is_a_successful_empty_result(ctx):
     assert "no trading days" in result.human_summary
 
 
+@pytest.mark.parametrize(
+    "start, end", [(dt.date(9999, 12, 13), dt.date.max), (dt.date.min, dt.date(1, 1, 19))]
+)
+def test_ranges_at_either_end_of_the_calendar_are_served(ctx, start, end):
+    args = dict(Q1_ARGS, start_date=start.isoformat(), end_date=end.isoformat())
+    result = _call_historical(ctx, args)
+    assert not result.is_error
+    days = weekdays_oracle(start, end)
+    records = result.content["records"]
+    assert [r["timestamp"] for r in records] == [f"{d.isoformat()} 15:00:00" for d in days]
+    assert [r["close"] for r in records] == [synthetic_value_oracle("300750.SZ", "close", d, 0) for d in days]
+
+
 def test_unreachable_http_provider_is_a_tool_level_error():
     http = ProviderConfig(
         id="alpha",
@@ -234,6 +247,17 @@ def test_saturday_as_of_resolves_to_friday(ctx):
 def test_trading_day_as_of_uses_that_day(ctx):
     result = _call_quote(ctx, {"codes": ["300750.SZ"], "fields": ["close"], "as_of": "2024-01-05"})
     assert result.content["records"][0]["timestamp"] == "2024-01-05 15:00:00"
+
+
+def test_as_of_the_last_day_of_the_calendar_is_quoted(ctx):
+    result = _call_quote(ctx, {"codes": ["300750.SZ"], "fields": ["close"], "as_of": "9999-12-31"})
+    assert result.content["records"] == [
+        {
+            "code": "300750.SZ",
+            "timestamp": "9999-12-31 15:00:00",
+            "close": synthetic_value_oracle("300750.SZ", "close", dt.date.max, 0),
+        }
+    ]
 
 
 def test_as_of_defaults_to_the_server_clock():
@@ -408,6 +432,16 @@ def test_q1_means_match_brute_force_recomputation(ctx):
         assert abs(summaries[field]["mean"] - mean_oracle(values)) <= 1e-9
         assert summaries[field]["min"] == min(values)
         assert summaries[field]["max"] == max(values)
+
+
+def test_summary_of_a_query_ending_on_the_last_day_of_the_calendar(ctx):
+    args = dict(Q1_ARGS, start_date="9999-12-01", end_date="9999-12-31")
+    result = _call_summary(ctx, {"query": args, "summarize_fields": ["close"]})
+    assert not result.is_error
+    days = weekdays_oracle(dt.date(9999, 12, 1), dt.date.max)
+    values = [synthetic_value_oracle("300750.SZ", "close", d, 0) for d in days]
+    (stats,) = result.content["summaries"]
+    assert (stats["count"], stats["min"], stats["max"]) == (23, min(values), max(values))
 
 
 def test_single_record_statistics():
