@@ -119,6 +119,11 @@ class ProviderConfig:
         if self.retries < 0:
             raise ConfigError(f"provider.{self.id}.retries: must be >= 0")
 
+    @cached_property
+    def tail_tables(self) -> list[list[int]]:
+        """The ``_tail_table`` of each synthetic cell key tail ``DD|seed``, at index ``DD - 1``."""
+        return [_tail_table(b"%02d|%d" % (day, self.seed)) for day in range(1, 32)]
+
 
 @dataclass(frozen=True)
 class DataQuery:
@@ -152,17 +157,8 @@ class DataQuery:
 
     @cached_property
     def months(self) -> list[tuple[Month, int, int]]:
-        """The trading days as ``(entry, i, j)``: ``entry[k][i:j]`` of each ``_month`` entry holding any."""
-        start, end = self.start_date, self.end_date
-        first, last = start.year * 12 + start.month - 1, end.year * 12 + end.month - 1
-        slices = []
-        for n in range(first, last + 1):
-            days = (entry := _month(n // 12, n % 12 + 1))[0]
-            i = bisect_left(days, start) if n == first else 0
-            j = bisect_right(days, end) if n == last else len(days)
-            if i < j:
-                slices.append((entry, i, j))
-        return slices
+        """The query's trading days as ``_month_slices``."""
+        return _month_slices(self.start_date, self.end_date)
 
     @cached_property
     def days(self) -> list[dt.date]:
@@ -193,11 +189,24 @@ def _month(year: int, month: int) -> Month:
     return tuple(dt.date(year, month, d) for d in days), tuple(head + "%02d" % d for d in days), head.encode()
 
 
+def _month_slices(start: dt.date, end: dt.date) -> list[tuple[Month, int, int]]:
+    """The weekdays in [start, end] as ``(entry, i, j)``: ``entry[k][i:j]`` of each ``_month`` entry holding any."""
+    first, last = start.year * 12 + start.month - 1, end.year * 12 + end.month - 1
+    slices = []
+    for n in range(first, last + 1):
+        days = (entry := _month(n // 12, n % 12 + 1))[0]
+        i = bisect_left(days, start) if n == first else 0
+        j = bisect_right(days, end) if n == last else len(days)
+        if i < j:
+            slices.append((entry, i, j))
+    return slices
+
+
 def trading_days(start: dt.date, end: dt.date) -> list[dt.date]:
     """All Mondays through Fridays in [start, end], ascending."""
     if start > end:
         raise ValidationError("start_date must not be after end_date")
-    return DataQuery([], [], start, end).days
+    return [day for (days, _, _), i, j in _month_slices(start, end) for day in days[i:j]]
 
 
 def _price(u: float) -> float:
@@ -235,12 +244,6 @@ def _tail_table(tail: bytes) -> list[int]:
     return [(fnv1a64(tail, lo) - lo * step) & _U64 for lo in range(256)]
 
 
-@lru_cache(maxsize=4)
-def _tail_tables(seed: int) -> list[list[int]]:
-    """The ``_tail_table`` of each cell key tail ``DD|seed``, at index ``DD - 1``, for recent seeds."""
-    return [_tail_table(b"%02d|%d" % (day, seed)) for day in range(1, 32)]
-
-
 def _fetch_synthetic(config: ProviderConfig, query: DataQuery) -> Rows:
     """``synthetic_value`` for every cell, folding each shared key prefix once.
 
@@ -251,7 +254,7 @@ def _fetch_synthetic(config: ProviderConfig, query: DataQuery) -> Rows:
     before it; the ``DD|seed`` tail then folds by one lookup in its
     ``_tail_table``.
     """
-    tables = _tail_tables(config.seed)
+    tables = config.tail_tables
     step = pow(FNV_PRIME, len(b"01|%d" % config.seed), 1 << 64)  # every tail has this length
     months = [(head, [(day, tables[day.day - 1]) for day in days[i:j]]) for (days, _, head), i, j in query.months]
     mask = _U64

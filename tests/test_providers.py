@@ -261,23 +261,13 @@ def test_the_tail_cache_holds_one_table_per_day_of_the_month_for_a_seed():
     config = ProviderConfig(id="synth", kind="synthetic", seed=seed)
     for start, end in [(dt.date(2019, 1, 1), dt.date(2023, 12, 31)), (dt.date(2020, 2, 3), dt.date(2020, 7, 9))]:
         fetch_historical(config, _query(fields=["close"], start_date=start, end_date=end), EMPTY_STORE)
-        hits = providers._tail_tables.cache_info().hits
-        tables = providers._tail_tables(seed)
-        assert providers._tail_tables.cache_info().hits == hits + 1  # the fetch left them cached
+        tables = config.__dict__["tail_tables"]  # the fetch left them cached on the config
+        assert config.tail_tables is tables
         assert tables == [providers._tail_table(b"%02d|%d" % (day, seed)) for day in range(1, 32)]
 
 
-def test_the_tail_cache_keeps_the_tables_of_a_bounded_number_of_seeds():
-    query = _query(fields=["close"], start_date=dt.date(2024, 1, 1), end_date=dt.date(2024, 1, 31))
-    limit = providers._tail_tables.cache_info().maxsize
-    for seed in range(4_000, 4_000 + 3 * limit):
-        config = ProviderConfig(id="synth", kind="synthetic", seed=seed)
-        _assert_synthetic_cells(fetch_historical(config, query, EMPTY_STORE).rows, query, seed)
-        assert providers._tail_tables.cache_info().currsize <= limit
-
-
 def test_threads_racing_to_build_the_tail_tables_all_get_the_reference_values():
-    seed = 123_456_789_012  # no other test uses it, so these threads build its tables
+    seed = 123_456_789_012  # a fresh config, so these threads race to build its tables
     config = ProviderConfig(id="synth", kind="synthetic", seed=seed)
     query = _query(
         codes=["A", "B"], fields=["close", "volume"], start_date=dt.date(2024, 1, 1), end_date=dt.date(2024, 2, 29)
