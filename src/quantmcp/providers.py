@@ -209,19 +209,20 @@ def trading_days(start: dt.date, end: dt.date) -> list[dt.date]:
     return [day for (days, _, _), i, j in _month_slices(start, end) for day in days[i:j]]
 
 
-def _price(u: float) -> float:
-    return round(100 + 100 * u, 2)
-
-
-# Each field's scaling of a unit value in [0, 1) into a plausible range.
-_SCALERS: dict[str, Callable[[float], float | int]] = {
-    "close": _price,
-    "open": _price,
-    "high": _price,
-    "low": _price,
-    "volume": lambda u: math.floor(1_000_000 * u),
-    "pb_lf": lambda u: round(1 + 9 * u, 3),
-    "turn": lambda u: round(10 * u, 4),
+# Each field's scaling of a column of residues ``k`` in [0, 10**6) into a plausible range; each
+# equals the ``round`` in its tie branch for every ``k`` (see ``_fetch_synthetic``).
+_SCALE: dict[str, Callable[[list[int]], list]] = dict.fromkeys(
+    ("close", "open", "high", "low"),
+    lambda ks: [
+        (10000 + (k + 49) // 100) / 100 if k % 100 != 50 else round(100 + 100 * (k / 1_000_000), 2) for k in ks
+    ],
+) | {
+    "volume": lambda ks: [math.floor(1_000_000 * (k / 1_000_000)) for k in ks],  # not k for 11,549 of them
+    "pb_lf": lambda ks: [
+        (1000 + (9 * k + 499) // 1000) / 1000 if 9 * k % 1000 != 500 else round(1 + 9 * (k / 1_000_000), 3)
+        for k in ks
+    ],
+    "turn": lambda ks: [(k + 4) // 10 / 10000 if k % 10 != 5 else round(10 * (k / 1_000_000), 4) for k in ks],
 }
 
 
@@ -235,7 +236,7 @@ def synthetic_value(code: str, field_name: str, day: dt.date, seed: int) -> floa
     if field_name not in CANONICAL_FIELDS:
         raise ValidationError(f"unknown field {field_name!r}")
     key = f"{code}|{field_name}|{day.isoformat()}|{seed}"
-    return _SCALERS[field_name]((fnv1a64(key.encode("utf-8")) % 1_000_000) / 1_000_000)
+    return _SCALE[field_name]([fnv1a64(key.encode("utf-8")) % 1_000_000])[0]
 
 
 def _tail_table(tail: bytes) -> list[int]:
@@ -245,29 +246,38 @@ def _tail_table(tail: bytes) -> list[int]:
 
 
 def _fetch_synthetic(config: ProviderConfig, query: DataQuery) -> Rows:
-    """``synthetic_value`` for every cell, folding each shared key prefix once.
+    """``synthetic_value`` for every cell, folding each shared key prefix once and scaling by column.
 
-    A cell's key is ``code|field|YYYY-MM-DD|seed``. ``code|field|`` is folded
-    once per (code, field) and ``YYYY-MM-`` on from that once per month. XOR
-    with a byte and multiplication mod 2**64 never carry bits downward, so the
-    low byte of each FNV step depends only on the low byte of the state
-    before it; the ``DD|seed`` tail then folds by one lookup in its
-    ``_tail_table``.
+    A cell's key is ``code|field|YYYY-MM-DD|seed``. ``code|`` is folded once
+    per code, ``field|`` on from that once per (code, field) and ``YYYY-MM-``
+    on from that once per month. XOR with a byte and multiplication mod 2**64
+    never carry bits downward, so the low byte of each FNV step depends only
+    on the low byte of the state before it; the ``DD|seed`` tail then folds by
+    one lookup in its ``_tail_table``.
+
+    Each (code, field) column of residues ``k = hash mod 10**6`` is scaled in
+    one ``_SCALE`` call, in integer arithmetic equal to the ``round`` formula:
+    away from a tie the float error of ``100 + 100 * (k / 10**6)`` (about
+    1e-13) is far below the 0.005 gap to a rounding boundary, an int divided
+    by an int is correctly rounded as ``round``'s decimal-to-double step is,
+    and a tie falls back to ``round`` (checked for all 10**6 values of ``k``).
     """
     tables = config.tail_tables
     step = pow(FNV_PRIME, len(b"01|%d" % config.seed), 1 << 64)  # every tail has this length
-    months = [(head, [(day, tables[day.day - 1]) for day in days[i:j]]) for (days, _, head), i, j in query.months]
+    months = [(head, [tables[day.day - 1] for day in days[i:j]]) for (days, _, head), i, j in query.months]
     mask = _U64
     rows: Rows = {}
     for code in query.codes:
-        prefixes = [(f, _SCALERS[f], fnv1a64(f"{code}|{f}|".encode("utf-8"))) for f in query.fields]
         by_day = rows[code] = {day: {} for day in query.days}
-        for head, days in months:
-            for f, scale, prefix in prefixes:
+        cells, stem = list(by_day.values()), fnv1a64(f"{code}|".encode("utf-8"))
+        for f in query.fields:
+            prefix, ks = fnv1a64(f"{f}|".encode(), stem), []
+            for head, day_tables in months:
                 state = fnv1a64(head, prefix)
                 base, lo = state * step, state & 255
-                for day, table in days:
-                    by_day[day][f] = scale((((base + table[lo]) & mask) % 1_000_000) / 1_000_000)
+                ks += [((base + table[lo]) & mask) % 1_000_000 for table in day_tables]
+            for row, v in zip(cells, _SCALE[f](ks)):
+                row[f] = v
     return rows
 
 

@@ -22,7 +22,12 @@ def synthetic_value_oracle(code: str, field: str, day: dt.date, seed: int) -> fl
     """Recompute a synthetic market value directly from its definition."""
     ymd = "%04d-%02d-%02d" % (day.year, day.month, day.day)  # strftime's %Y drops the zeros of years < 1000 on glibc
     key = "{}|{}|{}|{}".format(code, field, ymd, seed)
-    u = (fnv1a64_oracle(key.encode("utf-8")) % 1000000) / 1000000.0
+    return scaled_value_oracle(field, fnv1a64_oracle(key.encode("utf-8")) % 1000000)
+
+
+def scaled_value_oracle(field: str, k: int) -> float | int:
+    """The synthetic value of ``field`` for the hash residue ``k = hash mod 1000000``."""
+    u = k / 1000000.0
     if field in ("close", "open", "high", "low"):
         return round(100 + 100 * u, 2)
     if field == "volume":

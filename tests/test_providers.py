@@ -18,7 +18,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import fnv1a64_oracle, synthetic_value_oracle, weekdays_oracle
+from oracle_utils import fnv1a64_oracle, scaled_value_oracle, synthetic_value_oracle, weekdays_oracle
 from stub_provider import stub_rows_server
 
 from quantmcp.errors import ConfigError, CredentialMissing, ProviderFailure, ValidationError
@@ -145,6 +145,45 @@ def test_synthetic_values_match_the_committed_golden_file():
         assert synthetic_value_oracle(case["code"], case["field"], day, case["seed"]) == case["value"]
 
 
+_ENDS = [*range(1000), *range(999_000, 10**6)]
+# Each rounding scaler's tie residues and their neighbours on either side: there the integer
+# quotient and the tie fallback must agree with ``round`` of the float formula.
+_NEAR_TIES = {
+    "price": [k for m in range(0, 10**6, 100) for k in (m + 49, m + 50, m + 51)],
+    "pb_lf": [k for k in range(10**6) if 9 * k % 1000 in (499, 500, 501)],
+    "turn": [k for m in range(0, 10**6, 10) for k in (m + 4, m + 5, m + 6)],
+}
+
+
+def _assert_scaled_like_the_oracle(fields: tuple[str, ...], ks: list[int]) -> None:
+    expected = list(map(scaled_value_oracle, [fields[0]] * len(ks), ks))  # one oracle formula for all ``fields``
+    for f in fields:
+        got = providers._SCALE[f](ks)
+        assert got == expected, f
+        assert set(map(type, got)) == set(map(type, expected)), f  # one type per field
+
+
+@pytest.mark.parametrize(
+    "fields, residues",
+    [
+        (("close", "open", "high", "low"), _NEAR_TIES["price"]),
+        # ``volume`` rounds nothing; these hold 399 k whose 10**6 * (k / 10**6) falls below k
+        (("volume",), _NEAR_TIES["price"] + _NEAR_TIES["pb_lf"]),
+        (("pb_lf",), _NEAR_TIES["pb_lf"]),
+        (("turn",), _NEAR_TIES["turn"]),
+    ],
+    ids=["prices", "volume", "pb_lf", "turn"],
+)
+def test_each_field_scales_its_near_tie_and_end_residues_like_the_oracle(fields, residues):
+    _assert_scaled_like_the_oracle(fields, _ENDS + residues)
+
+
+@settings(max_examples=30, deadline=None)
+@given(field=st.sampled_from(CANONICAL_FIELDS), ks=st.lists(st.integers(0, 10**6 - 1), min_size=1, max_size=40))
+def test_each_field_scales_any_column_of_residues_like_the_oracle(field, ks):
+    _assert_scaled_like_the_oracle((field,), ks)
+
+
 def test_synthetic_is_deterministic():
     day = dt.date(2024, 1, 2)
     assert synthetic_value("300750.SZ", "close", day, 0) == synthetic_value(
@@ -203,7 +242,7 @@ def test_synthetic_fetch_is_pure_given_seed_and_query():
 
 
 def _assert_synthetic_cells(rows, query: DataQuery, seed: int) -> None:
-    """Every (code, trading day, field) of ``query`` in order, each equal to ``synthetic_value``."""
+    """Every (code, trading day, field) of ``query`` in order, each equal to ``synthetic_value`` and the oracle."""
     days = trading_days(query.start_date, query.end_date)
     assert list(rows) == query.codes
     for code, by_day in rows.items():
@@ -214,6 +253,8 @@ def _assert_synthetic_cells(rows, query: DataQuery, seed: int) -> None:
                 expected = synthetic_value(code, f, day, seed)
                 got = row[f]
                 assert got == expected and type(got) is type(expected), (code, f, day)
+                oracle = synthetic_value_oracle(code, f, day, seed)
+                assert got == oracle and type(got) is type(oracle), (code, f, day)
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
