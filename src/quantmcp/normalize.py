@@ -1,20 +1,24 @@
-"""Canonical record normalization: options grammar, record shaping, fill.
+"""Canonical record normalization: options grammar, the records table, fill.
 
-Provider rows, already under canonical field names, are laid out on the
-query's calendar: one record per (code, trading day), sorted by (code,
-timestamp). Days a provider skipped are materialized as all-null records
-before any fill policy runs, so ``Fill=Previous`` is well-defined and output
-length is predictable from the query alone.
+Provider columns, already under canonical field names, become one table
+over the query's calendar: one record per (code, trading day), sorted by
+(code, timestamp). Days a provider skipped hold nulls before any fill
+policy runs, so ``Fill=Previous`` is well-defined and output length is
+predictable from the query alone.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from itertools import accumulate, chain, repeat
+from typing import Any, Iterable, Iterator
 
 from .errors import InternalError, ValidationError
 from .providers import DEFAULT_CLOSE_TIME, DataQuery, RawProviderPayload
+from .transport import PreEncoded, dumps
 
 RECOGNIZED_OPTIONS = {
     "PriceAdj": frozenset({"F", "B", "N"}),
@@ -70,70 +74,119 @@ def parse_options(text: str | None) -> OptionsMap:
     return OptionsMap(entries)
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class Records(PreEncoded, Sequence):
+    """A query result as one table: for each code, one column per field over the days.
+
+    As a sequence it is the wire's record dicts ``{code, timestamp, <field>...}`` in (code, day)
+    order, each built when read, and it equals their list. Nothing mutates it.
+    """
+
+    codes: tuple[str, ...]  # sorted
+    days: tuple[str, ...]  # ISO dates, ascending
+    suffix: str  # " HH:MM:SS", the time of day on every timestamp
+    fields: tuple[str, ...]  # query order
+    columns: tuple[tuple[list, ...], ...]  # per code, one column per field, one value per day
+
+    def __len__(self) -> int:
+        return len(self.codes) * len(self.days)
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        c, d = divmod(range(len(self))[index], len(self.days))
+        cells = (self.codes[c], self.days[d] + self.suffix, *(col[d] for col in self.columns[c]))
+        return dict(zip(("code", "timestamp", *self.fields), cells))
+
+    def __iter__(self) -> Iterator[dict[str, Any]]:
+        keys, stamps = ("code", "timestamp", *self.fields), [day + self.suffix for day in self.days]
+        for code, cols in zip(self.codes, self.columns):
+            for cells in zip(repeat(code), stamps, *cols):
+                yield dict(zip(keys, cells))
+
+    def __eq__(self, other: Any) -> bool:
+        if isinstance(other, Records):
+            other = list(other)
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+    def column(self, name: str) -> Iterable:
+        """The values of field ``name``, code-major in day order; all null for a field the table lacks."""
+        if name not in self.fields:
+            return repeat(None, len(self))
+        i = self.fields.index(name)
+        return chain.from_iterable(cols[i] for cols in self.columns)
+
+    def json_text(self) -> str:
+        """``dumps(list(self))``, from one record template and one ``dumps`` per column."""
+        keys = "".join("," + dumps(f).replace("%", "%%") + ":%s" for f in self.fields)
+        render = ('{"code":%s,"timestamp":"%s' + self.suffix + '"' + keys + "}").__mod__
+        items: list[str] = []
+        for code, cols in zip(self.codes, self.columns):
+            cells = [dumps(col)[1:-1].split(",") for col in cols]
+            items += map(render, zip(repeat(dumps(code)), self.days, *cells))
+        return "[" + ",".join(items) + "]"
+
+
 def normalize_payload(
     raw: RawProviderPayload, query: DataQuery, close_time: dt.time = DEFAULT_CLOSE_TIME
-) -> list[dict[str, Any]]:
-    """Lay ``raw.rows`` out as the per-(code, trading day) record list.
+) -> Records:
+    """Lay ``raw.rows`` out as the query's records table: codes sorted, days from the month memo.
 
-    Each record is the dict the wire carries, ``{code, timestamp, <field>...}``
-    with fields in query order. A code the query never asked for, or a date
-    outside the query range, is a provider contract breach and raises
-    InternalError. Only the query's trading days are read, so rows on other
-    days inside the range are ignored.
+    A code the query never asked for, a missing field or a column whose length is not the query's
+    day count is a provider contract breach and raises InternalError. A code with no columns holds nulls.
     """
-    start, end = query.start_date, query.end_date
-    for code, by_day in raw.rows.items():
-        if code not in query.codes or by_day and (min(by_day) < start or max(by_day) > end):
+    days = tuple(chain.from_iterable(isos[i:j] for (_, isos, _), i, j in query.months))
+    fields = tuple(query.fields)
+    by_code = {}
+    for code, by_field in raw.rows.items():
+        cols = tuple(map(by_field.get, fields))
+        if code not in query.codes or any(col is None or len(col) != len(days) for col in cols):
             raise InternalError(
                 f"provider {raw.provider_id!r} returned rows outside the query contract for code={code!r}"
             )
-    suffix = " " + close_time.strftime("%H:%M:%S")
-    stamps = [(d, iso + suffix) for (days, isos, _), i, j in query.months for d, iso in zip(days[i:j], isos[i:j])]
-    no_row = dict.fromkeys(query.fields)
-    records = []
-    for code in sorted(query.codes):
-        by_day = raw.rows.get(code, {})
-        records.extend(
-            {"code": code, "timestamp": stamp, **by_day.get(day, no_row)} for day, stamp in stamps
-        )
-    return records
+        by_code[code] = cols
+    nulls = ([None] * len(days),) * len(fields)
+    columns = tuple(by_code.get(code, nulls) for code in sorted(query.codes))
+    return Records(tuple(sorted(query.codes)), days, " " + close_time.strftime("%H:%M:%S"), fields, columns)
 
 
-def apply_fill(records: list[dict[str, Any]], policy: str, fields: Iterable[str]) -> list[dict[str, Any]]:
-    """Apply the fill policy to ``records`` (already sorted by code, timestamp).
+def _filled(column: list) -> list:
+    """``column`` with each null replaced by the last earlier non-null value; a leading null stays."""
+    return list(accumulate(column, lambda last, v: last if v is None else v)) if None in column else column
+
+
+def apply_fill(records: Records | list[dict[str, Any]], policy: str, fields: Iterable[str]) -> Any:
+    """Apply the fill policy to the ``fields`` columns of ``records``.
 
     ``Previous`` replaces each null with the most recent earlier non-null
     value of the same field for the same code; leading nulls stay null.
-    ``Blank`` returns the input unchanged. Non-null values are never touched,
-    so the operation is idempotent. Only a record that gains a value is
-    copied; the input list and its records are never mutated.
+    ``Blank`` returns the input as it is. Non-null values are never touched, so
+    the operation is idempotent, and the input is never mutated: a table comes
+    back as a new one sharing each column with no null. A list of record dicts
+    sorted by (code, timestamp) is filled through the columns of each code's
+    run, copying only a record that gains a value.
     """
     allowed = RECOGNIZED_OPTIONS["Fill"]
     if policy not in allowed:
         raise ValidationError(f"unknown fill policy {policy!r}", data={"allowed": sorted(allowed)})
     if policy == "Blank":
-        return list(records)
-    fill_fields = list(fields)
-    filled = []
-    last: dict[str, float | int] = {}
-    code = timestamp = None
-    for rec in records:
-        if rec["code"] != code:
-            if code is not None and rec["code"] < code:
-                raise InternalError("records must be sorted by (code, timestamp) before fill")
-            code = rec["code"]
-            last = {}
-        elif rec["timestamp"] < timestamp:
-            raise InternalError("records must be sorted by (code, timestamp) before fill")
-        timestamp = rec["timestamp"]
-        out = rec
-        for f in fill_fields:
-            v = rec.get(f)
-            if v is not None:
-                last[f] = v
-            elif f in last and f in rec:
-                if out is rec:
-                    out = dict(rec)
-                out[f] = last[f]
-        filled.append(out)
+        return records
+    wanted = set(fields)
+    if isinstance(records, Records):
+        columns = tuple(
+            tuple(_filled(col) if f in wanted else col for f, col in zip(records.fields, cols))
+            for cols in records.columns
+        )
+        return dataclasses.replace(records, columns=columns)
+    order = [(rec["code"], rec["timestamp"]) for rec in records]
+    if any(a > b for a, b in zip(order, order[1:])):
+        raise InternalError("records must be sorted by (code, timestamp) before fill")
+    filled = list(records)
+    ends = [i for i in range(1, len(order)) if order[i][0] != order[i - 1][0]] + [len(order)]
+    for lo, hi in zip([0, *ends], ends):
+        for f in wanted:
+            column = [rec.get(f) for rec in records[lo:hi]]
+            for i, (old, new) in enumerate(zip(column, _filled(column)), lo):
+                if old is None and new is not None and f in filled[i]:
+                    filled[i] = {**filled[i], f: new}
     return filled

@@ -166,13 +166,13 @@ class DataQuery:
         return [day for (days, _, _), i, j in self.months for day in days[i:j]]
 
 
-Rows = dict[str, dict[dt.date, dict[str, Any]]]  # code -> day -> {canonical field: value}
+Rows = dict[str, dict[str, list]]  # code -> canonical field -> one value per query day, None for a gap
 Month = tuple[tuple[dt.date, ...], tuple[str, ...], bytes]  # weekdays, their ISO strings, b"YYYY-MM-"
 
 
 @dataclass(frozen=True)
 class RawProviderPayload:
-    """Rows by query code then day, each holding the query's fields in order; days within range."""
+    """Columns by query code then canonical field, in query order, each as long as ``query.days``."""
 
     provider_id: str
     rows: Rows
@@ -240,9 +240,12 @@ def synthetic_value(code: str, field_name: str, day: dt.date, seed: int) -> floa
 
 
 def _tail_table(tail: bytes) -> list[int]:
-    """``T`` with ``fnv1a64(tail, h) == (h * FNV_PRIME**len(tail) + T[h & 255]) mod 2**64``."""
+    """``T`` with ``fnv1a64(tail, h) == (h * FNV_PRIME**len(tail) + T[h & 127]) mod 2**64`` for an ASCII ``tail``.
+
+    ``h + 128`` stays an odd multiple of 128 ahead of ``h`` through each FNV step on a byte below 128.
+    """
     step = pow(FNV_PRIME, len(tail), 1 << 64)
-    return [(fnv1a64(tail, lo) - lo * step) & _U64 for lo in range(256)]
+    return [(fnv1a64(tail, lo) - lo * step) & _U64 for lo in range(128)]
 
 
 def _fetch_synthetic(config: ProviderConfig, query: DataQuery) -> Rows:
@@ -252,8 +255,8 @@ def _fetch_synthetic(config: ProviderConfig, query: DataQuery) -> Rows:
     per code, ``field|`` on from that once per (code, field) and ``YYYY-MM-``
     on from that once per month. XOR with a byte and multiplication mod 2**64
     never carry bits downward, so the low byte of each FNV step depends only
-    on the low byte of the state before it; the ``DD|seed`` tail then folds by
-    one lookup in its ``_tail_table``.
+    on the low byte of the state before it; the ASCII ``DD|seed`` tail then
+    folds by one lookup in its ``_tail_table``, by the low 7 bits.
 
     Each (code, field) column of residues ``k = hash mod 10**6`` is scaled in
     one ``_SCALE`` call, in integer arithmetic equal to the ``round`` formula:
@@ -268,16 +271,25 @@ def _fetch_synthetic(config: ProviderConfig, query: DataQuery) -> Rows:
     mask = _U64
     rows: Rows = {}
     for code in query.codes:
-        by_day = rows[code] = {day: {} for day in query.days}
-        cells, stem = list(by_day.values()), fnv1a64(f"{code}|".encode("utf-8"))
+        by_field = rows[code] = {}
+        stem = fnv1a64(f"{code}|".encode("utf-8"))
         for f in query.fields:
             prefix, ks = fnv1a64(f"{f}|".encode(), stem), []
             for head, day_tables in months:
                 state = fnv1a64(head, prefix)
-                base, lo = state * step, state & 255
+                base, lo = state * step, state & 127
                 ks += [((base + table[lo]) & mask) % 1_000_000 for table in day_tables]
-            for row, v in zip(cells, _SCALE[f](ks)):
-                row[f] = v
+            by_field[f] = _SCALE[f](ks)
+    return rows
+
+
+def _columns(by_code: dict[str, dict[dt.date, dict[str, Any]]], query: DataQuery) -> Rows:
+    """Lay per-day rows out as ``Rows``: ``None`` on a day with no row, and a row on any other day ignored."""
+    no_row = dict.fromkeys(query.fields)
+    rows: Rows = {}
+    for code, by_day in by_code.items():
+        day_rows = [by_day.get(day, no_row) for day in query.days]
+        rows[code] = {f: [row[f] for row in day_rows] for f in query.fields}
     return rows
 
 
@@ -299,7 +311,7 @@ def _parse_cell(raw: str, column: str, config: ProviderConfig) -> float | None:
 
 def _fetch_csv(config: ProviderConfig, query: DataQuery) -> Rows:
     columns = [(f, config.field_map.get(f, f)) for f in query.fields]
-    rows: Rows = {code: {} for code in query.codes}
+    rows: dict[str, dict[dt.date, dict[str, Any]]] = {code: {} for code in query.codes}
     with open(config.csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
@@ -321,7 +333,7 @@ def _fetch_csv(config: ProviderConfig, query: DataQuery) -> Rows:
             if by_day is None or not query.start_date <= day <= query.end_date:
                 continue
             by_day[day] = {f: _parse_cell(rec.get(column, ""), column, config) for f, column in columns}
-    return rows
+    return _columns(rows, query)
 
 
 def _coerce_numeric(value: Any, column: str, config: ProviderConfig) -> float | int | None:
@@ -445,7 +457,7 @@ def _fetch_http(
     if "{apikey}" in config.base_url_template:
         apikey = credentials.resolve(config.credential_ref or config.id)
     codes = set(query.codes)
-    rows: Rows = {code: {} for code in query.codes}
+    rows: dict[str, dict[dt.date, dict[str, Any]]] = {code: {} for code in query.codes}
     pool = ThreadPoolExecutor(max_workers=min(len(query.codes), HTTP_POOL_SIZE))
     try:
         futures = [
@@ -455,7 +467,7 @@ def _fetch_http(
         for future in futures:
             for code, day, row in future.result():
                 rows[code][day] = row
-        return rows
+        return _columns(rows, query)
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
 
@@ -475,11 +487,10 @@ def fetch_historical(
     credentials: "CredentialStore",
     now: Callable[[], dt.datetime] | None = None,
 ) -> RawProviderPayload:
-    """Fetch canonical rows for ``query`` from the source described by ``config``.
+    """Fetch canonical columns for ``query`` from the source described by ``config``.
 
-    Synthetic sources yield one row per (code, trading day) with every
-    requested field populated; csv and http sources may leave gaps, which
-    downstream normalization materializes as nulls.
+    Synthetic sources fill every cell; csv and http sources leave ``None``
+    on each day they lack, which normalization carries as a null.
     """
     query.check()
     if config.kind == "synthetic":

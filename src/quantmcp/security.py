@@ -20,7 +20,7 @@ from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from .errors import ConfigError, CredentialMissing, InternalError
 from .providers import DataQuery, RateSpec
-from .transport import JsonRpcMessage, json_line
+from .transport import JsonRpcMessage, PreEncoded, json_line
 
 REDACTED = "***REDACTED***"
 
@@ -149,7 +149,7 @@ def _redact_value(value: Any, secrets: tuple[str, ...]) -> Any:
             _redact_str(k, secrets) if isinstance(k, str) else k: _redact_value(v, secrets)
             for k, v in value.items()
         }
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, PreEncoded)):  # a pre-encoded table comes back as plain dicts
         return [_redact_value(v, secrets) for v in value]
     return value
 

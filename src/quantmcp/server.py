@@ -35,6 +35,7 @@ from .transport import (
     NOTIFICATION,
     REQUEST,
     RESPONSE,
+    LOG_ENCODER,
     JsonRpcMessage,
     json_line,
     make_error,
@@ -71,9 +72,9 @@ class Dispatcher:
     def log_event(self, event: str, **fields: Any) -> None:
         payload = {"event": event, **fields}
         store = self.ctx.credentials
-        line = json_line(payload, default=str)
+        line = json_line(payload, LOG_ENCODER)
         if store.shows_in(line):
-            line = json_line(redact(payload, store), default=str)
+            line = json_line(redact(payload, store), LOG_ENCODER)
         logger.info(line)
 
     def dispatch(self, msg: JsonRpcMessage) -> JsonRpcMessage | None:

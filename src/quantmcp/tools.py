@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .errors import CredentialMissing, ProviderFailure, RateLimitedError, ValidationError
-from .normalize import apply_fill, normalize_payload, parse_options
-from .providers import DataQuery, ProviderConfig, fetch_historical, http_fetch_bound_s
+from .normalize import Records, apply_fill, normalize_payload, parse_options
+from .providers import DataQuery, ProviderConfig, RawProviderPayload, fetch_historical, http_fetch_bound_s
 from .registry import (
     DATE_PATTERN,
     ParamSpec,
@@ -116,7 +116,7 @@ def _resolve_provider(ctx: ToolContext, provider_id: str | None) -> ProviderConf
 
 def fetch_normalized(
     ctx: ToolContext, provider: ProviderConfig, query: DataQuery, kind: str = "historical"
-) -> tuple[list[dict[str, Any]], dict[str, Any]]:
+) -> tuple[Records, dict[str, Any]]:
     """Rate-limit, consult the cache, then fetch + normalize + fill.
 
     A query with no trading days yields no records without taking a token
@@ -124,7 +124,8 @@ def fetch_normalized(
     provider errors; callers decide how those surface.
     """
     if not query.months:
-        records, fetched_at, cache_hit = [], ctx.wall_clock().isoformat(), False
+        fetched_at, cache_hit = ctx.wall_clock().isoformat(), False
+        records = normalize_payload(RawProviderPayload(provider.id, {}, fetched_at), query)
     else:
         decision = ctx.rate_limiter.acquire(provider.id, ctx.mono_clock())
         if not decision.allowed:
@@ -136,7 +137,7 @@ def fetch_normalized(
         key = cache_key(provider.id, query, kind)
         ttl = ctx.cache.ttl_for(query, kind, today=ctx.wall_clock().date())
 
-        def produce() -> tuple[list[dict[str, Any]], str]:
+        def produce() -> tuple[Records, str]:
             raw = fetch_historical(provider, query, ctx.credentials, now=ctx.wall_clock)
             records = normalize_payload(raw, query, provider.close_time)
             return apply_fill(records, fill, query.fields), raw.fetched_at
@@ -156,7 +157,7 @@ def fetch_normalized(
 
 def _run_query(
     ctx: ToolContext, values: dict[str, Any], kind: str, prefix: str = ""
-) -> tuple[list[dict[str, Any]], dict[str, Any]] | ToolResult:
+) -> tuple[Records, dict[str, Any]] | ToolResult:
     """Build, check and run the query ``values`` describe.
 
     Validation errors raise in a fixed order: provider, then options, then
@@ -245,7 +246,7 @@ def tool_compute_summary(args: ValidatedArgs, ctx: ToolContext) -> ToolResult:
         rows = out[0]
         text = [f for f in summarize_fields if f in ("code", "timestamp")]
         violations = [f"records[{i}].{f}: expected number or null" for i in range(len(rows)) for f in text]
-        numbers = [(f, [float(v) for row in rows if (v := row.get(f)) is not None])
+        numbers = [(f, [float(v) for v in rows.column(f) if v is not None])
                    for f in summarize_fields if f not in text]  # unread when text is not empty
     if not rows:
         return _error_result("empty_input", "no records to summarize")

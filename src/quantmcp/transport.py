@@ -13,6 +13,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any
 
 from .errors import (
@@ -90,6 +91,8 @@ def _finite_float(text: str) -> float:
     return value
 
 
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
+
 # A raw surrogate, or a \uD800-\uDFFF escape; only such a frame is checked for a lone one.
 _SURROGATE_HINT = re.compile(r"[\ud800-\udfff]|\\u[dD][89a-fA-F]")
 
@@ -157,11 +160,13 @@ def parse_message(line: bytes | bytearray | str) -> JsonRpcMessage:
     else:
         text = line
     try:
-        obj = json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
+        if text.startswith("\ufeff"):  # json.loads' own check, which JSONDecoder.decode skips
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        obj = _DECODER.decode(text)
         if _SURROGATE_HINT.search(text):
             # A lone surrogate parses but cannot be written out as UTF-8;
             # an escaped pair such as an emoji decodes to one character.
-            _dumps(obj).encode("utf-8")
+            json_line(obj).encode("utf-8")
     except UnicodeEncodeError as exc:
         raise ParseError("invalid Unicode: a lone surrogate or a byte that is not UTF-8") from exc
     except (ValueError, RecursionError) as exc:  # also too many digits, or nesting too deep
@@ -184,13 +189,22 @@ def parse_message(line: bytes | bytearray | str) -> JsonRpcMessage:
     return JsonRpcMessage(RESPONSE, id=obj["id"], result=obj.get("result", MISSING), error=error, extra=extra)
 
 
+class PreEncoded:
+    """A JSON array whose ``json_text()``, equal to ``dumps(list(self))``, :func:`serialize_message` splices in.
+
+    Iterating yields the items as plain values, which every other walk (redaction, rounding) reads.
+    """
+
+    __slots__ = ()
+
+
 def round_floats(value: Any) -> Any:
     """Return a copy of ``value`` with every float rounded to 6 decimals."""
     if isinstance(value, float):
         return round(value, 6)
     if isinstance(value, dict):
         return {k: round_floats(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, PreEncoded)):
         return [round_floats(v) for v in value]
     return value
 
@@ -200,24 +214,58 @@ def round_floats(value: Any) -> Any:
 _LINE_BREAK_ESCAPES = {ord(ch): f"\\u{ord(ch):04x}" for ch in "\x85\u2028\u2029"}
 
 
-def json_line(obj: Any, **kwargs: Any) -> str:
-    """``json.dumps`` with raw UTF-8 text that holds no line break of any kind.
+LOG_ENCODER = json.JSONEncoder(ensure_ascii=False, default=str)
+_FRAME_OPTIONS: dict[str, Any] = dict(ensure_ascii=False, allow_nan=False, separators=(",", ":"))
+_FRAME_ENCODER = json.JSONEncoder(**_FRAME_OPTIONS)
+
+
+def json_line(obj: Any, encoder: json.JSONEncoder = _FRAME_ENCODER) -> str:
+    """``encoder``'s text of ``obj``, raw UTF-8 that holds no line break of any kind.
 
     Such a character can only sit inside a JSON string, where its ``\\uXXXX``
     escape decodes to the same value, so the text still reads back unchanged.
     """
-    text = json.dumps(obj, ensure_ascii=False, **kwargs)
+    text = encoder.encode(obj)
     # Each test is a quick scan, and none at all on a pure-ASCII text.
     if "\x85" in text or "\u2028" in text or "\u2029" in text:
         text = text.translate(_LINE_BREAK_ESCAPES)
     return text
 
 
-def _dumps(obj: Any) -> str:
-    return json_line(obj, allow_nan=False, separators=(",", ":"))
-
-
+# A float that round(x, 6) changes prints (as its shortest repr) with a negative exponent
+# ("e-") or more than six fractional digits; a match inside a string only costs a rounding pass.
 _LONG_FRACTION = re.compile(r"\.[0-9]{7}")
+
+
+def dumps(obj: Any) -> str:
+    """The compact text of ``obj`` in a frame, every float rounded to 6 decimals."""
+    text = json_line(obj)
+    return json_line(round_floats(obj)) if "e-" in text or _LONG_FRACTION.search(text) else text
+
+
+_PLACEHOLDER = "\x00spliced\x00"
+_PLACEHOLDER_TEXT = json_line(_PLACEHOLDER)[1:-1]
+
+
+def _encode(obj: Any) -> str:
+    """``dumps(obj)``: the envelope with a placeholder for each :class:`PreEncoded` value, then its text spliced in.
+
+    If the envelope needs rounding, or the placeholder shows anywhere else (a client may choose it
+    as an id), every value is walked and rounded instead.
+    """
+    held: list[PreEncoded] = []
+
+    def hold(value: Any) -> str:
+        if not isinstance(value, PreEncoded):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        held.append(value)
+        return _PLACEHOLDER
+
+    text = json_line(obj, json.JSONEncoder(**_FRAME_OPTIONS, default=hold))
+    if "e-" in text or _LONG_FRACTION.search(text) or text.count(_PLACEHOLDER_TEXT) != len(held):
+        return json_line(round_floats(obj))
+    parts = text.split(f'"{_PLACEHOLDER_TEXT}"')
+    return "".join(chain.from_iterable(zip(parts, [value.json_text() for value in held]))) + parts[-1]
 
 
 def serialize_message(msg: JsonRpcMessage) -> bytes:
@@ -255,13 +303,7 @@ def serialize_message(msg: JsonRpcMessage) -> bytes:
             raise InternalError(f"extra key {key!r} names an envelope member")
         obj[key] = value
     try:
-        text = _dumps(obj)
-        # A float that round(x, 6) changes prints (as its shortest repr) with
-        # a negative exponent or more than six fractional digits, so a frame
-        # with neither needs no rounding pass. A match inside a string only
-        # costs that pass.
-        if "e-" in text or _LONG_FRACTION.search(text):
-            text = _dumps(round_floats(obj))
+        text = _encode(obj)
     except (TypeError, ValueError) as exc:
         raise InternalError(f"unserializable message payload: {exc}") from exc
     return text.encode("utf-8") + b"\n"

@@ -19,6 +19,7 @@ from quantmcp.normalize import (
     normalize_payload,
     parse_options,
 )
+from quantmcp import providers
 from quantmcp.providers import DataQuery, ProviderConfig, RawProviderPayload, fetch_historical
 from quantmcp.security import CredentialStore
 
@@ -26,8 +27,13 @@ CLOSE = dt.time(15, 0, 0)
 
 
 def _payload(rows, provider_id="p") -> RawProviderPayload:
-    """A payload of ``rows``, shaped ``{code: {date: {field: value}}}``."""
+    """A payload of ``rows``, shaped ``{code: {field: column}}``."""
     return RawProviderPayload(provider_id=provider_id, rows=rows, fetched_at="2024-06-01T00:00:00+00:00")
+
+
+def _day_rows(rows, query) -> RawProviderPayload:
+    """A payload of per-day ``rows``, ``{code: {date: {field: value}}}``, laid out as csv and http lay theirs."""
+    return _payload(providers._columns(rows, query))
 
 
 def _query(**overrides) -> DataQuery:
@@ -114,35 +120,44 @@ def test_weekend_only_range_yields_no_records():
 
 
 def test_missing_days_become_all_null_records():
-    raw = _payload({"300750.SZ": {dt.date(2024, 1, 3): {"close": 9.0}}})
+    raw = _day_rows({"300750.SZ": {dt.date(2024, 1, 3): {"close": 9.0}}}, _query())
+    assert raw.rows == {"300750.SZ": {"close": [None, None, 9.0, None, None]}}
     records = normalize_payload(raw, _query(), CLOSE)
     assert len(records) == 5
     assert [r["close"] for r in records] == [None, None, 9.0, None, None]
 
 
 def test_row_outside_the_range_is_a_contract_breach():
-    raw = _payload({"300750.SZ": {dt.date(2024, 2, 1): {"close": 1.0}}})
+    # a value past the query's five days: the column is longer than the calendar
+    raw = _payload({"300750.SZ": {"close": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}})
     with pytest.raises(InternalError, match="contract"):
         normalize_payload(raw, _query(), CLOSE)
 
 
 def test_row_before_the_range_is_a_contract_breach():
-    raw = _payload({"300750.SZ": {dt.date(2024, 1, 3): {"close": 1.0}, dt.date(2023, 12, 29): {"close": 1.0}}})
+    # a column the calendar cannot place day by day: shorter than the query's five days
+    raw = _payload({"300750.SZ": {"close": [1.0, 1.0]}})
     with pytest.raises(InternalError, match="contract"):
         normalize_payload(raw, _query(), CLOSE)
+
+
+def test_a_missing_field_is_a_contract_breach():
+    raw = _payload({"300750.SZ": {"close": [1.0] * 5}})
+    with pytest.raises(InternalError, match="contract"):
+        normalize_payload(raw, _query(fields=["close", "turn"]), CLOSE)
 
 
 def test_rows_on_weekend_days_inside_the_range_are_ignored():
     query = _query(end_date=dt.date(2024, 1, 8))
     saturday, monday = dt.date(2024, 1, 6), dt.date(2024, 1, 8)
-    raw = _payload({"300750.SZ": {saturday: {"close": 6.0}, monday: {"close": 8.0}}})
+    raw = _day_rows({"300750.SZ": {saturday: {"close": 6.0}, monday: {"close": 8.0}}}, query)
     records = normalize_payload(raw, query, CLOSE)
     assert [r["timestamp"][:10] for r in records][-2:] == ["2024-01-05", "2024-01-08"]
     assert [r["close"] for r in records] == [None, None, None, None, None, 8.0]
 
 
 def test_row_for_unrequested_code_is_a_contract_breach():
-    raw = _payload({"999999.SZ": {dt.date(2024, 1, 2): {"close": 1.0}}})
+    raw = _payload({"999999.SZ": {"close": [None, 1.0, None, None, None]}})
     with pytest.raises(InternalError):
         normalize_payload(raw, _query(), CLOSE)
 
@@ -157,7 +172,7 @@ def test_records_are_sorted_by_code_then_timestamp():
 
 def test_record_count_law_holds_regardless_of_gaps():
     query = _query(codes=["A", "B"], start_date=dt.date(2024, 1, 1), end_date=dt.date(2024, 1, 14))
-    raw = _payload({"A": {dt.date(2024, 1, 3): {"close": 2.0}}})
+    raw = _day_rows({"A": {dt.date(2024, 1, 3): {"close": 2.0}}}, query)
     records = normalize_payload(raw, query, CLOSE)
     assert len(records) == 2 * 10
 
@@ -181,9 +196,10 @@ def test_record_list_serializes_to_json_and_back():
     query = _query(fields=["close", "volume"], end_date=dt.date(2024, 1, 9))
     raw = fetch_historical(config, query, CredentialStore({}))
     records = normalize_payload(raw, query, CLOSE)
-    text = json.dumps(records)
+    text = json.dumps(list(records))
     parsed = json.loads(text)
     assert parsed == records
+    assert json.loads(records.json_text()) == records
 
 
 # --- apply_fill ---------------------------------------------------------------
@@ -230,7 +246,17 @@ def test_fill_copies_only_the_records_it_fills_and_never_mutates_its_input():
     assert [r["close"] for r in filled] == [1.0, 1.0, 2.0, 2.0]
     assert records == snapshot and [id(r) for r in records] == before
     assert [f is r for f, r in zip(filled, records)] == [True, False, True, False]
-    assert apply_fill(records, "Blank", ["close"]) is not records
+    assert apply_fill(records, "Blank", ["close"]) is records
+    # a table: only a column holding a null is rebuilt; the input table and its columns stay as they were
+    query = _query(codes=["A", "B"], fields=["close", "turn"])
+    gappy, whole = [None, 1.0, None, 2.0, None], [1.0, 2.0, 3.0, 4.0, 5.0]
+    table = normalize_payload(_payload({"A": {"close": gappy, "turn": whole}}), query, CLOSE)
+    snapshot = copy.deepcopy(list(table))
+    out = apply_fill(table, "Previous", query.fields)
+    assert [list(cols) for cols in out.columns] == [[[None, 1.0, 1.0, 2.0, 2.0], whole], [[None] * 5] * 2]
+    assert out.columns[0][1] is whole and out.columns[0][0] is not gappy
+    assert list(table) == snapshot and table.columns[0][0] is gappy and gappy == [None, 1.0, None, 2.0, None]
+    assert apply_fill(table, "Blank", query.fields) is table
 
 
 def test_fill_requires_sorted_input():

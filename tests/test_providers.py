@@ -123,15 +123,35 @@ def test_fnv1a64_folds_on_from_a_prefix_state():
         assert fnv1a64(suffix, fnv1a64(prefix)) == fnv1a64_oracle(prefix + suffix)
 
 
+_ASCII = st.binary(max_size=24).map(lambda raw: bytes(b & 127 for b in raw))
+
+
 @settings(max_examples=200, deadline=None)
-@given(h=st.integers(0, 2**64 - 1), prefix=st.binary(max_size=12), tail=st.binary(max_size=24))
+@given(h=st.integers(0, 2**64 - 1), prefix=st.binary(max_size=12), tail=_ASCII)
 def test_a_tail_folds_by_one_table_lookup_from_any_state(h, prefix, tail):
     def fold(state: int) -> int:
         table = providers._tail_table(tail)
-        return (state * FNV_PRIME ** len(tail) + table[state & 255]) % 2**64
+        return (state * FNV_PRIME ** len(tail) + table[state & 127]) % 2**64
 
     assert fold(h) == fnv1a64(tail, h)
     assert fold(fnv1a64(prefix)) == fnv1a64_oracle(prefix + tail)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_every_tail_byte_is_ascii(seed):
+    assert all(b < 128 for day in range(1, 32) for b in b"%02d|%d" % (day, seed))
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_each_day_tail_folds_from_every_low_byte_by_its_128_entry_table(seed):
+    config = ProviderConfig(id="synth", kind="synthetic", seed=seed)
+    step = FNV_PRIME ** len(b"01|%d" % seed)
+    for day, table in enumerate(config.tail_tables, 1):
+        tail = b"%02d|%d" % (day, seed)
+        assert len(table) == 128
+        for lo in range(256):
+            h = (0x9E3779B97F4A7C15 << 8 | lo) % 2**64  # high bits set, so the fold is not trivially small
+            assert (h * step + table[h & 127]) % 2**64 == fnv1a64(tail, h), (day, lo)
 
 
 def test_synthetic_values_match_the_committed_golden_file():
@@ -214,11 +234,9 @@ def test_unknown_field_is_rejected():
 def test_synthetic_fetch_covers_every_code_and_trading_day():
     config = ProviderConfig(id="synth", kind="synthetic", seed=0)
     payload = fetch_historical(config, _query(), EMPTY_STORE)
-    assert len(payload.rows["300750.SZ"]) == 65
-    assert all(
-        row["close"] is not None and row["pb_lf"] is not None and row["turn"] is not None
-        for row in payload.rows["300750.SZ"].values()
-    )
+    columns = payload.rows["300750.SZ"]
+    assert [len(columns[f]) for f in ("close", "pb_lf", "turn")] == [65, 65, 65]
+    assert all(v is not None for f in ("close", "pb_lf", "turn") for v in columns[f])
 
 
 def test_synthetic_row_count_law_over_random_queries():
@@ -231,7 +249,9 @@ def test_synthetic_row_count_law_over_random_queries():
         end = start + dt.timedelta(days=rng.randrange(30))
         query = _query(codes=sorted(set(codes)), start_date=start, end_date=end)
         payload = fetch_historical(config, query, EMPTY_STORE)
-        assert sum(map(len, payload.rows.values())) == len(query.codes) * len(trading_days(start, end))
+        rows = sum(len(columns["close"]) for columns in payload.rows.values())
+        assert rows == len(query.codes) * len(trading_days(start, end))
+        assert {len(col) for columns in payload.rows.values() for col in columns.values()} == {rows // len(query.codes)}
 
 
 def test_synthetic_fetch_is_pure_given_seed_and_query():
@@ -242,16 +262,15 @@ def test_synthetic_fetch_is_pure_given_seed_and_query():
 
 
 def _assert_synthetic_cells(rows, query: DataQuery, seed: int) -> None:
-    """Every (code, trading day, field) of ``query`` in order, each equal to ``synthetic_value`` and the oracle."""
+    """Every (code, field, trading day) of ``query`` in order, each equal to ``synthetic_value`` and the oracle."""
     days = trading_days(query.start_date, query.end_date)
     assert list(rows) == query.codes
-    for code, by_day in rows.items():
-        assert list(by_day) == days
-        for day, row in by_day.items():
-            assert list(row) == query.fields
-            for f in query.fields:
+    for code, by_field in rows.items():
+        assert list(by_field) == query.fields
+        for f, column in by_field.items():
+            assert len(column) == len(days)
+            for day, got in zip(days, column):
                 expected = synthetic_value(code, f, day, seed)
-                got = row[f]
                 assert got == expected and type(got) is type(expected), (code, f, day)
                 oracle = synthetic_value_oracle(code, f, day, seed)
                 assert got == oracle and type(got) is type(oracle), (code, f, day)
@@ -353,7 +372,7 @@ def test_csv_filters_to_matching_rows():
         fields=["close"], start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2)
     )
     payload = fetch_historical(config, query, EMPTY_STORE)
-    assert payload.rows == {"300750.SZ": {dt.date(2024, 1, 2): {"close": 180.5}}}
+    assert payload.rows == {"300750.SZ": {"close": [180.5]}}
 
 
 def test_csv_missing_column_is_a_provider_failure(tmp_path):
@@ -369,8 +388,9 @@ def test_csv_empty_cells_become_null(tmp_path):
     path.write_text("code,date,close\nA,2024-01-02,\nA,2024-01-03,9.5\n")
     query = _query(codes=["A"], fields=["close"], start_date=dt.date(2024, 1, 1), end_date=dt.date(2024, 1, 5))
     payload = fetch_historical(_csv_config(path), query, EMPTY_STORE)
-    assert payload.rows["A"][dt.date(2024, 1, 2)]["close"] is None
-    assert payload.rows["A"][dt.date(2024, 1, 3)]["close"] == 9.5
+    close = dict(zip(query.days, payload.rows["A"]["close"]))
+    assert close[dt.date(2024, 1, 2)] is None
+    assert close[dt.date(2024, 1, 3)] == 9.5
 
 
 def test_csv_later_duplicate_row_wins(tmp_path):
@@ -378,7 +398,7 @@ def test_csv_later_duplicate_row_wins(tmp_path):
     path.write_text("code,date,close\nA,2024-01-02,1.0\nB,2024-01-02,5.0\nA,2024-01-02,2.0\n")
     query = _query(codes=["A"], fields=["close"], start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2))
     rows = fetch_historical(_csv_config(path), query, EMPTY_STORE).rows
-    assert rows == {"A": {dt.date(2024, 1, 2): {"close": 2.0}}}
+    assert rows == {"A": {"close": [2.0]}}
 
 
 def test_provider_field_names_are_renamed_to_canonical(tmp_path):
@@ -387,7 +407,7 @@ def test_provider_field_names_are_renamed_to_canonical(tmp_path):
     config = ProviderConfig(id="x", kind="csv", csv_path=str(path), field_map={"pb_lf": "PB_LF_RAW"})
     query = _query(fields=["pb_lf"], start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2))
     raw = fetch_historical(config, query, EMPTY_STORE)
-    assert raw.rows == {"300750.SZ": {dt.date(2024, 1, 2): {"pb_lf": 5.5}}}
+    assert raw.rows == {"300750.SZ": {"pb_lf": [5.5]}}
     records = normalize_payload(raw, query, dt.time(15, 0, 0))
     assert {k: v for k, v in records[0].items() if k not in ("code", "timestamp")} == {"pb_lf": 5.5}
     assert records[0] == {
@@ -440,10 +460,12 @@ def test_http_payload_matches_the_stub_fixture():
     with stub_rows_server(fixture) as (base_url, state):
         query = _query(start_date=dt.date(2024, 1, 1), end_date=dt.date(2024, 1, 5))
         payload = fetch_historical(_http_config(base_url), query, EMPTY_STORE)
+    # one value per day 2024-01-01 .. 2024-01-05; a field the row lacks is None
     assert payload.rows == {
         "300750.SZ": {
-            dt.date(2024, 1, 2): {"close": 180.5, "pb_lf": 5.1, "turn": 1.23},
-            dt.date(2024, 1, 3): {"close": 181.0, "pb_lf": None, "turn": None},
+            "close": [None, 180.5, 181.0, None, None],
+            "pb_lf": [None, 5.1, None, None, None],
+            "turn": [None, 1.23, None, None, None],
         }
     }
     assert state.requests and "code=300750.SZ" in state.requests[0]
@@ -469,7 +491,7 @@ with stub_rows_server([{"code": "A", "date": "2024-01-02", "close": 1.5}]) as (b
     query = providers.DataQuery(["A"], ["close"], dt.date(2024, 1, 1), dt.date(2024, 1, 5))
     rows = providers.fetch_historical(config, query, CredentialStore({})).rows
 print(json.dumps({"exit": code, "ids": [json.loads(line)["id"] for line in served.splitlines()],
-                  "loaded_after_serve": loaded_after_serve, "close": [r["close"] for r in rows["A"].values()],
+                  "loaded_after_serve": loaded_after_serve, "close": [v for v in rows["A"]["close"] if v is not None],
                   "resolvable": providers.requests is sys.modules["requests"]}))
 """
 
@@ -541,7 +563,7 @@ def test_http_rows_outside_the_range_are_dropped():
     with stub_rows_server(fixture) as (base_url, _):
         query = _query(fields=["close"], start_date=dt.date(2024, 1, 1), end_date=dt.date(2024, 1, 5))
         payload = fetch_historical(_http_config(base_url), query, EMPTY_STORE)
-    assert list(payload.rows["300750.SZ"]) == [dt.date(2024, 1, 2)]
+    assert payload.rows["300750.SZ"] == {"close": [None, 180.5, None, None, None]}
 
 
 def test_http_never_retries_more_than_configured(monkeypatch):
@@ -597,8 +619,8 @@ def test_http_fan_out_merges_in_query_order_with_bounded_concurrency(monkeypatch
     monkeypatch.setattr(requests, "get", fake_get)
     query = _query(codes=codes, fields=["close"], start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2))
     payload = fetch_historical(_http_config("http://stub.invalid"), query, EMPTY_STORE)
-    merged = [(code, list(by_day)) for code, by_day in payload.rows.items()]
-    assert merged == [(c, [dt.date(2024, 1, 2)]) for c in codes]
+    merged = [(code, columns) for code, columns in payload.rows.items()]
+    assert merged == [(c, {"close": [1.0]}) for c in codes]
     assert 1 < peak[0] <= 8
 
 
@@ -614,7 +636,7 @@ def test_http_shared_row_goes_to_the_later_code_in_query_order(monkeypatch):
     day = dt.date(2024, 1, 2)
     query = _query(codes=["A.SZ", "B.SZ"], fields=["close"], start_date=day, end_date=day)
     payload = fetch_historical(_http_config("http://stub.invalid"), query, EMPTY_STORE)
-    assert payload.rows == {"A.SZ": {}, "B.SZ": {day: {"close": 2.0}}}
+    assert payload.rows == {"A.SZ": {"close": [None]}, "B.SZ": {"close": [2.0]}}
 
 
 def test_http_substitutes_each_code_as_one_encoded_query_value():
@@ -656,14 +678,48 @@ def test_rows_are_keyed_by_query_code_then_date_with_exactly_the_query_fields(ki
         }[kind]
         payload = fetch_historical(config, query, EMPTY_STORE)
     assert list(payload.rows) == query.codes
-    assert all(list(row) == query.fields for by_day in payload.rows.values() for row in by_day.values())
+    assert all(list(columns) == query.fields for columns in payload.rows.values())
     if kind == "synthetic":
         _assert_synthetic_cells(payload.rows, query, 0)
-    else:
+    else:  # one value per day 2024-01-01 .. 2024-01-05
         assert payload.rows == {
-            "B": {dt.date(2024, 1, 3): {"pb_lf": 4.5, "turn": 0.25, "close": 3.5}},
-            "A": {dt.date(2024, 1, 2): {"pb_lf": 2.5, "turn": 0.5, "close": 1.5}},
+            "B": {"pb_lf": [None, None, 4.5, None, None], "turn": [None, None, 0.25, None, None],
+                  "close": [None, None, 3.5, None, None]},
+            "A": {"pb_lf": [None, 2.5, None, None, None], "turn": [None, 0.5, None, None, None],
+                  "close": [None, 1.5, None, None, None]},
         }
+
+
+# (code, date, close, turn) in source order, for the query A and B over 2024-01-01 .. 2024-01-08:
+# A's 01-02 row comes twice, the later wins; Saturday 01-06 is inside the range but no trading day;
+# 12-29 is out of range, so its bad cell is never read; A's 01-03 lacks turn; Z is asked for by no query.
+_CONTRACT_ROWS = [
+    ("A", "2024-01-02", 1.0, 0.1),
+    ("A", "2024-01-02", 2.0, 0.2),
+    ("A", "2024-01-06", 6.0, 0.6),
+    ("A", "2023-12-29", "n/a", 0.9),
+    ("A", "2024-01-03", 3.0, None),
+    ("Z", "2024-01-04", 9.0, 0.4),
+]
+
+
+@pytest.mark.parametrize("kind", ["csv", "http"])
+def test_csv_and_http_lay_their_rows_out_as_one_column_per_field_over_the_trading_days(kind, tmp_path):
+    query = _query(codes=["A", "B"], fields=["close", "turn"], start_date=dt.date(2024, 1, 1),
+                   end_date=dt.date(2024, 1, 8))
+    path = tmp_path / "contract.csv"
+    path.write_text("code,date,close,turn\n" + "".join(
+        f"{code},{day},{close},{'' if turn is None else turn}\n" for code, day, close, turn in _CONTRACT_ROWS))
+    fixture = [{"code": code, "date": day, "close": close, **({} if turn is None else {"turn": turn})}
+               for code, day, close, turn in _CONTRACT_ROWS]
+    with stub_rows_server(fixture) as (base_url, _):
+        config = _csv_config(path) if kind == "csv" else _http_config(base_url)
+        payload = fetch_historical(config, query, EMPTY_STORE)
+    assert query.days == [dt.date(2024, 1, d) for d in (1, 2, 3, 4, 5, 8)]
+    assert payload.rows == {
+        "A": {"close": [None, 2.0, 3.0, None, None, None], "turn": [None, 0.2, None, None, None, None]},
+        "B": {"close": [None] * 6, "turn": [None] * 6},
+    }
 
 
 def test_http_reports_the_first_failing_code_in_query_order(monkeypatch):

@@ -17,9 +17,10 @@ from quantmcp.errors import (
     ParseError,
     RATE_LIMITED,
 )
-from quantmcp.providers import DataQuery, ProviderConfig, fetch_historical
-from quantmcp.normalize import normalize_payload
-from quantmcp.security import CredentialStore
+from quantmcp import transport
+from quantmcp.providers import CANONICAL_FIELDS, DataQuery, ProviderConfig, RawProviderPayload, fetch_historical
+from quantmcp.normalize import apply_fill, normalize_payload
+from quantmcp.security import CredentialStore, redact_message
 from quantmcp.transport import (
     MISSING,
     NOTIFICATION,
@@ -286,6 +287,83 @@ def test_ten_thousand_records_fit_one_parseable_frame():
     wire = serialize_message(msg)
     assert wire.count(b"\n") == 1 and wire.endswith(b"\n")
     assert len(parse_message(wire).result["records"]) == 10000
+
+
+# --- pre-encoded records tables ---------------------------------------------------
+
+_CODES = st.text(st.sampled_from('A9.Z"\\%\u2028\x85\x00宁é'), min_size=1, max_size=6)
+_CELLS = st.one_of(
+    st.none(),
+    st.sampled_from([0, -0.0, 1e-07, 0.1234567, 2**53 + 1, -(2**60), 180.5, 1e16, 5e-324]),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _tables(draw):
+    """A filled records table: up to 3 codes (some with no columns) x up to 3 fields x up to 10 days."""
+    codes = draw(st.lists(_CODES, min_size=1, max_size=3, unique=True))
+    fields = draw(st.lists(st.sampled_from(CANONICAL_FIELDS), min_size=1, max_size=3, unique=True))
+    start = dt.date(2024, 1, 1) + dt.timedelta(days=draw(st.integers(0, 30)))
+    query = DataQuery(codes, fields, start, start + dt.timedelta(days=draw(st.integers(0, 9))))
+    n = len(query.days)
+    rows = {code: {f: draw(st.lists(_CELLS, min_size=n, max_size=n)) for f in fields}
+            for code in draw(st.sets(st.sampled_from(codes)))}
+    table = normalize_payload(RawProviderPayload("p", rows, "t"), query, dt.time(9, 30, 5))
+    return apply_fill(table, draw(st.sampled_from(["Previous", "Blank"])), fields)
+
+
+def _history(records, id=1) -> JsonRpcMessage:
+    content = {"records": records, "meta": {"row_count": len(records), "cache_hit": False}}
+    return JsonRpcMessage(RESPONSE, id=id, result={"content": content, "is_error": False})
+
+
+def _plain_frame(records, id=1) -> bytes:
+    """The frame of ``records`` as plain dicts, built the way every frame was before splicing."""
+    envelope = {"jsonrpc": "2.0", "id": id, "result": _history(list(records)).result}
+    text = json.dumps(round_floats(envelope), ensure_ascii=False, allow_nan=False, separators=(",", ":"))
+    for ch in "\x85\u2028\u2029":
+        text = text.replace(ch, f"\\u{ord(ch):04x}")
+    return (text + "\n").encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tables())
+def test_a_spliced_records_frame_equals_the_frame_of_its_dicts_byte_for_byte(table):
+    assert serialize_message(_history(table)) == _plain_frame(table)
+    assert serialize_message(_history(list(table))) == _plain_frame(table)
+
+
+def _one_table(codes=("A\"%宁",)) -> object:
+    query = DataQuery(list(codes), ["close", "turn"], dt.date(2024, 1, 1), dt.date(2024, 1, 3))
+    rows = {codes[0]: {"close": [1e-07, None, 180.5], "turn": [0.1234567, -0.0, 2**60]}}
+    return normalize_payload(RawProviderPayload("p", rows, "t"), query)
+
+
+@pytest.mark.parametrize("rid", [transport._PLACEHOLDER, "x" + transport._PLACEHOLDER, 5])
+def test_an_id_holding_the_placeholder_falls_back_to_the_plain_walk(rid):
+    table = _one_table()
+    msg = _history(table, id=rid)
+    msg.extra["note"] = transport._PLACEHOLDER if rid == 5 else "n"  # the placeholder elsewhere in the frame
+    wire = serialize_message(msg)
+    plain = serialize_message(dataclasses.replace(msg, result=_history(list(table), id=rid).result))
+    assert wire == plain
+    assert parse_message(wire).id == rid and parse_message(wire).result["content"]["records"] == round_floats(table)
+
+
+def test_a_loaded_secret_inside_a_code_is_redacted_from_the_spliced_frame():
+    secret = "sk-in-a-code-0451"
+    store = CredentialStore({"p": secret})
+    table = _one_table(codes=(f"X{secret}\u2028",))
+    spliced, plain = _history(table), _history(list(table))
+    assert store.shows_in(serialize_message(spliced).decode("utf-8"))
+    redacted = serialize_message(redact_message(spliced, store))
+    assert redacted == serialize_message(redact_message(plain, store))
+    assert secret.encode() not in redacted
+    records = parse_message(redacted).result["content"]["records"]
+    assert [r["code"] for r in records] == ["X***REDACTED***\u2028"] * 3
+    assert [r["code"] for r in table] == [f"X{secret}\u2028"] * 3  # redaction walked a copy
 
 
 # --- generated messages -----------------------------------------------------
