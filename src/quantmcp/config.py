@@ -23,11 +23,11 @@ import configparser
 import datetime as dt
 import os
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Mapping
 
 from .errors import ConfigError
-from .providers import CANONICAL_FIELDS, DEFAULT_CLOSE_TIME, ProviderConfig, RateSpec
+from .providers import CANONICAL_FIELDS, DEFAULT_CLOSE_TIME, PROVIDER_CLASSES, ProviderConfig, RateSpec
 from .security import RateLimiter, ResponseCache, load_credentials
 from .tools import ToolContext
 
@@ -134,18 +134,16 @@ _PROVIDER_KEYS: dict[str, tuple[str, _Parse]] = {
 def _read_section(
     section: configparser.SectionProxy,
     table: dict[str, tuple[str, _Parse]],
-    target: type,
     base_dir: str,
+    required: tuple[str, ...] = (),
 ) -> dict[str, Any]:
     """Parse the keys ``section`` holds into ``{field: value}``, in table order.
 
-    An unknown key, or a missing key whose ``target`` field has no default,
-    aborts startup.
+    An unknown key, or a missing key whose field is ``required``, aborts startup.
     """
     unknown = set(section) - table.keys()
     if unknown:
         raise ConfigError(f"{section.name}: unknown key(s) {sorted(unknown)}")
-    required = {f.name for f in fields(target) if f.default is MISSING and f.default_factory is MISSING}
     values: dict[str, Any] = {}
     for key, (attr, parse) in table.items():
         if key in section:
@@ -170,7 +168,7 @@ def load_config(path: str | os.PathLike) -> ServerConfig:
     base_dir = os.path.dirname(os.path.abspath(path))
     config = ServerConfig()
     if parser.has_section("server"):
-        config = ServerConfig(**_read_section(parser["server"], _SERVER_KEYS, ServerConfig, base_dir))
+        config = ServerConfig(**_read_section(parser["server"], _SERVER_KEYS, base_dir))
     for section_name in parser.sections():
         if section_name == "server":
             continue
@@ -179,10 +177,13 @@ def load_config(path: str | os.PathLike) -> ServerConfig:
         provider_id = section_name[len("provider."):]
         if not provider_id:
             raise ConfigError("provider section needs an id: [provider.<id>]")
-        values = _read_section(parser[section_name], _PROVIDER_KEYS, ProviderConfig, base_dir)
+        values = _read_section(parser[section_name], _PROVIDER_KEYS, base_dir, ("kind",))
         rate = {f.name: values.pop(f.name) for f in fields(RateSpec) if f.name in values}
         values.setdefault("close_time", config.close_time)
-        provider = ProviderConfig(id=provider_id, rate=RateSpec(**rate), **values)
+        kind = values.pop("kind")
+        if kind not in PROVIDER_CLASSES:
+            raise ConfigError(f"{section_name}.kind: unknown kind {kind!r}")
+        provider = PROVIDER_CLASSES[kind](id=provider_id, rate=RateSpec(**rate), **values)
         provider.check()
         config.providers[provider_id] = provider
 

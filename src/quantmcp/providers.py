@@ -1,11 +1,12 @@
 """Pluggable data-source adapters behind one fetch contract.
 
-Three kinds ship: ``synthetic`` (deterministic, seeded), ``http`` (keyed
-REST, one GET per instrument code, up to HTTP_POOL_SIZE at a time), and
-``csv`` (offline exported files).
-Adapters are stateless given their config; rate limiting and caching are
-enforced by the caller. Providers deal in calendar dates only; close-of-day
-timestamps are materialized during normalization.
+Three kinds ship, one ``ProviderConfig`` subclass each: ``synthetic``
+(deterministic, seeded), ``http`` (keyed REST, one GET per instrument code, up
+to HTTP_POOL_SIZE at a time), and ``csv`` (offline exported files). A provider
+keeps no state but what it derives from its frozen config on first use (the
+synthetic tail tables); rate limiting and caching are enforced by the caller.
+Providers deal in calendar dates only; close-of-day timestamps are
+materialized during normalization.
 
 The trading calendar is weekday-only (no exchange holidays), trading
 calendar fidelity for determinism; see README for the documented divergence
@@ -27,7 +28,7 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Any, Callable
 from urllib.parse import quote
 
-from .errors import ConfigError, CredentialMissing, InternalError, ProviderFailure, ValidationError
+from .errors import ConfigError, CredentialMissing, ProviderFailure, ValidationError
 
 if TYPE_CHECKING:
     import requests  # bound at runtime by _import_requests on the first http fetch
@@ -36,8 +37,6 @@ if TYPE_CHECKING:
     from .security import CredentialStore
 
 CANONICAL_FIELDS = ("close", "open", "high", "low", "volume", "pb_lf", "turn")
-
-PROVIDER_KINDS = ("synthetic", "http", "csv")
 
 DEFAULT_CLOSE_TIME = dt.time(15, 0, 0)  # time of day on record timestamps unless configured
 
@@ -70,10 +69,13 @@ class RateSpec:
 
 @dataclass(frozen=True)
 class ProviderConfig:
-    """Declarative description of one data source."""
+    """Declarative description of one data source; a subclass per kind fetches from it.
+
+    Subclasses add no fields, so they inherit the frozen fields and ``__eq__`` (which also compares
+    classes) without another ``@dataclass``, whose code generation costs about 2 ms of startup each.
+    """
 
     id: str
-    kind: str
     base_url_template: str | None = None
     csv_path: str | None = None
     seed: int = 0
@@ -85,29 +87,9 @@ class ProviderConfig:
     close_time: dt.time = DEFAULT_CLOSE_TIME
 
     def check(self) -> None:
-        """Enforce config invariants; violations abort startup."""
+        """Enforce the config invariants every kind shares; violations abort startup."""
         if not self.id:
             raise ConfigError("provider id must be non-empty")
-        if self.kind not in PROVIDER_KINDS:
-            raise ConfigError(f"provider.{self.id}.kind: unknown kind {self.kind!r}")
-        if self.kind == "http":
-            if not self.base_url_template:
-                raise ConfigError(f"provider.{self.id}.base_url: required for http providers")
-            names = {
-                fname
-                for _, fname, _, _ in string.Formatter().parse(self.base_url_template)
-                if fname is not None
-            }
-            unknown = names - _URL_PLACEHOLDERS
-            if unknown:
-                raise ConfigError(
-                    f"provider.{self.id}.base_url: unknown placeholder(s) {sorted(unknown)}"
-                )
-        if self.kind == "csv":
-            if not self.csv_path:
-                raise ConfigError(f"provider.{self.id}.csv_path: required for csv providers")
-            if not os.path.isfile(self.csv_path) or not os.access(self.csv_path, os.R_OK):
-                raise ConfigError(f"provider.{self.id}.csv_path: {self.csv_path!r} is not a readable file")
         if not 0 <= self.seed <= _U64:
             raise ConfigError(f"provider.{self.id}.seed: must fit in 64 unsigned bits")
         if self.rate.capacity < 1:
@@ -119,10 +101,13 @@ class ProviderConfig:
         if self.retries < 0:
             raise ConfigError(f"provider.{self.id}.retries: must be >= 0")
 
-    @cached_property
-    def tail_tables(self) -> list[list[int]]:
-        """The ``_tail_table`` of each synthetic cell key tail ``DD|seed``, at index ``DD - 1``."""
-        return [_tail_table(b"%02d|%d" % (day, self.seed)) for day in range(1, 32)]
+    def fetch(self, query: DataQuery, credentials: "CredentialStore") -> Rows:
+        """Canonical columns for the checked ``query``."""
+        raise NotImplementedError
+
+    def fetch_bound_s(self, n_codes: int) -> float:
+        """Longest a fetch of ``n_codes`` codes may wait on its source: 0.0 for one answered in process."""
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -210,7 +195,7 @@ def trading_days(start: dt.date, end: dt.date) -> list[dt.date]:
 
 
 # Each field's scaling of a column of residues ``k`` in [0, 10**6) into a plausible range; each
-# equals the ``round`` in its tie branch for every ``k`` (see ``_fetch_synthetic``).
+# equals the ``round`` in its tie branch for every ``k`` (see ``SyntheticProvider.fetch``).
 _SCALE: dict[str, Callable[[list[int]], list]] = dict.fromkeys(
     ("close", "open", "high", "low"),
     lambda ks: [
@@ -248,39 +233,47 @@ def _tail_table(tail: bytes) -> list[int]:
     return [(fnv1a64(tail, lo) - lo * step) & _U64 for lo in range(128)]
 
 
-def _fetch_synthetic(config: ProviderConfig, query: DataQuery) -> Rows:
-    """``synthetic_value`` for every cell, folding each shared key prefix once and scaling by column.
+class SyntheticProvider(ProviderConfig):
+    """``synthetic_value`` for every (code, field, trading day) of a query; ignores ``field_map``."""
 
-    A cell's key is ``code|field|YYYY-MM-DD|seed``. ``code|`` is folded once
-    per code, ``field|`` on from that once per (code, field) and ``YYYY-MM-``
-    on from that once per month. XOR with a byte and multiplication mod 2**64
-    never carry bits downward, so the low byte of each FNV step depends only
-    on the low byte of the state before it; the ASCII ``DD|seed`` tail then
-    folds by one lookup in its ``_tail_table``, by the low 7 bits.
+    @cached_property
+    def tail_tables(self) -> list[list[int]]:
+        """The ``_tail_table`` of each cell key tail ``DD|seed``, at index ``DD - 1``."""
+        return [_tail_table(b"%02d|%d" % (day, self.seed)) for day in range(1, 32)]
 
-    Each (code, field) column of residues ``k = hash mod 10**6`` is scaled in
-    one ``_SCALE`` call, in integer arithmetic equal to the ``round`` formula:
-    away from a tie the float error of ``100 + 100 * (k / 10**6)`` (about
-    1e-13) is far below the 0.005 gap to a rounding boundary, an int divided
-    by an int is correctly rounded as ``round``'s decimal-to-double step is,
-    and a tie falls back to ``round`` (checked for all 10**6 values of ``k``).
-    """
-    tables = config.tail_tables
-    step = pow(FNV_PRIME, len(b"01|%d" % config.seed), 1 << 64)  # every tail has this length
-    months = [(head, [tables[day.day - 1] for day in days[i:j]]) for (days, _, head), i, j in query.months]
-    mask = _U64
-    rows: Rows = {}
-    for code in query.codes:
-        by_field = rows[code] = {}
-        stem = fnv1a64(f"{code}|".encode("utf-8"))
-        for f in query.fields:
-            prefix, ks = fnv1a64(f"{f}|".encode(), stem), []
-            for head, day_tables in months:
-                state = fnv1a64(head, prefix)
-                base, lo = state * step, state & 127
-                ks += [((base + table[lo]) & mask) % 1_000_000 for table in day_tables]
-            by_field[f] = _SCALE[f](ks)
-    return rows
+    def fetch(self, query: DataQuery, credentials: "CredentialStore") -> Rows:
+        """``synthetic_value`` for every cell, folding each shared key prefix once and scaling by column.
+
+        A cell's key is ``code|field|YYYY-MM-DD|seed``. ``code|`` is folded once
+        per code, ``field|`` on from that once per (code, field) and ``YYYY-MM-``
+        on from that once per month. XOR with a byte and multiplication mod 2**64
+        never carry bits downward, so the low byte of each FNV step depends only
+        on the low byte of the state before it; the ASCII ``DD|seed`` tail then
+        folds by one lookup in its ``_tail_table``, by the low 7 bits.
+
+        Each (code, field) column of residues ``k = hash mod 10**6`` is scaled in
+        one ``_SCALE`` call, in integer arithmetic equal to the ``round`` formula:
+        away from a tie the float error of ``100 + 100 * (k / 10**6)`` (about
+        1e-13) is far below the 0.005 gap to a rounding boundary, an int divided
+        by an int is correctly rounded as ``round``'s decimal-to-double step is,
+        and a tie falls back to ``round`` (checked for all 10**6 values of ``k``).
+        """
+        tables = self.tail_tables
+        step = pow(FNV_PRIME, len(b"01|%d" % self.seed), 1 << 64)  # every tail has this length
+        months = [(head, [tables[day.day - 1] for day in days[i:j]]) for (days, _, head), i, j in query.months]
+        mask = _U64
+        rows: Rows = {}
+        for code in query.codes:
+            by_field = rows[code] = {}
+            stem = fnv1a64(f"{code}|".encode("utf-8"))
+            for f in query.fields:
+                prefix, ks = fnv1a64(f"{f}|".encode(), stem), []
+                for head, day_tables in months:
+                    state = fnv1a64(head, prefix)
+                    base, lo = state * step, state & 127
+                    ks += [((base + table[lo]) & mask) % 1_000_000 for table in day_tables]
+                by_field[f] = _SCALE[f](ks)
+        return rows
 
 
 def _columns(by_code: dict[str, dict[dt.date, dict[str, Any]]], query: DataQuery) -> Rows:
@@ -309,31 +302,47 @@ def _parse_cell(raw: str, column: str, config: ProviderConfig) -> float | None:
     return value
 
 
-def _fetch_csv(config: ProviderConfig, query: DataQuery) -> Rows:
-    columns = [(f, config.field_map.get(f, f)) for f in query.fields]
-    rows: dict[str, dict[dt.date, dict[str, Any]]] = {code: {} for code in query.codes}
-    with open(config.csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for column in ["code", "date", *(column for _, column in columns)]:
-            if column not in header:
-                raise ProviderFailure(
-                    f"provider {config.id!r} csv is missing column {column!r}",
-                    data={"reason": "schema", "missing_column": column},
-                )
-        for rec in reader:
-            try:
-                day = dt.date.fromisoformat((rec.get("date") or "").strip())
-            except ValueError:
-                raise ProviderFailure(
-                    f"provider {config.id!r} csv holds unparseable date {rec.get('date')!r}",
-                    data={"reason": "schema"},
-                ) from None
-            by_day = rows.get((rec.get("code") or "").strip())
-            if by_day is None or not query.start_date <= day <= query.end_date:
-                continue
-            by_day[day] = {f: _parse_cell(rec.get(column, ""), column, config) for f, column in columns}
-    return _columns(rows, query)
+class CsvProvider(ProviderConfig):
+    """Rows of an offline export with ``code`` and ``date`` columns, read whole on every fetch."""
+
+    def check(self) -> None:
+        if not self.csv_path:
+            raise ConfigError(f"provider.{self.id}.csv_path: required for csv providers")
+        if not os.path.isfile(self.csv_path) or not os.access(self.csv_path, os.R_OK):
+            raise ConfigError(f"provider.{self.id}.csv_path: {self.csv_path!r} is not a readable file")
+        super().check()
+
+    def fetch(self, query: DataQuery, credentials: "CredentialStore") -> Rows:
+        """The export's rows within ``query``; a cell is parsed only on a trading day the query asks for."""
+        columns = [(f, self.field_map.get(f, f)) for f in query.fields]
+        rows: dict[str, dict[dt.date, dict[str, Any]]] = {code: {} for code in query.codes}
+        try:
+            with open(self.csv_path, newline="", encoding="utf-8") as fh:
+                reader = csv.DictReader(fh)
+                header = reader.fieldnames or []
+                for column in ["code", "date", *(column for _, column in columns)]:
+                    if column not in header:
+                        raise ProviderFailure(
+                            f"provider {self.id!r} csv is missing column {column!r}",
+                            data={"reason": "schema", "missing_column": column},
+                        )
+                for rec in reader:
+                    try:
+                        day = dt.date.fromisoformat((rec.get("date") or "").strip())
+                    except ValueError:
+                        raise ProviderFailure(
+                            f"provider {self.id!r} csv holds unparseable date {rec.get('date')!r}",
+                            data={"reason": "schema"},
+                        ) from None
+                    by_day = rows.get((rec.get("code") or "").strip())
+                    if by_day is None or not query.start_date <= day <= query.end_date or day.weekday() > 4:
+                        continue
+                    by_day[day] = {f: _parse_cell(rec.get(column, ""), column, self) for f, column in columns}
+        except (UnicodeDecodeError, csv.Error) as exc:  # a non-UTF-8 byte, or a cell past csv's field limit
+            raise ProviderFailure(
+                f"provider {self.id!r} csv is unreadable: {exc}", data={"reason": "schema"}
+            ) from None
+        return _columns(rows, query)
 
 
 def _coerce_numeric(value: Any, column: str, config: ProviderConfig) -> float | int | None:
@@ -346,83 +355,6 @@ def _coerce_numeric(value: Any, column: str, config: ProviderConfig) -> float | 
             data={"reason": "schema", "column": column},
         )
     return value
-
-
-def _fetch_http_code(
-    config: ProviderConfig,
-    query: DataQuery,
-    code: str,
-    columns: list[tuple[str, str]],
-    apikey: str,
-    codes: set[str],
-) -> list[tuple[str, dt.date, dict[str, Any]]]:
-    """GET one code's rows, retrying connection failures, and keep those within the query."""
-    url = config.base_url_template.format(
-        code=quote(code, safe=""),  # encoded whole, so a code cannot add parameters to the URL
-        field=quote(",".join(column for _, column in columns), safe=""),
-        start=query.start_date.isoformat(),
-        end=query.end_date.isoformat(),
-        apikey=apikey,  # as configured: redaction scans error messages for the raw secret
-    )
-    response = None
-    for attempt in range(config.retries + 1):
-        try:
-            response = requests.get(url, timeout=config.timeout_ms / 1000.0)
-            break
-        except requests.Timeout as exc:
-            if attempt == config.retries:
-                raise ProviderFailure(
-                    f"provider {config.id!r} timed out after {config.timeout_ms}ms",
-                    data={"timeout": True},
-                ) from exc
-        except requests.RequestException as exc:
-            if attempt == config.retries:
-                raise ProviderFailure(
-                    f"provider {config.id!r} request failed: {exc}",
-                    data={"reason": "connection"},
-                ) from exc
-    if not 200 <= response.status_code < 300:
-        raise ProviderFailure(
-            f"provider {config.id!r} returned HTTP {response.status_code}",
-            data={"status": response.status_code},
-        )
-    try:
-        body = response.json()
-    except ValueError:
-        raise ProviderFailure(
-            f"provider {config.id!r} returned a non-JSON body",
-            data={"reason": "schema"},
-        ) from None
-    if not isinstance(body, dict) or not isinstance(body.get("rows"), list):
-        raise ProviderFailure(
-            f'provider {config.id!r} body must be shaped {{"rows": [...]}}',
-            data={"reason": "schema"},
-        )
-    rows = []
-    for raw_row in body["rows"]:
-        if not isinstance(raw_row, dict):
-            raise ProviderFailure(
-                f"provider {config.id!r} returned a non-object row",
-                data={"reason": "schema"},
-            )
-        try:
-            day = dt.date.fromisoformat(str(raw_row.get("date")))
-        except ValueError:
-            raise ProviderFailure(
-                f"provider {config.id!r} returned unparseable date {raw_row.get('date')!r}",
-                data={"reason": "schema"},
-            ) from None
-        row_code = raw_row.get("code", code)
-        if not isinstance(row_code, str):
-            raise ProviderFailure(
-                f"provider {config.id!r} returned a non-string code",
-                data={"reason": "schema"},
-            )
-        if row_code not in codes or not query.start_date <= day <= query.end_date:
-            continue  # keep the payload within the query contract
-        row = {f: _coerce_numeric(raw_row.get(column), column, config) for f, column in columns}
-        rows.append((row_code, day, row))
-    return rows
 
 
 def _import_requests() -> Any:
@@ -440,45 +372,125 @@ def __getattr__(name: str) -> Any:
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _fetch_http(
-    config: ProviderConfig, query: DataQuery, credentials: "CredentialStore"
-) -> Rows:
-    """Fan the per-code GETs out on at most HTTP_POOL_SIZE threads.
+class HttpProvider(ProviderConfig):
+    """Keyed REST: one GET per instrument code from ``base_url_template``, up to HTTP_POOL_SIZE at a time."""
 
-    Rows merge in query order, so of two GETs returning one (code, day) the
-    later wins. On failure the first failing code in query order is reported
-    as soon as it and every earlier code are known, whichever GET finished
-    first; GETs not yet started are cancelled and those in flight are left
-    to finish unawaited.
-    """
-    _import_requests()  # _fetch_http_code reads requests.get per call, where tests and tracers patch it
-    columns = [(f, config.field_map.get(f, f)) for f in query.fields]
-    apikey = ""
-    if "{apikey}" in config.base_url_template:
-        apikey = credentials.resolve(config.credential_ref or config.id)
-    codes = set(query.codes)
-    rows: dict[str, dict[dt.date, dict[str, Any]]] = {code: {} for code in query.codes}
-    pool = ThreadPoolExecutor(max_workers=min(len(query.codes), HTTP_POOL_SIZE))
-    try:
-        futures = [
-            pool.submit(_fetch_http_code, config, query, code, columns, apikey, codes)
-            for code in query.codes
-        ]
-        for future in futures:
-            for code, day, row in future.result():
-                rows[code][day] = row
-        return _columns(rows, query)
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+    def check(self) -> None:
+        if not self.base_url_template:
+            raise ConfigError(f"provider.{self.id}.base_url: required for http providers")
+        names = {fname for _, fname, _, _ in string.Formatter().parse(self.base_url_template)}
+        unknown = names - _URL_PLACEHOLDERS - {None}
+        if unknown:
+            raise ConfigError(f"provider.{self.id}.base_url: unknown placeholder(s) {sorted(unknown)}")
+        super().check()
+
+    def _fetch_code(
+        self, query: DataQuery, code: str, columns: list[tuple[str, str]], apikey: str, codes: set[str]
+    ) -> list[tuple[str, dt.date, dict[str, Any]]]:
+        """GET one code's rows, retrying connection failures, and keep those within the query."""
+        url = self.base_url_template.format(
+            code=quote(code, safe=""),  # encoded whole, so a code cannot add parameters to the URL
+            field=quote(",".join(column for _, column in columns), safe=""),
+            start=query.start_date.isoformat(),
+            end=query.end_date.isoformat(),
+            apikey=apikey,  # as configured: redaction scans error messages for the raw secret
+        )
+        response = None
+        for attempt in range(self.retries + 1):
+            try:
+                response = requests.get(url, timeout=self.timeout_ms / 1000.0)
+                break
+            except requests.Timeout as exc:
+                if attempt == self.retries:
+                    raise ProviderFailure(
+                        f"provider {self.id!r} timed out after {self.timeout_ms}ms",
+                        data={"timeout": True},
+                    ) from exc
+            except requests.RequestException as exc:
+                if attempt == self.retries:
+                    raise ProviderFailure(
+                        f"provider {self.id!r} request failed: {exc}",
+                        data={"reason": "connection"},
+                    ) from exc
+        if not 200 <= response.status_code < 300:
+            raise ProviderFailure(
+                f"provider {self.id!r} returned HTTP {response.status_code}",
+                data={"status": response.status_code},
+            )
+        try:
+            body = response.json()
+        except ValueError:
+            raise ProviderFailure(
+                f"provider {self.id!r} returned a non-JSON body",
+                data={"reason": "schema"},
+            ) from None
+        if not isinstance(body, dict) or not isinstance(body.get("rows"), list):
+            raise ProviderFailure(
+                f'provider {self.id!r} body must be shaped {{"rows": [...]}}',
+                data={"reason": "schema"},
+            )
+        rows = []
+        for raw_row in body["rows"]:
+            if not isinstance(raw_row, dict):
+                raise ProviderFailure(
+                    f"provider {self.id!r} returned a non-object row",
+                    data={"reason": "schema"},
+                )
+            try:
+                day = dt.date.fromisoformat(str(raw_row.get("date")))
+            except ValueError:
+                raise ProviderFailure(
+                    f"provider {self.id!r} returned unparseable date {raw_row.get('date')!r}",
+                    data={"reason": "schema"},
+                ) from None
+            row_code = raw_row.get("code", code)
+            if not isinstance(row_code, str):
+                raise ProviderFailure(
+                    f"provider {self.id!r} returned a non-string code",
+                    data={"reason": "schema"},
+                )
+            if row_code not in codes or not query.start_date <= day <= query.end_date or day.weekday() > 4:
+                continue  # keep the payload within the query contract; a weekend row's cells are never read
+            row = {f: _coerce_numeric(raw_row.get(column), column, self) for f, column in columns}
+            rows.append((row_code, day, row))
+        return rows
+
+    def fetch(self, query: DataQuery, credentials: "CredentialStore") -> Rows:
+        """Fan the per-code GETs out on at most HTTP_POOL_SIZE threads.
+
+        Rows merge in query order, so of two GETs returning one (code, day) the
+        later wins. On failure the first failing code in query order is reported
+        as soon as it and every earlier code are known, whichever GET finished
+        first; GETs not yet started are cancelled and those in flight are left
+        to finish unawaited.
+        """
+        _import_requests()  # _fetch_code reads requests.get per call, where tests and tracers patch it
+        columns = [(f, self.field_map.get(f, f)) for f in query.fields]
+        apikey = ""
+        if "{apikey}" in self.base_url_template:
+            apikey = credentials.resolve(self.credential_ref or self.id)
+        codes = set(query.codes)
+        rows: dict[str, dict[dt.date, dict[str, Any]]] = {code: {} for code in query.codes}
+        pool = ThreadPoolExecutor(max_workers=min(len(query.codes), HTTP_POOL_SIZE))
+        try:
+            futures = [pool.submit(self._fetch_code, query, code, columns, apikey, codes) for code in query.codes]
+            for future in futures:
+                for code, day, row in future.result():
+                    rows[code][day] = row
+            return _columns(rows, query)
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
+
+    def fetch_bound_s(self, n_codes: int) -> float:
+        """Longest an http fetch of ``n_codes`` codes may spend on GETs.
+
+        The GETs run in waves of HTTP_POOL_SIZE; each code makes up to
+        ``retries + 1`` attempts of at most ``timeout_ms`` each.
+        """
+        return math.ceil(n_codes / HTTP_POOL_SIZE) * (self.retries + 1) * self.timeout_ms / 1000.0
 
 
-def http_fetch_bound_s(config: ProviderConfig, n_codes: int) -> float:
-    """Longest an http fetch of ``n_codes`` codes may spend on GETs.
-
-    The GETs run in waves of HTTP_POOL_SIZE; each code makes up to
-    ``retries + 1`` attempts of at most ``timeout_ms`` each.
-    """
-    return math.ceil(n_codes / HTTP_POOL_SIZE) * (config.retries + 1) * config.timeout_ms / 1000.0
+PROVIDER_CLASSES = {"synthetic": SyntheticProvider, "http": HttpProvider, "csv": CsvProvider}  # by config kind
 
 
 def fetch_historical(
@@ -487,24 +499,12 @@ def fetch_historical(
     credentials: "CredentialStore",
     now: Callable[[], dt.datetime] | None = None,
 ) -> RawProviderPayload:
-    """Fetch canonical columns for ``query`` from the source described by ``config``.
+    """Fetch canonical columns for ``query`` from the source ``config`` describes.
 
     Synthetic sources fill every cell; csv and http sources leave ``None``
     on each day they lack, which normalization carries as a null.
     """
     query.check()
-    if config.kind == "synthetic":
-        rows = _fetch_synthetic(config, query)
-    elif config.kind == "csv":
-        try:
-            rows = _fetch_csv(config, query)
-        except (UnicodeDecodeError, csv.Error) as exc:  # a non-UTF-8 byte, or a cell past csv's field limit
-            raise ProviderFailure(
-                f"provider {config.id!r} csv is unreadable: {exc}", data={"reason": "schema"}
-            ) from None
-    elif config.kind == "http":
-        rows = _fetch_http(config, query, credentials)
-    else:
-        raise InternalError(f"provider {config.id!r} has unknown kind {config.kind!r}")
+    rows = config.fetch(query, credentials)
     stamp = (now() if now is not None else dt.datetime.now(dt.timezone.utc)).isoformat()
     return RawProviderPayload(provider_id=config.id, rows=rows, fetched_at=stamp)

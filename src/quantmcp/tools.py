@@ -18,7 +18,7 @@ from typing import Any, Callable
 
 from .errors import CredentialMissing, ProviderFailure, RateLimitedError, ValidationError
 from .normalize import Records, apply_fill, normalize_payload, parse_options
-from .providers import DataQuery, ProviderConfig, RawProviderPayload, fetch_historical, http_fetch_bound_s
+from .providers import DataQuery, ProviderConfig, RawProviderPayload, fetch_historical
 from .registry import (
     DATE_PATTERN,
     ParamSpec,
@@ -30,7 +30,7 @@ from .registry import (
 from .security import FILL_WAIT_S, CredentialStore, RateLimiter, ResponseCache, cache_key
 
 
-FILL_WAIT_MARGIN_S = 1.0  # normalize and fill after an http fetch's last GET
+FILL_WAIT_MARGIN_S = 1.0  # normalize and fill after the longest a fetch may wait on its source
 
 
 def _utc_now() -> dt.datetime:
@@ -142,9 +142,7 @@ def fetch_normalized(
             records = normalize_payload(raw, query, provider.close_time)
             return apply_fill(records, fill, query.fields), raw.fetched_at
 
-        wait_s = FILL_WAIT_S
-        if provider.kind == "http":
-            wait_s = max(FILL_WAIT_S, http_fetch_bound_s(provider, len(query.codes)) + FILL_WAIT_MARGIN_S)
+        wait_s = max(FILL_WAIT_S, provider.fetch_bound_s(len(query.codes)) + FILL_WAIT_MARGIN_S)
         (records, fetched_at), cache_hit = ctx.cache.lookup_or_store(key, produce, ttl, wait_s)
     meta = {
         "provider_id": provider.id,

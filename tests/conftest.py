@@ -11,7 +11,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # oracle_utils, stub_provider
 
-from quantmcp.providers import ProviderConfig, RateSpec
+from quantmcp.providers import ProviderConfig, RateSpec, SyntheticProvider
 from quantmcp.security import CredentialStore, RateLimiter, ResponseCache
 from quantmcp.server import Dispatcher
 from quantmcp.tools import ToolContext, build_registry
@@ -58,7 +58,7 @@ def make_ctx(
     rate: RateSpec | None = None,
 ) -> ToolContext:
     if providers is None:
-        synth = ProviderConfig(id="synth", kind="synthetic", seed=0, rate=rate or RateSpec(1000, 1000.0))
+        synth = SyntheticProvider(id="synth", seed=0, rate=rate or RateSpec(1000, 1000.0))
         providers = {"synth": synth}
     mono = mono or FakeMonoClock()
     wall = wall or FakeWallClock()

@@ -29,7 +29,7 @@ from oracle_utils import (
 
 from quantmcp.cli import main as cli_main
 from quantmcp.normalize import apply_fill
-from quantmcp.providers import ProviderConfig, RateSpec, trading_days
+from quantmcp.providers import HttpProvider, RateSpec, SyntheticProvider, trading_days
 from quantmcp.registry import ParamSpec
 from quantmcp.security import RateLimiter, cache_key
 from quantmcp.server import Dispatcher, StdioServer
@@ -137,17 +137,15 @@ def test_criterion_05_redaction_fuzz_leaks_no_secret():
             "beta": "bk-" + "".join(rng.choices(string.ascii_letters + string.digits, k=28)),
         }
         providers = {
-            "synth": ProviderConfig(id="synth", kind="synthetic", seed=1, rate=RateSpec(10**6, 10**6)),
-            "alpha": ProviderConfig(
+            "synth": SyntheticProvider(id="synth", seed=1, rate=RateSpec(10**6, 10**6)),
+            "alpha": HttpProvider(
                 id="alpha",
-                kind="http",
                 base_url_template="http://127.0.0.1:9/q?code={code}&apikey={apikey}",
                 timeout_ms=200,
                 rate=RateSpec(10**6, 10**6),
             ),
-            "beta": ProviderConfig(
+            "beta": HttpProvider(
                 id="beta",
-                kind="http",
                 base_url_template="http://127.0.0.1:9/data/{apikey}/{code}",
                 timeout_ms=200,
                 rate=RateSpec(10**6, 10**6),

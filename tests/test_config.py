@@ -10,7 +10,7 @@ import pytest
 
 from quantmcp.config import _PROVIDER_KEYS, _SERVER_KEYS, build_context, load_config
 from quantmcp.errors import ConfigError
-from quantmcp.providers import ProviderConfig
+from quantmcp.providers import CsvProvider, HttpProvider, SyntheticProvider
 
 EXAMPLE_FULL = Path(__file__).resolve().parent.parent / "configs" / "example_full.conf"
 
@@ -172,12 +172,23 @@ def test_of_two_faults_the_earlier_key_is_reported(tmp_path, body, first_error):
         load_config(_write(tmp_path, body))
 
 
-def test_a_kind_only_provider_takes_every_other_default_and_the_server_close_time(tmp_path):
+@pytest.mark.parametrize(
+    ("kind", "own_key", "cls"),
+    [
+        ("synthetic", "", SyntheticProvider),
+        ("csv", "csv_path = rows.csv\n", CsvProvider),
+        ("http", "base_url = http://h/q?code={code}\n", HttpProvider),
+    ],
+    ids=["synthetic", "csv", "http"],
+)
+def test_a_kind_only_provider_takes_every_other_default_and_the_server_close_time(tmp_path, kind, own_key, cls):
+    (tmp_path / "rows.csv").write_text("code,date,close\n")
     path = _write(
-        tmp_path, "[server]\ndefault_provider = s\nclose_time = 16:30:00\n[provider.s]\nkind = synthetic\n"
+        tmp_path, f"[server]\ndefault_provider = s\nclose_time = 16:30:00\n[provider.s]\nkind = {kind}\n{own_key}"
     )
-    expected = ProviderConfig(id="s", kind="synthetic", close_time=dt.time(16, 30))
-    assert load_config(path).providers["s"] == expected
+    own = {"csv": {"csv_path": str(tmp_path / "rows.csv")}, "http": {"base_url_template": "http://h/q?code={code}"}}
+    expected = cls(id="s", close_time=dt.time(16, 30), **own.get(kind, {}))
+    assert load_config(path).providers["s"] == expected  # dataclass equality also compares the class
 
 
 @pytest.mark.parametrize("field_map", ["clsoe=PX", "close=PX, open="])

@@ -20,7 +20,7 @@ from quantmcp.normalize import (
     parse_options,
 )
 from quantmcp import providers
-from quantmcp.providers import DataQuery, ProviderConfig, RawProviderPayload, fetch_historical
+from quantmcp.providers import DataQuery, RawProviderPayload, SyntheticProvider, fetch_historical
 from quantmcp.security import CredentialStore
 
 CLOSE = dt.time(15, 0, 0)
@@ -100,7 +100,7 @@ def test_canonical_rendering_is_key_sorted():
 
 
 def test_q1_synthetic_payload_normalizes_to_65_records():
-    config = ProviderConfig(id="synth", kind="synthetic", seed=0)
+    config = SyntheticProvider(id="synth", seed=0)
     query = _query(
         fields=["close", "pb_lf", "turn"],
         start_date=dt.date(2024, 1, 1),
@@ -192,7 +192,7 @@ def test_every_stamp_is_the_iso_day_then_the_configured_close_time():
 
 
 def test_record_list_serializes_to_json_and_back():
-    config = ProviderConfig(id="synth", kind="synthetic", seed=5)
+    config = SyntheticProvider(id="synth", seed=5)
     query = _query(fields=["close", "volume"], end_date=dt.date(2024, 1, 9))
     raw = fetch_historical(config, query, CredentialStore({}))
     records = normalize_payload(raw, query, CLOSE)

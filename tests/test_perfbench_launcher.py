@@ -47,8 +47,8 @@ def test_benchmark_tracer_installs_and_records_spans(tmp_path):
     ]
     lines, names = _traced_session(tmp_path, frames)
     assert [json.loads(line)["id"] for line in lines] == [1, 2]
-    for name in ("transport.parse_message", "transport.serialize_message",
-                 "tools.tool_get_historical_data", "normalize.normalize_payload"):
+    for name in ("transport.parse_message", "transport.serialize_message", "tools.tool_get_historical_data",
+                 "providers.fetch_historical", "normalize.normalize_payload", "normalize.apply_fill"):
         assert name in names
 
 

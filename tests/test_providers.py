@@ -27,8 +27,11 @@ from quantmcp import providers
 from quantmcp.providers import (
     CANONICAL_FIELDS,
     FNV_PRIME,
+    CsvProvider,
     DataQuery,
+    HttpProvider,
     ProviderConfig,
+    SyntheticProvider,
     fetch_historical,
     fnv1a64,
     synthetic_value,
@@ -144,7 +147,7 @@ def test_every_tail_byte_is_ascii(seed):
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_each_day_tail_folds_from_every_low_byte_by_its_128_entry_table(seed):
-    config = ProviderConfig(id="synth", kind="synthetic", seed=seed)
+    config = SyntheticProvider(id="synth", seed=seed)
     step = FNV_PRIME ** len(b"01|%d" % seed)
     for day, table in enumerate(config.tail_tables, 1):
         tail = b"%02d|%d" % (day, seed)
@@ -232,7 +235,7 @@ def test_unknown_field_is_rejected():
 
 
 def test_synthetic_fetch_covers_every_code_and_trading_day():
-    config = ProviderConfig(id="synth", kind="synthetic", seed=0)
+    config = SyntheticProvider(id="synth", seed=0)
     payload = fetch_historical(config, _query(), EMPTY_STORE)
     columns = payload.rows["300750.SZ"]
     assert [len(columns[f]) for f in ("close", "pb_lf", "turn")] == [65, 65, 65]
@@ -240,7 +243,7 @@ def test_synthetic_fetch_covers_every_code_and_trading_day():
 
 
 def test_synthetic_row_count_law_over_random_queries():
-    config = ProviderConfig(id="synth", kind="synthetic", seed=3)
+    config = SyntheticProvider(id="synth", seed=3)
     rng = random.Random(7)
     for _ in range(25):
         n_codes = rng.randrange(1, 4)
@@ -255,7 +258,7 @@ def test_synthetic_row_count_law_over_random_queries():
 
 
 def test_synthetic_fetch_is_pure_given_seed_and_query():
-    config = ProviderConfig(id="synth", kind="synthetic", seed=11)
+    config = SyntheticProvider(id="synth", seed=11)
     first = fetch_historical(config, _query(), EMPTY_STORE)
     second = fetch_historical(config, _query(), EMPTY_STORE)
     assert first.rows == second.rows
@@ -279,7 +282,7 @@ def _assert_synthetic_cells(rows, query: DataQuery, seed: int) -> None:
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_synthetic_fetch_equals_synthetic_value_cell_by_cell(seed):
     field_map = {"close": "CLOSE", "turn": "turnover_rate"}
-    config = ProviderConfig(id="synth", kind="synthetic", seed=seed, field_map=field_map)
+    config = SyntheticProvider(id="synth", seed=seed, field_map=field_map)
     codes = ["300750.SZ", "600519.SH", "贵州茅台", "A"]
     fields = list(reversed(CANONICAL_FIELDS))
     query = _query(codes=codes, fields=fields, start_date=dt.date(2023, 12, 20), end_date=dt.date(2024, 2, 5))
@@ -309,7 +312,7 @@ def test_synthetic_fetch_equals_synthetic_value_for_generated_queries(
 ):
     # the range runs from ``back`` days before a first of month (January
     # crosses a year end) to ``forward`` days after it
-    config = ProviderConfig(id="synth", kind="synthetic", seed=seed, field_map=field_map)
+    config = SyntheticProvider(id="synth", seed=seed, field_map=field_map)
     start = first_of_month - dt.timedelta(days=back)
     end = first_of_month + dt.timedelta(days=forward)
     query = _query(codes=codes, fields=fields, start_date=start, end_date=end)
@@ -318,7 +321,7 @@ def test_synthetic_fetch_equals_synthetic_value_for_generated_queries(
 
 def test_the_tail_cache_holds_one_table_per_day_of_the_month_for_a_seed():
     seed = 987_654_321
-    config = ProviderConfig(id="synth", kind="synthetic", seed=seed)
+    config = SyntheticProvider(id="synth", seed=seed)
     for start, end in [(dt.date(2019, 1, 1), dt.date(2023, 12, 31)), (dt.date(2020, 2, 3), dt.date(2020, 7, 9))]:
         fetch_historical(config, _query(fields=["close"], start_date=start, end_date=end), EMPTY_STORE)
         tables = config.__dict__["tail_tables"]  # the fetch left them cached on the config
@@ -328,7 +331,7 @@ def test_the_tail_cache_holds_one_table_per_day_of_the_month_for_a_seed():
 
 def test_threads_racing_to_build_the_tail_tables_all_get_the_reference_values():
     seed = 123_456_789_012  # a fresh config, so these threads race to build its tables
-    config = ProviderConfig(id="synth", kind="synthetic", seed=seed)
+    config = SyntheticProvider(id="synth", seed=seed)
     query = _query(
         codes=["A", "B"], fields=["close", "volume"], start_date=dt.date(2024, 1, 1), end_date=dt.date(2024, 2, 29)
     )
@@ -353,7 +356,7 @@ def test_threads_racing_to_build_the_tail_tables_all_get_the_reference_values():
 
 
 def test_query_validation_reports_unknown_fields():
-    config = ProviderConfig(id="synth", kind="synthetic")
+    config = SyntheticProvider(id="synth")
     with pytest.raises(ValidationError) as excinfo:
         fetch_historical(config, _query(fields=["close", "vwap"]), EMPTY_STORE)
     assert any("vwap" in v for v in excinfo.value.data["violations"])
@@ -363,7 +366,7 @@ def test_query_validation_reports_unknown_fields():
 
 
 def _csv_config(path) -> ProviderConfig:
-    return ProviderConfig(id="wind_export", kind="csv", csv_path=str(path))
+    return CsvProvider(id="wind_export", csv_path=str(path))
 
 
 def test_csv_filters_to_matching_rows():
@@ -404,7 +407,7 @@ def test_csv_later_duplicate_row_wins(tmp_path):
 def test_provider_field_names_are_renamed_to_canonical(tmp_path):
     path = tmp_path / "renamed.csv"
     path.write_text("code,date,PB_LF_RAW\n300750.SZ,2024-01-02,5.5\n")
-    config = ProviderConfig(id="x", kind="csv", csv_path=str(path), field_map={"pb_lf": "PB_LF_RAW"})
+    config = CsvProvider(id="x", csv_path=str(path), field_map={"pb_lf": "PB_LF_RAW"})
     query = _query(fields=["pb_lf"], start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2))
     raw = fetch_historical(config, query, EMPTY_STORE)
     assert raw.rows == {"300750.SZ": {"pb_lf": [5.5]}}
@@ -435,7 +438,7 @@ def test_csv_non_finite_cell_is_a_schema_failure(tmp_path, cell):
 
 def test_csv_config_requires_a_readable_file(tmp_path):
     with pytest.raises(ConfigError, match="csv_path"):
-        ProviderConfig(id="x", kind="csv", csv_path=str(tmp_path / "absent.csv")).check()
+        CsvProvider(id="x", csv_path=str(tmp_path / "absent.csv")).check()
 
 
 # --- http -----------------------------------------------------------------
@@ -444,12 +447,11 @@ def test_csv_config_requires_a_readable_file(tmp_path):
 def _http_config(base_url: str, **overrides) -> ProviderConfig:
     params = dict(
         id="alpha",
-        kind="http",
         base_url_template=base_url + "/query?code={code}&fields={field}&start={start}&end={end}",
         timeout_ms=2000,
     )
     params.update(overrides)
-    return ProviderConfig(**params)
+    return HttpProvider(**params)
 
 
 def test_http_payload_matches_the_stub_fixture():
@@ -487,7 +489,7 @@ code = cli.main(["serve", "--config", sys.argv[1]])
 served, sys.stdout = sys.stdout.getvalue(), sys.__stdout__
 loaded_after_serve = "requests" in sys.modules
 with stub_rows_server([{"code": "A", "date": "2024-01-02", "close": 1.5}]) as (base_url, _):
-    config = providers.ProviderConfig(id="h", kind="http", base_url_template=base_url + "/q?code={code}")
+    config = providers.HttpProvider(id="h", base_url_template=base_url + "/q?code={code}")
     query = providers.DataQuery(["A"], ["close"], dt.date(2024, 1, 1), dt.date(2024, 1, 5))
     rows = providers.fetch_historical(config, query, CredentialStore({})).rows
 print(json.dumps({"exit": code, "ids": [json.loads(line)["id"] for line in served.splitlines()],
@@ -643,7 +645,7 @@ def test_http_substitutes_each_code_as_one_encoded_query_value():
     codes = ["X&key=attacker#", "贵州茅台", "300750.SZ"]
     with stub_rows_server([]) as (base_url, state):
         template = base_url + "/q?code={code}&key={apikey}"
-        config = ProviderConfig(id="alpha", kind="http", base_url_template=template)
+        config = HttpProvider(id="alpha", base_url_template=template)
         fetch_historical(config, _query(codes=codes), CredentialStore({"alpha": "SECRET"}))
     sent = [parse_qs(urlsplit(path).query) for path in state.requests]
     assert sorted(q["code"][0] for q in sent) == sorted(codes)
@@ -672,8 +674,8 @@ def test_rows_are_keyed_by_query_code_then_date_with_exactly_the_query_fields(ki
                for code, day, close, pb, turn in _RENAMED_CELLS]
     with stub_rows_server(fixture) as (base_url, _):
         config = {
-            "synthetic": ProviderConfig(id="s", kind="synthetic", field_map=field_map),
-            "csv": ProviderConfig(id="c", kind="csv", csv_path=str(path), field_map=field_map),
+            "synthetic": SyntheticProvider(id="s", field_map=field_map),
+            "csv": CsvProvider(id="c", csv_path=str(path), field_map=field_map),
             "http": _http_config(base_url, field_map=field_map),
         }[kind]
         payload = fetch_historical(config, query, EMPTY_STORE)
@@ -722,6 +724,25 @@ def test_csv_and_http_lay_their_rows_out_as_one_column_per_field_over_the_tradin
     }
 
 
+@pytest.mark.parametrize("kind", ["csv", "http"])
+def test_a_bad_cell_on_a_weekend_fails_no_query(kind, tmp_path):
+    # Friday 01-05 holds a number; Saturday 01-06, inside the range but no trading day, holds a bad cell
+    rows = [("A", "2024-01-05", 1.5), ("A", "2024-01-06", "n/a")]
+    path = tmp_path / "weekend.csv"
+    path.write_text("code,date,close\n" + "".join(f"{code},{day},{close}\n" for code, day, close in rows))
+    fixture = [{"code": code, "date": day, "close": close} for code, day, close in rows]
+    query = _query(codes=["A"], fields=["close"], start_date=dt.date(2024, 1, 1), end_date=dt.date(2024, 1, 8))
+    with stub_rows_server(fixture) as (base_url, state):
+        config = _csv_config(path) if kind == "csv" else _http_config(base_url)
+        assert fetch_historical(config, query, EMPTY_STORE).rows == {"A": {"close": [None] * 4 + [1.5, None]}}
+        # every row's date (csv) and code (http) are still checked, so a bad one fails every query
+        with path.open("a") as fh:
+            fh.write("A,Sat 2024-01-06,1.0\n")
+        state.rows = [*fixture, {"code": ["A"], "date": "2024-01-06", "close": 1.0}]
+        with pytest.raises(ProviderFailure):
+            fetch_historical(config, query, EMPTY_STORE)
+
+
 def test_http_reports_the_first_failing_code_in_query_order(monkeypatch):
     def fake_get(url, timeout):
         code = _code_of(url)
@@ -763,18 +784,13 @@ def test_http_reports_a_fast_failure_without_awaiting_slower_gets(monkeypatch):
 
 def test_http_template_with_unknown_placeholder_is_a_config_error():
     with pytest.raises(ConfigError, match="placeholder"):
-        ProviderConfig(id="x", kind="http", base_url_template="http://h/{ticker}").check()
-
-
-def test_unknown_kind_is_a_config_error():
-    with pytest.raises(ConfigError, match="kind"):
-        ProviderConfig(id="x", kind="websocket").check()
+        HttpProvider(id="x", base_url_template="http://h/{ticker}").check()
 
 
 def test_rate_invariants_are_config_checked():
     from quantmcp.providers import RateSpec
 
     with pytest.raises(ConfigError, match="rate_capacity"):
-        ProviderConfig(id="x", kind="synthetic", rate=RateSpec(capacity=0)).check()
+        SyntheticProvider(id="x", rate=RateSpec(capacity=0)).check()
     with pytest.raises(ConfigError, match="refill"):
-        ProviderConfig(id="x", kind="synthetic", rate=RateSpec(refill_per_sec=0.0)).check()
+        SyntheticProvider(id="x", rate=RateSpec(refill_per_sec=0.0)).check()

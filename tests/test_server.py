@@ -15,7 +15,7 @@ from conftest import initialize, make_ctx
 
 import quantmcp.server as server_module
 from quantmcp.errors import InternalError, ValidationError
-from quantmcp.providers import ProviderConfig, RateSpec
+from quantmcp.providers import CsvProvider, HttpProvider, RateSpec, SyntheticProvider
 from quantmcp.registry import ParamSpec, ToolDescriptor, ToolRegistry
 from quantmcp.security import CredentialStore, redact, redact_message
 from quantmcp.server import Dispatcher, StdioServer
@@ -207,9 +207,8 @@ def test_crashing_handler_maps_to_internal_error(ctx):
 
 
 def test_provider_failure_is_not_a_protocol_error():
-    http = ProviderConfig(
+    http = HttpProvider(
         id="alpha",
-        kind="http",
         base_url_template="http://127.0.0.1:9/q?code={code}",
         timeout_ms=300,
         rate=RateSpec(1000, 1000.0),
@@ -223,7 +222,7 @@ def test_provider_failure_is_not_a_protocol_error():
 
 
 def test_rate_limited_call_maps_to_32002():
-    synth = ProviderConfig(id="synth", kind="synthetic", rate=RateSpec(capacity=1, refill_per_sec=1.0))
+    synth = SyntheticProvider(id="synth", rate=RateSpec(capacity=1, refill_per_sec=1.0))
     dispatcher = Dispatcher(build_registry(), make_ctx(providers={"synth": synth}))
     initialize(dispatcher)
     dispatcher.dispatch(_req(1, "tools/call", Q1_CALL_PARAMS))
@@ -363,9 +362,8 @@ def test_every_frame_declares_the_protocol_version():
 
 
 def test_emitted_frames_are_redacted():
-    http = ProviderConfig(
+    http = HttpProvider(
         id="alpha",
-        kind="http",
         base_url_template="http://127.0.0.1:9/q?code={code}&apikey={apikey}",
         timeout_ms=300,
         rate=RateSpec(1000, 1000.0),
@@ -466,7 +464,7 @@ def test_concurrent_writes_never_shear_frames(ctx):
 def test_csv_nan_cell_answers_a_provider_failure_over_stdio(tmp_path):
     path = tmp_path / "nan.csv"
     path.write_text("code,date,close\nA,2024-01-02,nan\n")
-    csv_provider = ProviderConfig(id="f", kind="csv", csv_path=str(path), rate=RateSpec(1000, 1000.0))
+    csv_provider = CsvProvider(id="f", csv_path=str(path), rate=RateSpec(1000, 1000.0))
     call = {"name": "tool_get_historical_data",
             "arguments": {"codes": ["A"], "fields": ["close"], "start_date": "2024-01-01", "end_date": "2024-01-05"}}
     lines = [_session_lines()[0], json.dumps({"jsonrpc": "2.0", "id": 2, "method": "tools/call", "params": call})]

@@ -16,7 +16,15 @@ from stub_provider import stub_rows_server
 
 from quantmcp.errors import ProviderFailure, RateLimitedError, ValidationError
 from quantmcp import security, tools
-from quantmcp.providers import DataQuery, ProviderConfig, RateSpec, fetch_historical, trading_days
+from quantmcp.providers import (
+    CsvProvider,
+    DataQuery,
+    HttpProvider,
+    RateSpec,
+    SyntheticProvider,
+    fetch_historical,
+    trading_days,
+)
 from quantmcp.registry import ValidatedArgs
 from quantmcp.tools import (
     build_registry,
@@ -94,9 +102,8 @@ def test_ranges_at_either_end_of_the_calendar_are_served(ctx, start, end):
 
 
 def test_unreachable_http_provider_is_a_tool_level_error():
-    http = ProviderConfig(
+    http = HttpProvider(
         id="alpha",
-        kind="http",
         base_url_template="http://127.0.0.1:9/q?code={code}&start={start}&end={end}",
         timeout_ms=300,
         rate=RateSpec(1000, 1000.0),
@@ -109,9 +116,8 @@ def test_unreachable_http_provider_is_a_tool_level_error():
 
 
 def test_missing_credential_is_a_tool_level_error():
-    http = ProviderConfig(
+    http = HttpProvider(
         id="alpha",
-        kind="http",
         base_url_template="http://127.0.0.1:9/q?code={code}&apikey={apikey}",
         rate=RateSpec(1000, 1000.0),
     )
@@ -122,16 +128,19 @@ def test_missing_credential_is_a_tool_level_error():
 
 
 @pytest.mark.parametrize(
-    ("n_codes", "timeout_ms", "retries", "expected_wait_s"),
+    ("kind", "n_codes", "timeout_ms", "retries", "expected_wait_s"),
     [
-        (1, 5000, 0, 30.0),  # derived 6 s: never below the 30 s default
-        (40, 5000, 0, 30.0),  # derived 26 s
-        (9, 5000, 2, 31.0),  # 2 waves x 3 attempts x 5 s + 1 s margin
-        (20, 20000, 0, 61.0),  # 3 waves x 20 s + 1 s margin
+        pytest.param("http", 1, 5000, 0, 30.0, id="1-5000-0-30.0"),  # derived 6 s: never below the 30 s default
+        pytest.param("http", 40, 5000, 0, 30.0, id="40-5000-0-30.0"),  # derived 26 s
+        pytest.param("http", 9, 5000, 2, 31.0, id="9-5000-2-31.0"),  # 2 waves x 3 attempts x 5 s + 1 s margin
+        pytest.param("http", 20, 20000, 0, 61.0, id="20-20000-0-61.0"),  # 3 waves x 20 s + 1 s margin
+        # a fetch that never waits on its source keeps the default, whatever its timeout
+        pytest.param("synthetic", 20, 20000, 0, 30.0, id="synthetic"),
+        pytest.param("csv", 20, 20000, 0, 30.0, id="csv"),
     ],
 )
 def test_http_single_flight_wait_only_grows_past_the_default(
-    monkeypatch, n_codes, timeout_ms, retries, expected_wait_s
+    monkeypatch, tmp_path, kind, n_codes, timeout_ms, retries, expected_wait_s
 ):
     class Response:
         status_code = 200
@@ -140,15 +149,14 @@ def test_http_single_flight_wait_only_grows_past_the_default(
             return {"rows": []}
 
     monkeypatch.setattr(requests, "get", lambda url, timeout: Response())
-    http = ProviderConfig(
-        id="alpha",
-        kind="http",
-        base_url_template="http://stub.invalid/q?code={code}",
-        timeout_ms=timeout_ms,
-        retries=retries,
-        rate=RateSpec(1000, 1000.0),
-    )
-    ctx = make_ctx(providers={"alpha": http})
+    (tmp_path / "rows.csv").write_text("code,date,close,pb_lf,turn\n")
+    cls, own = {
+        "http": (HttpProvider, {"base_url_template": "http://stub.invalid/q?code={code}"}),
+        "synthetic": (SyntheticProvider, {}),
+        "csv": (CsvProvider, {"csv_path": str(tmp_path / "rows.csv")}),
+    }[kind]
+    provider = cls(id="alpha", timeout_ms=timeout_ms, retries=retries, rate=RateSpec(1000, 1000.0), **own)
+    ctx = make_ctx(providers={"alpha": provider})
     waits: list[float] = []
     lookup_or_store = ctx.cache.lookup_or_store
 
@@ -163,7 +171,7 @@ def test_http_single_flight_wait_only_grows_past_the_default(
 
 
 def test_rate_limit_denial_is_a_protocol_error():
-    synth = ProviderConfig(id="synth", kind="synthetic", rate=RateSpec(capacity=1, refill_per_sec=1.0))
+    synth = SyntheticProvider(id="synth", rate=RateSpec(capacity=1, refill_per_sec=1.0))
     ctx = make_ctx(providers={"synth": synth})
     _call_historical(ctx)
     args = dict(Q1_ARGS, end_date="2024-02-29")  # different query, same bucket
@@ -205,7 +213,7 @@ def test_fill_previous_applies_to_csv_gaps(tmp_path):
         "A,2024-01-01,10.0\n"
         "A,2024-01-03,11.0\n"
     )
-    provider = ProviderConfig(id="f", kind="csv", csv_path=str(path), rate=RateSpec(1000, 1000.0))
+    provider = CsvProvider(id="f", csv_path=str(path), rate=RateSpec(1000, 1000.0))
     ctx = make_ctx(providers={"f": provider})
     args = {
         "codes": ["A"],
@@ -292,13 +300,13 @@ def test_non_finite_provider_value_is_an_uncached_provider_failure(tmp_path, mon
     if kind == "csv":
         path = tmp_path / "non_finite.csv"
         path.write_text(f"code,date,close\nA,2024-01-02,{cell}\n")
-        provider = ProviderConfig(id="f", kind="csv", csv_path=str(path), rate=rate)
+        provider = CsvProvider(id="f", csv_path=str(path), rate=rate)
         ctx = make_ctx(providers={"f": provider})
         results = [_call_historical(ctx, args) for _ in range(2)]
     else:
         with stub_rows_server([{"code": "A", "date": "2024-01-02", "close": math.nan}]) as (base_url, state):
-            provider = ProviderConfig(
-                id="h", kind="http", base_url_template=base_url + "/q?code={code}", rate=rate
+            provider = HttpProvider(
+                id="h", base_url_template=base_url + "/q?code={code}", rate=rate
             )
             ctx = make_ctx(providers={"h": provider})
             results = [_call_historical(ctx, args) for _ in range(2)]
@@ -321,7 +329,7 @@ def test_non_finite_provider_value_is_an_uncached_provider_failure(tmp_path, mon
 def test_unreadable_csv_is_an_uncached_schema_failure(tmp_path, monkeypatch, body, detail):
     path = tmp_path / "export.csv"
     path.write_bytes(body)
-    provider = ProviderConfig(id="f", kind="csv", csv_path=str(path), rate=RateSpec(1000, 1000.0))
+    provider = CsvProvider(id="f", csv_path=str(path), rate=RateSpec(1000, 1000.0))
     query = DataQuery(["A"], ["close"], dt.date(2024, 1, 1), dt.date(2024, 1, 5))
     with pytest.raises(ProviderFailure) as excinfo:
         fetch_historical(provider, query, security.CredentialStore({}))
@@ -353,8 +361,8 @@ def test_http_row_with_a_non_string_code_is_an_uncached_provider_failure(monkeyp
 
     gets = []
     monkeypatch.setattr(requests, "get", lambda url, timeout: gets.append(url) or Response())
-    provider = ProviderConfig(
-        id="h", kind="http", base_url_template="http://stub.invalid/q?code={code}", rate=RateSpec(1000, 1000.0)
+    provider = HttpProvider(
+        id="h", base_url_template="http://stub.invalid/q?code={code}", rate=RateSpec(1000, 1000.0)
     )
     ctx = make_ctx(providers={"h": provider})
     args = {"codes": ["A"], "fields": ["close"], "start_date": "2024-01-01", "end_date": "2024-01-05"}
@@ -367,7 +375,7 @@ def test_http_row_with_a_non_string_code_is_an_uncached_provider_failure(monkeyp
 
 
 def test_many_to_one_synthetic_field_map_gives_each_field_its_own_value():
-    provider = ProviderConfig(id="s", kind="synthetic", field_map={"close": "PX", "open": "PX"})
+    provider = SyntheticProvider(id="s", field_map={"close": "PX", "open": "PX"})
     ctx = make_ctx(providers={"s": provider})
     args = {"codes": ["A"], "fields": ["close", "open"], "start_date": "2024-01-02", "end_date": "2024-01-02"}
     [record] = _call_historical(ctx, args).content["records"]
@@ -393,7 +401,7 @@ def test_distinct_queries_keep_their_own_records_when_their_hashes_collide(ctx, 
 def test_records_from_a_miss_are_not_gc_tracked(tmp_path):
     path = tmp_path / "gaps.csv"
     path.write_text("code,date,close,turn\nA,2024-01-02,1.5,\nA,2024-01-04,,0.25\nB,2024-01-03,7.0,1.0\n")
-    provider = ProviderConfig(id="f", kind="csv", csv_path=str(path), rate=RateSpec(1000, 1000.0))
+    provider = CsvProvider(id="f", csv_path=str(path), rate=RateSpec(1000, 1000.0))
     csv_args = {"codes": ["A", "B"], "fields": ["close", "turn"], "start_date": "2024-01-01",
                 "end_date": "2024-01-05", "options": "Fill=Previous"}
     for ctx, args in ((make_ctx(), Q1_ARGS), (make_ctx(providers={"f": provider}), csv_args)):
@@ -407,7 +415,7 @@ def test_records_from_a_miss_are_not_gc_tracked(tmp_path):
 def test_unknown_code_on_csv_yields_no_data(tmp_path):
     path = tmp_path / "one.csv"
     path.write_text("code,date,close\nA,2024-01-05,3.2\n")
-    provider = ProviderConfig(id="f", kind="csv", csv_path=str(path), rate=RateSpec(1000, 1000.0))
+    provider = CsvProvider(id="f", csv_path=str(path), rate=RateSpec(1000, 1000.0))
     ctx = make_ctx(providers={"f": provider})
     result = _call_quote(ctx, {"codes": ["UNKNOWN.SZ"], "fields": ["close"], "as_of": "2024-01-06"})
     assert not result.is_error
@@ -587,9 +595,8 @@ def test_integer_beyond_the_largest_double_is_a_validation_error(ctx):
 
 
 def test_summary_over_failing_provider_is_a_tool_error():
-    http = ProviderConfig(
+    http = HttpProvider(
         id="alpha",
-        kind="http",
         base_url_template="http://127.0.0.1:9/q?code={code}",
         timeout_ms=300,
         rate=RateSpec(1000, 1000.0),

@@ -18,7 +18,7 @@ from quantmcp.errors import (
     RATE_LIMITED,
 )
 from quantmcp import transport
-from quantmcp.providers import CANONICAL_FIELDS, DataQuery, ProviderConfig, RawProviderPayload, fetch_historical
+from quantmcp.providers import CANONICAL_FIELDS, DataQuery, RawProviderPayload, SyntheticProvider, fetch_historical
 from quantmcp.normalize import apply_fill, normalize_payload
 from quantmcp.security import CredentialStore, redact_message
 from quantmcp.transport import (
@@ -274,7 +274,7 @@ def test_unicode_line_breaks_are_escaped_so_a_frame_stays_one_line(ch):
 
 
 def test_ten_thousand_records_fit_one_parseable_frame():
-    config = ProviderConfig(id="synth", kind="synthetic", seed=7)
+    config = SyntheticProvider(id="synth", seed=7)
     query = DataQuery(
         codes=[f"C{i:03d}.SZ" for i in range(40)],
         fields=["close"],
