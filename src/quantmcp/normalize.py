@@ -155,38 +155,18 @@ def _filled(column: list) -> list:
     return list(accumulate(column, lambda last, v: last if v is None else v)) if None in column else column
 
 
-def apply_fill(records: Records | list[dict[str, Any]], policy: str, fields: Iterable[str]) -> Any:
-    """Apply the fill policy to the ``fields`` columns of ``records``.
+def apply_fill(records: Records, policy: str) -> Records:
+    """Apply the fill policy to every column of ``records``, one pass per column.
 
     ``Previous`` replaces each null with the most recent earlier non-null
     value of the same field for the same code; leading nulls stay null.
-    ``Blank`` returns the input as it is. Non-null values are never touched, so
-    the operation is idempotent, and the input is never mutated: a table comes
-    back as a new one sharing each column with no null. A list of record dicts
-    sorted by (code, timestamp) is filled through the columns of each code's
-    run, copying only a record that gains a value.
+    ``Blank`` returns the table as it is. Non-null values are never touched, so
+    the operation is idempotent, and the input is never mutated: the result is
+    a new table that shares each column holding no null.
     """
     allowed = RECOGNIZED_OPTIONS["Fill"]
     if policy not in allowed:
         raise ValidationError(f"unknown fill policy {policy!r}", data={"allowed": sorted(allowed)})
     if policy == "Blank":
         return records
-    wanted = set(fields)
-    if isinstance(records, Records):
-        columns = tuple(
-            tuple(_filled(col) if f in wanted else col for f, col in zip(records.fields, cols))
-            for cols in records.columns
-        )
-        return dataclasses.replace(records, columns=columns)
-    order = [(rec["code"], rec["timestamp"]) for rec in records]
-    if any(a > b for a, b in zip(order, order[1:])):
-        raise InternalError("records must be sorted by (code, timestamp) before fill")
-    filled = list(records)
-    ends = [i for i in range(1, len(order)) if order[i][0] != order[i - 1][0]] + [len(order)]
-    for lo, hi in zip([0, *ends], ends):
-        for f in wanted:
-            column = [rec.get(f) for rec in records[lo:hi]]
-            for i, (old, new) in enumerate(zip(column, _filled(column)), lo):
-                if old is None and new is not None and f in filled[i]:
-                    filled[i] = {**filled[i], f: new}
-    return filled
+    return dataclasses.replace(records, columns=tuple(tuple(map(_filled, cols)) for cols in records.columns))

@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Any, Callable
 from urllib.parse import quote
 
-from .errors import ConfigError, CredentialMissing, ProviderFailure, ValidationError
+from .errors import ConfigError, ProviderFailure, ValidationError
 
 if TYPE_CHECKING:
     import requests  # bound at runtime by _import_requests on the first http fetch

@@ -13,7 +13,7 @@ import datetime as dt
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from .errors import CredentialMissing, ProviderFailure, RateLimitedError, ValidationError
@@ -140,10 +140,14 @@ def fetch_normalized(
         def produce() -> tuple[Records, str]:
             raw = fetch_historical(provider, query, ctx.credentials, now=ctx.wall_clock)
             records = normalize_payload(raw, query, provider.close_time)
-            return apply_fill(records, fill, query.fields), raw.fetched_at
+            return apply_fill(records, fill), raw.fetched_at
 
         wait_s = max(FILL_WAIT_S, provider.fetch_bound_s(len(query.codes)) + FILL_WAIT_MARGIN_S)
         (records, fetched_at), cache_hit = ctx.cache.lookup_or_store(key, produce, ttl, wait_s)
+        if records.fields != tuple(query.fields):  # the entry was filled by a query naming them in another order
+            order = [records.fields.index(f) for f in query.fields]
+            columns = tuple(tuple(cols[i] for i in order) for cols in records.columns)
+            records = replace(records, fields=tuple(query.fields), columns=columns)
     meta = {
         "provider_id": provider.id,
         "fetched_at": fetched_at,

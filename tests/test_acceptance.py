@@ -28,7 +28,7 @@ from oracle_utils import (
 )
 
 from quantmcp.cli import main as cli_main
-from quantmcp.normalize import apply_fill
+from quantmcp.normalize import Records, apply_fill
 from quantmcp.providers import HttpProvider, RateSpec, SyntheticProvider, trading_days
 from quantmcp.registry import ParamSpec
 from quantmcp.security import RateLimiter, cache_key
@@ -118,13 +118,11 @@ def test_criterion_04_fill_matches_the_backward_scan_oracle():
         for _ in range(500):
             length = rng.randrange(0, 30)
             values = [None if rng.random() < 0.4 else round(rng.uniform(1, 200), 2) for _ in range(length)]
-            records = [
-                {"code": "X", "timestamp": f"{day_pool[i].isoformat()} 15:00:00", "close": v}
-                for i, v in enumerate(values)
-            ]
-            filled = apply_fill(records, "Previous", ["close"])
+            days = tuple(day.isoformat() for day in day_pool[:length])
+            records = Records(("X",), days, " 15:00:00", ("close",), ((list(values),),))
+            filled = apply_fill(records, "Previous")
             assert [r["close"] for r in filled] == backfill_oracle(values)
-            blank = apply_fill(records, "Blank", ["close"])
+            blank = apply_fill(records, "Blank")
             assert blank == records
 
 

@@ -15,6 +15,7 @@ from oracle_utils import backfill_oracle
 from quantmcp.errors import InternalError, ValidationError
 from quantmcp.normalize import (
     OptionsMap,
+    Records,
     apply_fill,
     normalize_payload,
     parse_options,
@@ -205,100 +206,108 @@ def test_record_list_serializes_to_json_and_back():
 # --- apply_fill ---------------------------------------------------------------
 
 
-def _series(values, code="A") -> list[dict]:
-    start = dt.date(2024, 1, 1)
-    records = []
-    day = start
-    for v in values:
-        while day.weekday() >= 5:
-            day += dt.timedelta(days=1)
-        records.append({"code": code, "timestamp": f"{day.isoformat()} 15:00:00", "close": v})
+def _table(columns_by_code, fields=("close",)) -> Records:
+    """A table of ``{code: [one column per field]}`` over the first weekdays of 2024, codes sorted."""
+    n = len(next(iter(columns_by_code.values()))[0])
+    days, day = [], dt.date(2024, 1, 1)
+    while len(days) < n:
+        if day.weekday() < 5:
+            days.append(day.isoformat())
         day += dt.timedelta(days=1)
-    return records
+    codes = tuple(sorted(columns_by_code))
+    return Records(codes, tuple(days), " 15:00:00", tuple(fields), tuple(tuple(columns_by_code[c]) for c in codes))
+
+
+def _series(values, code="A") -> Records:
+    return _table({code: [values]})
+
+
+_GAPPY_CELLS = st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _gappy_tables(draw, max_cells):
+    """A table of 1-3 codes x 1-3 fields, each cell null or a float; a wider table spans fewer days."""
+    n_codes = draw(st.integers(1, 3))
+    fields = draw(st.lists(st.sampled_from(providers.CANONICAL_FIELDS), min_size=1, max_size=3, unique=True))
+    n = draw(st.integers(0, max_cells // (n_codes * len(fields))))
+    columns = {f"C{i}": [draw(st.lists(_GAPPY_CELLS, min_size=n, max_size=n)) for _ in fields]
+               for i in range(n_codes)}
+    return _table(columns, fields)
 
 
 def test_previous_fill_carries_last_observation_forward():
-    filled = apply_fill(_series([100.0, None, None, 101.0]), "Previous", ["close"])
+    filled = apply_fill(_series([100.0, None, None, 101.0]), "Previous")
     assert [r["close"] for r in filled] == [100.0, 100.0, 100.0, 101.0]
 
 
 def test_previous_fill_leaves_leading_nulls():
-    filled = apply_fill(_series([None, None]), "Previous", ["close"])
+    filled = apply_fill(_series([None, None]), "Previous")
     assert [r["close"] for r in filled] == [None, None]
 
 
 def test_blank_fill_is_identity():
     records = _series([None, 5.0, None])
-    assert apply_fill(records, "Blank", ["close"]) == records
+    assert apply_fill(records, "Blank") == records
 
 
 def test_fill_does_not_leak_across_codes():
-    records = _series([7.0, None], code="A") + _series([None, 3.0], code="B")
-    filled = apply_fill(records, "Previous", ["close"])
+    records = _table({"A": [[7.0, None]], "B": [[None, 3.0]]})
+    filled = apply_fill(records, "Previous")
     assert [r["close"] for r in filled] == [7.0, 7.0, None, 3.0]
 
 
 def test_fill_copies_only_the_records_it_fills_and_never_mutates_its_input():
     records = _series([1.0, None, 2.0, None])
-    snapshot = copy.deepcopy(records)
-    before = [id(r) for r in records]
-    filled = apply_fill(records, "Previous", ["close"])
+    snapshot = copy.deepcopy(list(records))
+    before = records.columns[0][0]
+    filled = apply_fill(records, "Previous")
     assert [r["close"] for r in filled] == [1.0, 1.0, 2.0, 2.0]
-    assert records == snapshot and [id(r) for r in records] == before
-    assert [f is r for f, r in zip(filled, records)] == [True, False, True, False]
-    assert apply_fill(records, "Blank", ["close"]) is records
-    # a table: only a column holding a null is rebuilt; the input table and its columns stay as they were
+    assert list(records) == snapshot and records.columns[0][0] is before
+    assert filled.columns[0][0] is not before
+    assert apply_fill(records, "Blank") is records
+    # only a column holding a null is rebuilt; the input table and its columns stay as they were
     query = _query(codes=["A", "B"], fields=["close", "turn"])
     gappy, whole = [None, 1.0, None, 2.0, None], [1.0, 2.0, 3.0, 4.0, 5.0]
     table = normalize_payload(_payload({"A": {"close": gappy, "turn": whole}}), query, CLOSE)
     snapshot = copy.deepcopy(list(table))
-    out = apply_fill(table, "Previous", query.fields)
+    out = apply_fill(table, "Previous")
     assert [list(cols) for cols in out.columns] == [[[None, 1.0, 1.0, 2.0, 2.0], whole], [[None] * 5] * 2]
     assert out.columns[0][1] is whole and out.columns[0][0] is not gappy
     assert list(table) == snapshot and table.columns[0][0] is gappy and gappy == [None, 1.0, None, 2.0, None]
-    assert apply_fill(table, "Blank", query.fields) is table
-
-
-def test_fill_requires_sorted_input():
-    records = list(reversed(_series([1.0, None, 2.0])))
-    with pytest.raises(InternalError, match="sorted"):
-        apply_fill(records, "Previous", ["close"])
-
-
-def test_fill_requires_codes_in_order():
-    records = _series([1.0, None], code="B") + _series([None, 2.0], code="A")
-    with pytest.raises(InternalError, match="sorted"):
-        apply_fill(records, "Previous", ["close"])
+    assert apply_fill(table, "Blank") is table
 
 
 def test_unknown_policy_is_rejected():
     with pytest.raises(ValidationError) as excinfo:
-        apply_fill(_series([1.0]), "Forward", ["close"])
+        apply_fill(_series([1.0]), "Forward")
     assert excinfo.value.data == {"allowed": ["Blank", "Previous"]}
 
 
-def test_fill_only_touches_requested_fields():
-    records = [
-        {"code": "A", "timestamp": "2024-01-01 15:00:00", "close": 1.0, "turn": 2.0},
-        {"code": "A", "timestamp": "2024-01-02 15:00:00", "close": None, "turn": None},
+def test_each_column_fills_on_its_own():
+    records = _table({"A": [[1.0, None, None], [None, 2.0, None]]}, fields=("close", "turn"))
+    filled = apply_fill(records, "Previous")
+    assert [_values(r) for r in filled] == [
+        {"close": 1.0, "turn": None},
+        {"close": 1.0, "turn": 2.0},
+        {"close": 1.0, "turn": 2.0},
     ]
-    filled = apply_fill(records, "Previous", ["close"])
-    assert _values(filled[1]) == {"close": 1.0, "turn": None}
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)), max_size=40))
-def test_previous_fill_matches_the_backward_scan_oracle(values):
-    filled = apply_fill(_series(values), "Previous", ["close"])
-    assert [r["close"] for r in filled] == backfill_oracle(values)
+@given(_gappy_tables(max_cells=40))
+def test_previous_fill_matches_the_backward_scan_oracle(table):
+    filled = apply_fill(table, "Previous")
+    for i, f in enumerate(table.fields):
+        assert [r[f] for r in filled] == [v for cols in table.columns for v in backfill_oracle(cols[i])]
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)), max_size=30))
+@given(st.lists(_GAPPY_CELLS, max_size=30))
 def test_previous_fill_is_idempotent_and_preserves_non_nulls(values):
     records = _series(values)
-    once = apply_fill(records, "Previous", ["close"])
-    twice = apply_fill(once, "Previous", ["close"])
+    once = apply_fill(records, "Previous")
+    twice = apply_fill(once, "Previous")
     assert twice == once
     for before, after in zip(records, once):
         if before["close"] is not None:

@@ -398,6 +398,27 @@ def test_a_cache_hit_after_a_redacted_miss_returns_the_same_records():
     assert [{**r, "code": "X***REDACTED***"} for r in cached] == miss["records"]
 
 
+@pytest.mark.parametrize("tool,span", [
+    ("tool_get_historical_data", {"start_date": "2024-01-01", "end_date": "2024-01-12", "options": "Fill=Previous"}),
+    ("tool_get_quote", {"as_of": "2024-01-12"}),
+], ids=["historical", "quote"])
+def test_a_cache_hit_answers_in_the_field_order_of_its_own_query(tool, span):
+    def call(dispatcher, id, fields):
+        arguments = {"codes": ["300750.SZ", "600000.SH"], "fields": fields, **span}
+        return dispatcher.dispatch(_req(id, "tools/call", {"name": tool, "arguments": arguments}))
+
+    session, fresh = Dispatcher(build_registry(), make_ctx()), Dispatcher(build_registry(), make_ctx())
+    initialize(session)
+    initialize(fresh)
+    call(session, 1, ["close", "turn"])
+    hit, miss = call(session, 2, ["turn", "close"]), call(fresh, 2, ["turn", "close"])
+    assert (hit.result["content"]["meta"]["cache_hit"], miss.result["content"]["meta"]["cache_hit"]) == (True, False)
+    for response in (hit, miss):
+        response.result["content"]["meta"].update(cache_hit=None, fetched_at=None)
+    assert serialize_message(hit) == serialize_message(miss)
+    assert list(hit.result["content"]["records"][0]) == ["code", "timestamp", "turn", "close"]
+
+
 def test_concurrent_mode_interleaves_but_correlates_ids(ctx):
     registry = ToolRegistry()
     order = []

@@ -311,7 +311,7 @@ def _tables(draw):
     rows = {code: {f: draw(st.lists(_CELLS, min_size=n, max_size=n)) for f in fields}
             for code in draw(st.sets(st.sampled_from(codes)))}
     table = normalize_payload(RawProviderPayload("p", rows, "t"), query, dt.time(9, 30, 5))
-    return apply_fill(table, draw(st.sampled_from(["Previous", "Blank"])), fields)
+    return apply_fill(table, draw(st.sampled_from(["Previous", "Blank"])))
 
 
 def _history(records, id=1) -> JsonRpcMessage:
