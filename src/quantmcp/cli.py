@@ -9,8 +9,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import logging
 import sys
+import threading
 from typing import Any, Callable
 
 from . import __version__
@@ -28,14 +28,25 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 
-def _build_dispatcher(config_path: str, warn: Callable[[str], None]) -> tuple[ServerConfig, Dispatcher]:
+_STDERR_LOCK = threading.Lock()
+
+
+def _stderr(text: str) -> None:
+    """Write ``text`` as one stderr line; drop it if stderr is missing, closed or broken."""
+    with _STDERR_LOCK:
+        try:
+            sys.stderr.write(text + "\n")
+            sys.stderr.flush()
+        except (AttributeError, ValueError, OSError):
+            pass
+
+
+def _build_dispatcher(
+    config_path: str, log: Callable[[str], None] | None = None
+) -> tuple[ServerConfig, Dispatcher]:
     config = load_config(config_path)
-    ctx = build_context(config, warn=warn)
-    return config, Dispatcher(build_registry(), ctx, server_name=config.name)
-
-
-def _warn_stderr(msg: str) -> None:
-    print(f"warning: {msg}", file=sys.stderr)
+    ctx = build_context(config, warn=lambda msg: _stderr(f"warning: {msg}"))
+    return config, Dispatcher(build_registry(), ctx, server_name=config.name, log=log)
 
 
 def _serve_frames(dispatcher: Dispatcher, frames: list[dict[str, Any]]) -> list[dict[str, Any]]:
@@ -46,8 +57,7 @@ def _serve_frames(dispatcher: Dispatcher, frames: list[dict[str, Any]]) -> list[
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
-    config, dispatcher = _build_dispatcher(args.config, logging.getLogger("quantmcp").warning)
+    config, dispatcher = _build_dispatcher(args.config, log=_stderr)
     concurrency = args.concurrent if args.concurrent is not None else config.concurrency
     # The wire is UTF-8 whatever the locale (stdout: see main). A byte that is
     # not UTF-8 reads as a lone surrogate, which parse_message answers with -32700.
@@ -57,13 +67,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         return server.run()
     except OSError as exc:
-        print(f"transport error: {exc}", file=sys.stderr)
+        _stderr(f"transport error: {exc}")
         return EXIT_RUNTIME
 
 
 def cmd_tools_list(args: argparse.Namespace) -> int:
-    _, dispatcher = _build_dispatcher(args.config, _warn_stderr)
-    manifest = [d.manifest_entry() for d in dispatcher.state.registry.descriptors()]
+    _, dispatcher = _build_dispatcher(args.config)
+    manifest = [d.manifest_entry() for d in dispatcher.registry.descriptors()]
     print(json.dumps({"tools": manifest}, indent=2, ensure_ascii=False))
     return EXIT_OK
 
@@ -72,12 +82,12 @@ def cmd_call(args: argparse.Namespace) -> int:
     try:
         arguments = json.loads(args.params)
     except ValueError as exc:  # also an integer with too many digits
-        print(f"params error: not valid JSON: {exc}", file=sys.stderr)
+        _stderr(f"params error: not valid JSON: {exc}")
         return EXIT_USAGE
     if not isinstance(arguments, dict):
-        print("params error: params must be a JSON object", file=sys.stderr)
+        _stderr("params error: params must be a JSON object")
         return EXIT_USAGE
-    _, dispatcher = _build_dispatcher(args.config, _warn_stderr)
+    _, dispatcher = _build_dispatcher(args.config)
     client = {"name": "quantmcp-cli", "version": __version__}
     frame = _serve_frames(
         dispatcher,
@@ -88,7 +98,7 @@ def cmd_call(args: argparse.Namespace) -> int:
         ],
     )[-1]
     if "error" in frame:
-        print(json.dumps(frame["error"], indent=2), file=sys.stderr)
+        _stderr(json.dumps(frame["error"], indent=2))
         return EXIT_USAGE
     result = frame["result"]
     print(json.dumps(result["content"], indent=2, ensure_ascii=False))
@@ -126,9 +136,9 @@ def _load_transcript(path: str) -> list[tuple[str, dict[str, Any]]]:
 def cmd_replay(args: argparse.Namespace) -> int:
     try:
         entries = _load_transcript(args.transcript)
-        _, dispatcher = _build_dispatcher(args.config, _warn_stderr)
+        _, dispatcher = _build_dispatcher(args.config)
     except (ConfigError, OSError) as exc:
-        print(f"replay error: {exc}", file=sys.stderr)
+        _stderr(f"replay error: {exc}")
         return EXIT_USAGE
 
     produced = _serve_frames(dispatcher, [message for direction, message in entries if direction == "in"])
@@ -204,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        _stderr(f"config error: {exc}")
         return EXIT_USAGE
 
 

@@ -187,13 +187,6 @@ def _month_slices(start: dt.date, end: dt.date) -> list[tuple[Month, int, int]]:
     return slices
 
 
-def trading_days(start: dt.date, end: dt.date) -> list[dt.date]:
-    """All Mondays through Fridays in [start, end], ascending."""
-    if start > end:
-        raise ValidationError("start_date must not be after end_date")
-    return [day for (days, _, _), i, j in _month_slices(start, end) for day in days[i:j]]
-
-
 # Each field's scaling of a column of residues ``k`` in [0, 10**6) into a plausible range; each
 # equals the ``round`` in its tie branch for every ``k`` (see ``SyntheticProvider.fetch``).
 _SCALE: dict[str, Callable[[list[int]], list]] = dict.fromkeys(

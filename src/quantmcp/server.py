@@ -10,11 +10,9 @@ process.
 
 from __future__ import annotations
 
-import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, TextIO
+from typing import Any, Callable, TextIO
 
 from . import __version__
 from .errors import (
@@ -46,15 +44,6 @@ from .transport import (
 PROTOCOL_VERSION = "2024-11-05"
 SERVER_NAME = "quantmcp"
 
-logger = logging.getLogger("quantmcp.server")
-
-
-@dataclass
-class ServerState:
-    registry: ToolRegistry
-    initialized: bool = False
-    session_info: dict[str, Any] = field(default_factory=dict)
-
 
 class Dispatcher:
     """Routes parsed messages to lifecycle and tool handlers."""
@@ -64,18 +53,25 @@ class Dispatcher:
         registry: ToolRegistry,
         ctx: ToolContext,
         server_name: str = SERVER_NAME,
+        log: Callable[[str], None] | None = None,
     ):
-        self.state = ServerState(registry=registry)
+        self.registry = registry
+        self.initialized = False
+        self.session_info: dict[str, Any] = {}
         self.ctx = ctx
         self.server_name = server_name
+        self.log = log
 
     def log_event(self, event: str, **fields: Any) -> None:
+        """Hand ``log`` one JSON event line, redacted if a secret shows; without ``log``, do nothing."""
+        if self.log is None:
+            return
         payload = {"event": event, **fields}
         store = self.ctx.credentials
         line = json_line(payload, LOG_ENCODER)
         if store.shows_in(line):
             line = json_line(redact(payload, store), LOG_ENCODER)
-        logger.info(line)
+        self.log(line)
 
     def dispatch(self, msg: JsonRpcMessage) -> JsonRpcMessage | None:
         """Route one message; notifications and inbound responses yield None."""
@@ -89,7 +85,7 @@ class Dispatcher:
             if msg.method == "initialize":
                 return self._handle_initialize(msg)
             if msg.method in ("tools/list", "tools/call"):
-                if not self.state.initialized:
+                if not self.initialized:
                     return make_error(
                         msg.id,
                         INVALID_REQUEST,
@@ -111,17 +107,17 @@ class Dispatcher:
             return make_error(msg.id, INTERNAL_ERROR, "internal error", data={"detail": str(exc)})
 
     def _handle_initialize(self, msg: JsonRpcMessage) -> JsonRpcMessage:
-        if self.state.initialized:
+        if self.initialized:
             return make_error(msg.id, INVALID_REQUEST, "server already initialized")
         params = msg.params if isinstance(msg.params, dict) else {}
         client_info = params.get("clientInfo")
         if isinstance(client_info, dict):
-            self.state.session_info = {
+            self.session_info = {
                 "name": str(client_info.get("name", "")),
                 "version": str(client_info.get("version", "")),
             }
-        self.state.initialized = True
-        self.log_event("initialize", client=self.state.session_info)
+        self.initialized = True
+        self.log_event("initialize", client=self.session_info)
         result = {
             "protocolVersion": PROTOCOL_VERSION,
             "serverInfo": {"name": self.server_name, "version": __version__},
@@ -130,7 +126,7 @@ class Dispatcher:
         return JsonRpcMessage(RESPONSE, id=msg.id, result=result)
 
     def _handle_tools_list(self, msg: JsonRpcMessage) -> JsonRpcMessage:
-        manifest = [d.manifest_entry() for d in self.state.registry.descriptors()]
+        manifest = [d.manifest_entry() for d in self.registry.descriptors()]
         return JsonRpcMessage(RESPONSE, id=msg.id, result={"tools": manifest})
 
     def _handle_tools_call(self, msg: JsonRpcMessage) -> JsonRpcMessage:
@@ -141,8 +137,8 @@ class Dispatcher:
         if not isinstance(name, str) or not name:
             raise ValidationError("tools/call params.name must be a non-empty string")
         arguments = params.get("arguments", {})
-        validated = self.state.registry.validate_params(name, arguments)
-        _, handler = self.state.registry.get(name)
+        validated = self.registry.validate_params(name, arguments)
+        _, handler = self.registry.get(name)
         self.log_event("tools_call", tool=name)
         result = handler(validated, self.ctx)
         if not isinstance(result, ToolResult):
@@ -215,7 +211,7 @@ class StdioServer:
             executor is not None
             and msg.kind == REQUEST
             and msg.method == "tools/call"
-            and self.dispatcher.state.initialized
+            and self.dispatcher.initialized
         ):
             executor.submit(self._dispatch_and_emit, msg)
         else:

@@ -11,7 +11,6 @@ import contextlib
 import datetime as dt
 import io
 import json
-import logging
 import random
 import string
 import time
@@ -29,7 +28,7 @@ from oracle_utils import (
 
 from quantmcp.cli import main as cli_main
 from quantmcp.normalize import Records, apply_fill
-from quantmcp.providers import HttpProvider, RateSpec, SyntheticProvider, trading_days
+from quantmcp.providers import DataQuery, HttpProvider, RateSpec, SyntheticProvider
 from quantmcp.registry import ParamSpec
 from quantmcp.security import RateLimiter, cache_key
 from quantmcp.server import Dispatcher, StdioServer
@@ -108,13 +107,13 @@ def test_criterion_03_row_count_law_over_200_random_queries():
             }
             response = _call(dispatcher, i + 10, "tool_get_historical_data", arguments)
             records = response.result["content"]["records"]
-            assert len(records) == len(codes) * len(trading_days(start, end))
+            assert len(records) == len(codes) * len(DataQuery(codes, ["close"], start, end).days)
 
 
 def test_criterion_04_fill_matches_the_backward_scan_oracle():
     with criterion(4, "fill equivalence against O(n^2) oracle"):
         rng = random.Random(1234)
-        day_pool = trading_days(dt.date(2023, 1, 2), dt.date(2023, 12, 29))
+        day_pool = DataQuery(["C000.SZ"], ["close"], dt.date(2023, 1, 2), dt.date(2023, 12, 29)).days
         for _ in range(500):
             length = rng.randrange(0, 30)
             values = [None if rng.random() < 0.4 else round(rng.uniform(1, 200), 2) for _ in range(length)]
@@ -150,52 +149,44 @@ def test_criterion_05_redaction_fuzz_leaks_no_secret():
             ),
         }
         ctx = make_ctx(providers=providers, default="synth", secrets=secrets)
-        dispatcher = Dispatcher(build_registry(), ctx)
-
-        log_stream = io.StringIO()
-        handler = logging.StreamHandler(log_stream)
-        logger = logging.getLogger("quantmcp.server")
-        logger.addHandler(handler)
-        logger.setLevel(logging.INFO)
+        log: list[str] = []
+        dispatcher = Dispatcher(build_registry(), ctx, log=log.append)
 
         out = io.StringIO()
         server = StdioServer(dispatcher, io.StringIO(), out)
         server.handle_line(json.dumps({"jsonrpc": "2.0", "id": 0, "method": "initialize"}))
         tools = ["tool_get_historical_data", "tool_get_quote", "tool_compute_summary", "nosuch"]
         day = dt.date(2024, 2, 5)
-        try:
-            for i in range(1000):
-                roll = rng.random()
-                if roll < 0.05:
-                    server.handle_line("garbage {" + rng.choice(secrets["alpha"]))
-                    continue
-                tool = rng.choice(tools)
-                provider = rng.choice(["synth", "alpha", "beta", "ghost"])
-                start = day + dt.timedelta(days=rng.randrange(10))
-                arguments: dict = {
-                    "codes": [rng.choice(["300750.SZ", "600000.SH", ""]) ],
-                    "fields": [rng.choice(["close", "turn", "bogus"])],
-                    "start_date": start.isoformat(),
-                    "end_date": (start + dt.timedelta(days=rng.randrange(4))).isoformat(),
-                    "provider_id": provider,
-                }
-                if rng.random() < 0.2:
-                    arguments.pop(rng.choice(list(arguments)))
-                if rng.random() < 0.2:
-                    arguments["hallucinated"] = secrets["beta"]
-                if tool == "tool_compute_summary":
-                    arguments = {"query": arguments, "summarize_fields": ["close"]}
-                server.handle_line(
-                    json.dumps(
-                        {"jsonrpc": "2.0", "id": i + 1, "method": "tools/call",
-                         "params": {"name": tool, "arguments": arguments}}
-                    )
+        for i in range(1000):
+            roll = rng.random()
+            if roll < 0.05:
+                server.handle_line("garbage {" + rng.choice(secrets["alpha"]))
+                continue
+            tool = rng.choice(tools)
+            provider = rng.choice(["synth", "alpha", "beta", "ghost"])
+            start = day + dt.timedelta(days=rng.randrange(10))
+            arguments: dict = {
+                "codes": [rng.choice(["300750.SZ", "600000.SH", ""]) ],
+                "fields": [rng.choice(["close", "turn", "bogus"])],
+                "start_date": start.isoformat(),
+                "end_date": (start + dt.timedelta(days=rng.randrange(4))).isoformat(),
+                "provider_id": provider,
+            }
+            if rng.random() < 0.2:
+                arguments.pop(rng.choice(list(arguments)))
+            if rng.random() < 0.2:
+                arguments["hallucinated"] = secrets["beta"]
+            if tool == "tool_compute_summary":
+                arguments = {"query": arguments, "summarize_fields": ["close"]}
+            server.handle_line(
+                json.dumps(
+                    {"jsonrpc": "2.0", "id": i + 1, "method": "tools/call",
+                     "params": {"name": tool, "arguments": arguments}}
                 )
-        finally:
-            logger.removeHandler(handler)
+            )
 
         frames = out.getvalue()
-        logs = log_stream.getvalue()
+        logs = "\n".join(log)
         assert frames.count("\n") >= 1000
         for secret in secrets.values():
             assert secret not in frames, "secret leaked into a wire frame"
@@ -272,7 +263,7 @@ def test_criterion_08_validation_strictness_100_bad_100_good():
         rng = random.Random(808)
         dispatcher = Dispatcher(build_registry(), make_ctx())
         initialize(dispatcher)
-        registry = dispatcher.state.registry
+        registry = dispatcher.registry
 
         mutations = ["drop_required", "unknown_key", "wrong_type", "bad_items", "bad_pattern"]
         for i in range(100):

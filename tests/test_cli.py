@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import datetime as dt
 import io
 import json
+import os
+import re
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +179,20 @@ def test_replay_is_deterministic_across_runs(capsys):
     assert out_first == out_second
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tools", "list", "--config", SYNTH_CONF],
+        ["call", "tool_get_historical_data", Q1_PARAMS, "--config", SYNTH_CONF],
+        ["replay", GOLDEN_TRANSCRIPT, "--config", SYNTH_CONF],
+    ],
+    ids=["tools-list", "call", "replay"],
+)
+def test_only_serve_writes_event_lines(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 # --- serve (subprocess) ------------------------------------------------------
 
 
@@ -321,3 +339,133 @@ def test_serve_round_trips_a_tool_call_over_real_pipes():
     frames = [json.loads(line) for line in out.splitlines()]
     record = frames[1]["result"]["content"]["records"][0]
     assert record["timestamp"] == "2024-01-05 15:00:00"
+
+
+def test_concurrent_serve_writes_each_event_as_one_whole_json_line(tmp_path):
+    config = tmp_path / "wide.conf"
+    config.write_text(Path(SYNTH_CONF).read_text().replace("rate_capacity = 5", "rate_capacity = 1000000"))
+    frames = ['{"jsonrpc":"2.0","id":0,"method":"initialize"}']
+    for i in range(200):
+        day = dt.date(2024, 1, 1) + dt.timedelta(days=i)
+        arguments = {"codes": [f"C{i:03d}.SZ"], "fields": ["close"], "start_date": day.isoformat(),
+                     "end_date": (day + dt.timedelta(days=20)).isoformat()}
+        frames.append(json.dumps({"jsonrpc": "2.0", "id": i + 1, "method": "tools/call",
+                                  "params": {"name": "tool_get_historical_data", "arguments": arguments}}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quantmcp", "serve", "--config", str(config), "--concurrent", "4"],
+        input="".join(f + "\n" for f in frames),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=str(REPO_ROOT),
+        env=src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    answers = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert sorted(a["id"] for a in answers) == list(range(201))
+    assert all("result" in a and not a["result"].get("is_error") for a in answers)
+    events = [json.loads(line) for line in proc.stderr.splitlines()]
+    assert all(isinstance(e, dict) for e in events)
+    assert sum(e["event"] == "tools_call" for e in events) == 200
+
+
+# --- a closed or broken stderr ------------------------------------------------
+
+
+def _run_without_stderr(how: str, argv: list[str], stdin: bytes = b"") -> subprocess.CompletedProcess:
+    """Run quantmcp with fd 2 ``closed`` or ``broken`` (a pipe whose read end is closed)."""
+    if how == "closed":
+        redirect = {"stderr": subprocess.DEVNULL, "preexec_fn": lambda: os.close(2)}
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        redirect = {"stderr": write_end}
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "quantmcp", *argv],
+            input=stdin,
+            stdout=subprocess.PIPE,
+            timeout=30,
+            cwd=str(REPO_ROOT),
+            env=src_env(),
+            **redirect,
+        )
+    finally:
+        if how == "broken":
+            os.close(write_end)
+
+
+@pytest.fixture
+def readable_creds_conf(tmp_path) -> str:
+    """The synthetic config with a group-readable credentials file, which warns at startup."""
+    (tmp_path / "creds.conf").write_text("synth.key = s3cret-value\n")
+    (tmp_path / "creds.conf").chmod(0o640)
+    config = tmp_path / "server.conf"
+    config.write_text(Path(SYNTH_CONF).read_text().replace("[server]\n", "[server]\ncredentials = creds.conf\n"))
+    return str(config)
+
+
+STDERR_GONE = pytest.mark.parametrize("how", ["closed", "broken"])
+
+
+@STDERR_GONE
+def test_call_with_malformed_params_exits_2_without_stderr(how):
+    proc = _run_without_stderr(how, ["call", "tool_get_historical_data", "{bad", "--config", SYNTH_CONF])
+    assert (proc.returncode, proc.stdout) == (2, b"")
+
+
+@STDERR_GONE
+def test_serve_with_invalid_config_exits_2_without_stderr(how, tmp_path):
+    bad = tmp_path / "bad.conf"
+    bad.write_text("[provider.s]\nkind = nope\n")
+    proc = _run_without_stderr(how, ["serve", "--config", str(bad)])
+    assert (proc.returncode, proc.stdout) == (2, b"")
+
+
+@STDERR_GONE
+def test_call_with_a_readable_credentials_file_answers_without_stderr(how, readable_creds_conf):
+    proc = _run_without_stderr(how, ["call", "tool_get_historical_data", Q1_PARAMS, "--config", readable_creds_conf])
+    assert proc.returncode == 0
+    assert len(json.loads(proc.stdout)["records"]) == 65
+
+
+@STDERR_GONE
+def test_serve_writes_the_same_frames_without_stderr(how, readable_creds_conf):
+    session = "".join(
+        line + "\n"
+        for line in [
+            '{"jsonrpc":"2.0","id":1,"method":"initialize","params":{"clientInfo":{"name":"t"}}}',
+            "garbage {",
+            '{"jsonrpc":"2.0","method":"notifications/initialized"}',
+            '{"jsonrpc":"2.0","id":2,"method":"tools/list"}',
+            json.dumps({"jsonrpc": "2.0", "id": 3, "method": "tools/call",
+                        "params": {"name": "tool_get_historical_data", "arguments": json.loads(Q1_PARAMS)}}),
+            json.dumps({"jsonrpc": "2.0", "id": 4, "method": "tools/call",
+                        "params": {"name": "tool_compute_summary",
+                                   "arguments": {"records": [], "summarize_fields": ["close"]}}}),
+            '{"jsonrpc":"2.0","id":5,"method":"tools/call","params":{"name":"nosuch","arguments":{}}}',
+            '{"jsonrpc":"2.0","id":6,"method":"prompts/list"}',
+        ]
+    ).encode()
+    argv = ["serve", "--config", readable_creds_conf]
+    open_run = subprocess.run(
+        [sys.executable, "-m", "quantmcp", *argv],
+        input=session,
+        capture_output=True,
+        timeout=30,
+        cwd=str(REPO_ROOT),
+        env=src_env(),
+    )
+    assert open_run.returncode == 0
+    warning, *events = open_run.stderr.decode().splitlines()
+    assert warning.startswith("warning: ") and "readable" in warning
+    assert [json.loads(e)["event"] for e in events] == ["initialize", "notification", "tools_call", "tools_call",
+                                                       "tool_error", "shutdown"]
+    gone_run = _run_without_stderr(how, argv, session)
+    assert gone_run.returncode == 0
+
+    def masked(stdout: bytes) -> bytes:
+        return re.sub(rb'"fetched_at":"[^"]*"', b'"fetched_at":""', stdout)
+
+    assert len(open_run.stdout.splitlines()) == 7
+    assert masked(gone_run.stdout) == masked(open_run.stdout)

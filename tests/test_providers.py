@@ -35,7 +35,6 @@ from quantmcp.providers import (
     fetch_historical,
     fnv1a64,
     synthetic_value,
-    trading_days,
 )
 from quantmcp.security import CredentialStore
 
@@ -61,16 +60,16 @@ def _query(**overrides) -> DataQuery:
 
 
 def test_first_week_of_2024_is_monday_through_friday():
-    days = trading_days(dt.date(2024, 1, 1), dt.date(2024, 1, 7))
+    days = _query(start_date=dt.date(2024, 1, 1), end_date=dt.date(2024, 1, 7)).days
     assert days == [dt.date(2024, 1, d) for d in range(1, 6)]
 
 
 def test_weekend_only_range_is_empty():
-    assert trading_days(dt.date(2024, 1, 6), dt.date(2024, 1, 7)) == []
+    assert _query(start_date=dt.date(2024, 1, 6), end_date=dt.date(2024, 1, 7)).days == []
 
 
 def test_q1_2024_has_65_trading_days():
-    days = trading_days(*Q1_2024)
+    days = _query().days
     assert len(days) == 65
     assert days == weekdays_oracle(*Q1_2024)
 
@@ -80,12 +79,13 @@ def test_random_ranges_match_the_enumeration_oracle():
     for _ in range(50):
         start = dt.date(2020, 1, 1) + dt.timedelta(days=rng.randrange(2000))
         end = start + dt.timedelta(days=rng.randrange(90))
-        assert trading_days(start, end) == weekdays_oracle(start, end)
+        assert _query(start_date=start, end_date=end).days == weekdays_oracle(start, end)
 
 
 def test_inverted_range_is_a_validation_error():
-    with pytest.raises(ValidationError):
-        trading_days(dt.date(2024, 1, 2), dt.date(2024, 1, 1))
+    with pytest.raises(ValidationError) as excinfo:
+        _query(start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 1)).check()
+    assert excinfo.value.data == {"violations": ["start_date: must not be after end_date"]}
 
 
 @settings(max_examples=200, deadline=None)
@@ -93,7 +93,6 @@ def test_inverted_range_is_a_validation_error():
 def test_trading_days_and_the_month_slices_match_the_oracle_on_any_range(start, span):
     end = start + dt.timedelta(days=min(span, (dt.date.max - start).days))  # clipped at date.max
     expected = weekdays_oracle(start, end)
-    assert trading_days(start, end) == expected
     query = _query(start_date=start, end_date=end)
     assert [day for (days, _, _), i, j in query.months for day in days[i:j]] == expected == query.days
     for (days, isos, head), _, _ in query.months:
@@ -107,7 +106,8 @@ def test_the_month_memo_stays_bounded_over_more_months_than_it_holds():
     assert len(query.months) == 1_272
     assert providers._month.cache_info().currsize <= 1_200
     assert query.days == weekdays_oracle(start, end)
-    assert trading_days(start, dt.date(1800, 1, 31)) == weekdays_oracle(start, dt.date(1800, 1, 31))  # evicted, rebuilt
+    january = _query(start_date=start, end_date=dt.date(1800, 1, 31))
+    assert january.days == weekdays_oracle(start, dt.date(1800, 1, 31))  # evicted, rebuilt
 
 
 # --- synthetic values ---------------------------------------------------------
@@ -253,7 +253,7 @@ def test_synthetic_row_count_law_over_random_queries():
         query = _query(codes=sorted(set(codes)), start_date=start, end_date=end)
         payload = fetch_historical(config, query, EMPTY_STORE)
         rows = sum(len(columns["close"]) for columns in payload.rows.values())
-        assert rows == len(query.codes) * len(trading_days(start, end))
+        assert rows == len(query.codes) * len(query.days)
         assert {len(col) for columns in payload.rows.values() for col in columns.values()} == {rows // len(query.codes)}
 
 
@@ -266,7 +266,7 @@ def test_synthetic_fetch_is_pure_given_seed_and_query():
 
 def _assert_synthetic_cells(rows, query: DataQuery, seed: int) -> None:
     """Every (code, field, trading day) of ``query`` in order, each equal to ``synthetic_value`` and the oracle."""
-    days = trading_days(query.start_date, query.end_date)
+    days = query.days
     assert list(rows) == query.codes
     for code, by_field in rows.items():
         assert list(by_field) == query.fields

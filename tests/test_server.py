@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import json
-import logging
 import time
 
 import pytest
@@ -75,11 +74,12 @@ def test_double_initialize_is_an_invalid_request(dispatcher):
     assert response.error.code == -32600
 
 
-def test_client_info_is_recorded_and_logged(dispatcher, caplog):
-    with caplog.at_level(logging.INFO, logger="quantmcp.server"):
-        dispatcher.dispatch(_req(1, "initialize", {"clientInfo": {"name": "replay-harness"}}))
-    assert dispatcher.state.session_info["name"] == "replay-harness"
-    assert any("replay-harness" in record.message for record in caplog.records)
+def test_client_info_is_recorded_and_logged(ctx):
+    lines: list[str] = []
+    dispatcher = Dispatcher(build_registry(), ctx, log=lines.append)
+    dispatcher.dispatch(_req(1, "initialize", {"clientInfo": {"name": "replay-harness"}}))
+    assert dispatcher.session_info["name"] == "replay-harness"
+    assert any("replay-harness" in line for line in lines)
 
 
 def test_unknown_method_is_method_not_found(live_dispatcher):
@@ -543,7 +543,7 @@ class _RedactFirstDispatcher(Dispatcher):
 
     def log_event(self, event, **fields):
         payload = redact({"event": event, **fields}, self.ctx.credentials)
-        logging.getLogger("quantmcp.server").info(json.dumps(payload, ensure_ascii=False, default=str))
+        self.log(json.dumps(payload, ensure_ascii=False, default=str))
 
 
 class _RedactFirstServer(StdioServer):
@@ -584,19 +584,18 @@ def _leak_session() -> list[str]:
     ]
 
 
-def _run_leak_session(server_cls, dispatcher_cls, caplog) -> tuple[bytes, list[str]]:
-    dispatcher = dispatcher_cls(_leak_registry(), make_ctx(secrets=SECRETS))
+def _run_leak_session(server_cls, dispatcher_cls) -> tuple[bytes, list[str]]:
+    lines: list[str] = []
+    dispatcher = dispatcher_cls(_leak_registry(), make_ctx(secrets=SECRETS), log=lines.append)
     out = io.StringIO()
     server = server_cls(dispatcher, io.StringIO("".join(l + "\n" for l in _leak_session())), out)
-    caplog.clear()
-    with caplog.at_level(logging.INFO, logger="quantmcp.server"):
-        assert server.run() == 0
-    return out.getvalue().encode("utf-8"), [r.getMessage() for r in caplog.records]
+    assert server.run() == 0
+    return out.getvalue().encode("utf-8"), lines
 
 
-def test_scan_then_redact_emits_the_bytes_of_redact_then_serialize(caplog):
-    stdout, stderr = _run_leak_session(StdioServer, Dispatcher, caplog)
-    ref_stdout, ref_stderr = _run_leak_session(_RedactFirstServer, _RedactFirstDispatcher, caplog)
+def test_scan_then_redact_emits_the_bytes_of_redact_then_serialize():
+    stdout, stderr = _run_leak_session(StdioServer, Dispatcher)
+    ref_stdout, ref_stderr = _run_leak_session(_RedactFirstServer, _RedactFirstDispatcher)
     assert stdout == ref_stdout
     assert stderr == ref_stderr
     store = CredentialStore(SECRETS)
