@@ -38,7 +38,7 @@ def _stderr(text: str) -> None:
             sys.stderr.write(text + "\n")
             sys.stderr.flush()
         except (AttributeError, ValueError, OSError):
-            pass
+            sys.stderr = None  # else its buffered bytes fail the flush at exit, and the status becomes 120
 
 
 def _build_dispatcher(

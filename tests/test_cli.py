@@ -373,7 +373,12 @@ def test_concurrent_serve_writes_each_event_as_one_whole_json_line(tmp_path):
 
 
 def _run_without_stderr(how: str, argv: list[str], stdin: bytes = b"") -> subprocess.CompletedProcess:
-    """Run quantmcp with fd 2 ``closed`` or ``broken`` (a pipe whose read end is closed)."""
+    """Run quantmcp with fd 2 ``closed`` or ``broken`` (a pipe whose read end is closed).
+
+    PYTHONUNBUFFERED is dropped so the child's stderr is the default buffered stream,
+    whose unflushed bytes the interpreter tries once more at exit.
+    """
+    env = {k: v for k, v in src_env().items() if k != "PYTHONUNBUFFERED"}
     if how == "closed":
         redirect = {"stderr": subprocess.DEVNULL, "preexec_fn": lambda: os.close(2)}
     else:
@@ -387,7 +392,7 @@ def _run_without_stderr(how: str, argv: list[str], stdin: bytes = b"") -> subpro
             stdout=subprocess.PIPE,
             timeout=30,
             cwd=str(REPO_ROOT),
-            env=src_env(),
+            env=env,
             **redirect,
         )
     finally:
