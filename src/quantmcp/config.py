@@ -23,7 +23,6 @@ import configparser
 import datetime as dt
 import os
 import time
-from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Mapping
 
 from .errors import ConfigError
@@ -32,17 +31,33 @@ from .security import RateLimiter, ResponseCache, load_credentials
 from .tools import ToolContext
 
 
-@dataclass
 class ServerConfig:
-    name: str = "quantmcp"
-    close_time: dt.time = DEFAULT_CLOSE_TIME
-    credentials_path: str | None = None
-    default_provider: str = ""
-    concurrency: int = 0
-    cache_ttl_historical_s: float = 86400.0
-    cache_ttl_live_s: float = 5.0
-    strict_credential_permissions: bool = False
-    providers: dict[str, ProviderConfig] = field(default_factory=dict)
+    __slots__ = (
+        "name", "close_time", "credentials_path", "default_provider", "concurrency", "cache_ttl_historical_s",
+        "cache_ttl_live_s", "strict_credential_permissions", "providers",
+    )
+
+    def __init__(
+        self,
+        name: str = "quantmcp",
+        close_time: dt.time = DEFAULT_CLOSE_TIME,
+        credentials_path: str | None = None,
+        default_provider: str = "",
+        concurrency: int = 0,
+        cache_ttl_historical_s: float = 86400.0,
+        cache_ttl_live_s: float = 5.0,
+        strict_credential_permissions: bool = False,
+        providers: dict[str, ProviderConfig] | None = None,
+    ):
+        self.name = name
+        self.close_time = close_time
+        self.credentials_path = credentials_path
+        self.default_provider = default_provider
+        self.concurrency = concurrency
+        self.cache_ttl_historical_s = cache_ttl_historical_s
+        self.cache_ttl_live_s = cache_ttl_live_s
+        self.strict_credential_permissions = strict_credential_permissions
+        self.providers = {} if providers is None else providers
 
 
 _Parse = Callable[[str, str], Any]  # (raw value, "<section>.<key>") -> parsed value
@@ -102,7 +117,7 @@ def _parse_field_map(raw: str, where: str) -> dict[str, str]:
     return mapping
 
 
-# config key -> (dataclass field, parser), in the order keys are parsed, so
+# config key -> (ServerConfig attribute, parser), in the order keys are parsed, so
 # of two bad values the one listed first is reported.
 _SERVER_KEYS: dict[str, tuple[str, _Parse]] = {
     "name": ("name", _parse_text),
@@ -178,7 +193,7 @@ def load_config(path: str | os.PathLike) -> ServerConfig:
         if not provider_id:
             raise ConfigError("provider section needs an id: [provider.<id>]")
         values = _read_section(parser[section_name], _PROVIDER_KEYS, base_dir, ("kind",))
-        rate = {f.name: values.pop(f.name) for f in fields(RateSpec) if f.name in values}
+        rate = {name: values.pop(name) for name in RateSpec._fields if name in values}
         values.setdefault("close_time", config.close_time)
         kind = values.pop("kind")
         if kind not in PROVIDER_CLASSES:

@@ -2,7 +2,8 @@
 
 Every exception that can surface on the wire carries one of the documented
 JSON-RPC error codes. Configuration problems raise :class:`ConfigError`,
-which never reaches the wire; the CLI maps it to exit code 2.
+which never reaches the wire; the CLI maps it to exit code 2. Assigning to
+an attribute of a :class:`Frozen` value raises AttributeError.
 """
 
 from __future__ import annotations
@@ -82,3 +83,18 @@ class CredentialMissing(QuantMcpError):
 
 class ConfigError(Exception):
     """Startup configuration problem; the server refuses to start."""
+
+
+class Frozen:
+    """Base of an immutable value: its ``__init__`` sets each attribute with ``object.__setattr__``.
+
+    A ``functools.cached_property`` still works on a subclass with a ``__dict__``: it writes there directly.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot assign to {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot delete {name!r}")

@@ -9,16 +9,14 @@ predictable from the query alone.
 
 from __future__ import annotations
 
-import dataclasses
 import datetime as dt
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
 from typing import Any, Iterable, Iterator
 
-from .errors import InternalError, ValidationError
+from .errors import Frozen, InternalError, ValidationError
 from .providers import DEFAULT_CLOSE_TIME, DataQuery, RawProviderPayload
-from .transport import PreEncoded, dumps
+from .transport import PreEncoded, dumps, slots_repr
 
 RECOGNIZED_OPTIONS = {
     "PriceAdj": frozenset({"F", "B", "N"}),
@@ -26,11 +24,13 @@ RECOGNIZED_OPTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class OptionsMap:
+class OptionsMap(Frozen):
     """Ordered, case-sensitive option entries parsed from ``key=value;...``."""
 
-    entries: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: dict[str, str] | None = None):
+        object.__setattr__(self, "entries", {} if entries is None else entries)
 
     def get(self, key: str, default: str | None = None) -> str | None:
         return self.entries.get(key, default)
@@ -74,19 +74,31 @@ def parse_options(text: str | None) -> OptionsMap:
     return OptionsMap(entries)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Records(PreEncoded, Sequence):
+class Records(Frozen, PreEncoded, Sequence):
     """A query result as one table: for each code, one column per field over the days.
 
     As a sequence it is the wire's record dicts ``{code, timestamp, <field>...}`` in (code, day)
     order, each built when read, and it equals their list. Nothing mutates it.
     """
 
-    codes: tuple[str, ...]  # sorted
-    days: tuple[str, ...]  # ISO dates, ascending
-    suffix: str  # " HH:MM:SS", the time of day on every timestamp
-    fields: tuple[str, ...]  # query order
-    columns: tuple[tuple[list, ...], ...]  # per code, one column per field, one value per day
+    __slots__ = ("codes", "days", "suffix", "fields", "columns")
+
+    def __init__(
+        self,
+        codes: tuple[str, ...],  # sorted
+        days: tuple[str, ...],  # ISO dates, ascending
+        suffix: str,  # " HH:MM:SS", the time of day on every timestamp
+        fields: tuple[str, ...],  # query order
+        columns: tuple[tuple[list, ...], ...],  # per code, one column per field, one value per day
+    ):
+        set_field = object.__setattr__
+        set_field(self, "codes", codes)
+        set_field(self, "days", days)
+        set_field(self, "suffix", suffix)
+        set_field(self, "fields", fields)
+        set_field(self, "columns", columns)
+
+    __repr__ = slots_repr
 
     def __len__(self) -> int:
         return len(self.codes) * len(self.days)
@@ -169,4 +181,5 @@ def apply_fill(records: Records, policy: str) -> Records:
         raise ValidationError(f"unknown fill policy {policy!r}", data={"allowed": sorted(allowed)})
     if policy == "Blank":
         return records
-    return dataclasses.replace(records, columns=tuple(tuple(map(_filled, cols)) for cols in records.columns))
+    columns = tuple(tuple(map(_filled, cols)) for cols in records.columns)
+    return Records(records.codes, records.days, records.suffix, records.fields, columns)

@@ -22,13 +22,11 @@ import os
 import string
 import sys
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 from urllib.parse import quote
 
-from .errors import ConfigError, ProviderFailure, ValidationError
+from .errors import ConfigError, Frozen, ProviderFailure, ValidationError
 
 if TYPE_CHECKING:
     import requests  # bound at runtime by _import_requests on the first http fetch
@@ -61,30 +59,46 @@ def fnv1a64(data: bytes, h: int = FNV_OFFSET) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class RateSpec:
+class RateSpec(NamedTuple):
     capacity: int = 5
     refill_per_sec: float = 1.0
 
 
-@dataclass(frozen=True)
-class ProviderConfig:
+class ProviderConfig(Frozen):
     """Declarative description of one data source; a subclass per kind fetches from it.
 
-    Subclasses add no fields, so they inherit the frozen fields and ``__eq__`` (which also compares
-    classes) without another ``@dataclass``, whose code generation costs about 2 ms of startup each.
+    Subclasses add no fields. Two configs are equal when their classes and all their fields are.
     """
 
-    id: str
-    base_url_template: str | None = None
-    csv_path: str | None = None
-    seed: int = 0
-    field_map: dict[str, str] = field(default_factory=dict)  # canonical field -> provider column
-    credential_ref: str | None = None
-    rate: RateSpec = field(default_factory=RateSpec)
-    timeout_ms: int = 5000
-    retries: int = 0
-    close_time: dt.time = DEFAULT_CLOSE_TIME
+    __slots__ = (
+        "id", "base_url_template", "csv_path", "seed", "field_map", "credential_ref", "rate", "timeout_ms",
+        "retries", "close_time",
+    )
+
+    def __init__(
+        self,
+        id: str,
+        base_url_template: str | None = None,
+        csv_path: str | None = None,
+        seed: int = 0,
+        field_map: dict[str, str] | None = None,  # canonical field -> provider column
+        credential_ref: str | None = None,
+        rate: RateSpec | None = None,
+        timeout_ms: int = 5000,
+        retries: int = 0,
+        close_time: dt.time = DEFAULT_CLOSE_TIME,
+    ):
+        values = (
+            id, base_url_template, csv_path, seed, {} if field_map is None else field_map, credential_ref,
+            RateSpec() if rate is None else rate, timeout_ms, retries, close_time,
+        )
+        for name, value in zip(ProviderConfig.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in ProviderConfig.__slots__)
 
     def check(self) -> None:
         """Enforce the config invariants every kind shares; violations abort startup."""
@@ -110,15 +124,18 @@ class ProviderConfig:
         return 0.0
 
 
-@dataclass(frozen=True)
-class DataQuery:
+class DataQuery(Frozen):
     """Canonical request: instruments, fields, inclusive date range, options."""
 
-    codes: list[str]
-    fields: list[str]
-    start_date: dt.date
-    end_date: dt.date
-    options: "OptionsMap | None" = None
+    def __init__(
+        self,
+        codes: list[str],
+        fields: list[str],
+        start_date: dt.date,
+        end_date: dt.date,
+        options: "OptionsMap | None" = None,
+    ):
+        vars(self).update(codes=codes, fields=fields, start_date=start_date, end_date=end_date, options=options)
 
     def check(self) -> None:
         violations = []
@@ -155,8 +172,7 @@ Rows = dict[str, dict[str, list]]  # code -> canonical field -> one value per qu
 Month = tuple[tuple[dt.date, ...], tuple[str, ...], bytes]  # weekdays, their ISO strings, b"YYYY-MM-"
 
 
-@dataclass(frozen=True)
-class RawProviderPayload:
+class RawProviderPayload(NamedTuple):
     """Columns by query code then canonical field, in query order, each as long as ``query.days``."""
 
     provider_id: str
@@ -457,6 +473,8 @@ class HttpProvider(ProviderConfig):
         first; GETs not yet started are cancelled and those in flight are left
         to finish unawaited.
         """
+        from concurrent.futures import ThreadPoolExecutor  # loaded by the first http fetch, not at import
+
         _import_requests()  # _fetch_code reads requests.get per call, where tests and tracers patch it
         columns = [(f, self.field_map.get(f, f)) for f in query.fields]
         apikey = ""

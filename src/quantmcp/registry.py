@@ -9,10 +9,9 @@ client can repair its call in a single round trip.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
-from .errors import ConfigError, UnknownToolError, ValidationError
+from .errors import ConfigError, Frozen, UnknownToolError, ValidationError
 from .transport import MISSING
 
 # Each parameter kind: (its JSON schema in the manifest, the test a value must pass).
@@ -37,8 +36,7 @@ _NAME_RE = re.compile(r"[a-z0-9_]+\Z")
 DATE_PATTERN = r"\d{4}-\d{2}-\d{2}"
 
 
-@dataclass(frozen=True)
-class ParamSpec:
+class ParamSpec(NamedTuple):
     """One declared parameter: its kind, human description, and constraints."""
 
     kind: str
@@ -48,8 +46,7 @@ class ParamSpec:
     pattern: str | None = None
 
 
-@dataclass(frozen=True)
-class ToolDescriptor:
+class ToolDescriptor(NamedTuple):
     name: str
     description: str
     params: dict[str, ParamSpec]
@@ -89,10 +86,17 @@ class ToolDescriptor:
         }
 
 
-@dataclass(frozen=True)
-class ValidatedArgs:
-    tool_name: str
-    values: dict[str, Any] = field(default_factory=dict)
+class ValidatedArgs(Frozen):
+    __slots__ = ("tool_name", "values")
+
+    def __init__(self, tool_name: str, values: dict[str, Any] | None = None):
+        object.__setattr__(self, "tool_name", tool_name)
+        object.__setattr__(self, "values", {} if values is None else values)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.tool_name, self.values) == (other.tool_name, other.values)
 
 
 def _type_name(value: Any) -> str:

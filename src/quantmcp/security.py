@@ -15,12 +15,11 @@ import os
 import re
 import stat
 import threading
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Hashable, Iterable, Mapping
+from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple
 
 from .errors import ConfigError, CredentialMissing, InternalError
 from .providers import DataQuery, RateSpec
-from .transport import JsonRpcMessage, PreEncoded, json_line
+from .transport import ErrorObject, JsonRpcMessage, PreEncoded, json_line
 
 REDACTED = "***REDACTED***"
 
@@ -169,10 +168,11 @@ def redact_message(msg: JsonRpcMessage, store: CredentialStore) -> JsonRpcMessag
     """Scrub a protocol message before it is serialized onto the wire."""
     error = msg.error
     if error is not None:
-        error = replace(error, message=redact(error.message, store), data=redact(error.data, store))
-    return replace(
-        msg,
+        error = ErrorObject(error.code, redact(error.message, store), redact(error.data, store))
+    return JsonRpcMessage(
+        msg.kind,
         id=redact(msg.id, store),
+        method=msg.method,
         params=redact(msg.params, store),
         result=redact(msg.result, store),
         error=error,
@@ -180,8 +180,7 @@ def redact_message(msg: JsonRpcMessage, store: CredentialStore) -> JsonRpcMessag
     )
 
 
-@dataclass(frozen=True)
-class RateDecision:
+class RateDecision(NamedTuple):
     allowed: bool
     retry_after_ms: int = 0
 

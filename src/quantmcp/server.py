@@ -11,8 +11,7 @@ process.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, TextIO
+from typing import TYPE_CHECKING, Any, Callable, TextIO
 
 from . import __version__
 from .errors import (
@@ -40,6 +39,9 @@ from .transport import (
     parse_message,
     serialize_message,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor  # imported by run only in concurrent mode
 
 PROTOCOL_VERSION = "2024-11-05"
 SERVER_NAME = "quantmcp"
@@ -219,7 +221,11 @@ class StdioServer:
 
     def run(self) -> int:
         """Serve until the input stream closes; returns the process exit code."""
-        executor = ThreadPoolExecutor(max_workers=self.concurrency) if self.concurrency > 0 else None
+        executor = None
+        if self.concurrency > 0:
+            from concurrent.futures import ThreadPoolExecutor
+
+            executor = ThreadPoolExecutor(max_workers=self.concurrency)
         try:
             for line in iter(self._in.readline, ""):
                 self.handle_line(line, executor)

@@ -13,7 +13,6 @@ import datetime as dt
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from .errors import CredentialMissing, ProviderFailure, RateLimitedError, ValidationError
@@ -37,26 +36,41 @@ def _utc_now() -> dt.datetime:
     return dt.datetime.now(dt.timezone.utc)
 
 
-@dataclass
 class ToolContext:
     """Shared dependencies handed to every tool handler."""
 
-    providers: dict[str, ProviderConfig]
-    default_provider_id: str
-    credentials: CredentialStore
-    rate_limiter: RateLimiter
-    cache: ResponseCache
-    wall_clock: Callable[[], dt.datetime] = _utc_now
-    mono_clock: Callable[[], float] = time.monotonic
+    __slots__ = (
+        "providers", "default_provider_id", "credentials", "rate_limiter", "cache", "wall_clock", "mono_clock",
+    )
+
+    def __init__(
+        self,
+        providers: dict[str, ProviderConfig],
+        default_provider_id: str,
+        credentials: CredentialStore,
+        rate_limiter: RateLimiter,
+        cache: ResponseCache,
+        wall_clock: Callable[[], dt.datetime] = _utc_now,
+        mono_clock: Callable[[], float] = time.monotonic,
+    ):
+        self.providers = providers
+        self.default_provider_id = default_provider_id
+        self.credentials = credentials
+        self.rate_limiter = rate_limiter
+        self.cache = cache
+        self.wall_clock = wall_clock
+        self.mono_clock = mono_clock
 
 
-@dataclass
 class ToolResult:
     """A tool's JSON payload plus the error flag and optional one-liner."""
 
-    content: Any
-    is_error: bool = False
-    human_summary: str | None = None
+    __slots__ = ("content", "is_error", "human_summary")
+
+    def __init__(self, content: Any, is_error: bool = False, human_summary: str | None = None):
+        self.content = content
+        self.is_error = is_error
+        self.human_summary = human_summary
 
     def to_result_obj(self) -> dict[str, Any]:
         obj: dict[str, Any] = {"content": self.content, "is_error": self.is_error}
@@ -147,7 +161,7 @@ def fetch_normalized(
         if records.fields != tuple(query.fields):  # the entry was filled by a query naming them in another order
             order = [records.fields.index(f) for f in query.fields]
             columns = tuple(tuple(cols[i] for i in order) for cols in records.columns)
-            records = replace(records, fields=tuple(query.fields), columns=columns)
+            records = Records(records.codes, records.days, records.suffix, tuple(query.fields), columns)
     meta = {
         "provider_id": provider.id,
         "fetched_at": fetched_at,

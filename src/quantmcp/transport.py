@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any
 
@@ -50,11 +49,25 @@ NOTIFICATION = "notification"
 _ENVELOPE_KEYS = ("jsonrpc", "id", "method", "params", "result", "error")
 
 
-@dataclass
+def slots_repr(self: Any) -> str:
+    """``Class(field=value, ...)`` over the class's ``__slots__``, so a failing test prints what it compared."""
+    return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self.__slots__)})"
+
+
 class ErrorObject:
-    code: int
-    message: str
-    data: Any = MISSING
+    __slots__ = ("code", "message", "data")
+
+    def __init__(self, code: int, message: str, data: Any = MISSING):
+        self.code = code
+        self.message = message
+        self.data = data
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.code, self.message, self.data) == (other.code, other.message, other.data)
+
+    __repr__ = slots_repr
 
     def to_obj(self) -> dict[str, Any]:
         obj: dict[str, Any] = {"code": self.code, "message": self.message}
@@ -63,17 +76,37 @@ class ErrorObject:
         return obj
 
 
-@dataclass
 class JsonRpcMessage:
     """One protocol message; ``kind`` is request, response, or notification."""
 
-    kind: str
-    id: int | str | None = None
-    method: str | None = None
-    params: Any = MISSING
-    result: Any = MISSING
-    error: ErrorObject | None = None
-    extra: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("kind", "id", "method", "params", "result", "error", "extra")
+
+    def __init__(
+        self,
+        kind: str,
+        id: int | str | None = None,
+        method: str | None = None,
+        params: Any = MISSING,
+        result: Any = MISSING,
+        error: ErrorObject | None = None,
+        extra: dict[str, Any] | None = None,
+    ):
+        self.kind = kind
+        self.id = id
+        self.method = method
+        self.params = params
+        self.result = result
+        self.error = error
+        self.extra = {} if extra is None else extra
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.id, self.method, self.params, self.result, self.error, self.extra) == (
+            other.kind, other.id, other.method, other.params, other.result, other.error, other.extra
+        )
+
+    __repr__ = slots_repr
 
 
 def _valid_id(value: Any) -> bool:
@@ -198,14 +231,14 @@ class PreEncoded:
     __slots__ = ()
 
 
-def round_floats(value: Any) -> Any:
-    """Return a copy of ``value`` with every float rounded to 6 decimals."""
+def round_floats(value: Any, sequences: tuple[type, ...] = (list, tuple, PreEncoded)) -> Any:
+    """Return a copy of ``value`` with every float rounded to 6 decimals; only ``sequences`` are walked into."""
     if isinstance(value, float):
         return round(value, 6)
     if isinstance(value, dict):
-        return {k: round_floats(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, PreEncoded)):
-        return [round_floats(v) for v in value]
+        return {k: round_floats(v, sequences) for k, v in value.items()}
+    if isinstance(value, sequences):
+        return [round_floats(v, sequences) for v in value]
     return value
 
 
@@ -250,8 +283,9 @@ _PLACEHOLDER_TEXT = json_line(_PLACEHOLDER)[1:-1]
 def _encode(obj: Any) -> str:
     """``dumps(obj)``: the envelope with a placeholder for each :class:`PreEncoded` value, then its text spliced in.
 
-    If the envelope needs rounding, or the placeholder shows anywhere else (a client may choose it
-    as an id), every value is walked and rounded instead.
+    An envelope that needs rounding is rounded without walking into those values, whose text is
+    rounded already. Only if the placeholder shows anywhere else (a client may choose it as an id)
+    is every value walked and rounded instead.
     """
     held: list[PreEncoded] = []
 
@@ -261,9 +295,13 @@ def _encode(obj: Any) -> str:
         held.append(value)
         return _PLACEHOLDER
 
-    text = json_line(obj, json.JSONEncoder(**_FRAME_OPTIONS, default=hold))
-    if "e-" in text or _LONG_FRACTION.search(text) or text.count(_PLACEHOLDER_TEXT) != len(held):
+    encoder = json.JSONEncoder(**_FRAME_OPTIONS, default=hold)
+    text = json_line(obj, encoder)
+    if text.count(_PLACEHOLDER_TEXT) != len(held):
         return json_line(round_floats(obj))
+    if "e-" in text or _LONG_FRACTION.search(text):
+        held.clear()
+        text = json_line(round_floats(obj, (list, tuple)), encoder)
     parts = text.split(f'"{_PLACEHOLDER_TEXT}"')
     return "".join(chain.from_iterable(zip(parts, [value.json_text() for value in held]))) + parts[-1]
 

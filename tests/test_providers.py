@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import datetime as dt
 import json
 import math
@@ -22,7 +21,7 @@ from oracle_utils import fnv1a64_oracle, scaled_value_oracle, synthetic_value_or
 from stub_provider import stub_rows_server
 
 from quantmcp.errors import ConfigError, CredentialMissing, ProviderFailure, ValidationError
-from quantmcp.normalize import normalize_payload
+from quantmcp.normalize import OptionsMap, Records, normalize_payload
 from quantmcp import providers
 from quantmcp.providers import (
     CANONICAL_FIELDS,
@@ -31,12 +30,15 @@ from quantmcp.providers import (
     DataQuery,
     HttpProvider,
     ProviderConfig,
+    RateSpec,
+    RawProviderPayload,
     SyntheticProvider,
     fetch_historical,
     fnv1a64,
     synthetic_value,
 )
-from quantmcp.security import CredentialStore
+from quantmcp.registry import ParamSpec, ToolDescriptor, ValidatedArgs
+from quantmcp.security import CredentialStore, RateDecision
 
 from conftest import DATA_DIR, GOLDEN_DIR, REPO_ROOT, TESTS_DIR, src_env
 
@@ -473,11 +475,10 @@ def test_http_payload_matches_the_stub_fixture():
     assert state.requests and "code=300750.SZ" in state.requests[0]
 
 
-_LAZY_REQUESTS_CHILD = """
-import datetime as dt, io, json, sys
+_LAZY_IMPORTS_CHILD = """
+import io, json, sys
+before = set(sys.modules)
 from quantmcp import cli, providers
-from quantmcp.security import CredentialStore
-from stub_provider import stub_rows_server
 
 call = {"name": "tool_get_historical_data", "arguments": {
     "codes": ["300750.SZ"], "fields": ["close"], "start_date": "2024-01-01", "end_date": "2024-01-31"}}
@@ -487,25 +488,36 @@ sys.stdin = io.StringIO("".join(json.dumps(f) + "\\n" for f in frames))
 sys.stdout = io.StringIO()
 code = cli.main(["serve", "--config", sys.argv[1]])
 served, sys.stdout = sys.stdout.getvalue(), sys.__stdout__
-loaded_after_serve = "requests" in sys.modules
+watched = ("requests", "concurrent.futures", "dataclasses", "inspect")
+by_session = [name for name in watched if name in set(sys.modules) - before]
+
+import datetime as dt
+from quantmcp.security import CredentialStore
+from stub_provider import stub_rows_server
 with stub_rows_server([{"code": "A", "date": "2024-01-02", "close": 1.5}]) as (base_url, _):
     config = providers.HttpProvider(id="h", base_url_template=base_url + "/q?code={code}")
     query = providers.DataQuery(["A"], ["close"], dt.date(2024, 1, 1), dt.date(2024, 1, 5))
+    before_fetch = set(sys.modules)
     rows = providers.fetch_historical(config, query, CredentialStore({})).rows
+by_fetch = [name for name in watched if name in set(sys.modules) - before_fetch]
 print(json.dumps({"exit": code, "ids": [json.loads(line)["id"] for line in served.splitlines()],
-                  "loaded_after_serve": loaded_after_serve, "close": [v for v in rows["A"]["close"] if v is not None],
+                  "by_session": by_session, "by_fetch": by_fetch,
+                  "close": [v for v in rows["A"]["close"] if v is not None],
                   "resolvable": providers.requests is sys.modules["requests"]}))
 """
 
 
-def test_requests_loads_on_the_first_http_fetch_not_at_import():
+def test_a_synthetic_session_loads_no_dataclasses_and_the_first_http_fetch_loads_requests_and_the_pool():
     proc = subprocess.run(
-        [sys.executable, "-c", _LAZY_REQUESTS_CHILD, str(REPO_ROOT / "configs" / "synthetic.conf")],
+        [sys.executable, "-c", _LAZY_IMPORTS_CHILD, str(REPO_ROOT / "configs" / "synthetic.conf")],
         capture_output=True, text=True, timeout=60, env=src_env(str(TESTS_DIR)),
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out == {"exit": 0, "ids": [1, 2], "loaded_after_serve": False, "close": [1.5], "resolvable": True}
+    assert out == {
+        "exit": 0, "ids": [1, 2], "by_session": [], "by_fetch": ["requests", "concurrent.futures"],
+        "close": [1.5], "resolvable": True,
+    }
 
 
 def test_http_issues_one_request_per_code():
@@ -549,10 +561,8 @@ def test_http_timeout_is_reported_as_timeout():
 
 
 def test_http_requires_resolvable_credential_for_apikey_templates():
-    config = _http_config("http://127.0.0.1:9", credential_ref="alpha")
-    config = dataclasses.replace(
-        config, base_url_template=config.base_url_template + "&apikey={apikey}"
-    )
+    template = _http_config("http://127.0.0.1:9").base_url_template + "&apikey={apikey}"
+    config = _http_config("http://127.0.0.1:9", credential_ref="alpha", base_url_template=template)
     with pytest.raises(CredentialMissing):
         fetch_historical(config, _query(), EMPTY_STORE)
 
@@ -788,9 +798,35 @@ def test_http_template_with_unknown_placeholder_is_a_config_error():
 
 
 def test_rate_invariants_are_config_checked():
-    from quantmcp.providers import RateSpec
-
     with pytest.raises(ConfigError, match="rate_capacity"):
         SyntheticProvider(id="x", rate=RateSpec(capacity=0)).check()
     with pytest.raises(ConfigError, match="refill"):
         SyntheticProvider(id="x", rate=RateSpec(refill_per_sec=0.0)).check()
+
+
+# --- immutable values -----------------------------------------------------------
+
+_FROZEN_VALUES = {  # (a builder, one of its fields)
+    "synthetic": (lambda: SyntheticProvider(id="s"), "seed"),
+    "http": (lambda: HttpProvider(id="h", base_url_template="http://h/q?code={code}"), "base_url_template"),
+    "csv": (lambda: CsvProvider(id="c", csv_path="rows.csv"), "csv_path"),
+    "DataQuery": (_query, "codes"),
+    "Records": (lambda: Records(("A",), ("2024-01-02",), " 15:00:00", ("close",), (([1.5],),)), "columns"),
+    "RateSpec": (RateSpec, "capacity"),
+    "OptionsMap": (OptionsMap, "entries"),
+    "ParamSpec": (lambda: ParamSpec("string", "a string"), "required"),
+    "ToolDescriptor": (lambda: ToolDescriptor("t", "a tool", {}), "params"),
+    "ValidatedArgs": (lambda: ValidatedArgs("t"), "values"),
+    "RawProviderPayload": (lambda: RawProviderPayload("p", {}, "t"), "rows"),
+    "RateDecision": (lambda: RateDecision(True), "allowed"),
+}
+
+
+@pytest.mark.parametrize("make, field", _FROZEN_VALUES.values(), ids=_FROZEN_VALUES)
+def test_assigning_to_an_attribute_of_a_frozen_value_raises(make, field):
+    value = make()
+    before = getattr(value, field)
+    for name in (field, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    assert getattr(value, field) is before and not hasattr(value, "not_a_field")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import datetime as dt
 import json
 
@@ -19,7 +18,7 @@ from quantmcp.errors import (
 )
 from quantmcp import transport
 from quantmcp.providers import CANONICAL_FIELDS, DataQuery, RawProviderPayload, SyntheticProvider, fetch_historical
-from quantmcp.normalize import apply_fill, normalize_payload
+from quantmcp.normalize import Records, apply_fill, normalize_payload
 from quantmcp.security import CredentialStore, redact_message
 from quantmcp.transport import (
     MISSING,
@@ -328,17 +327,28 @@ def _plain_frame(records, id=1) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-@settings(max_examples=150, deadline=None)
-@given(_tables())
-def test_a_spliced_records_frame_equals_the_frame_of_its_dicts_byte_for_byte(table):
-    assert serialize_message(_history(table)) == _plain_frame(table)
-    assert serialize_message(_history(list(table))) == _plain_frame(table)
-
-
 def _one_table(codes=("A\"%宁",)) -> object:
     query = DataQuery(list(codes), ["close", "turn"], dt.date(2024, 1, 1), dt.date(2024, 1, 3))
     rows = {codes[0]: {"close": [1e-07, None, 180.5], "turn": [0.1234567, -0.0, 2**60]}}
     return normalize_payload(RawProviderPayload("p", rows, "t"), query)
+
+
+class _UnwalkableRecords(Records):
+    def __iter__(self):
+        raise AssertionError("the table was walked")
+
+
+# Ids that make the envelope text look as if it held a float to round.
+_ROUNDING_IDS = st.one_of(st.just(1), st.text(st.sampled_from("e-.0123456789x"), max_size=12).map(lambda s: s + "e-"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tables(), _ROUNDING_IDS)
+@example(_one_table(), "3fa85f64-5717-4562-b3fe-2c963f66afa6")
+def test_a_spliced_records_frame_equals_the_frame_of_its_dicts_byte_for_byte(table, rid):
+    unwalkable = _UnwalkableRecords(table.codes, table.days, table.suffix, table.fields, table.columns)
+    assert serialize_message(_history(unwalkable, id=rid)) == _plain_frame(table, id=rid)
+    assert serialize_message(_history(list(table), id=rid)) == _plain_frame(table, id=rid)
 
 
 @pytest.mark.parametrize("rid", [transport._PLACEHOLDER, "x" + transport._PLACEHOLDER, 5])
@@ -347,7 +357,7 @@ def test_an_id_holding_the_placeholder_falls_back_to_the_plain_walk(rid):
     msg = _history(table, id=rid)
     msg.extra["note"] = transport._PLACEHOLDER if rid == 5 else "n"  # the placeholder elsewhere in the frame
     wire = serialize_message(msg)
-    plain = serialize_message(dataclasses.replace(msg, result=_history(list(table), id=rid).result))
+    plain = serialize_message(JsonRpcMessage(RESPONSE, id=rid, result=_history(list(table)).result, extra=msg.extra))
     assert wire == plain
     assert parse_message(wire).id == rid and parse_message(wire).result["content"]["records"] == round_floats(table)
 
@@ -445,7 +455,8 @@ _stray_fields = st.fixed_dictionaries(
 @settings(max_examples=300, deadline=None)
 @given(messages(), _stray_extras, _stray_fields)
 def test_an_emitted_frame_reads_back_as_the_message_or_nothing_is_emitted(msg, extra, stray):
-    msg = dataclasses.replace(msg, extra=extra, **stray)
+    fields = dict(id=msg.id, method=msg.method, params=msg.params, result=msg.result, error=msg.error)
+    msg = JsonRpcMessage(msg.kind, extra=extra, **{**fields, **stray})
     try:
         wire = serialize_message(msg)
     except InternalError:
