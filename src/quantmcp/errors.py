@@ -86,9 +86,9 @@ class ConfigError(Exception):
 
 
 class Frozen:
-    """Base of an immutable value: its ``__init__`` sets each attribute with ``object.__setattr__``.
+    """Base of an immutable value: its ``__init__`` sets fields past ``__setattr__``, through ``object.__setattr__``.
 
-    A ``functools.cached_property`` still works on a subclass with a ``__dict__``: it writes there directly.
+    A subclass with a ``__dict__`` may fill it directly instead; a ``functools.cached_property`` writes there too.
     """
 
     __slots__ = ()
