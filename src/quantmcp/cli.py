@@ -57,6 +57,9 @@ def _serve_frames(dispatcher: Dispatcher, frames: list[dict[str, Any]]) -> list[
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    if args.concurrent is not None and args.concurrent < 0:
+        _stderr(f"usage error: --concurrent must be >= 0, got {args.concurrent}")
+        return EXIT_USAGE
     config, dispatcher = _build_dispatcher(args.config, log=_stderr)
     concurrency = args.concurrent if args.concurrent is not None else config.concurrency
     # The wire is UTF-8 whatever the locale (stdout: see main). A byte that is

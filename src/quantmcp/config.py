@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import configparser
 import datetime as dt
+import math
 import os
 import time
-from typing import Any, Callable, Mapping
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .errors import ConfigError
 from .providers import CANONICAL_FIELDS, DEFAULT_CLOSE_TIME, PROVIDER_CLASSES, ProviderConfig, RateSpec
@@ -31,33 +33,16 @@ from .security import RateLimiter, ResponseCache, load_credentials
 from .tools import ToolContext
 
 
-class ServerConfig:
-    __slots__ = (
-        "name", "close_time", "credentials_path", "default_provider", "concurrency", "cache_ttl_historical_s",
-        "cache_ttl_live_s", "strict_credential_permissions", "providers",
-    )
-
-    def __init__(
-        self,
-        name: str = "quantmcp",
-        close_time: dt.time = DEFAULT_CLOSE_TIME,
-        credentials_path: str | None = None,
-        default_provider: str = "",
-        concurrency: int = 0,
-        cache_ttl_historical_s: float = 86400.0,
-        cache_ttl_live_s: float = 5.0,
-        strict_credential_permissions: bool = False,
-        providers: dict[str, ProviderConfig] | None = None,
-    ):
-        self.name = name
-        self.close_time = close_time
-        self.credentials_path = credentials_path
-        self.default_provider = default_provider
-        self.concurrency = concurrency
-        self.cache_ttl_historical_s = cache_ttl_historical_s
-        self.cache_ttl_live_s = cache_ttl_live_s
-        self.strict_credential_permissions = strict_credential_permissions
-        self.providers = {} if providers is None else providers
+class ServerConfig(NamedTuple):
+    name: str = "quantmcp"
+    close_time: dt.time = DEFAULT_CLOSE_TIME
+    credentials_path: str | None = None
+    default_provider: str = ""
+    concurrency: int = 0
+    cache_ttl_historical_s: float = 86400.0
+    cache_ttl_live_s: float = 5.0
+    strict_credential_permissions: bool = False
+    providers: Mapping[str, ProviderConfig] = MappingProxyType({})
 
 
 _Parse = Callable[[str, str], Any]  # (raw value, "<section>.<key>") -> parsed value
@@ -72,21 +57,24 @@ def _parse_path(raw: str, where: str) -> str:
     return raw
 
 
-def _parse_with(convert: Callable[[str], Any], expected: str) -> _Parse:
-    """A parser applying ``convert``, whose ValueError becomes a ConfigError naming the key."""
+def _parse_with(convert: Callable[[str], Any], expected: str, valid: Callable[[Any], bool] = lambda _: True) -> _Parse:
+    """A parser applying ``convert``; its ValueError, or a value ``valid`` refuses, is a ConfigError naming the key."""
 
     def parse(raw: str, where: str) -> Any:
         try:
-            return convert(raw)
+            if valid(value := convert(raw)):
+                return value
         except ValueError:
-            raise ConfigError(f"{where}: {raw!r} is not {expected}") from None
+            pass
+        raise ConfigError(f"{where}: {raw!r} is not {expected}") from None
 
     return parse
 
 
 _parse_time = _parse_with(dt.time.fromisoformat, "a valid HH:MM:SS time")
 _parse_int = _parse_with(int, "an integer")
-_parse_float = _parse_with(float, "a number")
+_parse_count = _parse_with(int, "an integer >= 0", lambda value: value >= 0)
+_parse_float = _parse_with(float, "a finite number", math.isfinite)
 
 
 def _parse_bool(raw: str, where: str) -> bool:
@@ -124,7 +112,7 @@ _SERVER_KEYS: dict[str, tuple[str, _Parse]] = {
     "close_time": ("close_time", _parse_time),
     "credentials": ("credentials_path", _parse_path),
     "default_provider": ("default_provider", _parse_text),
-    "concurrency": ("concurrency", _parse_int),
+    "concurrency": ("concurrency", _parse_count),
     "cache_ttl_historical_s": ("cache_ttl_historical_s", _parse_float),
     "cache_ttl_live_s": ("cache_ttl_live_s", _parse_float),
     "strict_credential_permissions": ("strict_credential_permissions", _parse_bool),
@@ -181,9 +169,8 @@ def load_config(path: str | os.PathLike) -> ServerConfig:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
 
     base_dir = os.path.dirname(os.path.abspath(path))
-    config = ServerConfig()
-    if parser.has_section("server"):
-        config = ServerConfig(**_read_section(parser["server"], _SERVER_KEYS, base_dir))
+    server = _read_section(parser["server"], _SERVER_KEYS, base_dir) if parser.has_section("server") else {}
+    providers: dict[str, ProviderConfig] = {}
     for section_name in parser.sections():
         if section_name == "server":
             continue
@@ -194,23 +181,21 @@ def load_config(path: str | os.PathLike) -> ServerConfig:
             raise ConfigError("provider section needs an id: [provider.<id>]")
         values = _read_section(parser[section_name], _PROVIDER_KEYS, base_dir, ("kind",))
         rate = {name: values.pop(name) for name in RateSpec._fields if name in values}
-        values.setdefault("close_time", config.close_time)
+        values.setdefault("close_time", server.get("close_time", DEFAULT_CLOSE_TIME))
         kind = values.pop("kind")
         if kind not in PROVIDER_CLASSES:
             raise ConfigError(f"{section_name}.kind: unknown kind {kind!r}")
         provider = PROVIDER_CLASSES[kind](id=provider_id, rate=RateSpec(**rate), **values)
         provider.check()
-        config.providers[provider_id] = provider
-
-    if not config.providers:
+        providers[provider_id] = provider
+    default = server.get("default_provider", "")
+    if not providers:
         raise ConfigError("config defines no [provider.<id>] sections")
-    if not config.default_provider:
+    if not default:
         raise ConfigError("server.default_provider: required")
-    if config.default_provider not in config.providers:
-        raise ConfigError(
-            f"server.default_provider: {config.default_provider!r} is not a configured provider"
-        )
-    return config
+    if default not in providers:
+        raise ConfigError(f"server.default_provider: {default!r} is not a configured provider")
+    return ServerConfig(**server, providers=providers)
 
 
 def build_context(

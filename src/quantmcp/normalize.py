@@ -12,7 +12,8 @@ from __future__ import annotations
 import datetime as dt
 from collections.abc import Sequence
 from itertools import accumulate, chain, repeat
-from typing import Any, Iterable, Iterator
+from types import MappingProxyType
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import Frozen, InternalError, ValidationError
 from .providers import DEFAULT_CLOSE_TIME, DataQuery, RawProviderPayload
@@ -24,13 +25,10 @@ RECOGNIZED_OPTIONS = {
 }
 
 
-class OptionsMap(Frozen):
+class OptionsMap(NamedTuple):
     """Ordered, case-sensitive option entries parsed from ``key=value;...``."""
 
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: dict[str, str] | None = None):
-        object.__setattr__(self, "entries", {} if entries is None else entries)
+    entries: Mapping[str, str] = MappingProxyType({})
 
     def get(self, key: str, default: str | None = None) -> str | None:
         return self.entries.get(key, default)

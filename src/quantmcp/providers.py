@@ -387,7 +387,10 @@ class HttpProvider(ProviderConfig):
     def check(self) -> None:
         if not self.base_url_template:
             raise ConfigError(f"provider.{self.id}.base_url: required for http providers")
-        names = {fname for _, fname, _, _ in string.Formatter().parse(self.base_url_template)}
+        try:
+            names = {fname for _, fname, _, _ in string.Formatter().parse(self.base_url_template)}
+        except ValueError as exc:  # an unbalanced brace
+            raise ConfigError(f"provider.{self.id}.base_url: malformed template: {exc}") from None
         unknown = names - _URL_PLACEHOLDERS - {None}
         if unknown:
             raise ConfigError(f"provider.{self.id}.base_url: unknown placeholder(s) {sorted(unknown)}")

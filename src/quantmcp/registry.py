@@ -9,9 +9,10 @@ client can repair its call in a single round trip.
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, NamedTuple
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, NamedTuple
 
-from .errors import ConfigError, Frozen, UnknownToolError, ValidationError
+from .errors import ConfigError, UnknownToolError, ValidationError
 from .transport import MISSING
 
 # Each parameter kind: (its JSON schema in the manifest, the test a value must pass).
@@ -86,17 +87,9 @@ class ToolDescriptor(NamedTuple):
         }
 
 
-class ValidatedArgs(Frozen):
-    __slots__ = ("tool_name", "values")
-
-    def __init__(self, tool_name: str, values: dict[str, Any] | None = None):
-        object.__setattr__(self, "tool_name", tool_name)
-        object.__setattr__(self, "values", {} if values is None else values)
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.tool_name, self.values) == (other.tool_name, other.values)
+class ValidatedArgs(NamedTuple):
+    tool_name: str
+    values: Mapping[str, Any] = MappingProxyType({})
 
 
 def _type_name(value: Any) -> str:

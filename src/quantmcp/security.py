@@ -99,8 +99,14 @@ def load_credentials(
                 raise ConfigError(message)
             if warn is not None:
                 warn(message)
-        with open(path, encoding="utf-8") as fh:
+        try:
+            fh = open(path, encoding="utf-8", errors="surrogateescape")
+        except OSError as exc:  # a directory, or no read permission
+            raise ConfigError(f"cannot read credential file {path}: {exc.strerror}") from None
+        with fh:
             for lineno, raw in enumerate(fh, 1):
+                if re.search("[\udc80-\udcff]", raw):  # surrogateescape's reading of a byte that is not UTF-8
+                    raise ConfigError(f"{path}:{lineno}: not valid UTF-8")
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue

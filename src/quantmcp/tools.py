@@ -13,7 +13,7 @@ import datetime as dt
 import math
 import sys
 import time
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .errors import CredentialMissing, ProviderFailure, RateLimitedError, ValidationError
 from .normalize import Records, apply_fill, normalize_payload, parse_options
@@ -36,47 +36,29 @@ def _utc_now() -> dt.datetime:
     return dt.datetime.now(dt.timezone.utc)
 
 
-class ToolContext:
+class ToolContext(NamedTuple):
     """Shared dependencies handed to every tool handler."""
 
-    __slots__ = (
-        "providers", "default_provider_id", "credentials", "rate_limiter", "cache", "wall_clock", "mono_clock",
-    )
-
-    def __init__(
-        self,
-        providers: dict[str, ProviderConfig],
-        default_provider_id: str,
-        credentials: CredentialStore,
-        rate_limiter: RateLimiter,
-        cache: ResponseCache,
-        wall_clock: Callable[[], dt.datetime] = _utc_now,
-        mono_clock: Callable[[], float] = time.monotonic,
-    ):
-        self.providers = providers
-        self.default_provider_id = default_provider_id
-        self.credentials = credentials
-        self.rate_limiter = rate_limiter
-        self.cache = cache
-        self.wall_clock = wall_clock
-        self.mono_clock = mono_clock
+    providers: dict[str, ProviderConfig]
+    default_provider_id: str
+    credentials: CredentialStore
+    rate_limiter: RateLimiter
+    cache: ResponseCache
+    wall_clock: Callable[[], dt.datetime] = _utc_now
+    mono_clock: Callable[[], float] = time.monotonic
 
 
-class ToolResult:
+class ToolResult(NamedTuple):
     """A tool's JSON payload plus the error flag and optional one-liner."""
 
-    __slots__ = ("content", "is_error", "human_summary")
-
-    def __init__(self, content: Any, is_error: bool = False, human_summary: str | None = None):
-        self.content = content
-        self.is_error = is_error
-        self.human_summary = human_summary
+    content: Any
+    is_error: bool = False
+    human_summary: str | None = None
 
     def to_result_obj(self) -> dict[str, Any]:
-        obj: dict[str, Any] = {"content": self.content, "is_error": self.is_error}
-        if self.human_summary is not None:
-            obj["human_summary"] = self.human_summary
-        return obj
+        if self.human_summary is None:
+            return {"content": self.content, "is_error": self.is_error}
+        return self._asdict()
 
 
 def compute_stats(field_name: str, values: list[float]) -> dict[str, Any]:

@@ -13,7 +13,7 @@ import json
 import math
 import re
 from itertools import chain
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import (
     KNOWN_CODES,
@@ -54,26 +54,13 @@ def slots_repr(self: Any) -> str:
     return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self.__slots__)})"
 
 
-class ErrorObject:
-    __slots__ = ("code", "message", "data")
-
-    def __init__(self, code: int, message: str, data: Any = MISSING):
-        self.code = code
-        self.message = message
-        self.data = data
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.code, self.message, self.data) == (other.code, other.message, other.data)
-
-    __repr__ = slots_repr
+class ErrorObject(NamedTuple):
+    code: int
+    message: str
+    data: Any = MISSING
 
     def to_obj(self) -> dict[str, Any]:
-        obj: dict[str, Any] = {"code": self.code, "message": self.message}
-        if self.data is not MISSING:
-            obj["data"] = self.data
-        return obj
+        return self._asdict() if self.data is not MISSING else {"code": self.code, "message": self.message}
 
 
 class JsonRpcMessage:

@@ -301,6 +301,57 @@ def test_serve_with_invalid_config_exits_2(tmp_path):
     assert "provider.s.kind" in proc.stderr
 
 
+def test_serve_with_a_negative_concurrent_flag_exits_2():
+    proc = subprocess.run(
+        [sys.executable, "-m", "quantmcp", "serve", "--config", SYNTH_CONF, "--concurrent", "-1"],
+        input="",
+        capture_output=True,
+        text=True,
+        timeout=30,
+        cwd=str(REPO_ROOT),
+        env=src_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "usage error: --concurrent must be >= 0, got -1\n"
+
+
+def test_a_malformed_base_url_template_exits_2_naming_the_key(tmp_path, capsys):
+    bad = tmp_path / "bad.conf"
+    bad.write_text("[server]\ndefault_provider = h\n\n[provider.h]\nkind = http\nbase_url = http://h/x?c={code\n")
+    assert main(["tools", "list", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("config error: provider.h.base_url: malformed template")
+
+
+def _synth_conf_with_credentials(tmp_path) -> str:
+    """The synthetic config, reading ``creds.conf`` beside it."""
+    config = tmp_path / "server.conf"
+    config.write_text(Path(SYNTH_CONF).read_text().replace("[server]\n", "[server]\ncredentials = creds.conf\n"))
+    return str(config)
+
+
+def test_a_credentials_path_naming_a_directory_exits_2(tmp_path, capsys):
+    (tmp_path / "creds.conf").mkdir(mode=0o700)
+    rc = main(["call", "tool_get_quote", "{}", "--config", _synth_conf_with_credentials(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        f"config error: cannot read credential file {tmp_path / 'creds.conf'}: "
+    )
+
+
+@pytest.mark.parametrize(
+    ("argv", "prefix"),
+    [(["call", "tool_get_quote", "{}"], "config error"), (["replay", GOLDEN_TRANSCRIPT], "replay error")],
+    ids=["call", "replay"],
+)
+def test_a_credentials_file_that_is_not_utf8_exits_2_naming_its_line_and_no_byte_of_it(tmp_path, capsys, argv, prefix):
+    creds = tmp_path / "creds.conf"
+    creds.write_bytes(b"# keys\nsynth.key = s3cr\xe9t-value\n")
+    creds.chmod(0o600)
+    rc = main([*argv, "--config", _synth_conf_with_credentials(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"{prefix}: {creds}:2: not valid UTF-8\n"
+
+
 def test_serve_finishes_in_flight_work_then_exits_on_interrupt():
     proc = _spawn_serve()
     try:
@@ -405,9 +456,7 @@ def readable_creds_conf(tmp_path) -> str:
     """The synthetic config with a group-readable credentials file, which warns at startup."""
     (tmp_path / "creds.conf").write_text("synth.key = s3cret-value\n")
     (tmp_path / "creds.conf").chmod(0o640)
-    config = tmp_path / "server.conf"
-    config.write_text(Path(SYNTH_CONF).read_text().replace("[server]\n", "[server]\ncredentials = creds.conf\n"))
-    return str(config)
+    return _synth_conf_with_credentials(tmp_path)
 
 
 STDERR_GONE = pytest.mark.parametrize("how", ["closed", "broken"])

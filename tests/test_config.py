@@ -155,6 +155,25 @@ def test_a_bad_value_names_its_section_and_key(tmp_path, section, key):
         load_config(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    ("section", "key"),
+    [("server", "cache_ttl_historical_s"), ("server", "cache_ttl_live_s"), ("provider.s", "rate_refill_per_sec")],
+)
+def test_a_number_that_is_not_finite_is_rejected(tmp_path, section, key, value):
+    lines = {"server": ["default_provider = s"], "provider.s": ["kind = synthetic"]}
+    lines[section].append(f"{key} = {value}")
+    path = _write(tmp_path, "".join(f"[{name}]\n" + "\n".join(body) + "\n" for name, body in lines.items()))
+    with pytest.raises(ConfigError, match=rf"^{re.escape(section)}\.{key}: '{value}' is not a finite number$"):
+        load_config(path)
+
+
+def test_a_negative_concurrency_is_rejected(tmp_path):
+    path = _write(tmp_path, "[server]\ndefault_provider = s\nconcurrency = -1\n[provider.s]\nkind = synthetic\n")
+    with pytest.raises(ConfigError, match=r"^server\.concurrency: '-1' is not an integer >= 0$"):
+        load_config(path)
+
+
 @pytest.mark.parametrize(
     ("body", "first_error"),
     [

@@ -37,10 +37,13 @@ from quantmcp.providers import (
     fnv1a64,
     synthetic_value,
 )
+from quantmcp.config import ServerConfig
 from quantmcp.registry import ParamSpec, ToolDescriptor, ValidatedArgs
 from quantmcp.security import CredentialStore, RateDecision
+from quantmcp.tools import ToolResult
+from quantmcp.transport import ErrorObject
 
-from conftest import DATA_DIR, GOLDEN_DIR, REPO_ROOT, TESTS_DIR, src_env
+from conftest import DATA_DIR, GOLDEN_DIR, REPO_ROOT, TESTS_DIR, make_ctx, src_env
 
 EMPTY_STORE = CredentialStore({})
 
@@ -797,6 +800,12 @@ def test_http_template_with_unknown_placeholder_is_a_config_error():
         HttpProvider(id="x", base_url_template="http://h/{ticker}").check()
 
 
+@pytest.mark.parametrize("template", ["http://h/x?c={code", "http://h/x?c=}{code}"])
+def test_http_template_with_an_unbalanced_brace_is_a_config_error(template):
+    with pytest.raises(ConfigError, match=r"^provider\.x\.base_url: malformed template"):
+        HttpProvider(id="x", base_url_template=template).check()
+
+
 def test_rate_invariants_are_config_checked():
     with pytest.raises(ConfigError, match="rate_capacity"):
         SyntheticProvider(id="x", rate=RateSpec(capacity=0)).check()
@@ -819,6 +828,10 @@ _FROZEN_VALUES = {  # (a builder, one of its fields)
     "ValidatedArgs": (lambda: ValidatedArgs("t"), "values"),
     "RawProviderPayload": (lambda: RawProviderPayload("p", {}, "t"), "rows"),
     "RateDecision": (lambda: RateDecision(True), "allowed"),
+    "ToolContext": (make_ctx, "providers"),
+    "ToolResult": (lambda: ToolResult({}), "content"),
+    "ServerConfig": (ServerConfig, "providers"),
+    "ErrorObject": (lambda: ErrorObject(-32603, "x"), "code"),
 }
 
 
@@ -830,3 +843,18 @@ def test_assigning_to_an_attribute_of_a_frozen_value_raises(make, field):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
     assert getattr(value, field) is before and not hasattr(value, "not_a_field")
+
+
+_DEFAULT_MAPPINGS = {  # (a builder taking every default, its mapping field)
+    "OptionsMap": (OptionsMap, "entries"),
+    "ValidatedArgs": (lambda: ValidatedArgs("t"), "values"),
+    "ServerConfig": (ServerConfig, "providers"),
+}
+
+
+@pytest.mark.parametrize("make, field", _DEFAULT_MAPPINGS.values(), ids=_DEFAULT_MAPPINGS)
+def test_a_default_mapping_refuses_item_assignment(make, field):
+    mapping = getattr(make(), field)
+    with pytest.raises(TypeError):
+        mapping["k"] = "v"
+    assert getattr(make(), field) == {}

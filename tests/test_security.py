@@ -88,6 +88,21 @@ def test_other_malformed_shapes_are_rejected(tmp_path, line):
         load_credentials(path, environ={})
 
 
+def test_a_credentials_path_naming_a_directory_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match=r"^cannot read credential file .+: Is a directory$"):
+        load_credentials(tmp_path, environ={})
+
+
+def test_a_credentials_file_that_is_not_utf8_names_its_line_and_no_byte_of_it(tmp_path):
+    path = tmp_path / "creds.conf"
+    path.write_bytes(b"alpha.key = ok-secret\nbeta.key = s3cr\xe9t-\xff-value\n")
+    path.chmod(0o600)
+    with pytest.raises(ConfigError) as excinfo:
+        load_credentials(path, environ={})
+    assert str(excinfo.value) == f"{path}:2: not valid UTF-8"
+    assert excinfo.value.__context__ is None
+
+
 def test_a_secret_shorter_than_eight_characters_is_rejected_at_load(tmp_path):
     path = tmp_path / "creds.conf"
     path.write_text("alpha.key = eight-ch\nbeta.key = Zq7seve\n")
