@@ -77,6 +77,12 @@ _parse_count = _parse_with(int, "an integer >= 0", lambda value: value >= 0)
 _parse_float = _parse_with(float, "a finite number", math.isfinite)
 
 
+def _parse_ttl(raw: str, where: str) -> float:
+    if (value := _parse_float(raw, where)) < 0:
+        raise ConfigError(f"{where}: {raw!r} is not a number >= 0")
+    return value
+
+
 def _parse_bool(raw: str, where: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -113,8 +119,8 @@ _SERVER_KEYS: dict[str, tuple[str, _Parse]] = {
     "credentials": ("credentials_path", _parse_path),
     "default_provider": ("default_provider", _parse_text),
     "concurrency": ("concurrency", _parse_count),
-    "cache_ttl_historical_s": ("cache_ttl_historical_s", _parse_float),
-    "cache_ttl_live_s": ("cache_ttl_live_s", _parse_float),
+    "cache_ttl_historical_s": ("cache_ttl_historical_s", _parse_ttl),
+    "cache_ttl_live_s": ("cache_ttl_live_s", _parse_ttl),
     "strict_credential_permissions": ("strict_credential_permissions", _parse_bool),
 }
 
@@ -132,6 +138,11 @@ _PROVIDER_KEYS: dict[str, tuple[str, _Parse]] = {
     "retries": ("retries", _parse_int),
     "close_time": ("close_time", _parse_time),
 }
+
+# kind -> the _PROVIDER_KEYS its section accepts: ``kind`` and the keys of the fields its class READS.
+_KIND_KEYS = {kind: {key: (attr, parse) for key, (attr, parse) in _PROVIDER_KEYS.items()
+                     if ("rate" if attr in RateSpec._fields else attr) in ("kind", *cls.READS)}
+              for kind, cls in PROVIDER_CLASSES.items()}
 
 
 def _read_section(
@@ -179,7 +190,9 @@ def load_config(path: str | os.PathLike) -> ServerConfig:
         provider_id = section_name[len("provider."):]
         if not provider_id:
             raise ConfigError("provider section needs an id: [provider.<id>]")
-        values = _read_section(parser[section_name], _PROVIDER_KEYS, base_dir, ("kind",))
+        section = parser[section_name]  # a missing or unknown kind is checked against every key, then reported
+        table = _KIND_KEYS.get(section.get("kind", "").strip(), _PROVIDER_KEYS)
+        values = _read_section(section, table, base_dir, ("kind",))
         rate = {name: values.pop(name) for name in RateSpec._fields if name in values}
         values.setdefault("close_time", server.get("close_time", DEFAULT_CLOSE_TIME))
         kind = values.pop("kind")

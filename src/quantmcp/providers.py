@@ -70,6 +70,8 @@ class ProviderConfig(Frozen):
     Subclasses add no fields. Two configs are equal when their classes and all their fields are.
     """
 
+    READS = ("rate", "close_time")  # the fields a kind reads, and so the only ones its config section may set
+
     __slots__ = (
         "id", "base_url_template", "csv_path", "seed", "field_map", "credential_ref", "rate", "timeout_ms",
         "retries", "close_time",
@@ -101,19 +103,17 @@ class ProviderConfig(Frozen):
         return all(getattr(self, name) == getattr(other, name) for name in ProviderConfig.__slots__)
 
     def check(self) -> None:
-        """Enforce the config invariants every kind shares; violations abort startup."""
+        """Enforce the config invariants every kind shares; violations abort startup.
+
+        A kind's bounds on its numbers keep every float derived from them finite and every wait, a denied
+        call's ``retry_after_ms`` included (under 32 years), within ``threading.TIMEOUT_MAX`` (292 years).
+        """
         if not self.id:
             raise ConfigError("provider id must be non-empty")
-        if not 0 <= self.seed <= _U64:
-            raise ConfigError(f"provider.{self.id}.seed: must fit in 64 unsigned bits")
-        if self.rate.capacity < 1:
-            raise ConfigError(f"provider.{self.id}.rate_capacity: must be >= 1")
-        if self.rate.refill_per_sec <= 0:
-            raise ConfigError(f"provider.{self.id}.rate_refill_per_sec: must be > 0")
-        if self.timeout_ms < 1:
-            raise ConfigError(f"provider.{self.id}.timeout_ms: must be >= 1")
-        if self.retries < 0:
-            raise ConfigError(f"provider.{self.id}.retries: must be >= 0")
+        if not 1 <= self.rate.capacity <= 2**53:  # the token count, a double, stays exact
+            raise ConfigError(f"provider.{self.id}.rate_capacity: must be in [1, 2**53]")
+        if not 1e-9 <= self.rate.refill_per_sec <= 1e9:
+            raise ConfigError(f"provider.{self.id}.rate_refill_per_sec: must be in [1e-9, 1e9]")
 
     def fetch(self, query: DataQuery, credentials: "CredentialStore") -> Rows:
         """Canonical columns for the checked ``query``."""
@@ -245,6 +245,13 @@ def _tail_table(tail: bytes) -> list[int]:
 class SyntheticProvider(ProviderConfig):
     """``synthetic_value`` for every (code, field, trading day) of a query; ignores ``field_map``."""
 
+    READS = ProviderConfig.READS + ("seed",)
+
+    def check(self) -> None:
+        if not 0 <= self.seed <= _U64:
+            raise ConfigError(f"provider.{self.id}.seed: must fit in 64 unsigned bits")
+        super().check()
+
     @cached_property
     def tail_tables(self) -> list[list[int]]:
         """The ``_tail_table`` of each cell key tail ``DD|seed``, at index ``DD - 1``."""
@@ -313,6 +320,8 @@ def _parse_cell(raw: str, column: str, config: ProviderConfig) -> float | None:
 
 class CsvProvider(ProviderConfig):
     """Rows of an offline export with ``code`` and ``date`` columns, read whole on every fetch."""
+
+    READS = ProviderConfig.READS + ("csv_path", "field_map")
 
     def check(self) -> None:
         if not self.csv_path:
@@ -384,6 +393,8 @@ def __getattr__(name: str) -> Any:
 class HttpProvider(ProviderConfig):
     """Keyed REST: one GET per instrument code from ``base_url_template``, up to HTTP_POOL_SIZE at a time."""
 
+    READS = ProviderConfig.READS + ("base_url_template", "field_map", "credential_ref", "timeout_ms", "retries")
+
     def check(self) -> None:
         if not self.base_url_template:
             raise ConfigError(f"provider.{self.id}.base_url: required for http providers")
@@ -394,7 +405,15 @@ class HttpProvider(ProviderConfig):
         unknown = names - _URL_PLACEHOLDERS - {None}
         if unknown:
             raise ConfigError(f"provider.{self.id}.base_url: unknown placeholder(s) {sorted(unknown)}")
+        try:  # every placeholder takes a str, so a conversion or format spec no str takes fails here as on a fetch
+            self.base_url_template.format(**dict.fromkeys(_URL_PLACEHOLDERS, ""))
+        except (ValueError, LookupError, AttributeError) as exc:  # also a bad name nested in a format spec
+            raise ConfigError(f"provider.{self.id}.base_url: malformed template: {exc}") from None
         super().check()
+        if not 1 <= self.timeout_ms <= 3_600_000:
+            raise ConfigError(f"provider.{self.id}.timeout_ms: must be in [1, 3600000]")
+        if not 0 <= self.retries <= 100:
+            raise ConfigError(f"provider.{self.id}.retries: must be in [0, 100]")
 
     def _fetch_code(
         self, query: DataQuery, code: str, columns: list[tuple[str, str]], apikey: str, codes: set[str]

@@ -302,7 +302,7 @@ class ResponseCache:
             else:
                 owner = False
         if not owner:
-            if not flight.event.wait(timeout=wait_s):
+            if not flight.event.wait(timeout=min(wait_s, threading.TIMEOUT_MAX)):  # a longer wait raises
                 raise InternalError("timed out waiting for an in-flight cache fill")
             if flight.exc is not None:
                 raise flight.exc

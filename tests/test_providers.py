@@ -806,6 +806,18 @@ def test_http_template_with_an_unbalanced_brace_is_a_config_error(template):
         HttpProvider(id="x", base_url_template=template).check()
 
 
+@pytest.mark.parametrize(
+    "template", ["http://127.0.0.1:9/x?c={code!x}", "http://127.0.0.1:9/x?c={code:%}", "http://h/x?c={code:{ticker}}"]
+)
+def test_http_template_with_a_conversion_or_spec_no_string_takes_is_a_config_error(template):
+    with pytest.raises(ConfigError, match=r"^provider\.x\.base_url: malformed template: "):
+        HttpProvider(id="x", base_url_template=template).check()
+
+
+def test_http_template_with_a_conversion_and_spec_a_string_takes_passes_its_check():
+    HttpProvider(id="x", base_url_template="http://h/x?c={code!s:>4}&f={field!r}&k={apikey:.8}").check()
+
+
 def test_rate_invariants_are_config_checked():
     with pytest.raises(ConfigError, match="rate_capacity"):
         SyntheticProvider(id="x", rate=RateSpec(capacity=0)).check()

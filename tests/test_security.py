@@ -376,6 +376,28 @@ def test_a_waiter_gives_up_after_its_wait_while_the_producer_runs_on():
     assert owner == [("late", False)]
 
 
+def test_a_wait_past_the_thread_timeout_limit_waits_for_the_producer():
+    # An http fetch of enough codes may bound its GETs beyond threading.TIMEOUT_MAX.
+    cache = ResponseCache(clock=FakeMonoClock())
+    entered, release = threading.Event(), threading.Event()
+
+    def slow():
+        entered.set()
+        release.wait(timeout=5.0)
+        return "late"
+
+    thread = threading.Thread(target=lambda: cache.lookup_or_store(1, slow, ttl=10.0))
+    thread.start()
+    try:
+        assert entered.wait(timeout=5.0)
+        threading.Timer(0.05, release.set).start()
+        assert cache.lookup_or_store(1, slow, ttl=10.0, wait_s=threading.TIMEOUT_MAX * 2) == ("late", True)
+    finally:
+        release.set()
+        thread.join(timeout=10.0)
+    assert not thread.is_alive()
+
+
 def test_a_secret_holding_a_unicode_line_break_shows_in_its_serialized_frame():
     secret = "sk-line\u2028break"
     store = CredentialStore({"alpha": secret})
