@@ -10,6 +10,7 @@ predictable from the query alone.
 from __future__ import annotations
 
 import datetime as dt
+from array import array
 from collections.abc import Sequence
 from itertools import accumulate, chain, repeat
 from types import MappingProxyType
@@ -76,7 +77,8 @@ class Records(Frozen, PreEncoded, Sequence):
     """A query result as one table: for each code, one column per field over the days.
 
     As a sequence it is the wire's record dicts ``{code, timestamp, <field>...}`` in (code, day)
-    order, each built when read, and it equals their list. Nothing mutates it.
+    order, each built when read, and it equals their list. Nothing mutates it. A column is a list,
+    or a typed ``array`` where :func:`_compact` can hold it as one; both read as plain sequences.
     """
 
     __slots__ = ("codes", "days", "suffix", "fields", "columns")
@@ -87,7 +89,7 @@ class Records(Frozen, PreEncoded, Sequence):
         days: tuple[str, ...],  # ISO dates, ascending
         suffix: str,  # " HH:MM:SS", the time of day on every timestamp
         fields: tuple[str, ...],  # query order
-        columns: tuple[tuple[list, ...], ...],  # per code, one column per field, one value per day
+        columns: tuple[tuple[Sequence, ...], ...],  # per code, one column per field, one value per day
     ):
         set_field = object.__setattr__
         set_field(self, "codes", codes)
@@ -126,15 +128,40 @@ class Records(Frozen, PreEncoded, Sequence):
         i = self.fields.index(name)
         return chain.from_iterable(cols[i] for cols in self.columns)
 
+    def reordered(self, fields: tuple[str, ...]) -> Records:
+        """This table with its fields in the order of ``fields``, the same names; the columns are shared."""
+        order = [self.fields.index(f) for f in fields]
+        columns = tuple(tuple(cols[i] for i in order) for cols in self.columns)
+        return Records(self.codes, self.days, self.suffix, fields, columns)
+
     def json_text(self) -> str:
         """``dumps(list(self))``, from one record template and one ``dumps`` per column."""
         keys = "".join("," + dumps(f).replace("%", "%%") + ":%s" for f in self.fields)
         render = ('{"code":%s,"timestamp":"%s' + self.suffix + '"' + keys + "}").__mod__
         items: list[str] = []
         for code, cols in zip(self.codes, self.columns):
-            cells = [dumps(col)[1:-1].split(",") for col in cols]
+            cells = [dumps(col.tolist() if isinstance(col, array) else col)[1:-1].split(",") for col in cols]
             items += map(render, zip(repeat(dumps(code)), self.days, *cells))
         return "[" + ",".join(items) + "]"
+
+
+def _compact(column: list) -> Sequence:
+    """``column`` as an ``array("d")`` if every cell is a float, as an ``array("q")`` if every cell
+    is an int within 64 bits, else the list itself.
+
+    An array holds 8 bytes per value where a list holds a pointer and an object, and gives each value
+    back exactly, so the wire text is the same. A column that holds a null, mixes ints and floats
+    (``100`` must not turn into ``100.0``) or holds anything else stays a list.
+    """
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        return array("d", column)
+    if kinds == {int}:
+        try:
+            return array("q", column)
+        except OverflowError:
+            pass
+    return column
 
 
 def normalize_payload(
@@ -154,15 +181,21 @@ def normalize_payload(
             raise InternalError(
                 f"provider {raw.provider_id!r} returned rows outside the query contract for code={code!r}"
             )
-        by_code[code] = cols
+        by_code[code] = tuple(map(_compact, cols))
     nulls = ([None] * len(days),) * len(fields)
     columns = tuple(by_code.get(code, nulls) for code in sorted(query.codes))
     return Records(tuple(sorted(query.codes)), days, " " + close_time.strftime("%H:%M:%S"), fields, columns)
 
 
-def _filled(column: list) -> list:
-    """``column`` with each null replaced by the last earlier non-null value; a leading null stays."""
-    return list(accumulate(column, lambda last, v: last if v is None else v)) if None in column else column
+def _filled(column: Sequence) -> Sequence:
+    """``column`` with each null replaced by the last earlier non-null value; a leading null stays.
+
+    An array cannot hold a null and comes back unscanned, a list without a null as it is; a
+    rebuilt column is compacted.
+    """
+    if isinstance(column, array) or None not in column:
+        return column
+    return _compact(list(accumulate(column, lambda last, v: last if v is None else v)))
 
 
 def apply_fill(records: Records, policy: str) -> Records:

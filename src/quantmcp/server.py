@@ -45,6 +45,9 @@ if TYPE_CHECKING:
 
 PROTOCOL_VERSION = "2024-11-05"
 SERVER_NAME = "quantmcp"
+# The most characters of one input line, its newline counted, read into memory: 4x the largest
+# answer frame (4 MB, 100 codes x 1 year x 7 fields). A longer line is answered -32600 and dropped.
+MAX_LINE_CHARS = 16 * 1024 * 1024
 
 
 class Dispatcher:
@@ -220,14 +223,24 @@ class StdioServer:
             self._dispatch_and_emit(msg)
 
     def run(self) -> int:
-        """Serve until the input stream closes; returns the process exit code."""
+        """Serve until the input stream closes; returns the process exit code.
+
+        A line is read in at most ``MAX_LINE_CHARS`` characters; one that does not end within
+        them is answered -32600 with id null and the rest of it is read and dropped.
+        """
         executor = None
         if self.concurrency > 0:
             from concurrent.futures import ThreadPoolExecutor
 
             executor = ThreadPoolExecutor(max_workers=self.concurrency)
+        read = self._in.readline
         try:
-            for line in iter(self._in.readline, ""):
+            for line in iter(lambda: read(MAX_LINE_CHARS), ""):
+                if len(line) == MAX_LINE_CHARS and not line.endswith("\n"):
+                    self._emit(make_error(None, INVALID_REQUEST, f"line exceeds {MAX_LINE_CHARS} characters"))
+                    while line and not line.endswith("\n"):  # drop the rest, a bounded chunk at a time
+                        line = read(MAX_LINE_CHARS)
+                    continue
                 self.handle_line(line, executor)
         except KeyboardInterrupt:
             pass

@@ -141,9 +141,7 @@ def fetch_normalized(
         wait_s = max(FILL_WAIT_S, provider.fetch_bound_s(len(query.codes)) + FILL_WAIT_MARGIN_S)
         (records, fetched_at), cache_hit = ctx.cache.lookup_or_store(key, produce, ttl, wait_s)
         if records.fields != tuple(query.fields):  # the entry was filled by a query naming them in another order
-            order = [records.fields.index(f) for f in query.fields]
-            columns = tuple(tuple(cols[i] for i in order) for cols in records.columns)
-            records = Records(records.codes, records.days, records.suffix, tuple(query.fields), columns)
+            records = records.reordered(tuple(query.fields))
     meta = {
         "provider_id": provider.id,
         "fetched_at": fetched_at,

@@ -5,9 +5,10 @@ from __future__ import annotations
 import copy
 import datetime as dt
 import json
+from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import backfill_oracle
@@ -22,7 +23,8 @@ from quantmcp.normalize import (
 )
 from quantmcp import providers
 from quantmcp.providers import DataQuery, RawProviderPayload, SyntheticProvider, fetch_historical
-from quantmcp.security import CredentialStore
+from quantmcp.security import CredentialStore, redact_message
+from quantmcp.transport import RESPONSE, JsonRpcMessage, serialize_message
 
 CLOSE = dt.time(15, 0, 0)
 
@@ -272,8 +274,8 @@ def test_fill_copies_only_the_records_it_fills_and_never_mutates_its_input():
     table = normalize_payload(_payload({"A": {"close": gappy, "turn": whole}}), query, CLOSE)
     snapshot = copy.deepcopy(list(table))
     out = apply_fill(table, "Previous")
-    assert [list(cols) for cols in out.columns] == [[[None, 1.0, 1.0, 2.0, 2.0], whole], [[None] * 5] * 2]
-    assert out.columns[0][1] is whole and out.columns[0][0] is not gappy
+    assert [list(map(list, cols)) for cols in out.columns] == [[[None, 1.0, 1.0, 2.0, 2.0], whole], [[None] * 5] * 2]
+    assert out.columns[0][1] is table.columns[0][1] and out.columns[0][0] is not gappy
     assert list(table) == snapshot and table.columns[0][0] is gappy and gappy == [None, 1.0, None, 2.0, None]
     assert apply_fill(table, "Blank") is table
 
@@ -313,3 +315,103 @@ def test_previous_fill_is_idempotent_and_preserves_non_nulls(values):
         if before["close"] is not None:
             assert after["close"] == before["close"]
         assert after["timestamp"] == before["timestamp"]
+
+
+# --- compact columns --------------------------------------------------------
+
+_SECRET = "sk-code-0451"
+_STORE = CredentialStore({"p": _SECRET})
+_FLOATS = st.one_of(
+    st.sampled_from([1e-07, 0.1234567, -0.0, 5e-324, 1e16, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_INTS = st.one_of(st.sampled_from([-(2**63), 2**63 - 1, 2**63, 10**30]), st.integers(-(2**63), 2**63 - 1))
+_COLUMN_CELLS = [_FLOATS, _INTS, st.one_of(_FLOATS, _INTS)]
+
+
+@st.composite
+def _provider_columns(draw, n):
+    """``n`` floats, ints or a mix of both, maybe with a null first, in the middle or last."""
+    column = draw(st.lists(draw(st.sampled_from(_COLUMN_CELLS)), min_size=n, max_size=n))
+    for i in draw(st.sets(st.sampled_from([0, n // 2, n - 1]))):
+        column[i] = None
+    return column
+
+
+def _compact_and_list(rows, query: DataQuery) -> tuple[Records, Records]:
+    """The provider payload ``rows`` normalized, and the same table built over the provider's own lists."""
+    compact = normalize_payload(_payload(rows), query, CLOSE)
+    plain = Records(compact.codes, compact.days, compact.suffix, compact.fields,
+                    tuple(tuple(rows[code][f] for f in compact.fields) for code in compact.codes))
+    return compact, plain
+
+
+@st.composite
+def _compact_and_list_tables(draw):
+    codes = draw(st.lists(st.sampled_from(["B", f"A{_SECRET}"]), min_size=1, max_size=2, unique=True))
+    fields = draw(st.lists(st.sampled_from(providers.CANONICAL_FIELDS), min_size=2, max_size=3, unique=True))
+    query = DataQuery(codes, fields, dt.date(2024, 1, 1), dt.date(2024, 1, draw(st.integers(1, 10))))
+    n = len(query.days)
+    return _compact_and_list({code: {f: draw(_provider_columns(n)) for f in fields} for code in codes}, query)
+
+
+# Every edge value at once, over the five weekdays 2024-01-01..05: one column per kind of storage.
+_EDGE_COLUMNS = {
+    "close": [1e-07, 0.1234567, -0.0, 5e-324, 1.7976931348623157e308],  # d
+    "volume": [-(2**63), 2**63 - 1, 0, 100, 1],  # q
+    "high": [2**63, 1, 2, 3, 10**30],  # list: beyond 64 bits
+    "low": [100, 100.0, 1e16, 7, 0.5],  # list: mixed
+    "turn": [None, 1.0, None, 2, None],  # list, and still one once filled
+    "open": [1.5, None, 2.5, 3.5, None],  # list, d once filled
+}
+_EDGE_TABLES = _compact_and_list(
+    {code: dict(_EDGE_COLUMNS) for code in ("B", f"A{_SECRET}")},
+    DataQuery(["B", f"A{_SECRET}"], list(_EDGE_COLUMNS), dt.date(2024, 1, 1), dt.date(2024, 1, 5)),
+)
+
+
+def _storage(column) -> str:
+    """How the type rule stores ``column``: "d" for floats, "q" for ints within 64 bits, else "list"."""
+    if all(type(v) is float for v in column):
+        return "d"
+    if all(type(v) is int and -(2**63) <= v < 2**63 for v in column):
+        return "q"
+    return "list"
+
+
+def _stored(table: Records) -> list[list[str]]:
+    return [[col.typecode if isinstance(col, array) else type(col).__name__ for col in cols] for cols in table.columns]
+
+
+def _frames(table: Records) -> tuple[bytes, bytes]:
+    """The answer frame under an id holding ``e-``, and the same frame with the loaded secret redacted."""
+    content = {"records": table, "meta": {"row_count": len(table), "cache_hit": False}}
+    msg = JsonRpcMessage(RESPONSE, id="3e-7", result={"content": content, "isError": False})
+    return serialize_message(msg), serialize_message(redact_message(msg, _STORE))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_compact_and_list_tables())
+@example(_EDGE_TABLES)
+def test_a_compact_table_reads_and_serializes_as_its_list_columns_do(tables):
+    compact, plain = tables
+    assert _stored(compact) == [[_storage(col) for col in cols] for cols in plain.columns]
+    assert compact.json_text() == plain.json_text()
+    assert _frames(compact) == _frames(plain)
+    assert repr(list(compact)) == repr(list(plain))  # repr tells 100 from 100.0 and -0.0 from 0.0
+    for name in (*compact.fields, "absent"):
+        assert repr(list(compact.column(name))) == repr(list(plain.column(name)))
+    for policy in ("Previous", "Blank"):
+        filled, plain_filled = apply_fill(compact, policy), apply_fill(plain, policy)
+        assert _stored(filled) == [[_storage(col) for col in cols] for cols in plain_filled.columns]
+        assert filled.json_text() == plain_filled.json_text()
+        assert repr(list(filled)) == repr(list(plain_filled))
+    fields = compact.fields[::-1]
+    assert _frames(compact.reordered(fields)) == _frames(plain.reordered(fields))
+    assert repr(list(compact.reordered(fields))) == repr(list(plain.reordered(fields)))
+
+
+def test_the_edge_columns_are_stored_by_the_type_rule():
+    compact, _ = _EDGE_TABLES
+    assert _stored(compact) == [["d", "q", "list", "list", "list", "list"]] * 2
+    assert _stored(apply_fill(compact, "Previous")) == [["d", "q", "list", "list", "list", "d"]] * 2

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -235,6 +236,31 @@ def test_rate_limited_call_maps_to_32002():
     assert response.error.data["retry_after_ms"] > 0
 
 
+def test_a_cached_small_miss_keeps_under_4000_bytes(live_dispatcher):
+    """Each distinct 1-code, 1-quarter, 3-field miss leaves one cache entry; it and all it holds stay small."""
+
+    def call(i: int, code: str) -> None:
+        arguments = {"codes": [code], "fields": ["open", "close", "volume"],
+                     "start_date": "2024-01-01", "end_date": "2024-03-31"}
+        response = live_dispatcher.dispatch(_req(i, "tools/call", {"name": "tool_get_historical_data",
+                                                                   "arguments": arguments}))
+        assert response.result["content"]["meta"]["row_count"] == 65
+        serialize_message(response)
+
+    tracemalloc.start()
+    try:
+        for i in range(20):  # the calendar and the synthetic tables are built once, before the count
+            call(i, f"{700000 + i}.SH")
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(300):
+            call(i, f"{600000 + i}.SH")
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(live_dispatcher.ctx.cache._entries) == 320
+    assert kept / 300 < 4000
+
+
 # --- stdio loop -------------------------------------------------------------------
 
 
@@ -348,6 +374,45 @@ def test_blank_lines_are_skipped():
     lines = ["", "   ", _session_lines()[0]]
     frames = _run_session(lines)
     assert len(frames) == 1 and frames[0]["id"] == 1
+
+
+class _CappedReads:
+    """An input stream over ``text`` that records the limit of each ``readline`` call."""
+
+    def __init__(self, text: str):
+        self.text, self.pos, self.limits = text, 0, []
+
+    def readline(self, limit: int | None = -1) -> str:
+        self.limits.append(limit)
+        end = self.text.find("\n", self.pos) + 1 or len(self.text)
+        if limit is not None and limit >= 0:
+            end = min(end, self.pos + limit)
+        line, self.pos = self.text[self.pos:end], end
+        return line
+
+
+def _line_of(chars: int, id: int) -> str:
+    """A valid tools/list request padded to ``chars`` characters, its newline counted."""
+    head, tail = '{"jsonrpc":"2.0","id":%d,"method":"tools/list","params":{"pad":"' % id, '"}}\n'
+    return head + "x" * (chars - len(head) - len(tail)) + tail
+
+
+@pytest.mark.parametrize("concurrency", [0, 2])
+def test_a_line_over_the_cap_is_answered_32600_and_the_next_request_still_is(concurrency):
+    cap = server_module.MAX_LINE_CHARS
+    session = _session_lines()
+    # one character over the cap, then one whose rest would be a line of its own if it were not dropped
+    stream = _CappedReads(session[0] + "\n" + _line_of(cap + 1, 2) + _line_of(cap + 99, 5)
+                          + session[2] + "\n" + _line_of(cap, 4))
+    out = io.StringIO()
+    assert StdioServer(Dispatcher(build_registry(), make_ctx()), stream, out, concurrency).run() == 0
+    lines = out.getvalue().splitlines()
+    frames = {frame["id"]: frame for frame in map(json.loads, lines)}  # concurrent answers may come in any order
+    assert len(lines) == 5 and set(frames) == {1, None, 3, 4}
+    assert json.loads(lines[1]) == json.loads(lines[2]) == {
+        "jsonrpc": "2.0", "id": None, "error": {"code": -32600, "message": f"line exceeds {cap} characters"}}
+    assert len(frames[3]["result"]["content"]["records"]) == 65 and "tools" in frames[4]["result"]
+    assert stream.limits and all(isinstance(n, int) and 0 <= n <= cap for n in stream.limits)
 
 
 def test_notifications_emit_nothing_on_the_wire():
