@@ -17,11 +17,16 @@ import pytest
 from conftest import GOLDEN_DIR, REPO_ROOT, make_ctx, src_env
 
 from quantmcp.cli import main, mask_volatile
+from quantmcp.config import build_context, load_config
 from quantmcp.server import Dispatcher, StdioServer
 from quantmcp.tools import build_registry
 
 SYNTH_CONF = str(REPO_ROOT / "configs" / "synthetic.conf")
 GOLDEN_TRANSCRIPT = str(GOLDEN_DIR / "transcript_q1_2024.jsonl")
+GOLDEN_WIRE = GOLDEN_DIR / "transcript_q1_2024.serve.jsonl"  # the lines serve writes for its inputs, masked
+
+# A replay-masked key's value in frame text; protocolVersion and clientInfo's version are inputs.
+_VOLATILE_VALUE = re.compile(r'"(fetched_at|version)":"[^"\\]*"')
 
 Q1_PARAMS = json.dumps(
     {
@@ -114,7 +119,22 @@ def test_call_matches_a_stdio_session_byte_for_byte(capsys):
     ]
     StdioServer(dispatcher, io.StringIO("".join(l + "\n" for l in lines)), out).run()
     stdio_content = json.loads(out.getvalue().splitlines()[1])["result"]["content"]
-    assert mask_volatile(cli_content) == mask_volatile(stdio_content)
+    # json.loads keeps key order and int against float, so the dumped texts differ wherever the frames do
+    assert json.dumps(mask_volatile(cli_content)) == json.dumps(mask_volatile(stdio_content))
+
+
+def _masked_wire(text: str) -> str:
+    return _VOLATILE_VALUE.sub(r'"\1":"<masked>"', text)
+
+
+def test_serve_writes_the_golden_wire_bytes_for_the_transcript_inputs():
+    with open(GOLDEN_TRANSCRIPT, encoding="utf-8") as fh:
+        inputs = [entry["message"] for entry in map(json.loads, fh) if entry["direction"] == "in"]
+    config = load_config(SYNTH_CONF)
+    dispatcher = Dispatcher(build_registry(), build_context(config), server_name=config.name)
+    out = io.StringIO()
+    StdioServer(dispatcher, io.StringIO("".join(json.dumps(m) + "\n" for m in inputs)), out).run()
+    assert _masked_wire(out.getvalue()).encode("utf-8") == GOLDEN_WIRE.read_bytes()
 
 
 # --- replay -----------------------------------------------------------------
