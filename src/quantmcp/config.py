@@ -107,6 +107,8 @@ def _parse_field_map(raw: str, where: str) -> dict[str, str]:
             )
         if not provider_field:
             raise ConfigError(f"{where}: entry {token!r} names no provider column")
+        if canonical in mapping:  # as configparser refuses a repeated key
+            raise ConfigError(f"{where}: {canonical!r} is mapped more than once")
         mapping[canonical] = provider_field
     return mapping
 

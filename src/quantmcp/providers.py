@@ -2,9 +2,10 @@
 
 Three kinds ship, one ``ProviderConfig`` subclass each: ``synthetic``
 (deterministic, seeded), ``http`` (keyed REST, one GET per instrument code, up
-to HTTP_POOL_SIZE at a time), and ``csv`` (offline exported files). A provider
-keeps no state but what it derives from its frozen config on first use (the
-synthetic tail tables); rate limiting and caching are enforced by the caller.
+to HTTP_POOL_SIZE at a time), and ``csv`` (offline exported files). Each kind
+declares its fields and their defaults once, in ``READS``. A provider keeps no
+state but what it derives from its frozen config on first use (the synthetic
+tail tables); rate limiting and caching are enforced by the caller.
 Providers deal in calendar dates only; close-of-day timestamps are
 materialized during normalization.
 
@@ -23,6 +24,7 @@ import string
 import sys
 from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 from urllib.parse import quote
 
@@ -67,40 +69,23 @@ class RateSpec(NamedTuple):
 class ProviderConfig(Frozen):
     """Declarative description of one data source; a subclass per kind fetches from it.
 
-    Subclasses add no fields. Two configs are equal when their classes and all their fields are.
+    A kind declares its fields once, in ``READS``; a config holds ``id`` and exactly those fields. Two configs
+    are equal when their classes, ids and fields are.
     """
 
-    READS = ("rate", "close_time")  # the fields a kind reads, and so the only ones its config section may set
+    # field -> default: the fields a kind reads, and so the only ones its config section may set
+    READS = {"rate": RateSpec(), "close_time": DEFAULT_CLOSE_TIME}
 
-    __slots__ = (
-        "id", "base_url_template", "csv_path", "seed", "field_map", "credential_ref", "rate", "timeout_ms",
-        "retries", "close_time",
-    )
-
-    def __init__(
-        self,
-        id: str,
-        base_url_template: str | None = None,
-        csv_path: str | None = None,
-        seed: int = 0,
-        field_map: dict[str, str] | None = None,  # canonical field -> provider column
-        credential_ref: str | None = None,
-        rate: RateSpec | None = None,
-        timeout_ms: int = 5000,
-        retries: int = 0,
-        close_time: dt.time = DEFAULT_CLOSE_TIME,
-    ):
-        values = (
-            id, base_url_template, csv_path, seed, {} if field_map is None else field_map, credential_ref,
-            RateSpec() if rate is None else rate, timeout_ms, retries, close_time,
-        )
-        for name, value in zip(ProviderConfig.__slots__, values):
-            object.__setattr__(self, name, value)
+    def __init__(self, id: str, **fields: Any):
+        unknown = fields.keys() - self.READS.keys()
+        if unknown:
+            raise TypeError(f"{type(self).__name__} has no field(s) {sorted(unknown)}")
+        vars(self).update(self.READS, id=id, **fields)
 
     def __eq__(self, other: Any) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in ProviderConfig.__slots__)
+        return all(getattr(self, name) == getattr(other, name) for name in ("id", *self.READS))
 
     def check(self) -> None:
         """Enforce the config invariants every kind shares; violations abort startup.
@@ -243,9 +228,9 @@ def _tail_table(tail: bytes) -> list[int]:
 
 
 class SyntheticProvider(ProviderConfig):
-    """``synthetic_value`` for every (code, field, trading day) of a query; ignores ``field_map``."""
+    """``synthetic_value`` for every (code, field, trading day) of a query."""
 
-    READS = ProviderConfig.READS + ("seed",)
+    READS = {**ProviderConfig.READS, "seed": 0}
 
     def check(self) -> None:
         if not 0 <= self.seed <= _U64:
@@ -321,7 +306,7 @@ def _parse_cell(raw: str, column: str, config: ProviderConfig) -> float | None:
 class CsvProvider(ProviderConfig):
     """Rows of an offline export with ``code`` and ``date`` columns, read whole on every fetch."""
 
-    READS = ProviderConfig.READS + ("csv_path", "field_map")
+    READS = {**ProviderConfig.READS, "csv_path": None, "field_map": MappingProxyType({})}  # canonical -> column
 
     def check(self) -> None:
         if not self.csv_path:
@@ -393,7 +378,10 @@ def __getattr__(name: str) -> Any:
 class HttpProvider(ProviderConfig):
     """Keyed REST: one GET per instrument code from ``base_url_template``, up to HTTP_POOL_SIZE at a time."""
 
-    READS = ProviderConfig.READS + ("base_url_template", "field_map", "credential_ref", "timeout_ms", "retries")
+    READS = {
+        **ProviderConfig.READS, "base_url_template": None, "field_map": MappingProxyType({}), "credential_ref": None,
+        "timeout_ms": 5000, "retries": 0,
+    }
 
     def check(self) -> None:
         if not self.base_url_template:
@@ -450,7 +438,7 @@ class HttpProvider(ProviderConfig):
             )
         try:
             body = response.json()
-        except ValueError:
+        except (ValueError, RecursionError):  # also a body nested past the interpreter's recursion limit
             raise ProviderFailure(
                 f"provider {self.id!r} returned a non-JSON body",
                 data={"reason": "schema"},

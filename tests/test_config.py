@@ -222,7 +222,7 @@ def _provider_conf(kind: str, settings: str) -> str:
     return f"[server]\ndefault_provider = s\n[provider.s]\nkind = {kind}\n{_OWN_KEYS[kind]}{settings}"
 
 
-@pytest.mark.parametrize("field_map", ["clsoe=PX", "close=PX, open="])
+@pytest.mark.parametrize("field_map", ["clsoe=PX", "close=PX, open=", "close=A, close=B"])
 def test_field_map_rejects_unknown_fields_and_empty_columns(tmp_path, field_map):
     path = _write(tmp_path, _provider_conf("http", f"field_map = {field_map}\n"))
     with pytest.raises(ConfigError, match=r"provider\.s\.field_map"):

@@ -28,6 +28,7 @@ from quantmcp.providers import (
     FNV_PRIME,
     CsvProvider,
     DataQuery,
+    PROVIDER_CLASSES,
     HttpProvider,
     ProviderConfig,
     RateSpec,
@@ -286,8 +287,7 @@ def _assert_synthetic_cells(rows, query: DataQuery, seed: int) -> None:
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_synthetic_fetch_equals_synthetic_value_cell_by_cell(seed):
-    field_map = {"close": "CLOSE", "turn": "turnover_rate"}
-    config = SyntheticProvider(id="synth", seed=seed, field_map=field_map)
+    config = SyntheticProvider(id="synth", seed=seed)
     codes = ["300750.SZ", "600519.SH", "贵州茅台", "A"]
     fields = list(reversed(CANONICAL_FIELDS))
     query = _query(codes=codes, fields=fields, start_date=dt.date(2023, 12, 20), end_date=dt.date(2024, 2, 5))
@@ -295,10 +295,6 @@ def test_synthetic_fetch_equals_synthetic_value_cell_by_cell(seed):
 
 
 _CODES = st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=3, unique=True)
-# Synthetic rows ignore field_map; these maps rename, swap and merge columns.
-_FIELD_MAPS = st.dictionaries(
-    st.sampled_from(CANONICAL_FIELDS), st.sampled_from([*CANONICAL_FIELDS, "PX", "code", "date"])
-)
 _FIELDS = st.permutations(CANONICAL_FIELDS).flatmap(lambda p: st.integers(1, 7).map(lambda n: list(p[:n])))
 
 
@@ -307,17 +303,16 @@ _FIELDS = st.permutations(CANONICAL_FIELDS).flatmap(lambda p: st.integers(1, 7).
     seed=st.integers(0, 2**64 - 1),
     codes=_CODES,
     fields=_FIELDS,
-    field_map=_FIELD_MAPS,
     first_of_month=st.dates(dt.date(1999, 1, 1), dt.date(2031, 12, 1)).map(lambda d: d.replace(day=1)),
     back=st.integers(0, 40),
     forward=st.integers(0, 40),
 )
 def test_synthetic_fetch_equals_synthetic_value_for_generated_queries(
-    seed, codes, fields, field_map, first_of_month, back, forward
+    seed, codes, fields, first_of_month, back, forward
 ):
     # the range runs from ``back`` days before a first of month (January
     # crosses a year end) to ``forward`` days after it
-    config = SyntheticProvider(id="synth", seed=seed, field_map=field_map)
+    config = SyntheticProvider(id="synth", seed=seed)
     start = first_of_month - dt.timedelta(days=back)
     end = first_of_month + dt.timedelta(days=forward)
     query = _query(codes=codes, fields=fields, start_date=start, end_date=end)
@@ -687,7 +682,7 @@ def test_rows_are_keyed_by_query_code_then_date_with_exactly_the_query_fields(ki
                for code, day, close, pb, turn in _RENAMED_CELLS]
     with stub_rows_server(fixture) as (base_url, _):
         config = {
-            "synthetic": SyntheticProvider(id="s", field_map=field_map),
+            "synthetic": SyntheticProvider(id="s"),
             "csv": CsvProvider(id="c", csv_path=str(path), field_map=field_map),
             "http": _http_config(base_url, field_map=field_map),
         }[kind]
@@ -825,6 +820,22 @@ def test_rate_invariants_are_config_checked():
         SyntheticProvider(id="x", rate=RateSpec(refill_per_sec=0.0)).check()
 
 
+@pytest.mark.parametrize(  # the pairs of test_config's test_a_key_of_another_kind_is_an_unknown_key, as fields
+    ("kind", "field"),
+    [
+        *(("synthetic", field) for field in
+          ("base_url_template", "csv_path", "field_map", "credential_ref", "timeout_ms", "retries")),
+        *(("csv", field) for field in ("base_url_template", "seed", "credential_ref", "timeout_ms", "retries")),
+        *(("http", field) for field in ("csv_path", "seed")),
+    ],
+)
+def test_a_kind_holds_its_id_and_the_fields_it_reads_and_refuses_another_kinds_field(kind, field):
+    cls = PROVIDER_CLASSES[kind]
+    with pytest.raises(TypeError, match=repr(field)):
+        cls(id="p", **{field: None})
+    assert vars(cls(id="p")) == {"id": "p", **cls.READS}
+
+
 # --- immutable values -----------------------------------------------------------
 
 _FROZEN_VALUES = {  # (a builder, one of its fields)
@@ -861,6 +872,8 @@ _DEFAULT_MAPPINGS = {  # (a builder taking every default, its mapping field)
     "OptionsMap": (OptionsMap, "entries"),
     "ValidatedArgs": (lambda: ValidatedArgs("t"), "values"),
     "ServerConfig": (ServerConfig, "providers"),
+    "csv": (lambda: CsvProvider(id="c"), "field_map"),
+    "http": (lambda: HttpProvider(id="h"), "field_map"),
 }
 
 

@@ -133,7 +133,7 @@ def test_missing_credential_is_a_tool_level_error():
         pytest.param("http", 40, 5000, 0, 30.0, id="40-5000-0-30.0"),  # derived 26 s
         pytest.param("http", 9, 5000, 2, 31.0, id="9-5000-2-31.0"),  # 2 waves x 3 attempts x 5 s + 1 s margin
         pytest.param("http", 20, 20000, 0, 61.0, id="20-20000-0-61.0"),  # 3 waves x 20 s + 1 s margin
-        # a fetch that never waits on its source keeps the default, whatever its timeout
+        # a fetch that never waits on its source keeps the default; its kind reads no timeout_ms or retries
         pytest.param("synthetic", 20, 20000, 0, 30.0, id="synthetic"),
         pytest.param("csv", 20, 20000, 0, 30.0, id="csv"),
     ],
@@ -150,11 +150,12 @@ def test_http_single_flight_wait_only_grows_past_the_default(
     monkeypatch.setattr(requests, "get", lambda url, timeout: Response())
     (tmp_path / "rows.csv").write_text("code,date,close,pb_lf,turn\n")
     cls, own = {
-        "http": (HttpProvider, {"base_url_template": "http://stub.invalid/q?code={code}"}),
+        "http": (HttpProvider, {"base_url_template": "http://stub.invalid/q?code={code}",
+                                "timeout_ms": timeout_ms, "retries": retries}),
         "synthetic": (SyntheticProvider, {}),
         "csv": (CsvProvider, {"csv_path": str(tmp_path / "rows.csv")}),
     }[kind]
-    provider = cls(id="alpha", timeout_ms=timeout_ms, retries=retries, rate=RateSpec(1000, 1000.0), **own)
+    provider = cls(id="alpha", rate=RateSpec(1000, 1000.0), **own)
     ctx = make_ctx(providers={"alpha": provider})
     waits: list[float] = []
     lookup_or_store = ctx.cache.lookup_or_store
@@ -373,15 +374,24 @@ def test_http_row_with_a_non_string_code_is_an_uncached_provider_failure(monkeyp
     assert len(gets) == 2  # failures are not cached: the retry fetches again
 
 
-def test_many_to_one_synthetic_field_map_gives_each_field_its_own_value():
-    provider = SyntheticProvider(id="s", field_map={"close": "PX", "open": "PX"})
-    ctx = make_ctx(providers={"s": provider})
-    args = {"codes": ["A"], "fields": ["close", "open"], "start_date": "2024-01-02", "end_date": "2024-01-02"}
-    [record] = _call_historical(ctx, args).content["records"]
-    assert record == {"code": "A", "timestamp": "2024-01-02 15:00:00", "close": 188.03, "open": 195.47}
-    assert (record["close"], record["open"]) == tuple(
-        synthetic_value_oracle("A", f, dt.date(2024, 1, 2), 0) for f in ("close", "open")
+def test_http_body_nested_past_the_recursion_limit_is_a_schema_failure(monkeypatch):
+    class Response:
+        status_code = 200
+
+        def json(self):  # decodes as requests does
+            return json.loads("[" * 100_000 + "]" * 100_000)
+
+    monkeypatch.setattr(requests, "get", lambda url, timeout: Response())
+    provider = HttpProvider(
+        id="h", base_url_template="http://stub.invalid/q?code={code}", rate=RateSpec(1000, 1000.0)
     )
+    args = {"codes": ["A"], "fields": ["close"], "start_date": "2024-01-01", "end_date": "2024-01-05"}
+    result = _call_historical(make_ctx(providers={"h": provider}), args)
+    assert result.is_error
+    assert result.content == {"error_kind": "provider_failure", "detail": "provider 'h' returned a non-JSON body"}
+    with pytest.raises(ProviderFailure) as excinfo:
+        fetch_historical(provider, DataQuery(["A"], ["close"], dt.date(2024, 1, 1), dt.date(2024, 1, 5)), None)
+    assert excinfo.value.data == {"reason": "schema"}
 
 
 def test_distinct_queries_keep_their_own_records_when_their_hashes_collide(ctx, monkeypatch):
