@@ -123,10 +123,6 @@ def test_call_matches_a_stdio_session_byte_for_byte(capsys):
     assert json.dumps(mask_volatile(cli_content)) == json.dumps(mask_volatile(stdio_content))
 
 
-def _masked_wire(text: str) -> str:
-    return _VOLATILE_VALUE.sub(r'"\1":"<masked>"', text)
-
-
 def test_serve_writes_the_golden_wire_bytes_for_the_transcript_inputs():
     with open(GOLDEN_TRANSCRIPT, encoding="utf-8") as fh:
         inputs = [entry["message"] for entry in map(json.loads, fh) if entry["direction"] == "in"]
@@ -134,7 +130,8 @@ def test_serve_writes_the_golden_wire_bytes_for_the_transcript_inputs():
     dispatcher = Dispatcher(build_registry(), build_context(config), server_name=config.name)
     out = io.StringIO()
     StdioServer(dispatcher, io.StringIO("".join(json.dumps(m) + "\n" for m in inputs)), out).run()
-    assert _masked_wire(out.getvalue()).encode("utf-8") == GOLDEN_WIRE.read_bytes()
+    masked = _VOLATILE_VALUE.sub(r'"\1":"<masked>"', out.getvalue())
+    assert masked.encode("utf-8") == GOLDEN_WIRE.read_bytes()
 
 
 # --- replay -----------------------------------------------------------------
