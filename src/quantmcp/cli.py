@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import sys
 import threading
 from typing import Any, Callable
@@ -18,9 +19,6 @@ from .config import ServerConfig, build_context, load_config
 from .errors import ConfigError
 from .server import Dispatcher, StdioServer
 from .tools import build_registry
-
-# Volatile fields ignored when diffing replayed frames against a transcript.
-REPLAY_MASKED_KEYS = ("fetched_at", "version")
 
 EXIT_OK = 0
 EXIT_TOOL_ERROR = 1
@@ -49,11 +47,11 @@ def _build_dispatcher(
     return config, Dispatcher(build_registry(), ctx, server_name=config.name, log=log)
 
 
-def _serve_frames(dispatcher: Dispatcher, frames: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Run ``frames`` through an in-process serve loop and return its response frames."""
+def _serve_frames(dispatcher: Dispatcher, lines: list[str]) -> list[str]:
+    """Run ``lines`` through an in-process serve loop and return the lines it writes, newlines dropped."""
     out = io.StringIO()
-    StdioServer(dispatcher, io.StringIO("".join(json.dumps(f) + "\n" for f in frames)), out).run()
-    return [json.loads(line) for line in out.getvalue().splitlines()]
+    StdioServer(dispatcher, io.StringIO("".join(line + "\n" for line in lines)), out).run()
+    return out.getvalue().split("\n")[:-1]
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -84,7 +82,9 @@ def cmd_tools_list(args: argparse.Namespace) -> int:
 def cmd_call(args: argparse.Namespace) -> int:
     try:
         arguments = json.loads(args.params)
-    except ValueError as exc:  # also an integer with too many digits
+        call = json.dumps({"jsonrpc": "2.0", "id": 2, "method": "tools/call",
+                           "params": {"name": args.tool, "arguments": arguments}})
+    except (ValueError, RecursionError) as exc:  # also an integer with too many digits, or nesting too deep
         _stderr(f"params error: not valid JSON: {exc}")
         return EXIT_USAGE
     if not isinstance(arguments, dict):
@@ -92,14 +92,8 @@ def cmd_call(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     _, dispatcher = _build_dispatcher(args.config)
     client = {"name": "quantmcp-cli", "version": __version__}
-    frame = _serve_frames(
-        dispatcher,
-        [
-            {"jsonrpc": "2.0", "id": 1, "method": "initialize", "params": {"clientInfo": client}},
-            {"jsonrpc": "2.0", "id": 2, "method": "tools/call",
-             "params": {"name": args.tool, "arguments": arguments}},
-        ],
-    )[-1]
+    initialize = json.dumps({"jsonrpc": "2.0", "id": 1, "method": "initialize", "params": {"clientInfo": client}})
+    frame = json.loads(_serve_frames(dispatcher, [initialize, call])[-1])
     if "error" in frame:
         _stderr(json.dumps(frame["error"], indent=2))
         return EXIT_USAGE
@@ -108,31 +102,50 @@ def cmd_call(args: argparse.Namespace) -> int:
     return EXIT_TOOL_ERROR if result["is_error"] else EXIT_OK
 
 
-def mask_volatile(value: Any) -> Any:
-    """Drop replay-masked keys (fetched_at, server version) recursively."""
-    if isinstance(value, dict):
-        return {k: mask_volatile(v) for k, v in value.items() if k not in REPLAY_MASKED_KEYS}
-    if isinstance(value, list):
-        return [mask_volatile(v) for v in value]
-    return value
+# The string value of a fetched_at or version key in compact JSON text: the key opens right after
+# "{" or ",", so it is never text inside a string, where every quote is escaped.
+_VOLATILE_VALUE = re.compile(r'(?<=[{,])"(fetched_at|version)":"(?:[^"\\]|\\.)*"')
+_LINE_BREAKS = str.maketrans({ch: f"\\u{ord(ch):04x}" for ch in "\x85\u2028\u2029"})
 
 
-def _load_transcript(path: str) -> list[tuple[str, dict[str, Any]]]:
-    entries: list[tuple[str, dict[str, Any]]] = []
-    with open(path, encoding="utf-8") as fh:
+def mask_volatile(text: str) -> str:
+    """``text`` with the string value of every ``fetched_at`` and ``version`` key, at any depth, made ``"<masked>"``.
+
+    The fetch time and the server release differ from run to run; every other byte of a frame must not.
+    """
+    return _VOLATILE_VALUE.sub(r'"\1":"<masked>"', text)
+
+
+def _wire_text(message: Any) -> str:
+    """``message`` as ``serve`` writes it: compact JSON, raw UTF-8, and U+0085, U+2028, U+2029 escaped.
+
+    Encoded here, not by ``transport``'s encoder, so that a change to that encoder shows up as a diff.
+    """
+    return json.dumps(message, ensure_ascii=False, separators=(",", ":")).translate(_LINE_BREAKS)
+
+
+def _load_transcript(path: str) -> list[tuple[str, str]]:
+    """Each entry's direction and text: an ``in`` message as the line to send, an ``out`` one as its wire text."""
+    entries: list[tuple[str, str]] = []
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
+            if not raw.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}:{lineno}: not valid JSON: {exc.msg}") from None
+            where = f"{path}:{lineno}"
+            try:  # also a byte that is not UTF-8, an integer with too many digits, or nesting too deep
+                obj = json.loads(raw.decode("utf-8"))
+            except (ValueError, RecursionError) as exc:
+                raise ConfigError(f"{where}: not valid JSON: {exc}") from None
             direction = obj.get("direction") if isinstance(obj, dict) else None
             message = obj.get("message") if isinstance(obj, dict) else None
             if direction not in ("in", "out") or not isinstance(message, dict):
-                raise ConfigError(f'{path}:{lineno}: expected {{"direction": "in"|"out", "message": {{...}}}}')
-            entries.append((direction, message))
+                raise ConfigError(f'{where}: expected {{"direction": "in"|"out", "message": {{...}}}}')
+            try:  # an out message holding an escaped lone surrogate fails to encode: no UTF-8 frame holds one
+                text = json.dumps(message) if direction == "in" else _wire_text(message)
+                text.encode("utf-8")
+            except (ValueError, RecursionError) as exc:
+                raise ConfigError(f"{where}: no frame can hold this message: {exc}") from None
+            entries.append((direction, text))
     return entries
 
 
@@ -144,8 +157,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
         _stderr(f"replay error: {exc}")
         return EXIT_USAGE
 
-    produced = _serve_frames(dispatcher, [message for direction, message in entries if direction == "in"])
-    expected = [message for direction, message in entries if direction == "out"]
+    produced = _serve_frames(dispatcher, [text for direction, text in entries if direction == "in"])
+    expected = [text for direction, text in entries if direction == "out"]
 
     failures = 0
     total = max(len(produced), len(expected))
@@ -164,8 +177,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
             print(f"frame {i + 1}: PASS")
         else:
             print(f"frame {i + 1}: FAIL")
-            print(f"  expected: {json.dumps(want, ensure_ascii=False, sort_keys=True)}")
-            print(f"  actual:   {json.dumps(got, ensure_ascii=False, sort_keys=True)}")
+            print(f"  expected: {want}")
+            print(f"  actual:   {got}")
             failures += 1
     print(f"replayed {total} frames: {total - failures} passed, {failures} failed")
     return EXIT_OK if failures == 0 else EXIT_TOOL_ERROR

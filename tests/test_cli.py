@@ -6,7 +6,6 @@ import datetime as dt
 import io
 import json
 import os
-import re
 import signal
 import subprocess
 import sys
@@ -14,19 +13,19 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GOLDEN_DIR, REPO_ROOT, make_ctx, src_env
+from conftest import DATA_DIR, GOLDEN_DIR, REPO_ROOT, make_ctx, src_env
 
 from quantmcp.cli import main, mask_volatile
-from quantmcp.config import build_context, load_config
 from quantmcp.server import Dispatcher, StdioServer
 from quantmcp.tools import build_registry
 
 SYNTH_CONF = str(REPO_ROOT / "configs" / "synthetic.conf")
 GOLDEN_TRANSCRIPT = str(GOLDEN_DIR / "transcript_q1_2024.jsonl")
-GOLDEN_WIRE = GOLDEN_DIR / "transcript_q1_2024.serve.jsonl"  # the lines serve writes for its inputs, masked
 
-# A replay-masked key's value in frame text; protocolVersion and clientInfo's version are inputs.
-_VOLATILE_VALUE = re.compile(r'"(fetched_at|version)":"[^"\\]*"')
+
+def _compact(value) -> str:
+    return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
+
 
 Q1_PARAMS = json.dumps(
     {
@@ -88,6 +87,12 @@ def test_malformed_params_json_exits_2(capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_params_nested_past_the_recursion_limit_exit_2(capsys):
+    rc = main(["call", "tool_get_quote", "[" * 5000 + "]" * 5000, "--config", SYNTH_CONF])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("params error: not valid JSON: maximum recursion depth exceeded")
+
+
 def test_params_with_an_integer_past_the_digit_limit_exit_2(capsys):
     params = '{"records": [{"code": "A", "timestamp": "t", "close": %s}], "summarize_fields": ["close"]}' % ("9" * 5000)
     rc = main(["call", "tool_compute_summary", params, "--config", SYNTH_CONF])
@@ -119,29 +124,44 @@ def test_call_matches_a_stdio_session_byte_for_byte(capsys):
     ]
     StdioServer(dispatcher, io.StringIO("".join(l + "\n" for l in lines)), out).run()
     stdio_content = json.loads(out.getvalue().splitlines()[1])["result"]["content"]
-    # json.loads keeps key order and int against float, so the dumped texts differ wherever the frames do
-    assert json.dumps(mask_volatile(cli_content)) == json.dumps(mask_volatile(stdio_content))
+    # json.loads keeps key order and int against float, so the encoded texts differ wherever the frames do
+    assert mask_volatile(_compact(cli_content)) == mask_volatile(_compact(stdio_content))
 
 
-def test_serve_writes_the_golden_wire_bytes_for_the_transcript_inputs():
-    with open(GOLDEN_TRANSCRIPT, encoding="utf-8") as fh:
-        inputs = [entry["message"] for entry in map(json.loads, fh) if entry["direction"] == "in"]
-    config = load_config(SYNTH_CONF)
-    dispatcher = Dispatcher(build_registry(), build_context(config), server_name=config.name)
-    out = io.StringIO()
-    StdioServer(dispatcher, io.StringIO("".join(json.dumps(m) + "\n" for m in inputs)), out).run()
-    masked = _VOLATILE_VALUE.sub(r'"\1":"<masked>"', out.getvalue())
-    assert masked.encode("utf-8") == GOLDEN_WIRE.read_bytes()
+@pytest.mark.parametrize(
+    "value, masked",
+    [
+        ({"version": "0.1.0"}, {"version": "<masked>"}),
+        ({"a": [{"b": {"fetched_at": "2024-06-03T12:00:00+00:00", "row_count": 65}}]},
+         {"a": [{"b": {"fetched_at": "<masked>", "row_count": 65}}]}),
+        ({"fetched_at": 'a "quoted" \\ value', "version": ""}, {"fetched_at": "<masked>", "version": "<masked>"}),
+        ({"fetched": "x", "my_version": "x", "protocolVersion": "x"}, None),
+        ({"version": 1, "fetched_at": None, "b": {"version": ["1"]}}, None),
+        ({"s": '{"version":"1"}', "t": ',"fetched_at":"x"'}, None),
+    ],
+    ids=["top-level", "nested", "escaped-quotes", "other-keys", "non-string-values", "inside-a-string"],
+)
+def test_the_volatile_mask_replaces_only_the_string_value_of_a_fetched_at_or_version_key(value, masked):
+    assert mask_volatile(_compact(value)) == _compact(value if masked is None else masked)
 
 
 # --- replay -----------------------------------------------------------------
 
 
-def test_replay_of_the_golden_transcript_passes(capsys):
-    rc = main(["replay", GOLDEN_TRANSCRIPT, "--config", SYNTH_CONF])
+@pytest.mark.parametrize(
+    "transcript, config, frames",
+    [
+        (GOLDEN_TRANSCRIPT, SYNTH_CONF, 4),
+        # an integral synthetic volume, then a csv answer whose range holds days with no row
+        (str(GOLDEN_DIR / "transcript_csv_volume.jsonl"), str(DATA_DIR / "synthetic_and_csv.conf"), 3),
+    ],
+    ids=["q1-2024", "csv-volume"],
+)
+def test_replay_of_the_golden_transcript_passes(capsys, transcript, config, frames):
+    rc = main(["replay", transcript, "--config", config])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "replayed 4 frames: 4 passed, 0 failed" in out
+    assert f"replayed {frames} frames: {frames} passed, 0 failed" in out
 
 
 def test_replay_fails_on_a_tampered_frame(tmp_path, capsys):
@@ -172,6 +192,25 @@ def test_replay_of_a_malformed_transcript_exits_2(tmp_path, capsys):
     rc = main(["replay", str(bad), "--config", SYNTH_CONF])
     assert rc == 2
     assert "replay error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        (b'{"direction": "out", "message": {"id": "\xff"}}', "not valid JSON: 'utf-8' codec can't decode"),
+        (b'{"direction": "out", "message": {"id": "\\ud800"}}', "no frame can hold this message: 'utf-8' codec can't encode"),
+        (b'{"direction": "out", "message": {"id": ' + b"[" * 5000 + b"]" * 5000 + b"}}", "not valid JSON: maximum recursion"),
+        (b'{"direction": "out", "message": {"id": ' + b"9" * 5000 + b"}}", "not valid JSON: Exceeds the limit"),
+    ],
+    ids=["not-utf8", "lone-surrogate", "nested-too-deep", "integer-too-long"],
+)
+def test_replay_of_a_transcript_line_no_frame_can_match_exits_2_naming_the_line(tmp_path, capsys, line, reason):
+    transcript = tmp_path / "bad.jsonl"
+    first = Path(GOLDEN_TRANSCRIPT).read_bytes().splitlines(keepends=True)[0]
+    transcript.write_bytes(first + line + b"\n")
+    rc = main(["replay", str(transcript), "--config", SYNTH_CONF])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"replay error: {transcript}:2: {reason}")
 
 
 def test_replay_answers_a_structurally_invalid_frame_as_serve_does(tmp_path, capsys):
@@ -535,8 +574,5 @@ def test_serve_writes_the_same_frames_without_stderr(how, readable_creds_conf):
     gone_run = _run_without_stderr(how, argv, session)
     assert gone_run.returncode == 0
 
-    def masked(stdout: bytes) -> bytes:
-        return re.sub(rb'"fetched_at":"[^"]*"', b'"fetched_at":""', stdout)
-
     assert len(open_run.stdout.splitlines()) == 7
-    assert masked(gone_run.stdout) == masked(open_run.stdout)
+    assert mask_volatile(gone_run.stdout.decode("utf-8")) == mask_volatile(open_run.stdout.decode("utf-8"))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import ast
 import re
 
-from conftest import REPO_ROOT
+from conftest import DATA_DIR, GOLDEN_DIR, REPO_ROOT
 
 PACKAGE_DIR = REPO_ROOT / "src" / "quantmcp"
 
@@ -61,3 +61,12 @@ def test_the_mutable_default_check_sees_each_literal_and_passes_a_read_only_prox
         "\nclass B:\n    class C:\n        i: dict = {1: 2}\n"
     )
     assert _mutable_field_defaults(text) == ["A.a", "A.b", "A.c", "C.i"]
+
+
+def test_every_golden_and_data_file_is_named_by_a_test_config_or_benchmark_file():
+    """A golden or data file that no code or config names is a stray: the test that read it is gone."""
+    artifacts = sorted(p for directory in (GOLDEN_DIR, DATA_DIR) for p in directory.iterdir())
+    readers = "\n".join(p.read_text(encoding="utf-8") for directory in ("tests", "configs", "perfbench")
+                        for p in (REPO_ROOT / directory).glob("*") if p.suffix in (".py", ".conf", ".md"))
+    assert artifacts
+    assert [p.name for p in artifacts if p.name not in readers] == []
