@@ -2,12 +2,15 @@
 
 Three kinds ship, one ``ProviderConfig`` subclass each: ``synthetic``
 (deterministic, seeded), ``http`` (keyed REST, one GET per instrument code, up
-to HTTP_POOL_SIZE at a time), and ``csv`` (offline exported files). Each kind
-declares its fields and their defaults once, in ``READS``. A provider keeps no
-state but what it derives from its frozen config on first use (the synthetic
-tail tables); rate limiting and caching are enforced by the caller.
-Providers deal in calendar dates only; close-of-day timestamps are
-materialized during normalization.
+to HTTP_POOL_SIZE at a time per fetch), and ``csv`` (offline exported files).
+Each kind declares its fields and their defaults once, in ``READS``. A provider
+keeps no state but what it derives from its frozen config on first use (the
+synthetic tail tables); rate limiting and caching are enforced by the caller.
+The GETs run on process-wide daemon worker threads that the first http fetch
+starts and that outlive a fetch; at most HTTP_POOL_SIZE of them stay idle.
+csv and http write each kept row straight into per-code columns, at the slot
+``DataQuery.day_slot`` gives its date. Providers deal in calendar dates only;
+close-of-day timestamps are materialized during normalization.
 
 The trading calendar is weekday-only (no exchange holidays), trading
 calendar fidelity for determinism; see README for the documented divergence
@@ -22,8 +25,11 @@ import math
 import os
 import string
 import sys
+import threading
 from bisect import bisect_left, bisect_right
+from collections import deque
 from functools import cached_property, lru_cache
+from itertools import chain
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 from urllib.parse import quote
@@ -31,6 +37,8 @@ from urllib.parse import quote
 from .errors import ConfigError, Frozen, ProviderFailure, ValidationError
 
 if TYPE_CHECKING:
+    import queue
+
     import requests  # bound at runtime by _import_requests on the first http fetch
 
     from .normalize import OptionsMap
@@ -151,6 +159,23 @@ class DataQuery(Frozen):
     def days(self) -> list[dt.date]:
         """The query's trading days, ascending."""
         return [day for (days, _, _), i, j in self.months for day in days[i:j]]
+
+    @cached_property
+    def day_index(self) -> dict[str, int]:
+        """Each trading day's ISO text -> its slot, its index in ``days``."""
+        isos = chain.from_iterable(isos[i:j] for (_, isos, _), i, j in self.months)
+        return {iso: slot for slot, iso in enumerate(isos)}
+
+    def day_slot(self, text: str) -> int | None:
+        """The slot of the day ``text`` names, or None for a day that is no trading day of the query.
+
+        Text other than a query day's own ISO text is parsed by ``date.fromisoformat``, so ``20240102``
+        finds its slot and text that names no date raises ValueError.
+        """
+        slot = self.day_index.get(text)
+        if slot is None:
+            slot = self.day_index.get(dt.date.fromisoformat(text).isoformat())
+        return slot
 
 
 Rows = dict[str, dict[str, list]]  # code -> canonical field -> one value per query day, None for a gap
@@ -277,16 +302,6 @@ class SyntheticProvider(ProviderConfig):
         return rows
 
 
-def _columns(by_code: dict[str, dict[dt.date, dict[str, Any]]], query: DataQuery) -> Rows:
-    """Lay per-day rows out as ``Rows``: ``None`` on a day with no row, and a row on any other day ignored."""
-    no_row = dict.fromkeys(query.fields)
-    rows: Rows = {}
-    for code, by_day in by_code.items():
-        day_rows = [by_day.get(day, no_row) for day in query.days]
-        rows[code] = {f: [row[f] for row in day_rows] for f in query.fields}
-    return rows
-
-
 def _parse_cell(raw: str, column: str, config: ProviderConfig) -> float | None:
     cell = raw.strip() if raw is not None else ""
     if cell == "":
@@ -318,7 +333,8 @@ class CsvProvider(ProviderConfig):
     def fetch(self, query: DataQuery, credentials: "CredentialStore") -> Rows:
         """The export's rows within ``query``; a cell is parsed only on a trading day the query asks for."""
         columns = [(f, self.field_map.get(f, f)) for f in query.fields]
-        rows: dict[str, dict[dt.date, dict[str, Any]]] = {code: {} for code in query.codes}
+        n = len(query.day_index)
+        cells = {code: [[None] * n for _ in columns] for code in query.codes}  # per code, one column per field
         try:
             with open(self.csv_path, newline="", encoding="utf-8") as fh:
                 reader = csv.DictReader(fh)
@@ -331,21 +347,22 @@ class CsvProvider(ProviderConfig):
                         )
                 for rec in reader:
                     try:
-                        day = dt.date.fromisoformat((rec.get("date") or "").strip())
+                        slot = query.day_slot((rec.get("date") or "").strip())
                     except ValueError:
                         raise ProviderFailure(
                             f"provider {self.id!r} csv holds unparseable date {rec.get('date')!r}",
                             data={"reason": "schema"},
                         ) from None
-                    by_day = rows.get((rec.get("code") or "").strip())
-                    if by_day is None or not query.start_date <= day <= query.end_date or day.weekday() > 4:
+                    cols = cells.get((rec.get("code") or "").strip())
+                    if cols is None or slot is None:
                         continue
-                    by_day[day] = {f: _parse_cell(rec.get(column, ""), column, self) for f, column in columns}
+                    for col, (_, column) in zip(cols, columns):
+                        col[slot] = _parse_cell(rec.get(column, ""), column, self)
         except (UnicodeDecodeError, csv.Error) as exc:  # a non-UTF-8 byte, or a cell past csv's field limit
             raise ProviderFailure(
                 f"provider {self.id!r} csv is unreadable: {exc}", data={"reason": "schema"}
             ) from None
-        return _columns(rows, query)
+        return {code: dict(zip(query.fields, cols)) for code, cols in cells.items()}
 
 
 def _coerce_numeric(value: Any, column: str, config: ProviderConfig) -> float | int | None:
@@ -373,6 +390,43 @@ def __getattr__(name: str) -> Any:
     if name == "requests":
         return _import_requests()
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+_workers_lock = threading.Lock()
+_tasks: "queue.SimpleQueue[Callable[[], None]] | None" = None  # runner tasks, one shared queue; made on first use
+_idle = 0  # GET workers waiting on _tasks, each promised to a task put there
+
+
+def _start(task: Callable[[], None]) -> None:
+    """Run ``task`` on an idle GET worker, or on a new daemon worker when none is idle.
+
+    A task is queued only with a worker promised to it, so it never waits behind another fetch's GETs.
+    """
+    global _tasks, _idle
+    with _workers_lock:
+        if _tasks is None:
+            import queue  # loaded by the first http fetch, not at import
+
+            _tasks = queue.SimpleQueue()
+        _tasks.put(task)
+        if _idle:
+            _idle -= 1
+            return
+    threading.Thread(target=_work, name="quantmcp-http-get", daemon=True).start()
+
+
+def _work() -> None:
+    """A GET worker: run queued tasks; exit on finishing one while HTTP_POOL_SIZE workers are already idle.
+
+    Workers are daemon threads, so the process exits without waiting for a GET nobody awaits.
+    """
+    global _idle
+    while True:
+        _tasks.get()()
+        with _workers_lock:
+            if _idle >= HTTP_POOL_SIZE:
+                return
+            _idle += 1
 
 
 class HttpProvider(ProviderConfig):
@@ -405,8 +459,12 @@ class HttpProvider(ProviderConfig):
 
     def _fetch_code(
         self, query: DataQuery, code: str, columns: list[tuple[str, str]], apikey: str, codes: set[str]
-    ) -> list[tuple[str, dt.date, dict[str, Any]]]:
-        """GET one code's rows, retrying connection failures, and keep those within the query."""
+    ) -> dict[str, tuple[list[int], list[list]]]:
+        """GET one code's rows, retrying connection failures, and keep those within the query.
+
+        Each kept row is written into its code's columns, one per field, at its day's slot; the slots
+        written are listed too, so a later GET's row for the same (code, day) can replace it whole.
+        """
         url = self.base_url_template.format(
             code=quote(code, safe=""),  # encoded whole, so a code cannot add parameters to the URL
             field=quote(",".join(column for _, column in columns), safe=""),
@@ -448,7 +506,8 @@ class HttpProvider(ProviderConfig):
                 f'provider {self.id!r} body must be shaped {{"rows": [...]}}',
                 data={"reason": "schema"},
             )
-        rows = []
+        n = len(query.day_index)
+        kept: dict[str, tuple[list[int], list[list]]] = {}  # row code -> (slots written, one column per field)
         for raw_row in body["rows"]:
             if not isinstance(raw_row, dict):
                 raise ProviderFailure(
@@ -456,7 +515,7 @@ class HttpProvider(ProviderConfig):
                     data={"reason": "schema"},
                 )
             try:
-                day = dt.date.fromisoformat(str(raw_row.get("date")))
+                slot = query.day_slot(str(raw_row.get("date")))
             except ValueError:
                 raise ProviderFailure(
                     f"provider {self.id!r} returned unparseable date {raw_row.get('date')!r}",
@@ -468,22 +527,24 @@ class HttpProvider(ProviderConfig):
                     f"provider {self.id!r} returned a non-string code",
                     data={"reason": "schema"},
                 )
-            if row_code not in codes or not query.start_date <= day <= query.end_date or day.weekday() > 4:
+            if row_code not in codes or slot is None:
                 continue  # keep the payload within the query contract; a weekend row's cells are never read
-            row = {f: _coerce_numeric(raw_row.get(column), column, self) for f, column in columns}
-            rows.append((row_code, day, row))
-        return rows
+            slots, cells = kept.get(row_code) or kept.setdefault(row_code, ([], [[None] * n for _ in columns]))
+            slots.append(slot)
+            for col, (_, column) in zip(cells, columns):
+                col[slot] = _coerce_numeric(raw_row.get(column), column, self)
+        return kept
 
     def fetch(self, query: DataQuery, credentials: "CredentialStore") -> Rows:
-        """Fan the per-code GETs out on at most HTTP_POOL_SIZE threads.
+        """Run the per-code GETs on the process-wide GET workers, at most HTTP_POOL_SIZE at a time.
 
-        Rows merge in query order, so of two GETs returning one (code, day) the
-        later wins. On failure the first failing code in query order is reported
-        as soon as it and every earlier code are known, whichever GET finished
-        first; GETs not yet started are cancelled and those in flight are left
-        to finish unawaited.
+        The fetch queues up to HTTP_POOL_SIZE runner tasks; each takes the next code not yet cancelled
+        until none is left. Rows merge in query order, so of two GETs returning one (code, day) the
+        later wins. On failure the first failing code in query order is reported as soon as it and
+        every earlier code are known, whichever GET finished first; codes whose GET has not started
+        are cancelled, and GETs in flight are left to finish unawaited.
         """
-        from concurrent.futures import ThreadPoolExecutor  # loaded by the first http fetch, not at import
+        from concurrent.futures import Future  # loaded by the first http fetch, not at import
 
         _import_requests()  # _fetch_code reads requests.get per call, where tests and tracers patch it
         columns = [(f, self.field_map.get(f, f)) for f in query.fields]
@@ -491,16 +552,43 @@ class HttpProvider(ProviderConfig):
         if "{apikey}" in self.base_url_template:
             apikey = credentials.resolve(self.credential_ref or self.id)
         codes = set(query.codes)
-        rows: dict[str, dict[dt.date, dict[str, Any]]] = {code: {} for code in query.codes}
-        pool = ThreadPoolExecutor(max_workers=min(len(query.codes), HTTP_POOL_SIZE))
-        try:
-            futures = [pool.submit(self._fetch_code, query, code, columns, apikey, codes) for code in query.codes]
+        n = len(query.day_index)  # built here, before the runners share it
+        futures: list[Future] = [Future() for _ in query.codes]
+        pending = deque(zip(query.codes, futures))
+
+        def cancel_rest() -> None:
             for future in futures:
-                for code, day, row in future.result():
-                    rows[code][day] = row
-            return _columns(rows, query)
+                future.cancel()  # a no-op on a code already started
+
+        def run() -> None:
+            while pending:
+                try:
+                    code, future = pending.popleft()
+                except IndexError:  # another runner took the last code
+                    return
+                if not future.set_running_or_notify_cancel():
+                    continue
+                try:
+                    future.set_result(self._fetch_code(query, code, columns, apikey, codes))
+                except BaseException as exc:  # stored as an executor stores it; future.result() re-raises it
+                    cancel_rest()  # the fetch fails, so no later code starts
+                    future.set_exception(exc)
+
+        merged: dict[str, list[list]] = {}
+        try:
+            for _ in range(min(len(query.codes), HTTP_POOL_SIZE)):
+                _start(run)
+            for future in futures:
+                for code, (slots, cells) in future.result().items():
+                    into = merged.setdefault(code, cells)
+                    if into is not cells:  # an earlier GET also returned rows for this code
+                        for into_col, col in zip(into, cells):
+                            for slot in slots:
+                                into_col[slot] = col[slot]
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            cancel_rest()
+        nulls = [[None] * n] * len(columns)
+        return {code: dict(zip(query.fields, merged.get(code, nulls))) for code in query.codes}
 
     def fetch_bound_s(self, n_codes: int) -> float:
         """Longest an http fetch of ``n_codes`` codes may spend on GETs.

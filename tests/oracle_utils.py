@@ -94,3 +94,80 @@ def mean_oracle(values: list[float]) -> float:
         compensation = (t - total) - y
         total = t
     return total / len(values)
+
+
+def day_columns_oracle(by_code: dict, codes: list[str], fields: list[str], days: list[dt.date]) -> dict:
+    """Per-day rows ``{code: {day: {field: value}}}`` as one column per field over ``days``, None where no row is."""
+    return {code: {f: [by_code.get(code, {}).get(day, {}).get(f) for day in days] for f in fields} for code in codes}
+
+
+def _is_query_day(day: dt.date, start: dt.date, end: dt.date) -> bool:
+    return start <= day <= end and day.isoweekday() in (1, 2, 3, 4, 5)
+
+
+def _finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:  # an int past the largest double
+        return False
+
+
+def http_rows_oracle(bodies: dict, codes: list[str], fields: list[str], start: dt.date, end: dt.date, pid: str):
+    """``(columns, None)`` for the http GET ``bodies`` (query code -> row dicts), or ``(None, failure message)``.
+
+    One rule at a time: GETs in query order and rows in body order; each row's date is ``fromisoformat`` of
+    its ``str``, its code defaults to the GET's; a row for another code or another day is skipped before its
+    cells are read; a cell is None or a finite number; a later row replaces the whole (code, day) row.
+    """
+    by_code: dict = {code: {} for code in codes}
+    for get_code in codes:
+        for row in bodies.get(get_code, []):
+            try:
+                day = dt.date.fromisoformat(str(row.get("date")))
+            except ValueError:
+                return None, f"provider {pid!r} returned unparseable date {row.get('date')!r}"
+            code = row.get("code", get_code)
+            if not isinstance(code, str):
+                return None, f"provider {pid!r} returned a non-string code"
+            if code not in by_code or not _is_query_day(day, start, end):
+                continue
+            cells = {}
+            for f in fields:
+                value = row.get(f)
+                if value is not None and not _finite_number(value):
+                    return None, f"provider {pid!r} returned non-numeric or non-finite value for {f!r}"
+                cells[f] = value
+            by_code[code][day] = cells
+    return day_columns_oracle(by_code, codes, fields, weekdays_oracle(start, end)), None
+
+
+def csv_rows_oracle(records: list[dict], codes: list[str], fields: list[str], start: dt.date, end: dt.date, pid: str):
+    """``(columns, None)`` for csv ``records`` (column -> cell text, None for a short row), or ``(None, message)``.
+
+    One rule at a time: rows in file order; every row's stripped date is parsed by ``fromisoformat``; a row
+    whose stripped code is not asked for, or whose day is no query day, is skipped before its cells are read;
+    a stripped cell is empty (None) or a finite float; a later row replaces the whole (code, day) row.
+    """
+    by_code: dict = {code: {} for code in codes}
+    for rec in records:
+        try:
+            day = dt.date.fromisoformat((rec.get("date") or "").strip())
+        except ValueError:
+            return None, f"provider {pid!r} csv holds unparseable date {rec.get('date')!r}"
+        code = (rec.get("code") or "").strip()
+        if code not in by_code or not _is_query_day(day, start, end):
+            continue
+        cells = {}
+        for f in fields:
+            text = (rec.get(f) or "").strip()
+            try:
+                value = float(text) if text else None
+            except ValueError:
+                value = math.nan
+            if value is not None and not math.isfinite(value):
+                return None, f"provider {pid!r} csv column {f!r} holds non-numeric or non-finite value {text!r}"
+            cells[f] = value
+        by_code[code][day] = cells
+    return day_columns_oracle(by_code, codes, fields, weekdays_oracle(start, end)), None

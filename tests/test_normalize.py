@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import backfill_oracle
+from oracle_utils import backfill_oracle, day_columns_oracle
 
 from quantmcp.errors import InternalError, ValidationError
 from quantmcp.normalize import (
@@ -36,7 +36,7 @@ def _payload(rows, provider_id="p") -> RawProviderPayload:
 
 def _day_rows(rows, query) -> RawProviderPayload:
     """A payload of per-day ``rows``, ``{code: {date: {field: value}}}``, laid out as csv and http lay theirs."""
-    return _payload(providers._columns(rows, query))
+    return _payload(day_columns_oracle(rows, list(rows), query.fields, query.days))
 
 
 def _query(**overrides) -> DataQuery:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import json
 import math
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 import pytest
@@ -17,7 +19,14 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import fnv1a64_oracle, scaled_value_oracle, synthetic_value_oracle, weekdays_oracle
+from oracle_utils import (
+    csv_rows_oracle,
+    fnv1a64_oracle,
+    http_rows_oracle,
+    scaled_value_oracle,
+    synthetic_value_oracle,
+    weekdays_oracle,
+)
 from stub_provider import stub_rows_server
 
 from quantmcp.errors import ConfigError, CredentialMissing, ProviderFailure, ValidationError
@@ -788,6 +797,315 @@ def test_http_reports_a_fast_failure_without_awaiting_slower_gets(monkeypatch):
         release.set()
     assert excinfo.value.data["status"] == 404
     assert elapsed < 2.0
+
+
+# --- the GET workers --------------------------------------------------------
+
+
+def _until(condition, timeout_s: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+def _live_workers() -> int:
+    return sum(thread.name == "quantmcp-http-get" for thread in threading.enumerate())
+
+
+def _settled() -> bool:
+    """No GET worker is running a task or on its way to idle or out."""
+    return _live_workers() == providers._idle
+
+
+def _day_query(codes: list[str]) -> DataQuery:
+    day = dt.date(2024, 1, 2)
+    return _query(codes=codes, fields=["close"], start_date=day, end_date=day)
+
+
+def _eight(prefix: str) -> list[str]:
+    return [f"{prefix}{i}.SZ" for i in range(8)]
+
+
+def test_sequential_http_fetches_run_their_gets_on_the_same_worker_threads(monkeypatch):
+    threads = []
+
+    def fake_get(url, timeout):
+        threads.append(threading.current_thread())
+        time.sleep(0.02)  # long enough that each of the 8 runners takes one code
+        return _FakeResponse(200, [])
+
+    monkeypatch.setattr(requests, "get", fake_get)
+    config = _http_config("http://stub.invalid")
+    assert _until(_settled)  # no worker of an earlier test turns idle during this one
+    fetch_historical(config, _day_query(_eight("A")), EMPTY_STORE)
+    assert _until(_settled)
+    idle = {thread for thread in threading.enumerate() if thread.name == "quantmcp-http-get"}
+    assert set(threads) <= idle  # the first fetch's workers outlived it
+    threads.clear()
+    fetch_historical(config, _day_query(_eight("B")), EMPTY_STORE)
+    assert len(threads) == 8 and set(threads) <= idle  # and ran every GET of the second; none was started
+
+
+def test_gets_a_failed_fetch_left_hanging_do_not_hold_up_the_next_fetch(monkeypatch):
+    release = threading.Event()
+
+    def fake_get(url, timeout):
+        code = _code_of(url)
+        if code == "A0.SZ":
+            return _FakeResponse(404, [])
+        if code.startswith("A"):
+            release.wait(timeout=5.0)
+        else:
+            time.sleep(0.1)
+        return _FakeResponse(200, [])
+
+    monkeypatch.setattr(requests, "get", fake_get)
+    config = _http_config("http://stub.invalid")
+    try:
+        with pytest.raises(ProviderFailure):
+            fetch_historical(config, _day_query(_eight("A")), EMPTY_STORE)
+        started = time.monotonic()
+        fetch_historical(config, _day_query(_eight("B")), EMPTY_STORE)
+        elapsed = time.monotonic() - started
+    finally:
+        release.set()
+    assert elapsed < 0.5  # one GET takes 0.1 s; the 7 hung GETs are released only at 5 s
+
+
+def test_concurrent_http_fetches_on_one_provider_each_finish_in_about_one_get(monkeypatch):
+    def fake_get(url, timeout):
+        time.sleep(0.25)
+        return _FakeResponse(200, [])
+
+    monkeypatch.setattr(requests, "get", fake_get)
+    config = _http_config("http://stub.invalid")
+    elapsed = {}
+
+    def fetch(prefix: str) -> None:
+        started = time.monotonic()
+        fetch_historical(config, _day_query(_eight(prefix)), EMPTY_STORE)
+        elapsed[prefix] = time.monotonic() - started
+
+    callers = [threading.Thread(target=fetch, args=(prefix,)) for prefix in "AB"]
+    for caller in callers:
+        caller.start()
+    for caller in callers:
+        caller.join(timeout=10)
+    assert not any(caller.is_alive() for caller in callers)
+    assert sorted(elapsed) == ["A", "B"]
+    # sharing 8 GET slots would take two GETs' time, 0.5 s
+    assert all(s < min(0.45, config.fetch_bound_s(8)) for s in elapsed.values())
+
+
+def test_a_failing_fetch_never_requests_a_code_whose_get_had_not_started(monkeypatch):
+    codes = [f"C{i:02d}.SZ" for i in range(12)]
+    all_started, release = threading.Event(), threading.Event()
+    requested = []
+
+    def fake_get(url, timeout):
+        code = _code_of(url)
+        requested.append(code)
+        if len(requested) == 8:
+            all_started.set()
+        if code == codes[0]:
+            all_started.wait(timeout=5.0)  # fail once the other 7 GETs of the first wave are in flight
+            return _FakeResponse(404, [])
+        release.wait(timeout=5.0)
+        return _FakeResponse(200, [])
+
+    monkeypatch.setattr(requests, "get", fake_get)
+    try:
+        with pytest.raises(ProviderFailure) as excinfo:
+            fetch_historical(_http_config("http://stub.invalid"), _day_query(codes), EMPTY_STORE)
+    finally:
+        release.set()
+    assert excinfo.value.data["status"] == 404
+    assert _until(_settled)  # the 7 released GETs are done and their runners have found no code left
+    assert sorted(requested) == codes[:8]
+
+
+def test_after_a_burst_at_most_the_pool_size_of_get_workers_stay(monkeypatch):
+    peak = [0]
+
+    def fake_get(url, timeout):
+        peak[0] = max(peak[0], _live_workers())
+        time.sleep(0.1)
+        return _FakeResponse(200, [])
+
+    monkeypatch.setattr(requests, "get", fake_get)
+    config = _http_config("http://stub.invalid")
+    callers = [
+        threading.Thread(target=fetch_historical, args=(config, _day_query(_eight(prefix)), EMPTY_STORE))
+        for prefix in "ABC"
+    ]
+    for caller in callers:
+        caller.start()
+    for caller in callers:
+        caller.join(timeout=10)
+    assert not any(caller.is_alive() for caller in callers)
+    assert peak[0] > providers.HTTP_POOL_SIZE  # the burst ran on more workers than may stay
+    assert _until(_settled)
+    assert _live_workers() <= providers.HTTP_POOL_SIZE
+
+
+class _HangingStub(ThreadingHTTPServer):
+    """Answers ``code=A`` 404 at once; every other GET waits for ``release`` and gets no answer."""
+
+    daemon_threads = True
+
+    def __init__(self):
+        self.release = threading.Event()
+        stub = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_GET(self):  # noqa: N802 (http.server API)
+                if parse_qs(urlsplit(self.path).query)["code"] != ["A"]:
+                    stub.release.wait(timeout=10)
+                    return
+                self.send_response(404)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+
+            def log_message(self, *args):
+                pass
+
+        super().__init__(("127.0.0.1", 0), Handler)
+
+    def handle_error(self, request, client_address):
+        pass  # the server process went away without reading an answer
+
+
+def test_serve_exits_at_eof_without_waiting_for_a_get_nobody_awaits(tmp_path):
+    stub = _HangingStub()
+    server_thread = threading.Thread(target=stub.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True)
+    server_thread.start()
+    config = tmp_path / "hanging.conf"
+    config.write_text(
+        "[server]\nname = quantmcp\ndefault_provider = vendor\n\n[provider.vendor]\nkind = http\n"
+        f"base_url = http://127.0.0.1:{stub.server_address[1]}/q?code={{code}}\ntimeout_ms = 4000\n"
+    )
+    call = {"name": "tool_get_historical_data", "arguments": {
+        "codes": ["A", "B", "C"], "fields": ["close"], "start_date": "2024-01-01", "end_date": "2024-01-05"}}
+    frames = [{"jsonrpc": "2.0", "id": 1, "method": "initialize"},
+              {"jsonrpc": "2.0", "id": 2, "method": "tools/call", "params": call}]
+    try:
+        with subprocess.Popen(
+            [sys.executable, "-m", "quantmcp", "serve", "--config", str(config)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=src_env(),
+        ) as proc:
+            try:
+                proc.stdin.write("".join(json.dumps(frame) + "\n" for frame in frames))
+                proc.stdin.flush()
+                proc.stdout.readline()
+                answer = json.loads(proc.stdout.readline())
+                started = time.monotonic()
+                proc.stdin.close()  # EOF while the GETs for B and C still hang
+                proc.wait(timeout=30)
+                exited_s = time.monotonic() - started
+            finally:
+                proc.kill()
+    finally:
+        stub.release.set()
+        stub.shutdown()
+        stub.server_close()
+        server_thread.join(timeout=5)
+    assert answer["result"]["content"]["error_kind"] == "provider_failure"
+    assert proc.returncode == 0
+    assert exited_s < 2.0  # waiting for the hung GETs would take their 4 s timeout
+
+
+# --- one row layout for csv and http ------------------------------------------
+
+_MISSING = object()  # a key the row leaves out
+_ERRORS = ["none", "padded", "any"]  # the bad dates and cells a case may hold, so that some cases hold none
+
+
+@st.composite
+def _row_date(draw, query: DataQuery, errors: str):
+    """A row's date near the query's: canonical, YYYYMMDD text or int, ISO week date; padded; bad, None or missing."""
+    day = query.start_date + dt.timedelta(days=draw(st.integers(-2, (query.end_date - query.start_date).days + 2)))
+    iso = day.isoformat()
+    kinds = [iso, iso, iso, day.strftime("%Y%m%d"), int(day.strftime("%Y%m%d")), "%04d-W%02d-%d" % day.isocalendar()]
+    if errors != "none":
+        kinds += [" " + iso, iso + " "]
+    if errors == "any":
+        kinds += [iso[:-2] + "32", "n/a", "", None, _MISSING]
+    return draw(st.sampled_from(kinds))
+
+
+def _cell(errors: str):
+    numbers = [st.integers(-10**6, 10**6), st.floats(-1e6, 1e6)]
+    cells = [st.none(), st.just(_MISSING), *numbers, *numbers]
+    return st.one_of(*cells, st.sampled_from([math.nan, math.inf])) if errors == "any" else st.one_of(*cells)
+
+
+@st.composite
+def _layout_case(draw):
+    codes = draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=3, unique=True))
+    fields = draw(st.lists(st.sampled_from(["close", "volume", "turn"]), min_size=1, max_size=3, unique=True))
+    start = dt.date(2023, 12, 31) + dt.timedelta(days=draw(st.integers(0, 9)))
+    end = start + dt.timedelta(days=draw(st.integers(0, 10)))
+    query = DataQuery(codes, fields, start, end)
+    errors = draw(st.sampled_from(_ERRORS))
+    bodies = {}
+    for code in codes:
+        rows = []
+        for _ in range(draw(st.integers(0, 8))):
+            code_or_missing = draw(st.sampled_from([*codes, *codes, "Z", _MISSING]))  # Z is asked for by no query
+            row = {"code": code_or_missing, "date": draw(_row_date(query, errors))}
+            row.update((f, draw(_cell(errors))) for f in fields)
+            rows.append({k: v for k, v in row.items() if v is not _MISSING})
+        bodies[code] = rows
+    return query, bodies
+
+
+def _text_or_failure(fetch) -> str:
+    try:
+        return "rows " + fetch()
+    except ProviderFailure as exc:
+        return f"{type(exc).__name__} {exc}"
+
+
+def _expected(query: DataQuery, model) -> str:
+    columns, failure = model
+    if failure is not None:
+        return f"ProviderFailure {failure}"
+    raw = RawProviderPayload("p", columns, "2024-06-01T00:00:00+00:00")
+    return "rows " + normalize_payload(raw, query).json_text()
+
+
+def _csv_cell(value) -> str:
+    return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+
+
+@given(case=_layout_case())
+@settings(max_examples=100, deadline=None)
+def test_csv_and_http_lay_rows_out_as_the_per_day_model_does(case, tmp_path_factory):
+    query, bodies = case
+    args = (query.codes, query.fields, query.start_date, query.end_date)
+
+    def fake_get(url, timeout):
+        return _FakeResponse(200, bodies[_code_of(url)])
+
+    http = _http_config("http://stub.invalid", id="p")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(requests, "get", fake_get)
+        got = _text_or_failure(lambda: normalize_payload(fetch_historical(http, query, EMPTY_STORE), query).json_text())
+    assert got == _expected(query, http_rows_oracle(bodies, *args, "p"))
+
+    records = [{k: _csv_cell(row.get(k)) for k in ("code", "date", *query.fields)} for rows in bodies.values()
+               for row in rows]
+    path = tmp_path_factory.getbasetemp() / "layout.csv"
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, ["code", "date", *query.fields])
+        writer.writeheader()
+        writer.writerows(records)
+    config = CsvProvider(id="p", csv_path=str(path))
+    got = _text_or_failure(lambda: normalize_payload(fetch_historical(config, query, EMPTY_STORE), query).json_text())
+    assert got == _expected(query, csv_rows_oracle(records, *args, "p"))
 
 
 def test_http_template_with_unknown_placeholder_is_a_config_error():

@@ -14,6 +14,7 @@ from conftest import FakeWallClock, make_ctx
 from oracle_utils import mean_oracle, synthetic_value_oracle, weekdays_oracle
 from stub_provider import stub_rows_server
 
+from quantmcp.cli import mask_volatile
 from quantmcp.errors import ProviderFailure, RateLimitedError, ValidationError
 from quantmcp import security, tools
 from quantmcp.providers import (
@@ -229,12 +230,14 @@ def test_fill_previous_applies_to_csv_gaps(tmp_path):
 
 
 def test_pipeline_is_deterministic_modulo_fetched_at(ctx):
-    first = _call_historical(ctx).content
-    ctx2 = make_ctx()
-    second = _call_historical(ctx2).content
-    first["meta"].pop("fetched_at")
-    second["meta"].pop("fetched_at")
-    assert json.dumps(first, sort_keys=True, default=list) == json.dumps(second, sort_keys=True, default=list)
+    later = FakeWallClock(dt.datetime(2025, 2, 3, 4, 5, 6, tzinfo=dt.timezone.utc))
+    first, second = (_call_historical(c).content for c in (ctx, make_ctx(wall=later)))
+    assert first["meta"]["fetched_at"] != second["meta"]["fetched_at"]
+    # compact text keeps key order and int against float, so the texts differ wherever the answers do
+    first_text, second_text = (
+        json.dumps(content, ensure_ascii=False, separators=(",", ":"), default=list) for content in (first, second)
+    )
+    assert mask_volatile(first_text) == mask_volatile(second_text)
 
 
 # --- tool_get_quote -------------------------------------------------------------
