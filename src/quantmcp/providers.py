@@ -112,6 +112,10 @@ class ProviderConfig(Frozen):
         """Canonical columns for the checked ``query``."""
         raise NotImplementedError
 
+    def failure(self, text: str, **data: Any) -> ProviderFailure:
+        """A fetch failure: ``text`` after the id, as a failed call's wire ``detail``; ``data``, else a schema tag."""
+        return ProviderFailure(f"provider {self.id!r} {text}", data=data or {"reason": "schema"})
+
     def fetch_bound_s(self, n_codes: int) -> float:
         """Longest a fetch of ``n_codes`` codes may wait on its source: 0.0 for one answered in process."""
         return 0.0
@@ -311,9 +315,8 @@ def _parse_cell(raw: str, column: str, config: ProviderConfig) -> float | None:
     except ValueError:
         value = None
     if value is None or not math.isfinite(value):
-        raise ProviderFailure(
-            f"provider {config.id!r} csv column {column!r} holds non-numeric or non-finite value {cell!r}",
-            data={"reason": "schema", "column": column},
+        raise config.failure(
+            f"csv column {column!r} holds non-numeric or non-finite value {cell!r}", reason="schema", column=column
         )
     return value
 
@@ -332,36 +335,28 @@ class CsvProvider(ProviderConfig):
 
     def fetch(self, query: DataQuery, credentials: "CredentialStore") -> Rows:
         """The export's rows within ``query``; a cell is parsed only on a trading day the query asks for."""
-        columns = [(f, self.field_map.get(f, f)) for f in query.fields]
+        columns = [self.field_map.get(f, f) for f in query.fields]
         n = len(query.day_index)
         cells = {code: [[None] * n for _ in columns] for code in query.codes}  # per code, one column per field
-        try:
-            with open(self.csv_path, newline="", encoding="utf-8") as fh:
+        try:  # utf-8-sig also reads the byte order mark an Excel "CSV UTF-8" export starts with
+            with open(self.csv_path, newline="", encoding="utf-8-sig") as fh:
                 reader = csv.DictReader(fh)
                 header = reader.fieldnames or []
-                for column in ["code", "date", *(column for _, column in columns)]:
+                for column in ["code", "date", *columns]:
                     if column not in header:
-                        raise ProviderFailure(
-                            f"provider {self.id!r} csv is missing column {column!r}",
-                            data={"reason": "schema", "missing_column": column},
-                        )
+                        raise self.failure(f"csv is missing column {column!r}", reason="schema", missing_column=column)
                 for rec in reader:
                     try:
                         slot = query.day_slot((rec.get("date") or "").strip())
                     except ValueError:
-                        raise ProviderFailure(
-                            f"provider {self.id!r} csv holds unparseable date {rec.get('date')!r}",
-                            data={"reason": "schema"},
-                        ) from None
+                        raise self.failure(f"csv holds unparseable date {rec.get('date')!r}") from None
                     cols = cells.get((rec.get("code") or "").strip())
                     if cols is None or slot is None:
                         continue
-                    for col, (_, column) in zip(cols, columns):
+                    for col, column in zip(cols, columns):
                         col[slot] = _parse_cell(rec.get(column, ""), column, self)
         except (UnicodeDecodeError, csv.Error) as exc:  # a non-UTF-8 byte, or a cell past csv's field limit
-            raise ProviderFailure(
-                f"provider {self.id!r} csv is unreadable: {exc}", data={"reason": "schema"}
-            ) from None
+            raise self.failure(f"csv is unreadable: {exc}") from None
         return {code: dict(zip(query.fields, cols)) for code, cols in cells.items()}
 
 
@@ -370,10 +365,7 @@ def _coerce_numeric(value: Any, column: str, config: ProviderConfig) -> float | 
         return None
     # The bound rejects nan, infinities and ints too large to become a float.
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        raise ProviderFailure(
-            f"provider {config.id!r} returned non-numeric or non-finite value for {column!r}",
-            data={"reason": "schema", "column": column},
-        )
+        raise config.failure(f"returned non-numeric or non-finite value for {column!r}", reason="schema", column=column)
     return value
 
 
@@ -429,6 +421,14 @@ def _work() -> None:
             _idle += 1
 
 
+def _placeholders(template: str) -> set[str]:
+    """An http URL template's placeholder names; ValueError for an unbalanced brace or a name nested in a spec."""
+    fields = [(name, spec) for _, name, spec, _ in string.Formatter().parse(template) if name is not None]
+    if any(_placeholders(spec) for _, spec in fields):  # its spec would be another placeholder's value
+        raise ValueError("placeholder nested in a format spec")
+    return {name for name, _ in fields}
+
+
 class HttpProvider(ProviderConfig):
     """Keyed REST: one GET per instrument code from ``base_url_template``, up to HTTP_POOL_SIZE at a time."""
 
@@ -441,16 +441,13 @@ class HttpProvider(ProviderConfig):
         if not self.base_url_template:
             raise ConfigError(f"provider.{self.id}.base_url: required for http providers")
         try:
-            names = {fname for _, fname, _, _ in string.Formatter().parse(self.base_url_template)}
-        except ValueError as exc:  # an unbalanced brace
+            unknown = _placeholders(self.base_url_template) - _URL_PLACEHOLDERS
+            if not unknown:  # every placeholder takes a str, so a conversion or spec no str takes fails as on a fetch
+                self.base_url_template.format(**dict.fromkeys(_URL_PLACEHOLDERS, ""))
+        except ValueError as exc:
             raise ConfigError(f"provider.{self.id}.base_url: malformed template: {exc}") from None
-        unknown = names - _URL_PLACEHOLDERS - {None}
         if unknown:
             raise ConfigError(f"provider.{self.id}.base_url: unknown placeholder(s) {sorted(unknown)}")
-        try:  # every placeholder takes a str, so a conversion or format spec no str takes fails here as on a fetch
-            self.base_url_template.format(**dict.fromkeys(_URL_PLACEHOLDERS, ""))
-        except (ValueError, LookupError, AttributeError) as exc:  # also a bad name nested in a format spec
-            raise ConfigError(f"provider.{self.id}.base_url: malformed template: {exc}") from None
         super().check()
         if not 1 <= self.timeout_ms <= 3_600_000:
             raise ConfigError(f"provider.{self.id}.timeout_ms: must be in [1, 3600000]")
@@ -458,7 +455,7 @@ class HttpProvider(ProviderConfig):
             raise ConfigError(f"provider.{self.id}.retries: must be in [0, 100]")
 
     def _fetch_code(
-        self, query: DataQuery, code: str, columns: list[tuple[str, str]], apikey: str, codes: set[str]
+        self, query: DataQuery, code: str, columns: list[str], apikey: str, codes: set[str]
     ) -> dict[str, tuple[list[int], list[list]]]:
         """GET one code's rows, retrying connection failures, and keep those within the query.
 
@@ -467,7 +464,7 @@ class HttpProvider(ProviderConfig):
         """
         url = self.base_url_template.format(
             code=quote(code, safe=""),  # encoded whole, so a code cannot add parameters to the URL
-            field=quote(",".join(column for _, column in columns), safe=""),
+            field=quote(",".join(columns), safe=""),
             start=query.start_date.isoformat(),
             end=query.end_date.isoformat(),
             apikey=apikey,  # as configured: redaction scans error messages for the raw secret
@@ -479,59 +476,35 @@ class HttpProvider(ProviderConfig):
                 break
             except requests.Timeout as exc:
                 if attempt == self.retries:
-                    raise ProviderFailure(
-                        f"provider {self.id!r} timed out after {self.timeout_ms}ms",
-                        data={"timeout": True},
-                    ) from exc
+                    raise self.failure(f"timed out after {self.timeout_ms}ms", timeout=True) from exc
             except requests.RequestException as exc:
                 if attempt == self.retries:
-                    raise ProviderFailure(
-                        f"provider {self.id!r} request failed: {exc}",
-                        data={"reason": "connection"},
-                    ) from exc
+                    raise self.failure(f"request failed: {exc}", reason="connection") from exc
         if not 200 <= response.status_code < 300:
-            raise ProviderFailure(
-                f"provider {self.id!r} returned HTTP {response.status_code}",
-                data={"status": response.status_code},
-            )
+            raise self.failure(f"returned HTTP {response.status_code}", status=response.status_code)
         try:
             body = response.json()
         except (ValueError, RecursionError):  # also a body nested past the interpreter's recursion limit
-            raise ProviderFailure(
-                f"provider {self.id!r} returned a non-JSON body",
-                data={"reason": "schema"},
-            ) from None
+            raise self.failure("returned a non-JSON body") from None
         if not isinstance(body, dict) or not isinstance(body.get("rows"), list):
-            raise ProviderFailure(
-                f'provider {self.id!r} body must be shaped {{"rows": [...]}}',
-                data={"reason": "schema"},
-            )
+            raise self.failure('body must be shaped {"rows": [...]}')
         n = len(query.day_index)
         kept: dict[str, tuple[list[int], list[list]]] = {}  # row code -> (slots written, one column per field)
         for raw_row in body["rows"]:
             if not isinstance(raw_row, dict):
-                raise ProviderFailure(
-                    f"provider {self.id!r} returned a non-object row",
-                    data={"reason": "schema"},
-                )
+                raise self.failure("returned a non-object row")
             try:
                 slot = query.day_slot(str(raw_row.get("date")))
             except ValueError:
-                raise ProviderFailure(
-                    f"provider {self.id!r} returned unparseable date {raw_row.get('date')!r}",
-                    data={"reason": "schema"},
-                ) from None
+                raise self.failure(f"returned unparseable date {raw_row.get('date')!r}") from None
             row_code = raw_row.get("code", code)
             if not isinstance(row_code, str):
-                raise ProviderFailure(
-                    f"provider {self.id!r} returned a non-string code",
-                    data={"reason": "schema"},
-                )
+                raise self.failure("returned a non-string code")
             if row_code not in codes or slot is None:
                 continue  # keep the payload within the query contract; a weekend row's cells are never read
             slots, cells = kept.get(row_code) or kept.setdefault(row_code, ([], [[None] * n for _ in columns]))
             slots.append(slot)
-            for col, (_, column) in zip(cells, columns):
+            for col, column in zip(cells, columns):
                 col[slot] = _coerce_numeric(raw_row.get(column), column, self)
         return kept
 
@@ -547,9 +520,9 @@ class HttpProvider(ProviderConfig):
         from concurrent.futures import Future  # loaded by the first http fetch, not at import
 
         _import_requests()  # _fetch_code reads requests.get per call, where tests and tracers patch it
-        columns = [(f, self.field_map.get(f, f)) for f in query.fields]
+        columns = [self.field_map.get(f, f) for f in query.fields]
         apikey = ""
-        if "{apikey}" in self.base_url_template:
+        if "apikey" in _placeholders(self.base_url_template):
             apikey = credentials.resolve(self.credential_ref or self.id)
         codes = set(query.codes)
         n = len(query.day_index)  # built here, before the runners share it

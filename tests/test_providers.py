@@ -445,6 +445,13 @@ def test_csv_non_finite_cell_is_a_schema_failure(tmp_path, cell):
     assert excinfo.value.data == {"reason": "schema", "column": "close"}
 
 
+def test_csv_export_starting_with_a_utf8_bom_reads_its_first_column(tmp_path):
+    path = tmp_path / "excel.csv"
+    path.write_text("\ufeffcode,date,close\nA,2024-01-02,1.5\n", encoding="utf-8")  # Excel's "CSV UTF-8"
+    query = _query(codes=["A"], fields=["close"], start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2))
+    assert fetch_historical(_csv_config(path), query, EMPTY_STORE).rows == {"A": {"close": [1.5]}}
+
+
 def test_csv_config_requires_a_readable_file(tmp_path):
     with pytest.raises(ConfigError, match="csv_path"):
         CsvProvider(id="x", csv_path=str(tmp_path / "absent.csv")).check()
@@ -574,6 +581,35 @@ def test_http_requires_resolvable_credential_for_apikey_templates():
         fetch_historical(config, _query(), EMPTY_STORE)
 
 
+def _sent_urls(monkeypatch) -> list[str]:
+    """The URLs the http provider GETs from now on, each answered with no rows."""
+    urls = []
+
+    def get(url, timeout):
+        urls.append(url)
+        return _FakeResponse(200, [])
+
+    monkeypatch.setattr(requests, "get", get)
+    return urls
+
+
+@pytest.mark.parametrize("placeholder", ["{apikey!s}", "{apikey:.8}"])
+def test_http_resolves_the_credential_for_an_apikey_placeholder_with_a_conversion_or_spec(placeholder, monkeypatch):
+    urls = _sent_urls(monkeypatch)
+    config = HttpProvider(id="alpha", base_url_template="http://stub.invalid/q?code={code}&k=" + placeholder)
+    config.check()
+    fetch_historical(config, _query(), CredentialStore({"alpha": "SECRET"}))
+    assert urls == ["http://stub.invalid/q?code=300750.SZ&k=SECRET"]
+
+
+def test_http_resolves_no_credential_for_a_literal_apikey_in_braces(monkeypatch):
+    urls = _sent_urls(monkeypatch)
+    config = HttpProvider(id="alpha", base_url_template="http://stub.invalid/q?code={code}&lit={{apikey}}")
+    config.check()
+    fetch_historical(config, _query(), EMPTY_STORE)
+    assert urls == ["http://stub.invalid/q?code=300750.SZ&lit={apikey}"]
+
+
 def test_http_rows_outside_the_range_are_dropped():
     fixture = [
         {"code": "300750.SZ", "date": "2023-12-29", "close": 170.0},
@@ -605,12 +641,16 @@ def test_http_never_retries_more_than_configured(monkeypatch):
 
 
 class _FakeResponse:
-    def __init__(self, status_code: int, rows: list[dict]):
+    """An answer whose ``json()`` returns ``{"rows": rows}`` or ``body``, or raises ``body`` when it is an exception."""
+
+    def __init__(self, status_code: int, rows: list | None = None, body=None):
         self.status_code = status_code
-        self._rows = rows
+        self._body = {"rows": rows} if body is None else body
 
     def json(self):
-        return {"rows": self._rows}
+        if isinstance(self._body, Exception):
+            raise self._body
+        return self._body
 
 
 def _code_of(url: str) -> str:
@@ -668,6 +708,77 @@ def test_http_substitutes_each_code_as_one_encoded_query_value():
     assert sorted(q["code"][0] for q in sent) == sorted(codes)
     assert all(q == {"code": q["code"], "key": ["SECRET"]} for q in sent)
     assert "/q?code=300750.SZ&key=SECRET" in state.requests
+
+
+_SCHEMA = {"reason": "schema"}
+_FAULTS = {  # case -> (the csv file's bytes, or what the GET returns or raises; message; data)
+    "csv-non-numeric-cell": (
+        b"code,date,close\nA,2024-01-02,n/a\n",
+        "provider 'wind_export' csv column 'close' holds non-numeric or non-finite value 'n/a'",
+        {"reason": "schema", "column": "close"},
+    ),
+    "csv-missing-column": (
+        b"code,date\nA,2024-01-02\n",
+        "provider 'wind_export' csv is missing column 'close'",
+        {"reason": "schema", "missing_column": "close"},
+    ),
+    "csv-unparseable-date": (
+        b"code,date,close\nA,2024-02-30,1.0\n",
+        "provider 'wind_export' csv holds unparseable date '2024-02-30'",
+        _SCHEMA,
+    ),
+    "csv-non-utf8-byte": (
+        b"code,date,close\nA,2024-01-02,\xff\n",
+        "provider 'wind_export' csv is unreadable: 'utf-8' codec can't decode byte 0xff in position 29: "
+        "invalid start byte",
+        _SCHEMA,
+    ),
+    "http-non-numeric-value": (
+        _FakeResponse(200, [{"code": "A", "date": "2024-01-02", "close": "1.0"}]),
+        "provider 'alpha' returned non-numeric or non-finite value for 'close'",
+        {"reason": "schema", "column": "close"},
+    ),
+    "http-timeout": (requests.Timeout("read timed out"), "provider 'alpha' timed out after 2000ms", {"timeout": True}),
+    "http-connection-error": (
+        requests.ConnectionError("refused"), "provider 'alpha' request failed: refused", {"reason": "connection"},
+    ),
+    "http-503": (_FakeResponse(503, []), "provider 'alpha' returned HTTP 503", {"status": 503}),
+    "http-non-json-body": (
+        _FakeResponse(200, body=ValueError("Expecting value")), "provider 'alpha' returned a non-JSON body", _SCHEMA,
+    ),
+    "http-list-body": (_FakeResponse(200, body=[]), "provider 'alpha' body must be shaped {\"rows\": [...]}", _SCHEMA),
+    "http-non-object-row": (_FakeResponse(200, [1]), "provider 'alpha' returned a non-object row", _SCHEMA),
+    "http-unparseable-date": (
+        _FakeResponse(200, [{"code": "A", "date": "2024-02-30"}]),
+        "provider 'alpha' returned unparseable date '2024-02-30'",
+        _SCHEMA,
+    ),
+    "http-non-string-code": (
+        _FakeResponse(200, [{"code": 7, "date": "2024-01-02"}]), "provider 'alpha' returned a non-string code", _SCHEMA,
+    ),
+}
+
+
+@pytest.mark.parametrize("answer, message, data", _FAULTS.values(), ids=_FAULTS)
+def test_each_provider_fault_has_its_exact_message_and_data(answer, message, data, tmp_path, monkeypatch):
+    """The message is the wire ``detail`` of the failed call; ``data`` is compared in key order too."""
+    if isinstance(answer, bytes):
+        path = tmp_path / "fault.csv"
+        path.write_bytes(answer)
+        config = _csv_config(path)
+    else:
+        def get(url, timeout):
+            if isinstance(answer, Exception):
+                raise answer
+            return answer
+
+        monkeypatch.setattr(requests, "get", get)
+        config = _http_config("http://stub.invalid")
+    query = _query(codes=["A"], fields=["close"], start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2))
+    with pytest.raises(ProviderFailure) as excinfo:
+        fetch_historical(config, query, EMPTY_STORE)
+    assert excinfo.value.message == message
+    assert list(excinfo.value.data.items()) == list(data.items())
 
 
 # (code, date, CLOSE, PB, turn); the provider calls close CLOSE and pb_lf PB,
@@ -1124,6 +1235,13 @@ def test_http_template_with_an_unbalanced_brace_is_a_config_error(template):
 )
 def test_http_template_with_a_conversion_or_spec_no_string_takes_is_a_config_error(template):
     with pytest.raises(ConfigError, match=r"^provider\.x\.base_url: malformed template: "):
+        HttpProvider(id="x", base_url_template=template).check()
+
+
+@pytest.mark.parametrize("template", ["http://h/x?c={code:{apikey}}", "http://h/x?c={code:>{field}}"])
+def test_http_template_with_a_placeholder_nested_in_a_format_spec_is_a_config_error(template):
+    # the nested value would become the spec on a fetch, which fails on any value but ""
+    with pytest.raises(ConfigError, match=r"^provider\.x\.base_url: malformed template: placeholder nested in"):
         HttpProvider(id="x", base_url_template=template).check()
 
 

@@ -63,6 +63,33 @@ def test_the_mutable_default_check_sees_each_literal_and_passes_a_read_only_prox
     assert _mutable_field_defaults(text) == ["A.a", "A.b", "A.c", "C.i"]
 
 
+def _provider_failures_built_elsewhere(text: str) -> list[int]:
+    """The lines of ``ProviderFailure(...)`` calls outside ``ProviderConfig.failure``, the one place to build one."""
+    tree = ast.parse(text)
+    allowed = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "ProviderConfig"
+               for method in cls.body if isinstance(method, ast.FunctionDef) and method.name == "failure"
+               for node in ast.walk(method)}
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and id(node) not in allowed
+                  and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "ProviderFailure")
+
+
+def test_only_the_provider_config_builds_a_provider_failure():
+    built = [f"{path.stem}:{line}" for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for line in _provider_failures_built_elsewhere(path.read_text(encoding="utf-8"))]
+    assert built == []
+
+
+def test_the_provider_failure_check_sees_each_call_outside_the_config_failure_method():
+    text = (
+        "class ProviderConfig:\n    def failure(self, text):\n        return ProviderFailure(text)\n"
+        "\nclass HttpProvider(ProviderConfig):\n    def failure(self, text):\n"
+        "        return errors.ProviderFailure(text)\n"
+        "\ndef f(config):\n    try:\n        raise ProviderFailure('x', data={})\n"
+        "    except ProviderFailure as exc:\n        return isinstance(exc, ProviderFailure), config.failure('y')\n"
+    )
+    assert _provider_failures_built_elsewhere(text) == [7, 11]
+
+
 def test_every_golden_and_data_file_is_named_by_a_test_config_or_benchmark_file():
     """A golden or data file that no code or config names is a stray: the test that read it is gone."""
     artifacts = sorted(p for directory in (GOLDEN_DIR, DATA_DIR) for p in directory.iterdir())
