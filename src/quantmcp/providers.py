@@ -8,6 +8,9 @@ keeps no state but what it derives from its frozen config on first use (the
 synthetic tail tables); rate limiting and caching are enforced by the caller.
 The GETs run on process-wide daemon worker threads that the first http fetch
 starts and that outlive a fetch; at most HTTP_POOL_SIZE of them stay idle.
+Every GET goes through ``_http_get``, on one ``requests.Session`` per worker
+that pools its connections and keeps a cookie for one GET; what requests
+reads from the environment (proxies, CA bundle, netrc) is read once per origin.
 csv and http write each kept row straight into per-code columns, at the slot
 ``DataQuery.day_slot`` gives its date. Providers deal in calendar dates only;
 close-of-day timestamps are materialized during normalization.
@@ -32,7 +35,7 @@ from functools import cached_property, lru_cache
 from itertools import chain
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
-from urllib.parse import quote
+from urllib.parse import quote, urlsplit
 
 from .errors import ConfigError, Frozen, ProviderFailure, ValidationError
 
@@ -321,6 +324,17 @@ def _parse_cell(raw: str, column: str, config: ProviderConfig) -> float | None:
     return value
 
 
+def _undecodable(exc: UnicodeDecodeError, read_to: int) -> str:
+    """``exc``'s text, with the bad bytes at their offset in a file read up to ``read_to`` (a BOM counted).
+
+    The text layer decodes the file a chunk at a time, so ``exc`` holds the bytes it had read, which end
+    at ``read_to``, and places the bad bytes within them.
+    """
+    at, n = read_to - len(exc.object) + exc.start, exc.end - exc.start
+    where = f"byte 0x{exc.object[exc.start]:02x} in position {at}" if n == 1 else f"bytes in position {at}-{at + n - 1}"
+    return f"{exc.encoding!r} codec can't decode {where}: {exc.reason}"
+
+
 class CsvProvider(ProviderConfig):
     """Rows of an offline export with ``code`` and ``date`` columns, read whole on every fetch."""
 
@@ -338,8 +352,9 @@ class CsvProvider(ProviderConfig):
         columns = [self.field_map.get(f, f) for f in query.fields]
         n = len(query.day_index)
         cells = {code: [[None] * n for _ in columns] for code in query.codes}  # per code, one column per field
-        try:  # utf-8-sig also reads the byte order mark an Excel "CSV UTF-8" export starts with
-            with open(self.csv_path, newline="", encoding="utf-8-sig") as fh:
+        # utf-8-sig also reads the byte order mark an Excel "CSV UTF-8" export starts with
+        with open(self.csv_path, newline="", encoding="utf-8-sig") as fh:
+            try:
                 reader = csv.DictReader(fh)
                 header = reader.fieldnames or []
                 for column in ["code", "date", *columns]:
@@ -355,8 +370,10 @@ class CsvProvider(ProviderConfig):
                         continue
                     for col, column in zip(cols, columns):
                         col[slot] = _parse_cell(rec.get(column, ""), column, self)
-        except (UnicodeDecodeError, csv.Error) as exc:  # a non-UTF-8 byte, or a cell past csv's field limit
-            raise self.failure(f"csv is unreadable: {exc}") from None
+            except UnicodeDecodeError as exc:
+                raise self.failure(f"csv is unreadable: {_undecodable(exc, fh.buffer.tell())}") from None
+            except csv.Error as exc:  # a cell past csv's field limit
+                raise self.failure(f"csv is unreadable: {exc}") from None
         return {code: dict(zip(query.fields, cols)) for code, cols in cells.items()}
 
 
@@ -382,6 +399,97 @@ def __getattr__(name: str) -> Any:
     if name == "requests":
         return _import_requests()
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class _Environment(NamedTuple):
+    """What requests reads from the environment for a request to one origin."""
+
+    proxies: dict[str, str]  # every ``*_proxy`` variable, or none for an origin ``no_proxy`` lists
+    ca_bundle: str | None  # REQUESTS_CA_BUNDLE, else CURL_CA_BUNDLE
+    netrc: tuple[str, str] | None  # the netrc login for the origin's host
+
+
+@lru_cache(maxsize=256)  # bounded: a template may put the code in the host, so clients can choose origins
+def _environment(origin: str) -> _Environment:
+    """What requests reads from the environment for ``origin`` (``scheme://host:port``), read once."""
+    utils = requests.utils
+    ca_bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+    return _Environment(utils.get_environ_proxies(origin), ca_bundle, utils.get_netrc_auth(origin))
+
+
+def _origin(url: str) -> str:
+    """``scheme://host:port`` of a URL requests has prepared, as written there, without any login."""
+    scheme, netloc = urlsplit(url)[:2]
+    return f"{scheme}://{netloc.rpartition('@')[2]}"
+
+
+@lru_cache(maxsize=None)
+def _session_class() -> type:
+    """``requests.Session`` with ``trust_env`` off, fed what ``_environment`` read for each URL's origin instead.
+
+    Each method overridden is one that reads the environment while ``trust_env`` is on, and each does with the
+    memo what requests does with the environment: netrc auth for the request and for each redirect target, the
+    proxies and CA bundle for the request, and the proxies for each redirect target.
+    """
+
+    class Session(_import_requests().Session):
+        def __init__(self):
+            super().__init__()
+            self.trust_env = False
+
+        def _add_netrc(self, prepared):
+            login = _environment(_origin(prepared.url)).netrc
+            if login is not None:
+                prepared.prepare_auth(login)
+
+        def prepare_request(self, request):
+            prepared = super().prepare_request(request)
+            if not request.auth and not self.auth:
+                self._add_netrc(prepared)
+            return prepared
+
+        def rebuild_auth(self, prepared_request, response):
+            super().rebuild_auth(prepared_request, response)
+            self._add_netrc(prepared_request)
+
+        def merge_environment_settings(self, url, proxies, stream, verify, cert):
+            env = _environment(_origin(url))
+            if verify is True or verify is None:
+                verify = env.ca_bundle or verify
+            return super().merge_environment_settings(url, {**env.proxies, **(proxies or {})}, stream, verify, cert)
+
+        def rebuild_proxies(self, prepared_request, proxies):
+            scheme = urlsplit(prepared_request.url).scheme
+            env = _environment(_origin(prepared_request.url)).proxies
+            proxy = env.get(scheme, env.get("all"))
+            return super().rebuild_proxies(prepared_request, {scheme: proxy, **(proxies or {})} if proxy else proxies)
+
+    return Session
+
+
+_local = threading.local()  # ``session``: the calling GET worker's Session, made by its first GET
+
+
+def _http_get(url: str, timeout: float) -> "requests.Response":
+    """``requests.get(url, timeout=timeout)``, on the calling thread's Session: every GET goes through here.
+
+    The Session pools connections, so a GET reuses one the upstream kept alive. Its cookie jar is
+    emptied after each GET, so a cookie lasts one GET and its redirects, as it did with a Session per GET.
+    """
+    session = getattr(_local, "session", None)
+    if session is None:
+        session = _local.session = _session_class()()
+    try:
+        return session.get(url, timeout=timeout)
+    finally:
+        session.cookies.clear()
+
+
+def _close_session() -> None:
+    """Close the calling thread's Session, and with it its pooled connections, if a GET made one."""
+    session = vars(_local).pop("session", None)
+    if session is not None:
+        session.close()
 
 
 _workers_lock = threading.Lock()
@@ -410,15 +518,19 @@ def _start(task: Callable[[], None]) -> None:
 def _work() -> None:
     """A GET worker: run queued tasks; exit on finishing one while HTTP_POOL_SIZE workers are already idle.
 
-    Workers are daemon threads, so the process exits without waiting for a GET nobody awaits.
+    A worker closes its Session as it exits. Workers are daemon threads, so the process exits without
+    waiting for a GET nobody awaits.
     """
     global _idle
-    while True:
-        _tasks.get()()
-        with _workers_lock:
-            if _idle >= HTTP_POOL_SIZE:
-                return
-            _idle += 1
+    try:
+        while True:
+            _tasks.get()()
+            with _workers_lock:
+                if _idle >= HTTP_POOL_SIZE:
+                    return
+                _idle += 1
+    finally:
+        _close_session()
 
 
 def _placeholders(template: str) -> set[str]:
@@ -472,7 +584,7 @@ class HttpProvider(ProviderConfig):
         response = None
         for attempt in range(self.retries + 1):
             try:
-                response = requests.get(url, timeout=self.timeout_ms / 1000.0)
+                response = _http_get(url, timeout=self.timeout_ms / 1000.0)
                 break
             except requests.Timeout as exc:
                 if attempt == self.retries:
@@ -515,11 +627,14 @@ class HttpProvider(ProviderConfig):
         until none is left. Rows merge in query order, so of two GETs returning one (code, day) the
         later wins. On failure the first failing code in query order is reported as soon as it and
         every earlier code are known, whichever GET finished first; codes whose GET has not started
-        are cancelled, and GETs in flight are left to finish unawaited.
+        are cancelled, and GETs in flight are left to finish unawaited. Each GET goes through
+        ``_http_get``, on its worker's Session: it reuses a connection the upstream kept alive, sends
+        no cookie an earlier GET was given, and takes proxies, CA bundle and netrc login from what the
+        environment held at the first GET to its origin.
         """
         from concurrent.futures import Future  # loaded by the first http fetch, not at import
 
-        _import_requests()  # _fetch_code reads requests.get per call, where tests and tracers patch it
+        _import_requests()  # binds ``requests``, whose exceptions _fetch_code catches
         columns = [self.field_map.get(f, f) for f in query.fields]
         apikey = ""
         if "apikey" in _placeholders(self.base_url_template):

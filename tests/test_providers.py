@@ -452,6 +452,21 @@ def test_csv_export_starting_with_a_utf8_bom_reads_its_first_column(tmp_path):
     assert fetch_historical(_csv_config(path), query, EMPTY_STORE).rows == {"A": {"close": [1.5]}}
 
 
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_csv_names_a_non_utf8_byte_past_the_first_read_chunk_by_its_offset_in_the_file(bom, tmp_path):
+    rows = "".join(f"A,2024-01-{1 + i % 28:02d},{100 + i / 8}\n" for i in range(1000))
+    body = bom + f"code,date,close\n{rows}".encode()
+    path = tmp_path / "export.csv"
+    path.write_bytes(body[:17_029] + b"\xff" + body[17_030:])  # the text layer reads 8 kB chunks
+    query = _query(codes=["A"], fields=["close"], start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2))
+    with pytest.raises(ProviderFailure) as excinfo:
+        fetch_historical(_csv_config(path), query, EMPTY_STORE)
+    assert excinfo.value.message == (
+        "provider 'wind_export' csv is unreadable: 'utf-8' codec can't decode byte 0xff in position 17029: "
+        "invalid start byte"
+    )
+
+
 def test_csv_config_requires_a_readable_file(tmp_path):
     with pytest.raises(ConfigError, match="csv_path"):
         CsvProvider(id="x", csv_path=str(tmp_path / "absent.csv")).check()
@@ -589,7 +604,7 @@ def _sent_urls(monkeypatch) -> list[str]:
         urls.append(url)
         return _FakeResponse(200, [])
 
-    monkeypatch.setattr(requests, "get", get)
+    monkeypatch.setattr(providers, "_http_get", get)
     return urls
 
 
@@ -628,7 +643,7 @@ def test_http_never_retries_more_than_configured(monkeypatch):
         attempts.append(url)
         raise requests.ConnectionError("refused")
 
-    monkeypatch.setattr(requests, "get", refuse)
+    monkeypatch.setattr(providers, "_http_get", refuse)
     config = _http_config("http://127.0.0.1:9", retries=2)
     with pytest.raises(ProviderFailure):
         fetch_historical(config, _query(), EMPTY_STORE)
@@ -675,7 +690,7 @@ def test_http_fan_out_merges_in_query_order_with_bounded_concurrency(monkeypatch
             with lock:
                 in_flight[0] -= 1
 
-    monkeypatch.setattr(requests, "get", fake_get)
+    monkeypatch.setattr(providers, "_http_get", fake_get)
     query = _query(codes=codes, fields=["close"], start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2))
     payload = fetch_historical(_http_config("http://stub.invalid"), query, EMPTY_STORE)
     merged = [(code, columns) for code, columns in payload.rows.items()]
@@ -691,7 +706,7 @@ def test_http_shared_row_goes_to_the_later_code_in_query_order(monkeypatch):
             return _FakeResponse(200, [{"code": "B.SZ", "date": "2024-01-02", "close": 1.0}])
         return _FakeResponse(200, [{"code": "B.SZ", "date": "2024-01-02", "close": 2.0}])
 
-    monkeypatch.setattr(requests, "get", fake_get)
+    monkeypatch.setattr(providers, "_http_get", fake_get)
     day = dt.date(2024, 1, 2)
     query = _query(codes=["A.SZ", "B.SZ"], fields=["close"], start_date=day, end_date=day)
     payload = fetch_historical(_http_config("http://stub.invalid"), query, EMPTY_STORE)
@@ -772,7 +787,7 @@ def test_each_provider_fault_has_its_exact_message_and_data(answer, message, dat
                 raise answer
             return answer
 
-        monkeypatch.setattr(requests, "get", get)
+        monkeypatch.setattr(providers, "_http_get", get)
         config = _http_config("http://stub.invalid")
     query = _query(codes=["A"], fields=["close"], start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2))
     with pytest.raises(ProviderFailure) as excinfo:
@@ -881,7 +896,7 @@ def test_http_reports_the_first_failing_code_in_query_order(monkeypatch):
             return _FakeResponse(404, [])
         return _FakeResponse(200, [])
 
-    monkeypatch.setattr(requests, "get", fake_get)
+    monkeypatch.setattr(providers, "_http_get", fake_get)
     query = _query(codes=["A.SZ", "B.SZ", "C.SZ", "D.SZ"])
     with pytest.raises(ProviderFailure) as excinfo:
         fetch_historical(_http_config("http://stub.invalid"), query, EMPTY_STORE)
@@ -897,7 +912,7 @@ def test_http_reports_a_fast_failure_without_awaiting_slower_gets(monkeypatch):
         release.wait(timeout=5.0)
         return _FakeResponse(200, [])
 
-    monkeypatch.setattr(requests, "get", fake_get)
+    monkeypatch.setattr(providers, "_http_get", fake_get)
     query = _query(codes=["A.SZ", "B.SZ", "C.SZ"])
     started = time.monotonic()
     try:
@@ -948,7 +963,7 @@ def test_sequential_http_fetches_run_their_gets_on_the_same_worker_threads(monke
         time.sleep(0.02)  # long enough that each of the 8 runners takes one code
         return _FakeResponse(200, [])
 
-    monkeypatch.setattr(requests, "get", fake_get)
+    monkeypatch.setattr(providers, "_http_get", fake_get)
     config = _http_config("http://stub.invalid")
     assert _until(_settled)  # no worker of an earlier test turns idle during this one
     fetch_historical(config, _day_query(_eight("A")), EMPTY_STORE)
@@ -973,7 +988,7 @@ def test_gets_a_failed_fetch_left_hanging_do_not_hold_up_the_next_fetch(monkeypa
             time.sleep(0.1)
         return _FakeResponse(200, [])
 
-    monkeypatch.setattr(requests, "get", fake_get)
+    monkeypatch.setattr(providers, "_http_get", fake_get)
     config = _http_config("http://stub.invalid")
     try:
         with pytest.raises(ProviderFailure):
@@ -991,7 +1006,7 @@ def test_concurrent_http_fetches_on_one_provider_each_finish_in_about_one_get(mo
         time.sleep(0.25)
         return _FakeResponse(200, [])
 
-    monkeypatch.setattr(requests, "get", fake_get)
+    monkeypatch.setattr(providers, "_http_get", fake_get)
     config = _http_config("http://stub.invalid")
     elapsed = {}
 
@@ -1027,7 +1042,7 @@ def test_a_failing_fetch_never_requests_a_code_whose_get_had_not_started(monkeyp
         release.wait(timeout=5.0)
         return _FakeResponse(200, [])
 
-    monkeypatch.setattr(requests, "get", fake_get)
+    monkeypatch.setattr(providers, "_http_get", fake_get)
     try:
         with pytest.raises(ProviderFailure) as excinfo:
             fetch_historical(_http_config("http://stub.invalid"), _day_query(codes), EMPTY_STORE)
@@ -1046,7 +1061,7 @@ def test_after_a_burst_at_most_the_pool_size_of_get_workers_stay(monkeypatch):
         time.sleep(0.1)
         return _FakeResponse(200, [])
 
-    monkeypatch.setattr(requests, "get", fake_get)
+    monkeypatch.setattr(providers, "_http_get", fake_get)
     config = _http_config("http://stub.invalid")
     callers = [
         threading.Thread(target=fetch_historical, args=(config, _day_query(_eight(prefix)), EMPTY_STORE))
@@ -1060,6 +1075,91 @@ def test_after_a_burst_at_most_the_pool_size_of_get_workers_stay(monkeypatch):
     assert peak[0] > providers.HTTP_POOL_SIZE  # the burst ran on more workers than may stay
     assert _until(_settled)
     assert _live_workers() <= providers.HTTP_POOL_SIZE
+
+
+def test_a_get_worker_that_exits_after_a_burst_closes_its_session(monkeypatch):
+    made, closed = [], []
+    session_init, session_close = requests.Session.__init__, requests.Session.close
+
+    def init(self):
+        made.append(threading.current_thread())
+        session_init(self)
+
+    def close(self):
+        closed.append(threading.current_thread())
+        session_close(self)
+
+    monkeypatch.setattr(requests.Session, "__init__", init)
+    monkeypatch.setattr(requests.Session, "close", close)
+    with stub_rows_server([], delay_s=0.1) as (base_url, _):
+        config = _http_config(base_url)
+        callers = [
+            threading.Thread(target=fetch_historical, args=(config, _day_query(_eight(prefix)), EMPTY_STORE))
+            for prefix in "ABC"
+        ]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=10)
+        assert _until(_settled)
+    exited = {thread for thread in made if not thread.is_alive()}
+    assert exited and exited <= set(closed)  # the burst's 24 workers made sessions; those beyond 8 exited
+    assert len(closed) == len(set(closed)) and not any(thread.is_alive() for thread in closed)
+
+
+# --- the GET seam ---------------------------------------------------------------
+
+
+@pytest.fixture
+def seam():
+    """``_http_get`` on the test's thread, with the environment memo empty; the thread's Session is closed after."""
+    providers._environment.cache_clear()
+    yield providers._http_get
+    providers._close_session()
+    providers._environment.cache_clear()
+
+
+def test_sequential_gets_on_one_thread_reuse_one_kept_alive_connection(seam):
+    with stub_rows_server([], keep_alive_s=5.0) as (base_url, state):
+        assert [seam(f"{base_url}/q?code={code}", timeout=5.0).status_code for code in "AB"] == [200, 200]
+        providers._close_session()  # the stub's handler then sees the connection end
+    assert len(state.ports) == 2 and state.ports[0] == state.ports[1]
+
+
+def test_a_cookie_one_get_is_given_is_not_sent_on_the_next(seam):
+    with stub_rows_server([], keep_alive_s=5.0) as (base_url, state):
+        state.set_cookie = "visit=1; Path=/"
+        for code in "AB":
+            seam(f"{base_url}/q?code={code}", timeout=5.0)
+        providers._close_session()
+    assert state.cookies == [None, None]
+    assert state.ports[0] == state.ports[1]  # one Session sent both
+
+
+def test_a_get_goes_through_the_http_proxy_unless_no_proxy_lists_its_host(seam, monkeypatch):
+    for name in ("http_proxy", "no_proxy", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    with stub_rows_server([]) as (proxy_url, proxy), stub_rows_server([]) as (base_url, direct):
+        monkeypatch.setenv("HTTP_PROXY", proxy_url)
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        seam("http://quotes.invalid/q?code=A", timeout=5.0)
+        seam(f"{base_url}/q?code=B", timeout=5.0)
+        monkeypatch.delenv("HTTP_PROXY")  # the environment was read once for each origin
+        seam("http://quotes.invalid/q?code=C", timeout=5.0)
+    assert proxy.requests == ["http://quotes.invalid/q?code=A", "http://quotes.invalid/q?code=C"]  # absolute-form
+    assert direct.requests == ["/q?code=B"]
+
+
+def test_a_fetch_after_the_upstream_closed_its_idle_connection_succeeds_without_a_retry(seam):
+    fixture = [{"code": "A", "date": "2024-01-02", "close": 1.5}]
+    with stub_rows_server(fixture, keep_alive_s=0.05) as (base_url, state):
+        config = _http_config(base_url, retries=0)
+        args = (_day_query(["A"]), "A", ["close"], "", {"A"})
+        assert config._fetch_code(*args) == {"A": ([0], [[1.5]])}  # one code's GET, on this thread's Session
+        assert _until(lambda: state.closed == 1)  # the stub closed the connection once it was idle
+        assert config._fetch_code(*args) == {"A": ([0], [[1.5]])}
+        providers._close_session()
+    assert len(set(state.ports)) == 2
 
 
 class _HangingStub(ThreadingHTTPServer):
@@ -1203,7 +1303,7 @@ def test_csv_and_http_lay_rows_out_as_the_per_day_model_does(case, tmp_path_fact
 
     http = _http_config("http://stub.invalid", id="p")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(requests, "get", fake_get)
+        patch.setattr(providers, "_http_get", fake_get)
         got = _text_or_failure(lambda: normalize_payload(fetch_historical(http, query, EMPTY_STORE), query).json_text())
     assert got == _expected(query, http_rows_oracle(bodies, *args, "p"))
 

@@ -8,7 +8,6 @@ import json
 import math
 
 import pytest
-import requests
 
 from conftest import FakeWallClock, make_ctx
 from oracle_utils import mean_oracle, synthetic_value_oracle, weekdays_oracle
@@ -16,7 +15,7 @@ from stub_provider import stub_rows_server
 
 from quantmcp.cli import mask_volatile
 from quantmcp.errors import ProviderFailure, RateLimitedError, ValidationError
-from quantmcp import security, tools
+from quantmcp import providers, security, tools
 from quantmcp.providers import (
     CsvProvider,
     DataQuery,
@@ -148,7 +147,7 @@ def test_http_single_flight_wait_only_grows_past_the_default(
         def json(self):
             return {"rows": []}
 
-    monkeypatch.setattr(requests, "get", lambda url, timeout: Response())
+    monkeypatch.setattr(providers, "_http_get", lambda url, timeout: Response())
     (tmp_path / "rows.csv").write_text("code,date,close,pb_lf,turn\n")
     cls, own = {
         "http": (HttpProvider, {"base_url_template": "http://stub.invalid/q?code={code}",
@@ -363,7 +362,7 @@ def test_http_row_with_a_non_string_code_is_an_uncached_provider_failure(monkeyp
             return {"rows": [{"code": code, "date": "2024-01-02", "close": 1.0}]}
 
     gets = []
-    monkeypatch.setattr(requests, "get", lambda url, timeout: gets.append(url) or Response())
+    monkeypatch.setattr(providers, "_http_get", lambda url, timeout: gets.append(url) or Response())
     provider = HttpProvider(
         id="h", base_url_template="http://stub.invalid/q?code={code}", rate=RateSpec(1000, 1000.0)
     )
@@ -384,7 +383,7 @@ def test_http_body_nested_past_the_recursion_limit_is_a_schema_failure(monkeypat
         def json(self):  # decodes as requests does
             return json.loads("[" * 100_000 + "]" * 100_000)
 
-    monkeypatch.setattr(requests, "get", lambda url, timeout: Response())
+    monkeypatch.setattr(providers, "_http_get", lambda url, timeout: Response())
     provider = HttpProvider(
         id="h", base_url_template="http://stub.invalid/q?code={code}", rate=RateSpec(1000, 1000.0)
     )
