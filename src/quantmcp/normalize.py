@@ -1,10 +1,10 @@
 """Canonical record normalization: options grammar, the records table, fill.
 
 Provider columns, already under canonical field names, become one table
-over the query's calendar: one record per (code, trading day), sorted by
-(code, timestamp). Days a provider skipped hold nulls before any fill
-policy runs, so ``Fill=Previous`` is well-defined and output length is
-predictable from the query alone.
+over the query's trading days, ``DataQuery.days``: one record per (code,
+trading day), sorted by (code, timestamp). Days a provider skipped hold
+nulls before any fill policy runs, so ``Fill=Previous`` is well-defined and
+output length is predictable from the query alone.
 """
 
 from __future__ import annotations
@@ -167,12 +167,12 @@ def _compact(column: list) -> Sequence:
 def normalize_payload(
     raw: RawProviderPayload, query: DataQuery, close_time: dt.time = DEFAULT_CLOSE_TIME
 ) -> Records:
-    """Lay ``raw.rows`` out as the query's records table: codes sorted, days from the month memo.
+    """Lay ``raw.rows`` out as the query's records table: codes sorted, over ``query.days``.
 
     A code the query never asked for, a missing field or a column whose length is not the query's
     day count is a provider contract breach and raises InternalError. A code with no columns holds nulls.
     """
-    days = tuple(chain.from_iterable(isos[i:j] for (_, isos, _), i, j in query.months))
+    days = query.days
     fields = tuple(query.fields)
     by_code = {}
     for code, by_field in raw.rows.items():

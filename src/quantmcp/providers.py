@@ -11,9 +11,12 @@ starts and that outlive a fetch; at most HTTP_POOL_SIZE of them stay idle.
 Every GET goes through ``_http_get``, on one ``requests.Session`` per worker
 that pools its connections and keeps a cookie for one GET; what requests
 reads from the environment (proxies, CA bundle, netrc) is read once per origin.
-csv and http write each kept row straight into per-code columns, at the slot
-``DataQuery.day_slot`` gives its date. Providers deal in calendar dates only;
-close-of-day timestamps are materialized during normalization.
+A query's trading days are one tuple of ISO strings, ``DataQuery.days``; each
+column a provider returns holds one value per entry, and normalization lays
+the records table over the same tuple. csv and http write each kept row
+straight into per-code columns, at the slot ``DataQuery.day_slot`` gives its
+date. Providers deal in calendar dates only; close-of-day timestamps are
+materialized during normalization.
 
 The trading calendar is weekday-only (no exchange holidays), trading
 calendar fidelity for determinism; see README for the documented divergence
@@ -163,15 +166,14 @@ class DataQuery(Frozen):
         return _month_slices(self.start_date, self.end_date)
 
     @cached_property
-    def days(self) -> list[dt.date]:
-        """The query's trading days, ascending."""
-        return [day for (days, _, _), i, j in self.months for day in days[i:j]]
+    def days(self) -> tuple[str, ...]:
+        """The query's trading days, ascending, as ISO text: the days of every column and table built for it."""
+        return tuple(chain.from_iterable(isos[i:j] for (_, isos, _), i, j in self.months))
 
     @cached_property
     def day_index(self) -> dict[str, int]:
         """Each trading day's ISO text -> its slot, its index in ``days``."""
-        isos = chain.from_iterable(isos[i:j] for (_, isos, _), i, j in self.months)
-        return {iso: slot for slot, iso in enumerate(isos)}
+        return {iso: slot for slot, iso in enumerate(self.days)}
 
     def day_slot(self, text: str) -> int | None:
         """The slot of the day ``text`` names, or None for a day that is no trading day of the query.
@@ -186,7 +188,7 @@ class DataQuery(Frozen):
 
 
 Rows = dict[str, dict[str, list]]  # code -> canonical field -> one value per query day, None for a gap
-Month = tuple[tuple[dt.date, ...], tuple[str, ...], bytes]  # weekdays, their ISO strings, b"YYYY-MM-"
+Month = tuple[tuple[int, ...], tuple[str, ...], bytes]  # weekdays' days of the month, their ISO strings, b"YYYY-MM-"
 
 
 class RawProviderPayload(NamedTuple):
@@ -199,12 +201,12 @@ class RawProviderPayload(NamedTuple):
 
 @lru_cache(maxsize=1200)  # clients choose the months, so the memo shared by all queries is bounded
 def _month(year: int, month: int) -> Month:
-    """One month's weekdays, their ISO strings and ``b"YYYY-MM-"``; builds no date past the month."""
+    """One month's weekdays as day-of-month numbers, their ISO strings and ``b"YYYY-MM-"``; builds one date."""
     first = dt.date(year, month, 1)
     length = 31 if month == 12 else (first.replace(month=month + 1) - first).days
     head = "%04d-%02d-" % (year, month)
-    days = [d for d in range(1, length + 1) if (first.weekday() + d - 1) % 7 < 5]
-    return tuple(dt.date(year, month, d) for d in days), tuple(head + "%02d" % d for d in days), head.encode()
+    days = tuple(d for d in range(1, length + 1) if (first.weekday() + d - 1) % 7 < 5)
+    return days, tuple(head + "%02d" % d for d in days), head.encode()
 
 
 def _month_slices(start: dt.date, end: dt.date) -> list[tuple[Month, int, int]]:
@@ -213,8 +215,8 @@ def _month_slices(start: dt.date, end: dt.date) -> list[tuple[Month, int, int]]:
     slices = []
     for n in range(first, last + 1):
         days = (entry := _month(n // 12, n % 12 + 1))[0]
-        i = bisect_left(days, start) if n == first else 0
-        j = bisect_right(days, end) if n == last else len(days)
+        i = bisect_left(days, start.day) if n == first else 0
+        j = bisect_right(days, end.day) if n == last else len(days)
         if i < j:
             slices.append((entry, i, j))
     return slices
@@ -237,19 +239,6 @@ _SCALE: dict[str, Callable[[list[int]], list]] = dict.fromkeys(
 }
 
 
-def synthetic_value(code: str, field_name: str, day: dt.date, seed: int) -> float | int:
-    """Deterministic pseudo-market value for (code, field, day, seed).
-
-    Derived from a 64-bit FNV-1a hash of ``code|field|YYYY-MM-DD|seed``
-    mapped into [0, 1); each field scales that unit value into a plausible
-    range (prices near 100-200, turnover under 10, and so on).
-    """
-    if field_name not in CANONICAL_FIELDS:
-        raise ValidationError(f"unknown field {field_name!r}")
-    key = f"{code}|{field_name}|{day.isoformat()}|{seed}"
-    return _SCALE[field_name]([fnv1a64(key.encode("utf-8")) % 1_000_000])[0]
-
-
 def _tail_table(tail: bytes) -> list[int]:
     """``T`` with ``fnv1a64(tail, h) == (h * FNV_PRIME**len(tail) + T[h & 127]) mod 2**64`` for an ASCII ``tail``.
 
@@ -260,7 +249,13 @@ def _tail_table(tail: bytes) -> list[int]:
 
 
 class SyntheticProvider(ProviderConfig):
-    """``synthetic_value`` for every (code, field, trading day) of a query."""
+    """A deterministic pseudo-market value for every (code, field, trading day) of a query.
+
+    A cell's value comes from the 64-bit FNV-1a hash of ``code|field|YYYY-MM-DD|seed`` (utf-8): its residue
+    ``k = hash mod 10**6``, as the unit value ``u = k / 10**6``, is scaled into a plausible range per field:
+    ``round(100 + 100 * u, 2)`` for close, open, high and low, ``floor(10**6 * u)`` for volume,
+    ``round(1 + 9 * u, 3)`` for pb_lf and ``round(10 * u, 4)`` for turn.
+    """
 
     READS = {**ProviderConfig.READS, "seed": 0}
 
@@ -275,7 +270,7 @@ class SyntheticProvider(ProviderConfig):
         return [_tail_table(b"%02d|%d" % (day, self.seed)) for day in range(1, 32)]
 
     def fetch(self, query: DataQuery, credentials: "CredentialStore") -> Rows:
-        """``synthetic_value`` for every cell, folding each shared key prefix once and scaling by column.
+        """Every cell's value, folding each shared key prefix once and scaling by column.
 
         A cell's key is ``code|field|YYYY-MM-DD|seed``. ``code|`` is folded once
         per code, ``field|`` on from that once per (code, field) and ``YYYY-MM-``
@@ -293,7 +288,7 @@ class SyntheticProvider(ProviderConfig):
         """
         tables = self.tail_tables
         step = pow(FNV_PRIME, len(b"01|%d" % self.seed), 1 << 64)  # every tail has this length
-        months = [(head, [tables[day.day - 1] for day in days[i:j]]) for (days, _, head), i, j in query.months]
+        months = [(head, [tables[day - 1] for day in days[i:j]]) for (days, _, head), i, j in query.months]
         mask = _U64
         rows: Rows = {}
         for code in query.codes:
@@ -696,12 +691,11 @@ def fetch_historical(
     credentials: "CredentialStore",
     now: Callable[[], dt.datetime] | None = None,
 ) -> RawProviderPayload:
-    """Fetch canonical columns for ``query`` from the source ``config`` describes.
+    """Fetch canonical columns for the checked ``query`` from the source ``config`` describes.
 
     Synthetic sources fill every cell; csv and http sources leave ``None``
     on each day they lack, which normalization carries as a null.
     """
-    query.check()
     rows = config.fetch(query, credentials)
     stamp = (now() if now is not None else dt.datetime.now(dt.timezone.utc)).isoformat()
     return RawProviderPayload(provider_id=config.id, rows=rows, fetched_at=stamp)

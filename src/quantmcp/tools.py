@@ -119,7 +119,7 @@ def fetch_normalized(
     or fetching. Raises RateLimitedError on a denied acquire and propagates
     provider errors; callers decide how those surface.
     """
-    if not query.months:
+    if not query.days:
         fetched_at, cache_hit = ctx.wall_clock().isoformat(), False
         records = normalize_payload(RawProviderPayload(provider.id, {}, fetched_at), query)
     else:

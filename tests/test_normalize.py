@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import backfill_oracle, day_columns_oracle
+from oracle_utils import backfill_oracle, day_columns_oracle, weekdays_oracle
 
 from quantmcp.errors import InternalError, ValidationError
 from quantmcp.normalize import (
@@ -36,7 +36,8 @@ def _payload(rows, provider_id="p") -> RawProviderPayload:
 
 def _day_rows(rows, query) -> RawProviderPayload:
     """A payload of per-day ``rows``, ``{code: {date: {field: value}}}``, laid out as csv and http lay theirs."""
-    return _payload(day_columns_oracle(rows, list(rows), query.fields, query.days))
+    days = weekdays_oracle(query.start_date, query.end_date)
+    return _payload(day_columns_oracle(rows, list(rows), query.fields, days))
 
 
 def _query(**overrides) -> DataQuery:
@@ -189,7 +190,7 @@ def test_close_time_is_stamped_from_config():
 def test_every_stamp_is_the_iso_day_then_the_configured_close_time():
     query = _query(codes=["A", "B"], start_date=dt.date(2023, 12, 20), end_date=dt.date(2024, 3, 4))
     records = normalize_payload(_payload({}), query, dt.time(9, 5, 7))
-    days = [day.isoformat() + " 09:05:07" for day in query.days]
+    days = [day.isoformat() + " 09:05:07" for day in weekdays_oracle(query.start_date, query.end_date)]
     assert len(days) == 54
     assert [r["timestamp"] for r in records] == days + days
 

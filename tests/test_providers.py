@@ -45,7 +45,6 @@ from quantmcp.providers import (
     SyntheticProvider,
     fetch_historical,
     fnv1a64,
-    synthetic_value,
 )
 from quantmcp.config import ServerConfig
 from quantmcp.registry import ParamSpec, ToolDescriptor, ValidatedArgs
@@ -74,19 +73,24 @@ def _query(**overrides) -> DataQuery:
 # --- trading calendar ---------------------------------------------------------
 
 
+def _weekday_isos(start: dt.date, end: dt.date) -> tuple[str, ...]:
+    """The ISO text of each day ``weekdays_oracle`` enumerates."""
+    return tuple(day.isoformat() for day in weekdays_oracle(start, end))
+
+
 def test_first_week_of_2024_is_monday_through_friday():
     days = _query(start_date=dt.date(2024, 1, 1), end_date=dt.date(2024, 1, 7)).days
-    assert days == [dt.date(2024, 1, d) for d in range(1, 6)]
+    assert days == ("2024-01-01", "2024-01-02", "2024-01-03", "2024-01-04", "2024-01-05")
 
 
 def test_weekend_only_range_is_empty():
-    assert _query(start_date=dt.date(2024, 1, 6), end_date=dt.date(2024, 1, 7)).days == []
+    assert _query(start_date=dt.date(2024, 1, 6), end_date=dt.date(2024, 1, 7)).days == ()
 
 
 def test_q1_2024_has_65_trading_days():
     days = _query().days
     assert len(days) == 65
-    assert days == weekdays_oracle(*Q1_2024)
+    assert days == _weekday_isos(*Q1_2024)
 
 
 def test_random_ranges_match_the_enumeration_oracle():
@@ -94,7 +98,7 @@ def test_random_ranges_match_the_enumeration_oracle():
     for _ in range(50):
         start = dt.date(2020, 1, 1) + dt.timedelta(days=rng.randrange(2000))
         end = start + dt.timedelta(days=rng.randrange(90))
-        assert _query(start_date=start, end_date=end).days == weekdays_oracle(start, end)
+        assert _query(start_date=start, end_date=end).days == _weekday_isos(start, end)
 
 
 def test_inverted_range_is_a_validation_error():
@@ -107,12 +111,14 @@ def test_inverted_range_is_a_validation_error():
 @given(start=st.dates(), span=st.integers(0, 800))
 def test_trading_days_and_the_month_slices_match_the_oracle_on_any_range(start, span):
     end = start + dt.timedelta(days=min(span, (dt.date.max - start).days))  # clipped at date.max
-    expected = weekdays_oracle(start, end)
+    expected = _weekday_isos(start, end)
     query = _query(start_date=start, end_date=end)
-    assert [day for (days, _, _), i, j in query.months for day in days[i:j]] == expected == query.days
+    assert tuple(iso for (_, isos, _), i, j in query.months for iso in isos[i:j]) == expected == query.days
     for (days, isos, head), _, _ in query.months:
-        assert list(isos) == [day.isoformat() for day in days]
-        assert {head} == {day.isoformat()[:8].encode() for day in days}
+        dates = [dt.date.fromisoformat(iso) for iso in isos]
+        assert [day.isoformat() for day in dates] == list(isos)
+        assert [day.day for day in dates] == list(days)
+        assert {head} == {iso[:8].encode() for iso in isos}
 
 
 def test_the_month_memo_stays_bounded_over_more_months_than_it_holds():
@@ -120,9 +126,9 @@ def test_the_month_memo_stays_bounded_over_more_months_than_it_holds():
     query = _query(start_date=start, end_date=end)
     assert len(query.months) == 1_272
     assert providers._month.cache_info().currsize <= 1_200
-    assert query.days == weekdays_oracle(start, end)
+    assert query.days == _weekday_isos(start, end)
     january = _query(start_date=start, end_date=dt.date(1800, 1, 31))
-    assert january.days == weekdays_oracle(start, dt.date(1800, 1, 31))  # evicted, rebuilt
+    assert january.days == _weekday_isos(start, dt.date(1800, 1, 31))  # evicted, rebuilt
 
 
 # --- synthetic values ---------------------------------------------------------
@@ -175,10 +181,12 @@ def test_each_day_tail_folds_from_every_low_byte_by_its_128_entry_table(seed):
 def test_synthetic_values_match_the_committed_golden_file():
     cases = json.loads((GOLDEN_DIR / "synthetic_values.json").read_text())
     assert len(cases) >= 100
+    configs = {seed: SyntheticProvider(id="synth", seed=seed) for seed in (0, 42)}  # the file's seeds
     for case in cases:
-        day = dt.date.fromisoformat(case["day"])
-        got = synthetic_value(case["code"], case["field"], day, case["seed"])
-        assert got == case["value"], case
+        day = dt.date.fromisoformat(case["day"])  # a weekday: a one-day query over it has one slot
+        query = _query(codes=[case["code"]], fields=[case["field"]], start_date=day, end_date=day)
+        got = configs[case["seed"]].fetch(query, EMPTY_STORE)
+        assert got == {case["code"]: {case["field"]: [case["value"]]}}, case
         # the golden file itself was produced by the independent oracle
         assert synthetic_value_oracle(case["code"], case["field"], day, case["seed"]) == case["value"]
 
@@ -222,28 +230,27 @@ def test_each_field_scales_any_column_of_residues_like_the_oracle(field, ks):
     _assert_scaled_like_the_oracle((field,), ks)
 
 
+def _fetch_one(field: str, start: dt.date, end: dt.date) -> list:
+    """The column of ``field`` for 300750.SZ over [start, end], fetched by a fresh seed-0 synthetic provider."""
+    query = _query(fields=[field], start_date=start, end_date=end)
+    return SyntheticProvider(id="synth", seed=0).fetch(query, EMPTY_STORE)["300750.SZ"][field]
+
+
 def test_synthetic_is_deterministic():
     day = dt.date(2024, 1, 2)
-    assert synthetic_value("300750.SZ", "close", day, 0) == synthetic_value(
-        "300750.SZ", "close", day, 0
-    )
+    assert _fetch_one("close", day, day) == _fetch_one("close", day, day)
 
 
 def test_turn_stays_inside_its_range():
-    for offset in range(30):
-        day = dt.date(2024, 1, 1) + dt.timedelta(days=offset)
-        assert 0 <= synthetic_value("300750.SZ", "turn", day, 0) < 10
+    column = _fetch_one("turn", dt.date(2024, 1, 1), dt.date(2024, 1, 30))
+    assert len(column) == 22
+    assert all(0 <= value < 10 for value in column)
 
 
 def test_volume_is_an_integer():
-    value = synthetic_value("300750.SZ", "volume", dt.date(2024, 1, 2), 0)
+    [value] = _fetch_one("volume", dt.date(2024, 1, 2), dt.date(2024, 1, 2))
     assert isinstance(value, int)
     assert 0 <= value < 1_000_000
-
-
-def test_unknown_field_is_rejected():
-    with pytest.raises(ValidationError):
-        synthetic_value("300750.SZ", "vwap", dt.date(2024, 1, 2), 0)
 
 
 # --- synthetic fetch ----------------------------------------------------------
@@ -280,22 +287,20 @@ def test_synthetic_fetch_is_pure_given_seed_and_query():
 
 
 def _assert_synthetic_cells(rows, query: DataQuery, seed: int) -> None:
-    """Every (code, field, trading day) of ``query`` in order, each equal to ``synthetic_value`` and the oracle."""
-    days = query.days
+    """Every (code, field, trading day) of ``query`` in order, each equal to the oracle's value."""
+    days = weekdays_oracle(query.start_date, query.end_date)
     assert list(rows) == query.codes
     for code, by_field in rows.items():
         assert list(by_field) == query.fields
         for f, column in by_field.items():
             assert len(column) == len(days)
             for day, got in zip(days, column):
-                expected = synthetic_value(code, f, day, seed)
-                assert got == expected and type(got) is type(expected), (code, f, day)
                 oracle = synthetic_value_oracle(code, f, day, seed)
                 assert got == oracle and type(got) is type(oracle), (code, f, day)
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
-def test_synthetic_fetch_equals_synthetic_value_cell_by_cell(seed):
+def test_synthetic_fetch_equals_the_value_oracle_cell_by_cell(seed):
     config = SyntheticProvider(id="synth", seed=seed)
     codes = ["300750.SZ", "600519.SH", "贵州茅台", "A"]
     fields = list(reversed(CANONICAL_FIELDS))
@@ -316,7 +321,7 @@ _FIELDS = st.permutations(CANONICAL_FIELDS).flatmap(lambda p: st.integers(1, 7).
     back=st.integers(0, 40),
     forward=st.integers(0, 40),
 )
-def test_synthetic_fetch_equals_synthetic_value_for_generated_queries(
+def test_synthetic_fetch_equals_the_value_oracle_for_generated_queries(
     seed, codes, fields, first_of_month, back, forward
 ):
     # the range runs from ``back`` days before a first of month (January
@@ -365,9 +370,8 @@ def test_threads_racing_to_build_the_tail_tables_all_get_the_reference_values():
 
 
 def test_query_validation_reports_unknown_fields():
-    config = SyntheticProvider(id="synth")
     with pytest.raises(ValidationError) as excinfo:
-        fetch_historical(config, _query(fields=["close", "vwap"]), EMPTY_STORE)
+        _query(fields=["close", "vwap"]).check()
     assert any("vwap" in v for v in excinfo.value.data["violations"])
 
 
@@ -400,7 +404,7 @@ def test_csv_empty_cells_become_null(tmp_path):
     path.write_text("code,date,close\nA,2024-01-02,\nA,2024-01-03,9.5\n")
     query = _query(codes=["A"], fields=["close"], start_date=dt.date(2024, 1, 1), end_date=dt.date(2024, 1, 5))
     payload = fetch_historical(_csv_config(path), query, EMPTY_STORE)
-    close = dict(zip(query.days, payload.rows["A"]["close"]))
+    close = dict(zip(weekdays_oracle(query.start_date, query.end_date), payload.rows["A"]["close"]))
     assert close[dt.date(2024, 1, 2)] is None
     assert close[dt.date(2024, 1, 3)] == 9.5
 
@@ -860,7 +864,7 @@ def test_csv_and_http_lay_their_rows_out_as_one_column_per_field_over_the_tradin
     with stub_rows_server(fixture) as (base_url, _):
         config = _csv_config(path) if kind == "csv" else _http_config(base_url)
         payload = fetch_historical(config, query, EMPTY_STORE)
-    assert query.days == [dt.date(2024, 1, d) for d in (1, 2, 3, 4, 5, 8)]
+    assert query.days == ("2024-01-01", "2024-01-02", "2024-01-03", "2024-01-04", "2024-01-05", "2024-01-08")
     assert payload.rows == {
         "A": {"close": [None, 2.0, 3.0, None, None, None], "turn": [None, 0.2, None, None, None, None]},
         "B": {"close": [None] * 6, "turn": [None] * 6},

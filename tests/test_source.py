@@ -97,3 +97,76 @@ def test_every_golden_and_data_file_is_named_by_a_test_config_or_benchmark_file(
                         for p in (REPO_ROOT / directory).glob("*") if p.suffix in (".py", ".conf", ".md"))
     assert artifacts
     assert [p.name for p in artifacts if p.name not in readers] == []
+
+
+def _names_in_code(tree: ast.AST) -> list[tuple[str, int]]:
+    """``(name, line)`` of each identifier, attribute, imported name and identifier-like string ``tree`` holds.
+
+    A docstring is no code, so a name it holds does not count; nor does a comment, which the tree lacks.
+    """
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr) and isinstance(node.body[0].value, ast.Constant)}
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            names.append((node.attr, node.lineno))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [(alias.name.rpartition(".")[2], node.lineno) for alias in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            if node.value.isidentifier():  # a name looked up at run time, as ``getattr(module, "name")`` does
+                names.append((node.value, node.lineno))
+    return names
+
+
+def _definitions_named_nowhere(package: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.name`` of each function, class and method in ``package`` (module -> text) that no code in
+    ``package`` or ``readers`` names outside the definition's own lines.
+
+    Dunders are exempt, as Python names them. So is a method that calls ``super().<its own name>``: it
+    overrides a base's method, and the base's callers, maybe in a library, name it.
+    """
+    trees = {module: ast.parse(text) for module, text in package.items()}
+    named = {(module, name, line) for module, tree in trees.items() for name, line in _names_in_code(tree)}
+    named |= {(None, name, line) for text in readers for name, line in _names_in_code(ast.parse(text))}
+    unnamed = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if any(isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr == node.name
+                   and isinstance(call.func.value, ast.Call) and getattr(call.func.value.func, "id", None) == "super"
+                   for call in ast.walk(node)):
+                continue
+            first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+            if not any(name == node.name and not (where == module and first <= line <= node.end_lineno)
+                       for where, name, line in named):
+                unnamed.append(f"{module}.{node.name}")
+    return unnamed
+
+
+def test_every_function_class_and_method_is_named_by_package_or_benchmark_code():
+    """Code that only the tests call is no part of the program: the tests check a copy nobody runs."""
+    package = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    readers = [path.read_text(encoding="utf-8") for path in sorted((REPO_ROOT / "perfbench").glob("*.py"))]
+    assert package and readers
+    assert _definitions_named_nowhere(package, readers) == []
+
+
+def test_the_unnamed_definition_check_sees_a_function_only_its_body_docstrings_or_comments_name():
+    package = {
+        "m": (
+            '"""Calls ``unused``."""\n\nimport os\n\n\ndef unused(n):\n    return unused(n - 1)  # recursion\n'
+            "\n\ndef used():\n    return helper()\n\n\n@used\ndef helper():\n    return os\n"
+            "\n\ndef __getattr__(name):\n    return name\n"
+            "\n\nclass Session(Base):\n    def prepare(self, request):\n        return super().prepare(request)\n"
+            "\n    def _private(self):\n        pass\n"
+        ),
+        "n": "from .m import used\n\n\ndef patched():\n    '''helper'''\n",
+    }
+    readers = ['import m\n\nsetattr(m, "patched", m.used)\nSession = m.Session\n']
+    assert _definitions_named_nowhere(package, readers) == ["m.unused", "m._private"]

@@ -624,7 +624,7 @@ def test_every_tool_result_number_traces_to_the_provider_payload(ctx):
     """The tool layer never fabricates numeric values."""
     result = _call_historical(ctx)
     content = result.content
-    days = DataQuery(["300750.SZ"], ["close"], dt.date(2024, 1, 1), dt.date(2024, 3, 31)).days
+    days = weekdays_oracle(dt.date(2024, 1, 1), dt.date(2024, 3, 31))
     payload_numbers = {
         synthetic_value_oracle("300750.SZ", field, day, 0)
         for field in ("close", "pb_lf", "turn")
