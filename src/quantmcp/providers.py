@@ -45,8 +45,6 @@ from .errors import ConfigError, Frozen, ProviderFailure, ValidationError
 if TYPE_CHECKING:
     import queue
 
-    import requests  # bound at runtime by _import_requests on the first http fetch
-
     from .normalize import OptionsMap
     from .security import CredentialStore
 
@@ -468,14 +466,19 @@ _local = threading.local()  # ``session``: the calling GET worker's Session, mad
 def _http_get(url: str, timeout: float) -> "requests.Response":
     """``requests.get(url, timeout=timeout)``, on the calling thread's Session: every GET goes through here.
 
-    The Session pools connections, so a GET reuses one the upstream kept alive. Its cookie jar is
-    emptied after each GET, so a cookie lasts one GET and its redirects, as it did with a Session per GET.
+    A GET that times out raises ``TimeoutError(exc)``, and one that fails otherwise ``ConnectionError(exc)``,
+    so no caller names a requests type. The Session pools connections; its cookie jar is emptied after
+    each GET, so a cookie lasts one GET and its redirects, as it did with a Session per GET.
     """
     session = getattr(_local, "session", None)
     if session is None:
         session = _local.session = _session_class()()
     try:
         return session.get(url, timeout=timeout)
+    except requests.Timeout as exc:
+        raise TimeoutError(exc) from exc
+    except requests.RequestException as exc:
+        raise ConnectionError(exc) from exc
     finally:
         session.cookies.clear()
 
@@ -581,10 +584,10 @@ class HttpProvider(ProviderConfig):
             try:
                 response = _http_get(url, timeout=self.timeout_ms / 1000.0)
                 break
-            except requests.Timeout as exc:
+            except TimeoutError as exc:
                 if attempt == self.retries:
                     raise self.failure(f"timed out after {self.timeout_ms}ms", timeout=True) from exc
-            except requests.RequestException as exc:
+            except ConnectionError as exc:
                 if attempt == self.retries:
                     raise self.failure(f"request failed: {exc}", reason="connection") from exc
         if not 200 <= response.status_code < 300:
@@ -629,7 +632,7 @@ class HttpProvider(ProviderConfig):
         """
         from concurrent.futures import Future  # loaded by the first http fetch, not at import
 
-        _import_requests()  # binds ``requests``, whose exceptions _fetch_code catches
+        _import_requests()  # here, not on a GET worker, where it left the server's peak RSS 0.6 MB higher
         columns = [self.field_map.get(f, f) for f in query.fields]
         apikey = ""
         if "apikey" in _placeholders(self.base_url_template):

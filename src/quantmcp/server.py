@@ -176,9 +176,9 @@ class StdioServer:
     def _encode(self, msg: JsonRpcMessage) -> str:
         """Serialize ``msg``; redact and serialize again only if a secret shows."""
         store = self.dispatcher.ctx.credentials
-        line = serialize_message(msg).decode("utf-8")
+        line = serialize_message(msg)
         if store.shows_in(line):
-            line = serialize_message(redact_message(msg, store)).decode("utf-8")
+            line = serialize_message(redact_message(msg, store))
         return line
 
     def _emit(self, msg: JsonRpcMessage) -> None:

@@ -1,10 +1,10 @@
 """Newline-delimited JSON-RPC 2.0 framing: parse, serialize, error envelopes.
 
-One message per line, UTF-8, every frame declaring ``"jsonrpc":"2.0"``.
-Unknown top-level keys are preserved so a parse/serialize round trip is
-lossless against future clients. Floats are rounded to at most six
-fractional digits on emission, which keeps serialized frames stable across
-platforms and replayable byte-for-byte.
+One message per line, UTF-8, every frame declaring ``"jsonrpc":"2.0"``; a frame
+stays text here, and only the stream it is read from or written to codes it.
+Unknown top-level keys are preserved so a parse/serialize round trip is lossless
+against future clients. Floats are rounded to at most six fractional digits on
+emission, which keeps frames stable across platforms and replayable byte for byte.
 """
 
 from __future__ import annotations
@@ -165,20 +165,13 @@ def _classify(obj: Any) -> str:
     return RESPONSE
 
 
-def parse_message(line: bytes | bytearray | str) -> JsonRpcMessage:
-    """Parse one complete frame into a structurally valid message.
+def parse_message(text: str) -> JsonRpcMessage:
+    """Parse one complete frame, as text read with ``surrogateescape``, into a structurally valid message.
 
-    Malformed text raises :class:`ParseError` (wire code -32700); a parseable
-    but structurally invalid envelope raises :class:`InvalidRequestError`
-    (-32600) carrying ``request_id`` when the offending id was recoverable.
+    Malformed text, or a lone surrogate (a byte that is not UTF-8), raises :class:`ParseError` (-32700); a
+    parseable but structurally invalid envelope raises :class:`InvalidRequestError` (-32600) carrying
+    ``request_id`` when the offending id was recoverable.
     """
-    if isinstance(line, (bytes, bytearray)):
-        try:
-            text = bytes(line).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"invalid UTF-8: {exc}") from exc
-    else:
-        text = line
     try:
         if text.startswith("\ufeff"):  # json.loads' own check, which JSONDecoder.decode skips
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
@@ -293,14 +286,14 @@ def _encode(obj: Any) -> str:
     return "".join(chain.from_iterable(zip(parts, [value.json_text() for value in held]))) + parts[-1]
 
 
-def serialize_message(msg: JsonRpcMessage) -> bytes:
-    """Emit exactly one UTF-8 frame terminated by a single newline.
+def serialize_message(msg: JsonRpcMessage) -> str:
+    """Return the text of exactly one frame, UTF-8 encodable and terminated by a single newline.
 
     The frame holds every field ``msg`` sets and must read back as the same
     message: one that breaks an envelope rule, reads back as another kind,
-    names an envelope member in ``extra``, puts ``params`` on a response or
-    uses an undocumented error code raises :class:`InternalError`, and
-    nothing is emitted.
+    names an envelope member in ``extra``, puts ``params`` on a response,
+    uses an undocumented error code or holds a lone surrogate raises
+    :class:`InternalError`, and nothing is emitted.
     """
     obj: dict[str, Any] = {"jsonrpc": "2.0"}
     if msg.id is not None or msg.kind == RESPONSE:
@@ -329,9 +322,11 @@ def serialize_message(msg: JsonRpcMessage) -> bytes:
         obj[key] = value
     try:
         text = _encode(obj)
+        if not text.isascii():
+            text.encode("utf-8")  # a lone surrogate has no UTF-8 form: UnicodeEncodeError, a ValueError
     except (TypeError, ValueError) as exc:
         raise InternalError(f"unserializable message payload: {exc}") from exc
-    return text.encode("utf-8") + b"\n"
+    return text + "\n"
 
 
 def make_error(

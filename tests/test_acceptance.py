@@ -378,7 +378,7 @@ def test_criterion_10_example_record_round_trips_byte_equal(tmp_path):
              "start_date": "2024-01-02", "end_date": "2024-01-02"},
         )
         wire = serialize_message(response)
-        expected = b'{"code":"300750.SZ","timestamp":"2024-01-02 15:00:00","close":180.5}'
+        expected = '{"code":"300750.SZ","timestamp":"2024-01-02 15:00:00","close":180.5}'
         assert expected in wire, wire
         records = response.result["content"]["records"]
         assert records == [{"code": "300750.SZ", "timestamp": "2024-01-02 15:00:00", "close": 180.5}]

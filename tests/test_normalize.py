@@ -384,7 +384,7 @@ def _stored(table: Records) -> list[list[str]]:
     return [[col.typecode if isinstance(col, array) else type(col).__name__ for col in cols] for cols in table.columns]
 
 
-def _frames(table: Records) -> tuple[bytes, bytes]:
+def _frames(table: Records) -> tuple[str, str]:
     """The answer frame under an id holding ``e-``, and the same frame with the loaded secret redacted."""
     content = {"records": table, "meta": {"row_count": len(table), "cache_hit": False}}
     msg = JsonRpcMessage(RESPONSE, id="3e-7", result={"content": content, "isError": False})

@@ -593,6 +593,23 @@ def test_http_timeout_is_reported_as_timeout():
     assert excinfo.value.data == {"timeout": True}
 
 
+def test_a_failed_get_leaves_http_get_as_a_builtin_exception_holding_the_requests_one():
+    """``_fetch_code`` catches ``TimeoutError`` and ``ConnectionError``; the text is the requests exception's."""
+    try:
+        with stub_rows_server([], delay_s=0.5) as (base_url, _):
+            with pytest.raises(TimeoutError) as timed_out:
+                providers._http_get(base_url + "/q", timeout=0.05)
+        with pytest.raises(ConnectionError) as refused:
+            providers._http_get(base_url + "/q", timeout=2.0)  # the stub has closed its port
+    finally:
+        providers._close_session()
+    for excinfo, cls in ((timed_out, requests.Timeout), (refused, requests.ConnectionError)):
+        (cause,) = excinfo.value.args
+        assert isinstance(cause, cls) and excinfo.value.__cause__ is cause
+        assert str(excinfo.value) == str(cause)
+    assert not isinstance(refused.value.args[0], requests.Timeout)
+
+
 def test_http_requires_resolvable_credential_for_apikey_templates():
     template = _http_config("http://127.0.0.1:9").base_url_template + "&apikey={apikey}"
     config = _http_config("http://127.0.0.1:9", credential_ref="alpha", base_url_template=template)
@@ -645,7 +662,7 @@ def test_http_never_retries_more_than_configured(monkeypatch):
 
     def refuse(url, timeout):
         attempts.append(url)
-        raise requests.ConnectionError("refused")
+        raise ConnectionError("refused")
 
     monkeypatch.setattr(providers, "_http_get", refuse)
     config = _http_config("http://127.0.0.1:9", retries=2)
@@ -757,9 +774,9 @@ _FAULTS = {  # case -> (the csv file's bytes, or what the GET returns or raises;
         "provider 'alpha' returned non-numeric or non-finite value for 'close'",
         {"reason": "schema", "column": "close"},
     ),
-    "http-timeout": (requests.Timeout("read timed out"), "provider 'alpha' timed out after 2000ms", {"timeout": True}),
+    "http-timeout": (TimeoutError("read timed out"), "provider 'alpha' timed out after 2000ms", {"timeout": True}),
     "http-connection-error": (
-        requests.ConnectionError("refused"), "provider 'alpha' request failed: refused", {"reason": "connection"},
+        ConnectionError("refused"), "provider 'alpha' request failed: refused", {"reason": "connection"},
     ),
     "http-503": (_FakeResponse(503, []), "provider 'alpha' returned HTTP 503", {"status": 503}),
     "http-non-json-body": (

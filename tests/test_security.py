@@ -402,4 +402,4 @@ def test_a_secret_holding_a_unicode_line_break_shows_in_its_serialized_frame():
     secret = "sk-line\u2028break"
     store = CredentialStore({"alpha": secret})
     line = serialize_message(JsonRpcMessage(RESPONSE, id=1, result={"detail": f"failed with {secret}"}))
-    assert store.shows_in(line.decode("utf-8"))
+    assert store.shows_in(line)

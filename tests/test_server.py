@@ -329,6 +329,32 @@ def test_lone_surrogate_yields_parse_error_and_the_server_survives():
     assert frames[1]["id"] == 1 and "result" in frames[1]
 
 
+@pytest.mark.parametrize("concurrency", [0, 2])
+def test_an_answer_holding_a_lone_surrogate_is_answered_32603_and_the_next_request_still_is(ctx, concurrency):
+    """No UTF-8 frame can carry a lone surrogate, so the answer is replaced and logged, not written or raised."""
+    registry = ToolRegistry()
+    registry.register(
+        ToolDescriptor(name="surrogate", description="answers a lone surrogate", params={}),
+        lambda args, _ctx: ToolResult(content={"text": "a\udc80b"}),
+    )
+    log: list[str] = []
+    lines = [
+        json.dumps({"jsonrpc": "2.0", "id": 1, "method": "initialize"}),
+        json.dumps({"jsonrpc": "2.0", "id": 2, "method": "tools/call", "params": {"name": "surrogate"}}),
+        json.dumps({"jsonrpc": "2.0", "id": 3, "method": "tools/list"}),
+    ]
+    out = io.StringIO()
+    server = StdioServer(Dispatcher(registry, ctx, log=log.append), io.StringIO("".join(l + "\n" for l in lines)), out,
+                         concurrency)
+    assert server.run() == 0
+    frames = {frame["id"]: frame for frame in map(json.loads, out.getvalue().encode("utf-8").splitlines())}
+    assert frames[2] == {"jsonrpc": "2.0", "id": 2, "error": {"code": -32603, "message": "internal error"}}
+    assert [tool["name"] for tool in frames[3]["result"]["tools"]] == ["surrogate"]
+    events = [json.loads(line) for line in log]
+    unserializable = [event for event in events if event["event"] == "unserializable_response"]
+    assert len(unserializable) == 1 and "surrogates not allowed" in unserializable[0]["detail"]
+
+
 _LINE_PIECES = st.one_of(
     st.text(max_size=6),
     st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
@@ -617,11 +643,11 @@ class _RedactFirstServer(StdioServer):
     def _emit(self, msg):
         msg = redact_message(msg, self.dispatcher.ctx.credentials)
         try:
-            line = serialize_message(msg).decode("utf-8")
+            line = serialize_message(msg)
         except InternalError as exc:
             self.dispatcher.log_event("unserializable_response", detail=exc.message)
             fallback = make_error(msg.id if msg.kind == RESPONSE else None, -32603, "internal error")
-            line = serialize_message(fallback).decode("utf-8")
+            line = serialize_message(fallback)
         self._out.write(line)
 
 

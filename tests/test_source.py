@@ -149,6 +149,47 @@ def _definitions_named_nowhere(package: dict[str, str], readers: list[str]) -> l
     return unnamed
 
 
+# The top-level functions that may name requests: its lazy import, the module attribute that resolves
+# it, the environment memo, the Session class, and the one GET, which raises only builtin exceptions.
+_REQUESTS_SEAM = frozenset({"_import_requests", "__getattr__", "_environment", "_session_class", "_http_get"})
+
+
+def _requests_named_outside(text: str, seam: frozenset[str] = _REQUESTS_SEAM) -> list[int]:
+    """The lines where code outside the top-level functions ``seam`` lists names ``requests``.
+
+    An import of a requests submodule or from requests names it too; a docstring or comment does not.
+    """
+    tree = ast.parse(text)
+    spans = [range(min([node.lineno, *(d.lineno for d in node.decorator_list)]), node.end_lineno + 1)
+             for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in seam]
+    names = _names_in_code(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [(alias.name.partition(".")[0], node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.append((node.module.partition(".")[0], node.lineno))
+    return sorted({line for name, line in names if name == "requests" and not any(line in span for span in spans)})
+
+
+def test_only_the_requests_seam_names_requests():
+    """Everything else sees builtin exceptions and a response, so a change of http client changes one block."""
+    named = [f"{path.stem}:{line}" for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for line in _requests_named_outside(path.read_text(encoding="utf-8"))]
+    assert named == []
+
+
+def test_the_requests_check_sees_each_name_import_and_attribute_outside_the_seam():
+    text = (
+        '"""Uses requests."""\n\nif TYPE_CHECKING:\n    import requests.adapters\n\n\n'
+        "def _http_get(url):\n    try:\n        return requests.get(url)  # requests\n"
+        "    except requests.Timeout as exc:\n        raise TimeoutError(exc) from exc\n"
+        "\n\ndef fetch(url):\n    try:\n        return _http_get(url)\n    except requests.RequestException:\n"
+        "        return getattr(providers, 'requests')\n"
+        "\n\nclass P:\n    def _http_get(self):\n        from requests import Session\n        return Session\n"
+    )
+    assert _requests_named_outside(text) == [4, 17, 18, 23]
+
+
 def test_every_function_class_and_method_is_named_by_package_or_benchmark_code():
     """Code that only the tests call is no part of the program: the tests check a copy nobody runs."""
     package = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE_DIR.glob("*.py"))}

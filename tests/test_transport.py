@@ -35,7 +35,7 @@ from quantmcp.transport import (
 
 
 def test_parse_simple_request():
-    msg = parse_message(b'{"jsonrpc":"2.0","id":1,"method":"tools/list"}')
+    msg = parse_message('{"jsonrpc":"2.0","id":1,"method":"tools/list"}')
     assert msg.kind == REQUEST
     assert msg.id == 1
     assert msg.method == "tools/list"
@@ -43,17 +43,17 @@ def test_parse_simple_request():
 
 
 def test_round_trip_is_byte_identical_modulo_key_order():
-    line = b'{"jsonrpc":"2.0","id":1,"result":{}}'
+    line = '{"jsonrpc":"2.0","id":1,"result":{}}'
     out = serialize_message(parse_message(line))
     assert json.loads(out) == json.loads(line)
     # canonical key order makes the actual bytes equal here too
-    assert out == line + b"\n"
+    assert out == line + "\n"
 
 
 def test_error_response_carries_code_on_the_wire():
     out = serialize_message(make_error(7, -32601, "method not found"))
-    assert out.count(b"\n") == 1 and out.endswith(b"\n")
-    assert b'"code":-32601' in out
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert '"code":-32601' in out
 
 
 def test_non_ascii_payload_survives_round_trip():
@@ -64,7 +64,7 @@ def test_non_ascii_payload_survives_round_trip():
 
 def test_make_error_null_id_for_unparseable_requests():
     msg = make_error(None, -32700, "parse error")
-    assert b'"id":null' in serialize_message(msg)
+    assert '"id":null' in serialize_message(msg)
 
 
 def test_make_error_passes_data_verbatim():
@@ -81,10 +81,10 @@ def test_make_error_rejects_codes_outside_taxonomy():
 @pytest.mark.parametrize(
     "line",
     [
-        b"not json at all",
-        b"{",
-        b'"just a string"[]',
-        b"\xff\xfe\x00",
+        "not json at all",
+        "{",
+        '"just a string"[]',
+        "\udcff\udcfe\x00",  # the bytes ff fe 00 read with surrogateescape
     ],
 )
 def test_malformed_text_is_a_parse_error(line):
@@ -126,7 +126,7 @@ def test_too_many_digits_or_too_deep_nesting_is_a_parse_error(line):
     "line",
     [
         r'{"jsonrpc":"2.0","id":"\ud800","method":"initialize"}',
-        rb'{"jsonrpc":"2.0","id":1,"method":"m","params":{"\uDFFF":1}}',
+        r'{"jsonrpc":"2.0","id":1,"method":"m","params":{"\uDFFF":1}}',
         r'{"jsonrpc":"2.0","id":1,"method":"m","params":["\ud83d\u0041"]}',
         '{"jsonrpc":"2.0","id":"a\udcffb","method":"initialize"}',  # a 0xff byte read with surrogateescape
     ],
@@ -172,12 +172,12 @@ def test_invalid_envelopes_are_rejected(obj):
 
 def test_json_array_is_not_a_valid_message():
     with pytest.raises(InvalidRequestError):
-        parse_message(b"[1,2,3]")
+        parse_message("[1,2,3]")
 
 
 def test_invalid_request_keeps_recoverable_id():
     try:
-        parse_message(b'{"jsonrpc":"2.0","id":42,"result":1,"error":{"code":-32603,"message":"x"}}')
+        parse_message('{"jsonrpc":"2.0","id":42,"result":1,"error":{"code":-32603,"message":"x"}}')
     except InvalidRequestError as exc:
         assert exc.request_id == 42
     else:
@@ -185,13 +185,13 @@ def test_invalid_request_keeps_recoverable_id():
 
 
 def test_notification_has_no_id():
-    msg = parse_message(b'{"jsonrpc":"2.0","method":"notifications/initialized"}')
+    msg = parse_message('{"jsonrpc":"2.0","method":"notifications/initialized"}')
     assert msg.kind == NOTIFICATION
     assert msg.id is None
 
 
 def test_unknown_envelope_fields_are_preserved():
-    line = b'{"jsonrpc":"2.0","id":4,"method":"tools/list","_trace":"abc"}'
+    line = '{"jsonrpc":"2.0","id":4,"method":"tools/list","_trace":"abc"}'
     msg = parse_message(line)
     assert msg.extra == {"_trace": "abc"}
     assert json.loads(serialize_message(msg))["_trace"] == "abc"
@@ -260,13 +260,13 @@ def test_serialize_message_equals_rounding_every_float_first(obj):
     expected = json.dumps(round_floats(envelope), ensure_ascii=False, allow_nan=False, separators=(",", ":"))
     for ch in "\x85\u2028\u2029":
         expected = expected.replace(ch, f"\\u{ord(ch):04x}")
-    assert serialize_message(msg) == (expected + "\n").encode("utf-8")
+    assert serialize_message(msg) == expected + "\n"
 
 
 @pytest.mark.parametrize("ch", ["\x85", "\u2028", "\u2029"])
 def test_unicode_line_breaks_are_escaped_so_a_frame_stays_one_line(ch):
     result = {f"k{ch}": f"a{ch}b"}
-    text = serialize_message(JsonRpcMessage(RESPONSE, id=1, result=result)).decode("utf-8")
+    text = serialize_message(JsonRpcMessage(RESPONSE, id=1, result=result))
     assert ch not in text
     assert len(text.splitlines()) == 1
     assert json.loads(text)["result"] == result
@@ -284,7 +284,7 @@ def test_ten_thousand_records_fit_one_parseable_frame():
     assert len(records) == 10000
     msg = JsonRpcMessage(RESPONSE, id=9, result={"records": records})
     wire = serialize_message(msg)
-    assert wire.count(b"\n") == 1 and wire.endswith(b"\n")
+    assert wire.count("\n") == 1 and wire.endswith("\n")
     assert len(parse_message(wire).result["records"]) == 10000
 
 
@@ -318,13 +318,13 @@ def _history(records, id=1) -> JsonRpcMessage:
     return JsonRpcMessage(RESPONSE, id=id, result={"content": content, "is_error": False})
 
 
-def _plain_frame(records, id=1) -> bytes:
+def _plain_frame(records, id=1) -> str:
     """The frame of ``records`` as plain dicts, built the way every frame was before splicing."""
     envelope = {"jsonrpc": "2.0", "id": id, "result": _history(list(records)).result}
     text = json.dumps(round_floats(envelope), ensure_ascii=False, allow_nan=False, separators=(",", ":"))
     for ch in "\x85\u2028\u2029":
         text = text.replace(ch, f"\\u{ord(ch):04x}")
-    return (text + "\n").encode("utf-8")
+    return text + "\n"
 
 
 def _one_table(codes=("A\"%宁",)) -> object:
@@ -367,10 +367,10 @@ def test_a_loaded_secret_inside_a_code_is_redacted_from_the_spliced_frame():
     store = CredentialStore({"p": secret})
     table = _one_table(codes=(f"X{secret}\u2028",))
     spliced, plain = _history(table), _history(list(table))
-    assert store.shows_in(serialize_message(spliced).decode("utf-8"))
+    assert store.shows_in(serialize_message(spliced))
     redacted = serialize_message(redact_message(spliced, store))
     assert redacted == serialize_message(redact_message(plain, store))
-    assert secret.encode() not in redacted
+    assert secret not in redacted
     records = parse_message(redacted).result["content"]["records"]
     assert [r["code"] for r in records] == ["X***REDACTED***\u2028"] * 3
     assert [r["code"] for r in table] == [f"X{secret}\u2028"] * 3  # redaction walked a copy
@@ -438,7 +438,7 @@ def messages(draw) -> JsonRpcMessage:
 @given(messages())
 def test_parse_serialize_round_trip(msg):
     wire = serialize_message(msg)
-    assert wire.count(b"\n") == 1 and wire.endswith(b"\n")
+    assert wire.count("\n") == 1 and wire.endswith("\n")
     assert parse_message(wire) == msg
 
 
