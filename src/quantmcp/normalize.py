@@ -10,15 +10,17 @@ output length is predictable from the query alone.
 from __future__ import annotations
 
 import datetime as dt
+import operator
 from array import array
 from collections.abc import Sequence
+from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import Frozen, InternalError, ValidationError
 from .providers import DEFAULT_CLOSE_TIME, DataQuery, RawProviderPayload
-from .transport import PreEncoded, dumps, slots_repr
+from .transport import PreEncoded, dumps, may_round, slots_repr
 
 RECOGNIZED_OPTIONS = {
     "PriceAdj": frozenset({"F", "B", "N"}),
@@ -135,14 +137,39 @@ class Records(Frozen, PreEncoded, Sequence):
         return Records(self.codes, self.days, self.suffix, fields, columns)
 
     def json_text(self) -> str:
-        """``dumps(list(self))``, from one record template and one ``dumps`` per column."""
-        keys = "".join("," + dumps(f).replace("%", "%%") + ":%s" for f in self.fields)
-        render = ('{"code":%s,"timestamp":"%s' + self.suffix + '"' + keys + "}").__mod__
+        """``dumps(list(self))``: each record joined from its code's head, its day, then each seam and cell text."""
+        seams = _record_seams(self.fields, self.suffix)
         items: list[str] = []
         for code, cols in zip(self.codes, self.columns):
-            cells = [dumps(col.tolist() if isinstance(col, array) else col)[1:-1].split(",") for col in cols]
-            items += map(render, zip(repeat(dumps(code)), self.days, *cells))
+            parts = [repeat('{"code":' + dumps(code) + ',"timestamp":"'), self.days, repeat(seams[0])]
+            for texts, seam in zip(map(_cell_texts, cols), seams[1:]):
+                parts += (texts, repeat(seam))
+            items += map("".join, zip(*parts))
         return "[" + ",".join(items) + "]"
+
+
+@lru_cache(maxsize=64)
+def _record_seams(fields: tuple[str, ...], suffix: str) -> tuple[str, ...]:
+    """The text a record holds after its day, up to its first value, then after each value in turn."""
+    texts = [suffix + '"', *("," + dumps(f) + ":" for f in fields), "}"]
+    return (texts[0] + texts[1], *texts[2:])
+
+
+def _cell_texts(column: Sequence) -> list[str]:
+    """Each value's text in a frame: ``dumps(list(column))[1:-1].split(",")``.
+
+    An array holds floats or ints, and the frame encoder writes a finite one as its ``repr``. So an
+    array's texts are their ``repr``s unless one is not finite (``nan``, ``inf``: an ``n``) or may
+    change when rounded to 6 decimals; only such an array, or a list, which may hold a null, takes
+    ``dumps``, which rounds, and refuses a value that is not finite.
+    """
+    if isinstance(column, array):
+        texts = list(map(repr, column))
+        joined = ",".join(texts)
+        if "n" not in joined and not may_round(joined):
+            return texts
+        column = column.tolist()
+    return dumps(column)[1:-1].split(",")
 
 
 def _compact(column: list) -> Sequence:
@@ -183,8 +210,8 @@ def normalize_payload(
             )
         by_code[code] = tuple(map(_compact, cols))
     nulls = ([None] * len(days),) * len(fields)
-    columns = tuple(by_code.get(code, nulls) for code in sorted(query.codes))
-    return Records(tuple(sorted(query.codes)), days, " " + close_time.strftime("%H:%M:%S"), fields, columns)
+    columns = tuple(by_code.get(code, nulls) for code in query.sorted_codes)
+    return Records(query.sorted_codes, days, " " + close_time.strftime("%H:%M:%S"), fields, columns)
 
 
 def _filled(column: Sequence) -> Sequence:
@@ -205,7 +232,8 @@ def apply_fill(records: Records, policy: str) -> Records:
     value of the same field for the same code; leading nulls stay null.
     ``Blank`` returns the table as it is. Non-null values are never touched, so
     the operation is idempotent, and the input is never mutated: the result is
-    a new table that shares each column holding no null.
+    the input itself when no column changed, else a new table that shares each
+    column holding no null.
     """
     allowed = RECOGNIZED_OPTIONS["Fill"]
     if policy not in allowed:
@@ -213,4 +241,6 @@ def apply_fill(records: Records, policy: str) -> Records:
     if policy == "Blank":
         return records
     columns = tuple(tuple(map(_filled, cols)) for cols in records.columns)
+    if all(map(operator.is_, chain.from_iterable(columns), chain.from_iterable(records.columns))):
+        return records
     return Records(records.codes, records.days, records.suffix, records.fields, columns)

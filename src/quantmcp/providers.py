@@ -5,7 +5,8 @@ Three kinds ship, one ``ProviderConfig`` subclass each: ``synthetic``
 to HTTP_POOL_SIZE at a time per fetch), and ``csv`` (offline exported files).
 Each kind declares its fields and their defaults once, in ``READS``. A provider
 keeps no state but what it derives from its frozen config on first use (the
-synthetic tail tables); rate limiting and caching are enforced by the caller.
+synthetic tail tables, whether an http template takes the key); rate limiting
+and caching are enforced by the caller.
 The GETs run on process-wide daemon worker threads that the first http fetch
 starts and that outlive a fetch; at most HTTP_POOL_SIZE of them stay idle.
 Every GET goes through ``_http_get``, on one ``requests.Session`` per worker
@@ -157,6 +158,11 @@ class DataQuery(Frozen):
             violations.append("start_date: must not be after end_date")
         if violations:
             raise ValidationError("invalid query", data={"violations": violations})
+
+    @cached_property
+    def sorted_codes(self) -> tuple[str, ...]:
+        """The query's codes, sorted: the codes of its records table and of its cache key, one tuple for both."""
+        return tuple(sorted(self.codes))
 
     @cached_property
     def months(self) -> list[tuple[Month, int, int]]:
@@ -564,6 +570,11 @@ class HttpProvider(ProviderConfig):
         if not 0 <= self.retries <= 100:
             raise ConfigError(f"provider.{self.id}.retries: must be in [0, 100]")
 
+    @cached_property
+    def needs_apikey(self) -> bool:
+        """Whether ``base_url_template`` has an ``apikey`` placeholder, so a fetch resolves the credential."""
+        return "apikey" in _placeholders(self.base_url_template)
+
     def _fetch_code(
         self, query: DataQuery, code: str, columns: list[str], apikey: str, codes: set[str]
     ) -> dict[str, tuple[list[int], list[list]]]:
@@ -598,24 +609,39 @@ class HttpProvider(ProviderConfig):
             raise self.failure("returned a non-JSON body") from None
         if not isinstance(body, dict) or not isinstance(body.get("rows"), list):
             raise self.failure('body must be shaped {"rows": [...]}')
-        n = len(query.day_index)
+        day_index, biggest = query.day_index, sys.float_info.max
+        n = len(day_index)
         kept: dict[str, tuple[list[int], list[list]]] = {}  # row code -> (slots written, one column per field)
+        own = None  # kept[code], once a row of the GET's own code is kept
         for raw_row in body["rows"]:
             if not isinstance(raw_row, dict):
                 raise self.failure("returned a non-object row")
-            try:
-                slot = query.day_slot(str(raw_row.get("date")))
-            except ValueError:
-                raise self.failure(f"returned unparseable date {raw_row.get('date')!r}") from None
+            date = raw_row.get("date")
+            slot = day_index.get(date) if type(date) is str else None
+            if slot is None:
+                try:
+                    slot = query.day_slot(str(date))
+                except ValueError:
+                    raise self.failure(f"returned unparseable date {date!r}") from None
             row_code = raw_row.get("code", code)
-            if not isinstance(row_code, str):
-                raise self.failure("returned a non-string code")
-            if row_code not in codes or slot is None:
-                continue  # keep the payload within the query contract; a weekend row's cells are never read
-            slots, cells = kept.get(row_code) or kept.setdefault(row_code, ([], [[None] * n for _ in columns]))
+            if row_code == code:  # the GET's own code, a str in the query, or the row names none
+                if slot is None:
+                    continue  # a weekend row's cells are never read
+                if own is None:
+                    own = kept.setdefault(code, ([], [[None] * n for _ in columns]))
+                slots, cells = own
+            else:
+                if not isinstance(row_code, str):
+                    raise self.failure("returned a non-string code")
+                if row_code not in codes or slot is None:
+                    continue  # keep the payload within the query contract
+                slots, cells = kept.get(row_code) or kept.setdefault(row_code, ([], [[None] * n for _ in columns]))
             slots.append(slot)
             for col, column in zip(cells, columns):
-                col[slot] = _coerce_numeric(raw_row.get(column), column, self)
+                value = raw_row.get(column)
+                if type(value) is not float or not -biggest <= value <= biggest:  # a finite float is kept as it is
+                    value = _coerce_numeric(value, column, self)
+                col[slot] = value
         return kept
 
     def fetch(self, query: DataQuery, credentials: "CredentialStore") -> Rows:
@@ -635,7 +661,7 @@ class HttpProvider(ProviderConfig):
         _import_requests()  # here, not on a GET worker, where it left the server's peak RSS 0.6 MB higher
         columns = [self.field_map.get(f, f) for f in query.fields]
         apikey = ""
-        if "apikey" in _placeholders(self.base_url_template):
+        if self.needs_apikey:
             apikey = credentials.resolve(self.credential_ref or self.id)
         codes = set(query.codes)
         n = len(query.day_index)  # built here, before the runners share it

@@ -14,6 +14,7 @@ import math
 import os
 import re
 import stat
+import sys
 import threading
 from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple
 
@@ -248,11 +249,11 @@ def cache_key(provider_id: str, query: DataQuery, kind: str = "historical") -> t
     return (
         kind,
         provider_id,
-        tuple(sorted(query.codes)),
+        query.sorted_codes,
         tuple(sorted(query.fields)),
         query.start_date,
         query.end_date,
-        query.options.canonical() if query.options is not None else "",
+        sys.intern(query.options.canonical()) if query.options is not None else "",
     )
 
 

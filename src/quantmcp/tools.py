@@ -17,7 +17,7 @@ from typing import Any, Callable, NamedTuple
 
 from .errors import CredentialMissing, ProviderFailure, RateLimitedError, ValidationError
 from .normalize import Records, apply_fill, normalize_payload, parse_options
-from .providers import DataQuery, ProviderConfig, RawProviderPayload, fetch_historical
+from .providers import CANONICAL_FIELDS, DataQuery, ProviderConfig, RawProviderPayload, fetch_historical
 from .registry import (
     DATE_PATTERN,
     ParamSpec,
@@ -30,6 +30,8 @@ from .security import FILL_WAIT_S, CredentialStore, RateLimiter, ResponseCache, 
 
 
 FILL_WAIT_MARGIN_S = 1.0  # normalize and fill after the longest a fetch may wait on its source
+
+_CANONICAL = dict(zip(CANONICAL_FIELDS, CANONICAL_FIELDS))  # a field name -> the module's own string
 
 
 def _utc_now() -> dt.datetime:
@@ -170,7 +172,7 @@ def _run_query(
         end = _parse_date(values["end_date"], prefix + "end_date")
     query = DataQuery(
         codes=list(values["codes"]),
-        fields=list(values["fields"]),
+        fields=[_CANONICAL.get(f, f) for f in values["fields"]],  # what a cache entry keeps is no request's copy
         start_date=start,
         end_date=end,
         options=options,

@@ -245,15 +245,22 @@ def json_line(obj: Any, encoder: json.JSONEncoder = _FRAME_ENCODER) -> str:
     return text
 
 
-# A float that round(x, 6) changes prints (as its shortest repr) with a negative exponent
-# ("e-") or more than six fractional digits; a match inside a string only costs a rounding pass.
 _LONG_FRACTION = re.compile(r"\.[0-9]{7}")
+
+
+def may_round(text: str) -> bool:
+    """Whether rounding each float in JSON ``text`` to 6 decimals may change the text.
+
+    A float that ``round(x, 6)`` changes prints (as its shortest repr) with a negative exponent
+    (``e-``) or more than six fractional digits; a match inside a string only costs a rounding pass.
+    """
+    return "e-" in text or _LONG_FRACTION.search(text) is not None
 
 
 def dumps(obj: Any) -> str:
     """The compact text of ``obj`` in a frame, every float rounded to 6 decimals."""
     text = json_line(obj)
-    return json_line(round_floats(obj)) if "e-" in text or _LONG_FRACTION.search(text) else text
+    return json_line(round_floats(obj)) if may_round(text) else text
 
 
 _PLACEHOLDER = "\x00spliced\x00"
@@ -279,7 +286,7 @@ def _encode(obj: Any) -> str:
     text = json_line(obj, encoder)
     if text.count(_PLACEHOLDER_TEXT) != len(held):
         return json_line(round_floats(obj))
-    if "e-" in text or _LONG_FRACTION.search(text):
+    if may_round(text):
         held.clear()
         text = json_line(round_floats(obj, (list, tuple)), encoder)
     parts = text.split(f'"{_PLACEHOLDER_TEXT}"')

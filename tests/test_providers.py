@@ -817,6 +817,40 @@ def test_each_provider_fault_has_its_exact_message_and_data(answer, message, dat
     assert list(excinfo.value.data.items()) == list(data.items())
 
 
+class _Price(float):
+    pass
+
+
+def _fetch_one_cell(cell, monkeypatch) -> tuple[DataQuery, providers.RawProviderPayload]:
+    """An http fetch of code A's close on 2024-01-02, whose one row holds ``cell``."""
+    answer = _FakeResponse(200, [{"code": "A", "date": "2024-01-02", "close": cell}])
+    monkeypatch.setattr(providers, "_http_get", lambda url, timeout: answer)
+    query = _query(codes=["A"], fields=["close"], start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2))
+    return query, fetch_historical(_http_config("http://stub.invalid"), query, EMPTY_STORE)
+
+
+_REFUSED_HTTP_CELLS = {
+    "inf": math.inf, "-inf": -math.inf, "true": True, "int-past-the-largest-double": int(sys.float_info.max) + 1,
+}
+
+
+@pytest.mark.parametrize("cell", _REFUSED_HTTP_CELLS.values(), ids=_REFUSED_HTTP_CELLS)
+def test_an_http_cell_that_is_no_finite_number_is_a_schema_failure(cell, monkeypatch):
+    with pytest.raises(ProviderFailure) as excinfo:
+        _fetch_one_cell(cell, monkeypatch)
+    assert excinfo.value.message == "provider 'alpha' returned non-numeric or non-finite value for 'close'"
+    assert list(excinfo.value.data.items()) == [("reason", "schema"), ("column", "close")]
+
+
+_KEPT_HTTP_CELLS = {"largest-double": sys.float_info.max, "negative-zero": -0.0, "float-subclass": _Price(2.5)}
+
+
+@pytest.mark.parametrize("cell", _KEPT_HTTP_CELLS.values(), ids=_KEPT_HTTP_CELLS)
+def test_an_http_cell_holding_a_finite_float_is_kept_as_it_is_and_on_the_wire(cell, monkeypatch):
+    query, payload = _fetch_one_cell(cell, monkeypatch)
+    (kept,) = payload.rows["A"]["close"]
+    assert kept is cell
+    assert f'"close":{float.__repr__(cell)}}}' in normalize_payload(payload, query).json_text()
 # (code, date, CLOSE, PB, turn); the provider calls close CLOSE and pb_lf PB,
 # and also serves a decoy "close" column. C is a code no query asks for.
 _RENAMED_CELLS = [

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import math
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -333,6 +335,15 @@ def _one_table(codes=("A\"%宁",)) -> object:
     return normalize_payload(RawProviderPayload("p", rows, "t"), query)
 
 
+def _array_table(value: float) -> object:
+    """A table whose one code holds an all-float column with ``value`` and an all-int column, both arrays."""
+    query = DataQuery(["A"], ["close", "volume"], dt.date(2024, 1, 1), dt.date(2024, 1, 3))
+    rows = {"A": {"close": [value, 180.5, value], "volume": [2**63 - 1, -(2**63), 0]}}
+    table = normalize_payload(RawProviderPayload("p", rows, "t"), query)
+    assert [col.typecode for col in table.columns[0]] == ["d", "q"]
+    return table
+
+
 class _UnwalkableRecords(Records):
     def __iter__(self):
         raise AssertionError("the table was walked")
@@ -345,10 +356,23 @@ _ROUNDING_IDS = st.one_of(st.just(1), st.text(st.sampled_from("e-.0123456789x"),
 @settings(max_examples=150, deadline=None)
 @given(_tables(), _ROUNDING_IDS)
 @example(_one_table(), "3fa85f64-5717-4562-b3fe-2c963f66afa6")
+@example(_array_table(1e-07), 1)
+@example(_array_table(5e-324), 1)
+@example(_array_table(1e16), 1)
+@example(_array_table(0.1234567), 1)
+@example(_array_table(-0.0), 1)
 def test_a_spliced_records_frame_equals_the_frame_of_its_dicts_byte_for_byte(table, rid):
     unwalkable = _UnwalkableRecords(table.codes, table.days, table.suffix, table.fields, table.columns)
     assert serialize_message(_history(unwalkable, id=rid)) == _plain_frame(table, id=rid)
     assert serialize_message(_history(list(table), id=rid)) == _plain_frame(table, id=rid)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_an_array_column_holding_a_non_finite_float_is_refused_like_a_list_one(value):
+    for column in (array("d", [1.5, value]), [1.5, value]):
+        table = Records(("A",), ("2024-01-02", "2024-01-03"), " 15:00:00", ("close",), ((column,),))
+        with pytest.raises(InternalError):
+            serialize_message(_history(table))
 
 
 @pytest.mark.parametrize("rid", [transport._PLACEHOLDER, "x" + transport._PLACEHOLDER, 5])
