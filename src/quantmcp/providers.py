@@ -15,9 +15,11 @@ reads from the environment (proxies, CA bundle, netrc) is read once per origin.
 A query's trading days are one tuple of ISO strings, ``DataQuery.days``; each
 column a provider returns holds one value per entry, and normalization lays
 the records table over the same tuple. csv and http write each kept row
-straight into per-code columns, at the slot ``DataQuery.day_slot`` gives its
-date. Providers deal in calendar dates only; close-of-day timestamps are
-materialized during normalization.
+straight into one table of per-code columns, at the slot ``DataQuery.day_slot``
+gives its date: csv as it reads its file, http as the fetching thread reads the
+GET workers' answers in query order (a worker only GETs). Providers deal in
+calendar dates only; close-of-day timestamps are materialized during
+normalization.
 
 The trading calendar is weekday-only (no exchange holidays), trading
 calendar fidelity for determinism; see README for the documented divergence
@@ -575,14 +577,8 @@ class HttpProvider(ProviderConfig):
         """Whether ``base_url_template`` has an ``apikey`` placeholder, so a fetch resolves the credential."""
         return "apikey" in _placeholders(self.base_url_template)
 
-    def _fetch_code(
-        self, query: DataQuery, code: str, columns: list[str], apikey: str, codes: set[str]
-    ) -> dict[str, tuple[list[int], list[list]]]:
-        """GET one code's rows, retrying connection failures, and keep those within the query.
-
-        Each kept row is written into its code's columns, one per field, at its day's slot; the slots
-        written are listed too, so a later GET's row for the same (code, day) can replace it whole.
-        """
+    def _get(self, query: DataQuery, code: str, columns: list[str], apikey: str) -> Any:
+        """GET one code's answer, unread, retrying a timed-out or failed connection at most ``retries`` times."""
         url = self.base_url_template.format(
             code=quote(code, safe=""),  # encoded whole, so a code cannot add parameters to the URL
             field=quote(",".join(columns), safe=""),
@@ -603,58 +599,20 @@ class HttpProvider(ProviderConfig):
                     raise self.failure(f"request failed: {exc}", reason="connection") from exc
         if not 200 <= response.status_code < 300:
             raise self.failure(f"returned HTTP {response.status_code}", status=response.status_code)
-        try:
-            body = response.json()
-        except (ValueError, RecursionError):  # also a body nested past the interpreter's recursion limit
-            raise self.failure("returned a non-JSON body") from None
-        if not isinstance(body, dict) or not isinstance(body.get("rows"), list):
-            raise self.failure('body must be shaped {"rows": [...]}')
-        day_index, biggest = query.day_index, sys.float_info.max
-        n = len(day_index)
-        kept: dict[str, tuple[list[int], list[list]]] = {}  # row code -> (slots written, one column per field)
-        own = None  # kept[code], once a row of the GET's own code is kept
-        for raw_row in body["rows"]:
-            if not isinstance(raw_row, dict):
-                raise self.failure("returned a non-object row")
-            date = raw_row.get("date")
-            slot = day_index.get(date) if type(date) is str else None
-            if slot is None:
-                try:
-                    slot = query.day_slot(str(date))
-                except ValueError:
-                    raise self.failure(f"returned unparseable date {date!r}") from None
-            row_code = raw_row.get("code", code)
-            if row_code == code:  # the GET's own code, a str in the query, or the row names none
-                if slot is None:
-                    continue  # a weekend row's cells are never read
-                if own is None:
-                    own = kept.setdefault(code, ([], [[None] * n for _ in columns]))
-                slots, cells = own
-            else:
-                if not isinstance(row_code, str):
-                    raise self.failure("returned a non-string code")
-                if row_code not in codes or slot is None:
-                    continue  # keep the payload within the query contract
-                slots, cells = kept.get(row_code) or kept.setdefault(row_code, ([], [[None] * n for _ in columns]))
-            slots.append(slot)
-            for col, column in zip(cells, columns):
-                value = raw_row.get(column)
-                if type(value) is not float or not -biggest <= value <= biggest:  # a finite float is kept as it is
-                    value = _coerce_numeric(value, column, self)
-                col[slot] = value
-        return kept
+        return response
 
     def fetch(self, query: DataQuery, credentials: "CredentialStore") -> Rows:
-        """Run the per-code GETs on the process-wide GET workers, at most HTTP_POOL_SIZE at a time.
+        """GET each code on the process-wide GET workers, at most HTTP_POOL_SIZE at a time, and read the answers.
 
         The fetch queues up to HTTP_POOL_SIZE runner tasks; each takes the next code not yet cancelled
-        until none is left. Rows merge in query order, so of two GETs returning one (code, day) the
-        later wins. On failure the first failing code in query order is reported as soon as it and
-        every earlier code are known, whichever GET finished first; codes whose GET has not started
-        are cancelled, and GETs in flight are left to finish unawaited. Each GET goes through
-        ``_http_get``, on its worker's Session: it reuses a connection the upstream kept alive, sends
-        no cookie an earlier GET was given, and takes proxies, CA bundle and netrc login from what the
-        environment held at the first GET to its origin.
+        until none is left. This thread reads the answers in query order into one table, so of two
+        answers holding one (code, day) the later wins, and the first failing code in query order is
+        the one reported, whichever GET finished first. Once a GET fails, codes whose GET has not
+        started are cancelled; a bad answer cancels them once every earlier code is read. GETs in
+        flight are left to finish unawaited. Each GET goes through ``_http_get``, on its worker's
+        Session: it reuses a connection the upstream kept alive, sends no cookie an earlier GET was
+        given, and takes proxies, CA bundle and netrc login from what the environment held at the
+        first GET to its origin.
         """
         from concurrent.futures import Future  # loaded by the first http fetch, not at import
 
@@ -663,8 +621,9 @@ class HttpProvider(ProviderConfig):
         apikey = ""
         if self.needs_apikey:
             apikey = credentials.resolve(self.credential_ref or self.id)
-        codes = set(query.codes)
-        n = len(query.day_index)  # built here, before the runners share it
+        day_index, biggest = query.day_index, sys.float_info.max
+        n = len(day_index)
+        cells = {code: [[None] * n for _ in columns] for code in query.codes}  # per code, one column per field
         futures: list[Future] = [Future() for _ in query.codes]
         pending = deque(zip(query.codes, futures))
 
@@ -681,26 +640,45 @@ class HttpProvider(ProviderConfig):
                 if not future.set_running_or_notify_cancel():
                     continue
                 try:
-                    future.set_result(self._fetch_code(query, code, columns, apikey, codes))
+                    future.set_result(self._get(query, code, columns, apikey))
                 except BaseException as exc:  # stored as an executor stores it; future.result() re-raises it
                     cancel_rest()  # the fetch fails, so no later code starts
                     future.set_exception(exc)
 
-        merged: dict[str, list[list]] = {}
         try:
             for _ in range(min(len(query.codes), HTTP_POOL_SIZE)):
                 _start(run)
-            for future in futures:
-                for code, (slots, cells) in future.result().items():
-                    into = merged.setdefault(code, cells)
-                    if into is not cells:  # an earlier GET also returned rows for this code
-                        for into_col, col in zip(into, cells):
-                            for slot in slots:
-                                into_col[slot] = col[slot]
+            for code, future in zip(query.codes, futures):
+                try:
+                    body = future.result().json()
+                except (ValueError, RecursionError):  # also a body nested past the interpreter's recursion limit
+                    raise self.failure("returned a non-JSON body") from None
+                if not isinstance(body, dict) or not isinstance(body.get("rows"), list):
+                    raise self.failure('body must be shaped {"rows": [...]}')
+                for raw_row in body["rows"]:
+                    if not isinstance(raw_row, dict):
+                        raise self.failure("returned a non-object row")
+                    date = raw_row.get("date")
+                    slot = day_index.get(date) if type(date) is str else None
+                    if slot is None:
+                        try:
+                            slot = query.day_slot(str(date))
+                        except ValueError:
+                            raise self.failure(f"returned unparseable date {date!r}") from None
+                    row_code = raw_row.get("code", code)
+                    if not isinstance(row_code, str):
+                        raise self.failure("returned a non-string code")
+                    cols = cells.get(row_code)
+                    if cols is None or slot is None:
+                        continue  # keep the payload within the query contract; a weekend row's cells are never read
+                    for col, column in zip(cols, columns):
+                        value = raw_row.get(column)
+                        if type(value) is not float or not -biggest <= value <= biggest:  # a finite float is kept
+                            value = _coerce_numeric(value, column, self)
+                        col[slot] = value
         finally:
             cancel_rest()
-        nulls = [[None] * n] * len(columns)
-        return {code: dict(zip(query.fields, merged.get(code, nulls))) for code in query.codes}
+        return {code: dict(zip(query.fields, cols)) for code, cols in cells.items()}
 
     def fetch_bound_s(self, n_codes: int) -> float:
         """Longest an http fetch of ``n_codes`` codes may spend on GETs.

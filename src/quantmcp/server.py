@@ -204,7 +204,7 @@ class StdioServer:
 
         With an executor, tools/call requests after initialize run on it.
         """
-        stripped = raw.strip()
+        stripped = raw.strip(" \t\r\n")  # JSON's whitespace only: a line of any other space is malformed
         if not stripped:
             return
         try:

@@ -594,7 +594,7 @@ def test_http_timeout_is_reported_as_timeout():
 
 
 def test_a_failed_get_leaves_http_get_as_a_builtin_exception_holding_the_requests_one():
-    """``_fetch_code`` catches ``TimeoutError`` and ``ConnectionError``; the text is the requests exception's."""
+    """``HttpProvider._get`` catches ``TimeoutError`` and ``ConnectionError``; the text is the requests exception's."""
     try:
         with stub_rows_server([], delay_s=0.5) as (base_url, _):
             with pytest.raises(TimeoutError) as timed_out:
@@ -657,23 +657,28 @@ def test_http_rows_outside_the_range_are_dropped():
     assert payload.rows["300750.SZ"] == {"close": [None, 180.5, None, None, None]}
 
 
-def test_http_never_retries_more_than_configured(monkeypatch):
+@pytest.mark.parametrize(
+    "error, message, data",
+    [
+        (ConnectionError("refused"), "provider 'alpha' request failed: refused", {"reason": "connection"}),
+        (TimeoutError("read timed out"), "provider 'alpha' timed out after 2000ms", {"timeout": True}),
+    ],
+    ids=["connection", "timeout"],
+)
+def test_http_never_retries_more_than_configured(error, message, data, monkeypatch):
     attempts = []
 
-    def refuse(url, timeout):
+    def fail(url, timeout):
         attempts.append(url)
-        raise ConnectionError("refused")
+        raise error
 
-    monkeypatch.setattr(providers, "_http_get", refuse)
-    config = _http_config("http://127.0.0.1:9", retries=2)
-    with pytest.raises(ProviderFailure):
-        fetch_historical(config, _query(), EMPTY_STORE)
-    assert len(attempts) == 3  # 1 try + 2 retries
-
-    attempts.clear()
-    with pytest.raises(ProviderFailure):
-        fetch_historical(_http_config("http://127.0.0.1:9"), _query(), EMPTY_STORE)
-    assert len(attempts) == 1
+    monkeypatch.setattr(providers, "_http_get", fail)
+    for retries, tries in ((2, 3), (0, 1)):  # 1 try + the retries
+        attempts.clear()
+        with pytest.raises(ProviderFailure) as excinfo:
+            fetch_historical(_http_config("http://127.0.0.1:9", retries=retries), _query(), EMPTY_STORE)
+        assert len(attempts) == tries
+        assert (excinfo.value.message, excinfo.value.data) == (message, data)
 
 
 class _FakeResponse:
@@ -941,14 +946,22 @@ def test_a_bad_cell_on_a_weekend_fails_no_query(kind, tmp_path):
             fetch_historical(config, query, EMPTY_STORE)
 
 
-def test_http_reports_the_first_failing_code_in_query_order(monkeypatch):
+_FAST_FAILURES = {  # answers a GET gets at once, each of which fails the fetch
+    "404": _FakeResponse(404, []),
+    "non-object row": _FakeResponse(200, ["D.SZ"]),
+    "non-JSON body": _FakeResponse(200, body=ValueError("Expecting value")),
+}
+
+
+@pytest.mark.parametrize("later", sorted(_FAST_FAILURES))
+def test_http_reports_the_first_failing_code_in_query_order(later, monkeypatch):
     def fake_get(url, timeout):
         code = _code_of(url)
         if code == "B.SZ":
             time.sleep(0.2)
             return _FakeResponse(503, [])
         if code == "D.SZ":
-            return _FakeResponse(404, [])
+            return _FAST_FAILURES[later]
         return _FakeResponse(200, [])
 
     monkeypatch.setattr(providers, "_http_get", fake_get)
@@ -956,6 +969,20 @@ def test_http_reports_the_first_failing_code_in_query_order(monkeypatch):
     with pytest.raises(ProviderFailure) as excinfo:
         fetch_historical(_http_config("http://stub.invalid"), query, EMPTY_STORE)
     assert excinfo.value.data["status"] == 503
+
+
+def test_http_reports_an_earlier_code_s_bad_row_before_a_later_code_s_status(monkeypatch):
+    def fake_get(url, timeout):
+        if _code_of(url) == "D.SZ":
+            return _FakeResponse(404, [])
+        time.sleep(0.2)
+        return _FakeResponse(200, [{"code": "B.SZ", "date": "2024-01-02", "close": "n/a"}])
+
+    monkeypatch.setattr(providers, "_http_get", fake_get)
+    query = _query(codes=["B.SZ", "D.SZ"])
+    with pytest.raises(ProviderFailure) as excinfo:
+        fetch_historical(_http_config("http://stub.invalid"), query, EMPTY_STORE)
+    assert excinfo.value.data == {"reason": "schema", "column": "close"}
 
 
 def test_http_reports_a_fast_failure_without_awaiting_slower_gets(monkeypatch):
@@ -1209,10 +1236,10 @@ def test_a_fetch_after_the_upstream_closed_its_idle_connection_succeeds_without_
     fixture = [{"code": "A", "date": "2024-01-02", "close": 1.5}]
     with stub_rows_server(fixture, keep_alive_s=0.05) as (base_url, state):
         config = _http_config(base_url, retries=0)
-        args = (_day_query(["A"]), "A", ["close"], "", {"A"})
-        assert config._fetch_code(*args) == {"A": ([0], [[1.5]])}  # one code's GET, on this thread's Session
+        args = (_day_query(["A"]), "A", ["close"], "")
+        assert config._get(*args).json() == {"rows": fixture}  # one code's GET, on this thread's Session
         assert _until(lambda: state.closed == 1)  # the stub closed the connection once it was idle
-        assert config._fetch_code(*args) == {"A": ([0], [[1.5]])}
+        assert config._get(*args).json() == {"rows": fixture}
         providers._close_session()
     assert len(set(state.ports)) == 2
 

@@ -397,9 +397,10 @@ def test_invalid_envelope_answers_32600_with_recovered_id():
 
 
 def test_blank_lines_are_skipped():
-    lines = ["", "   ", _session_lines()[0]]
+    # only JSON's whitespace is blank: a line of any other space, or padded with one, is malformed JSON
+    lines = ["", "   ", " \t\r", "\x1c", "\xa0" + _session_lines()[0] + "\x0b", _session_lines()[0]]
     frames = _run_session(lines)
-    assert len(frames) == 1 and frames[0]["id"] == 1
+    assert [(f["id"], f.get("error", {}).get("code")) for f in frames] == [(None, -32700)] * 2 + [(1, None)]
 
 
 class _CappedReads:
