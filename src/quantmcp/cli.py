@@ -232,7 +232,3 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         _stderr(f"config error: {exc}")
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -36,10 +36,6 @@ class OptionsMap(NamedTuple):
     def get(self, key: str, default: str | None = None) -> str | None:
         return self.entries.get(key, default)
 
-    def canonical(self) -> str:
-        """Key-sorted rendering used for cache keys."""
-        return ";".join(f"{k}={v}" for k, v in sorted(self.entries.items()))
-
 
 def parse_options(text: str | None) -> OptionsMap:
     """Parse ``"Key=Value;Key=Value"`` text; empty input yields an empty map.
@@ -47,7 +43,7 @@ def parse_options(text: str | None) -> OptionsMap:
     Tokens are split on ';', each on its first '='; surrounding whitespace is
     trimmed and empty tokens are skipped. Keys must be unique, and recognized
     keys (PriceAdj, Fill) only accept their documented values. Unrecognized
-    keys are kept untouched; every key but Fill only enters the cache key.
+    keys are kept untouched, and no provider reads one: only Fill changes an answer.
     """
     entries: dict[str, str] = {}
     if not text:

@@ -108,8 +108,6 @@ class ProviderConfig(Frozen):
         A kind's bounds on its numbers keep every float derived from them finite and every wait, a denied
         call's ``retry_after_ms`` included (under 32 years), within ``threading.TIMEOUT_MAX`` (292 years).
         """
-        if not self.id:
-            raise ConfigError("provider id must be non-empty")
         if not 1 <= self.rate.capacity <= 2**53:  # the token count, a double, stays exact
             raise ConfigError(f"provider.{self.id}.rate_capacity: must be in [1, 2**53]")
         if not 1e-9 <= self.rate.refill_per_sec <= 1e9:
@@ -267,7 +265,7 @@ class SyntheticProvider(ProviderConfig):
 
     def check(self) -> None:
         if not 0 <= self.seed <= _U64:
-            raise ConfigError(f"provider.{self.id}.seed: must fit in 64 unsigned bits")
+            raise ConfigError(f"provider.{self.id}.seed: must be in [0, 2**64 - 1]")
         super().check()
 
     @cached_property
@@ -632,10 +630,10 @@ class HttpProvider(ProviderConfig):
                 future.cancel()  # a no-op on a code already started
 
         def run() -> None:
-            while pending:
+            while True:
                 try:
                     code, future = pending.popleft()
-                except IndexError:  # another runner took the last code
+                except IndexError:  # no code is left
                     return
                 if not future.set_running_or_notify_cancel():
                     continue

@@ -240,21 +240,15 @@ class _Flight:
 
 
 def cache_key(provider_id: str, query: DataQuery, kind: str = "historical") -> tuple:
-    """The canonical query itself, as a tuple: two distinct queries never share a key.
+    """The query as a tuple of all its answer depends on: queries that may answer differently never share a key.
 
-    Codes and fields are sorted and options rendered key-sorted, so
-    argument order never splits the cache. ``kind`` separates quote lookups
-    from plain historical ranges because their TTL rules differ.
+    Codes and fields are sorted, so argument order never splits the cache. Of the options only
+    ``Fill`` changes an answer, so it is the only one kept; no provider reads another. ``kind``
+    separates quote lookups from plain historical ranges because their TTL rules differ.
     """
-    return (
-        kind,
-        provider_id,
-        query.sorted_codes,
-        tuple(sorted(query.fields)),
-        query.start_date,
-        query.end_date,
-        sys.intern(query.options.canonical()) if query.options is not None else "",
-    )
+    fill = query.options.get("Fill", "Blank") if query.options is not None else "Blank"
+    return (kind, provider_id, query.sorted_codes, tuple(sorted(query.fields)), query.start_date, query.end_date,
+            sys.intern(fill))
 
 
 FILL_WAIT_S = 30.0  # default wait on an identical in-flight miss

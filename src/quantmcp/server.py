@@ -1,4 +1,4 @@
-"""Protocol lifecycle and dispatch: initialize, tools/list, tools/call.
+"""Protocol lifecycle and dispatch: initialize, ping, tools/list, tools/call.
 
 Requests on a connection are processed strictly in order by default, which
 keeps transcripts deterministic. An opt-in concurrent mode runs tools/call
@@ -89,6 +89,8 @@ class Dispatcher:
         try:
             if msg.method == "initialize":
                 return self._handle_initialize(msg)
+            if msg.method == "ping":  # answered before initialize too, as MCP requires
+                return JsonRpcMessage(RESPONSE, id=msg.id, result={})
             if msg.method in ("tools/list", "tools/call"):
                 if not self.initialized:
                     return make_error(

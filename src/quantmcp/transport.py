@@ -36,9 +36,6 @@ class _Missing:
     def __repr__(self) -> str:
         return "<missing>"
 
-    def __bool__(self) -> bool:
-        return False
-
 
 MISSING = _Missing()
 
@@ -298,9 +295,10 @@ def serialize_message(msg: JsonRpcMessage) -> str:
 
     The frame holds every field ``msg`` sets and must read back as the same
     message: one that breaks an envelope rule, reads back as another kind,
-    names an envelope member in ``extra``, puts ``params`` on a response,
-    uses an undocumented error code or holds a lone surrogate raises
-    :class:`InternalError`, and nothing is emitted.
+    names an envelope member in ``extra``, puts ``params`` on a response
+    or holds a lone surrogate raises :class:`InternalError`, and nothing is
+    emitted. Every error response is built by :func:`make_error`, which
+    checks its code.
     """
     obj: dict[str, Any] = {"jsonrpc": "2.0"}
     if msg.id is not None or msg.kind == RESPONSE:
@@ -321,8 +319,6 @@ def serialize_message(msg: JsonRpcMessage) -> str:
         raise InternalError(f"a {msg.kind!r} message would read back as a {kind!r}")
     if kind == RESPONSE and "params" in obj:
         raise InternalError("a response cannot carry params")
-    if msg.error is not None and msg.error.code not in KNOWN_CODES:
-        raise InternalError(f"error code {msg.error.code} outside the documented taxonomy")
     for key, value in msg.extra.items():
         if key in _ENVELOPE_KEYS:
             raise InternalError(f"extra key {key!r} names an envelope member")
@@ -342,10 +338,10 @@ def make_error(
     """Build a well-formed error response correlated to ``id``.
 
     ``id`` may be null per the JSON-RPC rule for requests whose id could not
-    be recovered. ``data`` is passed through verbatim.
+    be recovered. ``data`` is passed through verbatim. A code outside the
+    taxonomy raises :class:`InternalError`; an empty message is refused when
+    the response is serialized, as every envelope rule is.
     """
     if code not in KNOWN_CODES:
         raise InternalError(f"error code {code} outside the documented taxonomy")
-    if not message:
-        raise InternalError("error message must be non-empty")
     return JsonRpcMessage(RESPONSE, id=id, error=ErrorObject(code=code, message=message, data=data))

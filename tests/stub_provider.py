@@ -1,7 +1,8 @@
 """Reference HTTP stub serving the documented provider JSON shape.
 
 Responds to every GET with ``{"rows": [...]}`` from the configured fixture,
-or with a canned status/delay for failure-path tests. It answers HTTP/1.0 and
+or with a canned status/delay for failure-path tests, or, with ``redirect_to``
+set, to a GET under ``/moved`` with a 302 to the rest of its path there. It answers HTTP/1.0 and
 closes each connection, unless ``keep_alive_s`` opts into HTTP/1.1 keep-alive.
 """
 
@@ -24,6 +25,8 @@ class _StubState:
         self.requests: list[str] = []  # each request's target: a path, or an absolute URL when sent to a proxy
         self.ports: list[int] = []  # each request's client port, shared by the requests of one connection
         self.cookies: list[str | None] = []  # each request's Cookie header
+        self.auths: list[str | None] = []  # each request's Authorization header
+        self.redirect_to: str | None = None  # a base URL that a GET under /moved is redirected to
         self.closed = 0  # connections the stub has closed
         self.lock = threading.Lock()
 
@@ -39,6 +42,13 @@ def _make_handler(state: _StubState, keep_alive_s: float | None):
                 state.requests.append(self.path)
                 state.ports.append(self.client_address[1])
                 state.cookies.append(self.headers.get("Cookie"))
+                state.auths.append(self.headers.get("Authorization"))
+            if state.redirect_to is not None and self.path.startswith("/moved/"):
+                self.send_response(302)
+                self.send_header("Location", state.redirect_to + self.path[len("/moved"):])
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+                return
             if state.delay_s:
                 time.sleep(state.delay_s)
             body = json.dumps({"rows": state.rows}).encode("utf-8")

@@ -87,6 +87,11 @@ def test_malformed_params_json_exits_2(capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_params_that_are_not_an_object_exit_2(capsys):
+    assert main(["call", "tool_get_quote", "[]", "--config", SYNTH_CONF]) == 2
+    assert capsys.readouterr().err == "params error: params must be a JSON object\n"
+
+
 def test_params_nested_past_the_recursion_limit_exit_2(capsys):
     rc = main(["call", "tool_get_quote", "[" * 5000 + "]" * 5000, "--config", SYNTH_CONF])
     assert rc == 2
@@ -176,6 +181,24 @@ def test_replay_fails_on_a_tampered_frame(tmp_path, capsys):
     assert rc == 1
     assert "frame 4: FAIL" in out
     assert "frame 3: PASS" in out
+
+
+@pytest.mark.parametrize(
+    ("dropped", "verdict"),
+    [
+        ("out", "frame 4: FAIL (unexpected extra response)"),
+        ("in", "frame 4: FAIL (expected a response, none produced)"),
+    ],
+    ids=["an-out-frame-dropped", "an-in-frame-dropped"],
+)
+def test_replay_fails_on_a_missing_frame_and_skips_blank_lines(tmp_path, capsys, dropped, verdict):
+    lines = Path(GOLDEN_TRANSCRIPT).read_text(encoding="utf-8").splitlines()
+    lines.remove(next(line for line in reversed(lines) if json.loads(line)["direction"] == dropped))
+    short = tmp_path / "short.jsonl"
+    short.write_text("\n \n".join(lines) + "\n\n")
+    assert main(["replay", str(short), "--config", SYNTH_CONF]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == [verdict, "replayed 4 frames: 3 passed, 1 failed"]
 
 
 def test_replay_of_an_empty_transcript_trivially_passes(tmp_path, capsys):
@@ -357,18 +380,39 @@ def test_serve_with_invalid_config_exits_2(tmp_path):
     assert "provider.s.kind" in proc.stderr
 
 
-def test_serve_with_a_negative_concurrent_flag_exits_2():
-    proc = subprocess.run(
-        [sys.executable, "-m", "quantmcp", "serve", "--config", SYNTH_CONF, "--concurrent", "-1"],
-        input="",
-        capture_output=True,
-        text=True,
-        timeout=30,
-        cwd=str(REPO_ROOT),
-        env=src_env(),
-    )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "usage error: --concurrent must be >= 0, got -1\n"
+def test_serve_with_a_negative_concurrent_flag_exits_2(capsys):
+    assert main(["serve", "--config", SYNTH_CONF, "--concurrent", "-1"]) == 2
+    assert capsys.readouterr() == ("", "usage error: --concurrent must be >= 0, got -1\n")
+
+
+def test_serve_in_process_reads_and_writes_utf8_and_drops_event_lines_once_stderr_is_closed(monkeypatch):
+    closed = io.StringIO()
+    closed.close()
+    ping = '{"jsonrpc":"2.0","id":"宁","method":"ping"}\n'.encode()
+    not_utf8 = b'{"jsonrpc":"2.0","id":"\xff","method":"ping"}\n'
+    stdin = io.TextIOWrapper(io.BytesIO(ping + not_utf8), encoding="latin-1")  # serve reads UTF-8 whatever the locale
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    for name, stream in (("stdin", stdin), ("stdout", stdout), ("stderr", closed)):
+        monkeypatch.setattr(sys, name, stream)
+    assert main(["serve", "--config", SYNTH_CONF]) == 0
+    assert sys.stderr is None  # the first event line failed, and none was tried on the closed stream again
+    stdout.flush()
+    assert [json.loads(line) for line in stdout.buffer.getvalue().decode("utf-8").splitlines()] == [
+        {"jsonrpc": "2.0", "id": "宁", "result": {}},
+        {"jsonrpc": "2.0", "id": None, "error": {
+            "code": -32700, "message": "invalid Unicode: a lone surrogate or a byte that is not UTF-8"}},
+    ]
+
+
+def test_serve_exits_3_on_a_broken_stdout(monkeypatch, capsys):
+    class BrokenPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"jsonrpc":"2.0","id":1,"method":"ping"}\n'))
+    monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    assert main(["serve", "--config", SYNTH_CONF]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == "transport error: [Errno 32] Broken pipe"
 
 
 def test_a_malformed_base_url_template_exits_2_naming_the_key(tmp_path, capsys):

@@ -120,6 +120,43 @@ def test_missing_file_is_a_config_error(tmp_path):
         load_config(tmp_path / "absent.conf")
 
 
+@pytest.mark.parametrize(
+    "text", ["default_provider = s\n", "[server]\n[server]\n"], ids=["no-section-header", "repeated-section"]
+)
+def test_a_file_configparser_cannot_parse_is_a_config_error(tmp_path, text):
+    with pytest.raises(ConfigError, match="^cannot parse config file "):
+        load_config(_write(tmp_path, text))
+
+
+def test_a_provider_section_without_an_id_is_rejected(tmp_path):
+    path = _write(tmp_path, "[server]\ndefault_provider = s\n[provider.]\nkind = synthetic\n")
+    with pytest.raises(ConfigError, match=r"^provider section needs an id: \[provider\.<id>\]$"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(("kind", "key"), [("csv", "csv_path"), ("http", "base_url")])
+def test_a_provider_without_its_source_is_rejected_naming_the_key(tmp_path, kind, key):
+    path = _write(tmp_path, f"[server]\ndefault_provider = s\n[provider.s]\nkind = {kind}\n")
+    with pytest.raises(ConfigError, match=rf"^provider\.s\.{key}: required for {kind} providers$"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(("value", "strict"), [("yes", True), ("off", False)])
+def test_strict_credential_permissions_decides_whether_a_readable_credentials_file_is_refused(tmp_path, value, strict):
+    (tmp_path / "creds.conf").write_text("s.key = s3cret-value\n")
+    (tmp_path / "creds.conf").chmod(0o644)
+    body = f"[server]\ndefault_provider = s\ncredentials = creds.conf\nstrict_credential_permissions = {value}\n"
+    config = load_config(_write(tmp_path, body + "[provider.s]\nkind = synthetic\n"))
+    assert config.strict_credential_permissions is strict
+    said: list[str] = []
+    try:
+        build_context(config, environ={}, warn=said.append)
+    except ConfigError as exc:
+        said.append(f"refused: {exc}")
+    readable = f"credential file {tmp_path / 'creds.conf'} is group/world readable (mode 644)"
+    assert said == [f"refused: {readable}" if strict else readable]
+
+
 def test_bad_close_time_is_rejected(tmp_path):
     path = _write(
         tmp_path,
@@ -222,11 +259,16 @@ def _provider_conf(kind: str, settings: str) -> str:
     return f"[server]\ndefault_provider = s\n[provider.s]\nkind = {kind}\n{_OWN_KEYS[kind]}{settings}"
 
 
-@pytest.mark.parametrize("field_map", ["clsoe=PX", "close=PX, open=", "close=A, close=B"])
+@pytest.mark.parametrize("field_map", ["clsoe=PX", "close=PX, open=", "close=A, close=B", "close=PX, open"])
 def test_field_map_rejects_unknown_fields_and_empty_columns(tmp_path, field_map):
     path = _write(tmp_path, _provider_conf("http", f"field_map = {field_map}\n"))
     with pytest.raises(ConfigError, match=r"provider\.s\.field_map"):
         load_config(path)
+
+
+def test_a_field_map_skips_empty_entries(tmp_path):
+    path = _write(tmp_path, _provider_conf("http", "field_map = , close=PX,,\n"))
+    assert load_config(path).providers["s"].field_map == {"close": "PX"}
 
 
 def test_the_annotated_example_shows_every_key_and_no_other():
@@ -294,6 +336,8 @@ def test_a_negative_cache_ttl_is_rejected_and_zero_is_not(tmp_path, key):
 
 _HUGE = "9" * 401  # past the largest double
 _OUT_OF_BOUNDS = [
+    ("synthetic", "seed", "-1"),
+    ("synthetic", "seed", str(2**64)),
     ("synthetic", "rate_capacity", _HUGE),
     ("synthetic", "rate_capacity", str(2**53 + 1)),
     ("synthetic", "rate_capacity", "0"),

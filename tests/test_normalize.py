@@ -15,7 +15,6 @@ from oracle_utils import backfill_oracle, day_columns_oracle, weekdays_oracle
 
 from quantmcp.errors import InternalError, ValidationError
 from quantmcp.normalize import (
-    OptionsMap,
     Records,
     apply_fill,
     normalize_payload,
@@ -96,8 +95,10 @@ def test_parse_options_preserves_unrecognized_keys_in_order():
     assert options.get("TradingCalendar") == "SSE"
 
 
-def test_canonical_rendering_is_key_sorted():
-    assert OptionsMap({"b": "2", "a": "1"}).canonical() == "a=1;b=2"
+def test_parse_options_token_with_an_empty_key_names_the_token():
+    with pytest.raises(ValidationError, match="empty key") as excinfo:
+        parse_options("PriceAdj=F;=F")
+    assert excinfo.value.data["token"] == "=F"
 
 
 # --- normalize_payload ------------------------------------------------------

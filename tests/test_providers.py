@@ -11,7 +11,9 @@ import subprocess
 import sys
 import threading
 import time
+from base64 import b64encode
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from unittest.mock import ANY
 from urllib.parse import parse_qs, urlsplit
 
 import pytest
@@ -1232,6 +1234,33 @@ def test_a_get_goes_through_the_http_proxy_unless_no_proxy_lists_its_host(seam, 
     assert direct.requests == ["/q?code=B"]
 
 
+def test_a_redirect_to_a_host_no_proxy_does_not_list_goes_through_the_proxy(seam, monkeypatch):
+    for name in ("http_proxy", "no_proxy", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    with stub_rows_server([]) as (proxy_url, proxy), stub_rows_server([]) as (base_url, direct):
+        monkeypatch.setenv("HTTP_PROXY", proxy_url)
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        direct.redirect_to = base_url.replace("127.0.0.1", "localhost")
+        assert seam(f"{base_url}/moved/q?code=A", timeout=5.0).status_code == 200
+        providers._close_session()
+    assert direct.requests == ["/moved/q?code=A"]
+    assert proxy.requests == [f"{direct.redirect_to}/q?code=A"]  # absolute-form
+
+
+def test_a_get_and_its_redirect_to_another_host_each_send_that_hosts_netrc_login(seam, monkeypatch, tmp_path):
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login first password pass-one\n"
+                     "machine localhost login second password pass-two\n")
+    netrc.chmod(0o600)
+    monkeypatch.setenv("NETRC", str(netrc))
+    with stub_rows_server([]) as (base_url, state):
+        state.redirect_to = base_url.replace("127.0.0.1", "localhost")
+        assert seam(f"{base_url}/moved/q?code=A", timeout=5.0).status_code == 200
+        providers._close_session()
+    assert state.requests == ["/moved/q?code=A", "/q?code=A"]
+    assert state.auths == [f"Basic {b64encode(login).decode()}" for login in (b"first:pass-one", b"second:pass-two")]
+
+
 def test_a_fetch_after_the_upstream_closed_its_idle_connection_succeeds_without_a_retry(seam):
     fixture = [{"code": "A", "date": "2024-01-02", "close": 1.5}]
     with stub_rows_server(fixture, keep_alive_s=0.05) as (base_url, state):
@@ -1454,6 +1483,12 @@ def test_a_kind_holds_its_id_and_the_fields_it_reads_and_refuses_another_kinds_f
     assert vars(cls(id="p")) == {"id": "p", **cls.READS}
 
 
+def test_configs_are_equal_by_kind_id_and_fields_and_leave_another_type_to_decide():
+    assert SyntheticProvider(id="p", seed=3) == SyntheticProvider(id="p", seed=3) != SyntheticProvider(id="p")
+    assert SyntheticProvider(id="p") != CsvProvider(id="p")
+    assert SyntheticProvider(id="p") == ANY  # NotImplemented, so ANY.__eq__ answers
+
+
 # --- immutable values -----------------------------------------------------------
 
 _FROZEN_VALUES = {  # (a builder, one of its fields)
@@ -1483,6 +1518,8 @@ def test_assigning_to_an_attribute_of_a_frozen_value_raises(make, field):
     for name in (field, "not_a_field"):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
     assert getattr(value, field) is before and not hasattr(value, "not_a_field")
 
 

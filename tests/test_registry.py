@@ -94,6 +94,13 @@ def test_wrong_type_names_the_parameter_and_expected_type():
     assert any(v.startswith("codes:") and "array-of-string" in v for v in violations)
 
 
+@pytest.mark.parametrize(("codes", "got"), [(True, "boolean"), (1.5, "number"), ({}, "object")])
+def test_a_wrong_type_is_named_as_its_json_type(codes, got):
+    with pytest.raises(ValidationError) as excinfo:
+        build_registry().validate_params("tool_get_historical_data", dict(PAPER_STYLE_ARGS, codes=codes))
+    assert excinfo.value.data["violations"] == [f"codes: expected array-of-string, got {got}"]
+
+
 def test_unknown_keys_are_rejected():
     registry = build_registry()
     args = dict(PAPER_STYLE_ARGS, frequency="daily")

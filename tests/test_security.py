@@ -79,7 +79,9 @@ def test_malformed_line_fails_with_line_number(tmp_path):
         load_credentials(path, environ={})
 
 
-@pytest.mark.parametrize("line", ["alpha.token = x", ".key = x", "alpha.key =", "bad id!.key = x"])
+@pytest.mark.parametrize(
+    "line", ["alpha.token = x", ".key = x", "alpha.key =", "bad id!.key = x", "alpha.key = s3cret-one\nalpha.key = s3cret-two"]
+)
 def test_other_malformed_shapes_are_rejected(tmp_path, line):
     path = tmp_path / "creds.conf"
     path.write_text(line + "\n")

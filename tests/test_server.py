@@ -286,6 +286,34 @@ def test_full_session_over_stdio():
     assert len(frames[2]["result"]["content"]["records"]) == 65
 
 
+def test_ping_is_answered_with_an_empty_result_before_and_after_initialize():
+    ping = '{"jsonrpc":"2.0","id":%s,"method":"ping"}'
+    out = io.StringIO()
+    lines = [ping % 1, _session_lines()[0], ping % '"p"']
+    StdioServer(Dispatcher(build_registry(), make_ctx()), io.StringIO("\n".join(lines) + "\n"), out).run()
+    first, _, last = out.getvalue().splitlines()
+    assert (first, last) == ('{"jsonrpc":"2.0","id":1,"result":{}}', '{"jsonrpc":"2.0","id":"p","result":{}}')
+
+
+class _InterruptedAtEnd(io.StringIO):
+    """An input stream that raises KeyboardInterrupt where it would end, as a Ctrl-C during a read does."""
+
+    def readline(self, limit: int | None = -1) -> str:
+        line = super().readline(limit)
+        if not line:
+            raise KeyboardInterrupt
+        return line
+
+
+def test_an_interrupt_during_a_read_ends_the_session_as_end_of_input_does():
+    events: list[str] = []
+    out = io.StringIO()
+    dispatcher = Dispatcher(build_registry(), make_ctx(), log=events.append)
+    assert StdioServer(dispatcher, _InterruptedAtEnd(_session_lines()[0] + "\n"), out).run() == 0
+    assert json.loads(out.getvalue())["id"] == 1
+    assert [json.loads(e)["event"] for e in events] == ["initialize", "shutdown"]
+
+
 def test_garbage_input_yields_parse_error_and_the_server_survives():
     lines = ["{nonsense", _session_lines()[0], "more garbage }{", _session_lines()[1]]
     frames = _run_session(lines)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 import re
 
 from conftest import DATA_DIR, GOLDEN_DIR, REPO_ROOT
@@ -211,3 +212,18 @@ def test_the_unnamed_definition_check_sees_a_function_only_its_body_docstrings_o
     }
     readers = ['import m\n\nsetattr(m, "patched", m.used)\nSession = m.Session\n']
     assert _definitions_named_nowhere(package, readers) == ["m.unused", "m._private"]
+
+
+def test_each_line_report_allow_list_entry_names_one_executable_line_of_its_file_and_a_known_reason():
+    spec = importlib.util.spec_from_file_location("line_report", REPO_ROOT / "scripts" / "line_report.py")
+    report = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report)  # defines the report; only running it as a script traces the suite
+    entries = report.read_allow_list()
+    wrong = []
+    for entry in entries:
+        path = PACKAGE_DIR / entry.file
+        lines = path.read_text(encoding="utf-8").splitlines() if path.is_file() else []
+        at = [n for n, line in enumerate(lines, 1) if line.strip() == entry.text]
+        if entry.reason not in report.REASONS or len(at) != 1 or at[0] not in report.executable_lines(path):
+            wrong.append(entry)
+    assert entries and wrong == []

@@ -6,6 +6,7 @@ import datetime as dt
 import gc
 import json
 import math
+import threading
 
 import pytest
 
@@ -124,6 +125,48 @@ def test_missing_credential_is_a_tool_level_error():
     result = _call_historical(ctx)
     assert result.is_error
     assert result.content["error_kind"] == "credential_missing"
+    assert _call_quote(ctx, {"codes": ["300750.SZ"], "fields": ["close"], "as_of": "2024-03-29"}) == result
+
+
+def test_a_call_waiting_on_a_failing_identical_fill_answers_its_provider_failure(monkeypatch):
+    entered, joined, release = threading.Event(), threading.Event(), threading.Event()
+
+    class Response:
+        status_code = 503
+
+    def failing_get(url, timeout):
+        entered.set()
+        release.wait(timeout=5.0)
+        return Response()
+
+    class Inflight(dict):  # sets ``joined`` once a call finds another's fill in flight
+        def get(self, key, default=None):
+            flight = super().get(key, default)
+            if flight is not None:
+                joined.set()
+            return flight
+
+    monkeypatch.setattr(providers, "_http_get", failing_get)
+    http = HttpProvider(id="alpha", base_url_template="http://stub.invalid/q?code={code}", rate=RateSpec(1000, 1000.0))
+    ctx = make_ctx(providers={"alpha": http})
+    monkeypatch.setattr(ctx.cache, "_inflight", Inflight())
+    outcomes = []
+
+    def call():
+        try:
+            outcomes.append(_call_historical(ctx).content)
+        except Exception as exc:  # an escaping error would answer -32603
+            outcomes.append(exc)
+
+    owner, waiter = threading.Thread(target=call), threading.Thread(target=call)
+    owner.start()
+    assert entered.wait(timeout=5.0)
+    waiter.start()
+    assert joined.wait(timeout=5.0)
+    release.set()
+    for thread in (owner, waiter):
+        thread.join(timeout=10.0)
+    assert outcomes == [{"error_kind": "provider_failure", "detail": "provider 'alpha' returned HTTP 503"}] * 2
 
 
 @pytest.mark.parametrize(
@@ -189,6 +232,39 @@ def test_semantically_invalid_date_is_a_validation_error(ctx):
     with pytest.raises(ValidationError) as excinfo:
         _call_historical(ctx, dict(Q1_ARGS, start_date="2024-13-45"))
     assert any("start_date" in v for v in excinfo.value.data["violations"])
+
+
+@pytest.mark.parametrize(
+    ("change", "violation"),
+    [
+        ({"codes": ["A", "B", "A"]}, "codes: duplicate instrument codes"),
+        ({"fields": []}, "fields: must be non-empty"),
+        ({"fields": ["close", "turn", "close"]}, "fields: duplicate field names"),
+    ],
+    ids=["duplicate-codes", "no-fields", "duplicate-fields"],
+)
+def test_a_repeated_code_or_field_or_no_field_is_a_validation_error(ctx, change, violation):
+    with pytest.raises(ValidationError) as excinfo:
+        _call_historical(ctx, dict(Q1_ARGS, **change))
+    assert excinfo.value.data == {"violations": [violation]}
+
+
+def test_calls_differing_only_in_options_no_provider_reads_share_one_fetch_and_one_entry(monkeypatch):
+    fetches = []
+
+    def counting_fetch(*args, **kwargs):
+        fetches.append(1)
+        return fetch_historical(*args, **kwargs)
+
+    monkeypatch.setattr(tools, "fetch_historical", counting_fetch)
+    ctx = make_ctx(rate=RateSpec(capacity=4, refill_per_sec=1.0))  # the fake clock never refills
+    options = ["PriceAdj=F", "PriceAdj=B;Fill=Blank", "Nonce=1", "PriceAdj=F;Fill=Previous"]
+    results = [_call_historical(ctx, dict(Q1_ARGS, options=o)) for o in options]
+    assert [r.content["meta"]["cache_hit"] for r in results] == [False, True, True, False]  # only Fill splits
+    assert results[1].content["records"] is results[0].content["records"] is results[2].content["records"]
+    assert len(fetches) == 2 and len(ctx.cache._entries) == 2
+    with pytest.raises(RateLimitedError):  # a hit still takes its token first
+        _call_historical(ctx, dict(Q1_ARGS, options=""))
 
 
 def test_inverted_range_is_a_validation_error(ctx):
@@ -497,6 +573,12 @@ def test_field_with_only_nulls_gets_a_per_field_error(ctx):
     assert by_field["close"]["mean"] == 2.0
 
 
+def test_no_summarize_field_is_a_validation_error(ctx):
+    with pytest.raises(ValidationError) as excinfo:
+        _call_summary(ctx, {"records": [{"close": 1.0}], "summarize_fields": []})
+    assert excinfo.value.data == {"violations": ["summarize_fields: must name at least one field"]}
+
+
 def test_empty_record_set_is_a_tool_error(ctx):
     result = _call_summary(ctx, {"records": [], "summarize_fields": ["close"]})
     assert result.is_error
@@ -596,6 +678,12 @@ def test_overflowing_statistics_get_a_per_field_error(ctx, closes):
     by_field = {s["field"]: s for s in result.content["summaries"]}
     assert by_field["close"] == {"field": "close", "error": "statistics overflow a double"}
     assert by_field["turn"]["mean"] == 0.5
+
+
+def test_a_difference_from_the_mean_past_the_largest_double_overflows():
+    # 1.7e308 - mean overflows to inf, whose square raises nothing; the next value's square does
+    with pytest.raises(OverflowError):
+        compute_stats("close", [1.7e308, -1.7e308, -1.7e308])
 
 
 def test_integer_beyond_the_largest_double_is_a_validation_error(ctx):

@@ -6,6 +6,7 @@ import datetime as dt
 import json
 import math
 from array import array
+from unittest.mock import ANY
 
 import pytest
 from hypothesis import example, given, settings
@@ -87,6 +88,7 @@ def test_make_error_rejects_codes_outside_taxonomy():
         "{",
         '"just a string"[]',
         "\udcff\udcfe\x00",  # the bytes ff fe 00 read with surrogateescape
+        '\ufeff{"jsonrpc":"2.0","id":1,"method":"ping"}',  # a UTF-8 byte order mark, as json.loads refuses it
     ],
 )
 def test_malformed_text_is_a_parse_error(line):
@@ -165,6 +167,8 @@ def test_large_finite_numbers_still_parse():
         {"jsonrpc": "2.0", "result": {}},  # response without id
         {"jsonrpc": "2.0", "id": 1, "error": {"message": "x"}},
         {"jsonrpc": "2.0", "id": 1, "error": {"code": -32603, "message": ""}},
+        {"jsonrpc": "2.0", "id": 1.5, "result": {}},
+        {"jsonrpc": "2.0", "id": 1, "error": "boom"},
     ],
 )
 def test_invalid_envelopes_are_rejected(obj):
@@ -190,6 +194,16 @@ def test_notification_has_no_id():
     msg = parse_message('{"jsonrpc":"2.0","method":"notifications/initialized"}')
     assert msg.kind == NOTIFICATION
     assert msg.id is None
+    assert repr(msg) == (
+        "JsonRpcMessage(kind='notification', id=None, method='notifications/initialized', "
+        "params=<missing>, result=<missing>, error=None, extra={})"
+    )
+
+
+def test_a_message_compared_with_another_type_lets_that_type_decide():
+    msg = parse_message('{"jsonrpc":"2.0","id":1,"result":{}}')
+    assert msg != {"jsonrpc": "2.0", "id": 1, "result": {}}
+    assert msg == ANY  # NotImplemented, so ANY.__eq__ answers
 
 
 def test_unknown_envelope_fields_are_preserved():
@@ -210,6 +224,8 @@ def test_serialize_rejects_invariant_violations():
         serialize_message(JsonRpcMessage(REQUEST, id=None, method="m"))
     with pytest.raises(InternalError):
         serialize_message(JsonRpcMessage(NOTIFICATION, id=1, method="m"))
+    with pytest.raises(InternalError):  # make_error leaves an empty message to this check
+        serialize_message(make_error(1, -32603, ""))
     # Each frame would not read back as the message: invalid, another kind, or a field lost.
     for msg in [
         JsonRpcMessage(RESPONSE, id=1, result={}, extra={"error": 5}),
