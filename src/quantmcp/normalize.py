@@ -1,8 +1,8 @@
 """Canonical record normalization: options grammar, the records table, fill.
 
-Provider columns, already under canonical field names, become one table
-over the query's trading days, ``DataQuery.days``: one record per (code,
-trading day), sorted by (code, timestamp). Days a provider skipped hold
+A provider's ``Rows``, one column per query field for each query code, become
+one table over the query's trading days, ``DataQuery.days``: one record per
+(code, trading day), sorted by (code, timestamp). Days a provider skipped hold
 nulls before any fill policy runs, so ``Fill=Previous`` is well-defined and
 output length is predictable from the query alone.
 """
@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from types import MappingProxyType
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import Frozen, InternalError, ValidationError
 from .providers import DEFAULT_CLOSE_TIME, DataQuery, RawProviderPayload
@@ -28,26 +28,16 @@ RECOGNIZED_OPTIONS = {
 }
 
 
-class OptionsMap(NamedTuple):
-    """Ordered, case-sensitive option entries parsed from ``key=value;...``."""
-
-    entries: Mapping[str, str] = MappingProxyType({})
-
-    def get(self, key: str, default: str | None = None) -> str | None:
-        return self.entries.get(key, default)
-
-
-def parse_options(text: str | None) -> OptionsMap:
-    """Parse ``"Key=Value;Key=Value"`` text; empty input yields an empty map.
+def parse_options(text: str) -> Mapping[str, str]:
+    """Parse ``"Key=Value;Key=Value"`` text into a read-only mapping, in order; empty text yields an empty one.
 
     Tokens are split on ';', each on its first '='; surrounding whitespace is
     trimmed and empty tokens are skipped. Keys must be unique, and recognized
     keys (PriceAdj, Fill) only accept their documented values. Unrecognized
-    keys are kept untouched, and no provider reads one: only Fill changes an answer.
+    keys are kept untouched, and no provider reads one: only Fill changes an
+    answer, and ``DataQuery.fill`` is where it is read.
     """
     entries: dict[str, str] = {}
-    if not text:
-        return OptionsMap(entries)
     for token in text.split(";"):
         token = token.strip()
         if not token:
@@ -68,7 +58,7 @@ def parse_options(text: str | None) -> OptionsMap:
                 data={"key": key, "allowed": sorted(allowed)},
             )
         entries[key] = value
-    return OptionsMap(entries)
+    return MappingProxyType(entries)
 
 
 class Records(Frozen, PreEncoded, Sequence):
@@ -192,21 +182,15 @@ def normalize_payload(
 ) -> Records:
     """Lay ``raw.rows`` out as the query's records table: codes sorted, over ``query.days``.
 
-    A code the query never asked for, a missing field or a column whose length is not the query's
-    day count is a provider contract breach and raises InternalError. A code with no columns holds nulls.
+    Rows that are not ``query.table()``'s shape (exactly the query's codes, each with one column per
+    field, each as long as the query's days) breach the provider contract and raise InternalError.
     """
-    days = query.days
-    fields = tuple(query.fields)
-    by_code = {}
-    for code, by_field in raw.rows.items():
-        cols = tuple(map(by_field.get, fields))
-        if code not in query.codes or any(col is None or len(col) != len(days) for col in cols):
-            raise InternalError(
-                f"provider {raw.provider_id!r} returned rows outside the query contract for code={code!r}"
-            )
-        by_code[code] = tuple(map(_compact, cols))
-    nulls = ([None] * len(days),) * len(fields)
-    columns = tuple(by_code.get(code, nulls) for code in query.sorted_codes)
+    rows, days, fields = raw.rows, query.days, tuple(query.fields)
+    if rows.keys() != set(query.codes) or any(
+        len(cols) != len(fields) or any(len(col) != len(days) for col in cols) for cols in rows.values()
+    ):
+        raise InternalError(f"provider {raw.provider_id!r} returned rows outside the query contract")
+    columns = tuple(tuple(map(_compact, rows[code])) for code in query.sorted_codes)
     return Records(query.sorted_codes, days, " " + close_time.strftime("%H:%M:%S"), fields, columns)
 
 
@@ -229,11 +213,8 @@ def apply_fill(records: Records, policy: str) -> Records:
     ``Blank`` returns the table as it is. Non-null values are never touched, so
     the operation is idempotent, and the input is never mutated: the result is
     the input itself when no column changed, else a new table that shares each
-    column holding no null.
+    column holding no null. ``policy`` is a query's ``fill``, which ``parse_options`` checked.
     """
-    allowed = RECOGNIZED_OPTIONS["Fill"]
-    if policy not in allowed:
-        raise ValidationError(f"unknown fill policy {policy!r}", data={"allowed": sorted(allowed)})
     if policy == "Blank":
         return records
     columns = tuple(tuple(map(_filled, cols)) for cols in records.columns)

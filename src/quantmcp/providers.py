@@ -14,12 +14,12 @@ that pools its connections and keeps a cookie for one GET; what requests
 reads from the environment (proxies, CA bundle, netrc) is read once per origin.
 A query's trading days are one tuple of ISO strings, ``DataQuery.days``; each
 column a provider returns holds one value per entry, and normalization lays
-the records table over the same tuple. csv and http write each kept row
-straight into one table of per-code columns, at the slot ``DataQuery.day_slot``
-gives its date: csv as it reads its file, http as the fetching thread reads the
-GET workers' answers in query order (a worker only GETs). Providers deal in
-calendar dates only; close-of-day timestamps are materialized during
-normalization.
+the records table over the same tuple. Every provider returns ``Rows``, the
+shape of ``DataQuery.table``; csv and http fill that table itself, each kept
+row at the slot ``DataQuery.day_slot`` gives its date: csv as it reads its file,
+http as the fetching thread reads the GET workers' answers in query order (a
+worker only GETs). Providers deal in calendar dates only; close-of-day
+timestamps are materialized during normalization.
 
 The trading calendar is weekday-only (no exchange holidays), trading
 calendar fidelity for determinism; see README for the documented divergence
@@ -40,7 +40,7 @@ from collections import deque
 from functools import cached_property, lru_cache
 from itertools import chain
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
 from urllib.parse import quote, urlsplit
 
 from .errors import ConfigError, Frozen, ProviderFailure, ValidationError
@@ -48,7 +48,6 @@ from .errors import ConfigError, Frozen, ProviderFailure, ValidationError
 if TYPE_CHECKING:
     import queue
 
-    from .normalize import OptionsMap
     from .security import CredentialStore
 
 CANONICAL_FIELDS = ("close", "open", "high", "low", "volume", "pb_lf", "turn")
@@ -114,7 +113,7 @@ class ProviderConfig(Frozen):
             raise ConfigError(f"provider.{self.id}.rate_refill_per_sec: must be in [1e-9, 1e9]")
 
     def fetch(self, query: DataQuery, credentials: "CredentialStore") -> Rows:
-        """Canonical columns for the checked ``query``."""
+        """The checked ``query``'s ``Rows``."""
         raise NotImplementedError
 
     def failure(self, text: str, **data: Any) -> ProviderFailure:
@@ -127,7 +126,7 @@ class ProviderConfig(Frozen):
 
 
 class DataQuery(Frozen):
-    """Canonical request: instruments, fields, inclusive date range, options."""
+    """Canonical request: instruments, fields, inclusive date range, options; the owner of its table's shape."""
 
     def __init__(
         self,
@@ -135,7 +134,7 @@ class DataQuery(Frozen):
         fields: list[str],
         start_date: dt.date,
         end_date: dt.date,
-        options: "OptionsMap | None" = None,
+        options: Mapping[str, str] = MappingProxyType({}),
     ):
         vars(self).update(codes=codes, fields=fields, start_date=start_date, end_date=end_date, options=options)
 
@@ -190,13 +189,22 @@ class DataQuery(Frozen):
             slot = self.day_index.get(dt.date.fromisoformat(text).isoformat())
         return slot
 
+    @property
+    def fill(self) -> str:
+        """The Fill policy the options name, else ``Blank``."""
+        return self.options.get("Fill", "Blank")
 
-Rows = dict[str, dict[str, list]]  # code -> canonical field -> one value per query day, None for a gap
+    def table(self) -> Rows:
+        """A new table of nulls for a provider to fill: per code, one column per field, one slot per day."""
+        return {code: [[None] * len(self.days) for _ in self.fields] for code in self.codes}
+
+
+Rows = dict[str, list[list]]  # code -> one column per query field in query order, each value a query day, None a gap
 Month = tuple[tuple[int, ...], tuple[str, ...], bytes]  # weekdays' days of the month, their ISO strings, b"YYYY-MM-"
 
 
 class RawProviderPayload(NamedTuple):
-    """Columns by query code then canonical field, in query order, each as long as ``query.days``."""
+    """``Rows`` of the query: exactly its codes, each with one column per field, each as long as ``query.days``."""
 
     provider_id: str
     rows: Rows
@@ -296,7 +304,7 @@ class SyntheticProvider(ProviderConfig):
         mask = _U64
         rows: Rows = {}
         for code in query.codes:
-            by_field = rows[code] = {}
+            cols = rows[code] = []
             stem = fnv1a64(f"{code}|".encode("utf-8"))
             for f in query.fields:
                 prefix, ks = fnv1a64(f"{f}|".encode(), stem), []
@@ -304,7 +312,7 @@ class SyntheticProvider(ProviderConfig):
                     state = fnv1a64(head, prefix)
                     base, lo = state * step, state & 127
                     ks += [((base + table[lo]) & mask) % 1_000_000 for table in day_tables]
-                by_field[f] = _SCALE[f](ks)
+                cols.append(_SCALE[f](ks))
         return rows
 
 
@@ -349,31 +357,35 @@ class CsvProvider(ProviderConfig):
     def fetch(self, query: DataQuery, credentials: "CredentialStore") -> Rows:
         """The export's rows within ``query``; a cell is parsed only on a trading day the query asks for."""
         columns = [self.field_map.get(f, f) for f in query.fields]
-        n = len(query.day_index)
-        cells = {code: [[None] * n for _ in columns] for code in query.codes}  # per code, one column per field
-        # utf-8-sig also reads the byte order mark an Excel "CSV UTF-8" export starts with
-        with open(self.csv_path, newline="", encoding="utf-8-sig") as fh:
-            try:
-                reader = csv.DictReader(fh)
-                header = reader.fieldnames or []
-                for column in ["code", "date", *columns]:
-                    if column not in header:
-                        raise self.failure(f"csv is missing column {column!r}", reason="schema", missing_column=column)
-                for rec in reader:
-                    try:
-                        slot = query.day_slot((rec.get("date") or "").strip())
-                    except ValueError:
-                        raise self.failure(f"csv holds unparseable date {rec.get('date')!r}") from None
-                    cols = cells.get((rec.get("code") or "").strip())
-                    if cols is None or slot is None:
-                        continue
-                    for col, column in zip(cols, columns):
-                        col[slot] = _parse_cell(rec.get(column, ""), column, self)
-            except UnicodeDecodeError as exc:
-                raise self.failure(f"csv is unreadable: {_undecodable(exc, fh.buffer.tell())}") from None
-            except csv.Error as exc:  # a cell past csv's field limit
-                raise self.failure(f"csv is unreadable: {exc}") from None
-        return {code: dict(zip(query.fields, cols)) for code, cols in cells.items()}
+        cells = query.table()
+        try:
+            # utf-8-sig also reads the byte order mark an Excel "CSV UTF-8" export starts with
+            with open(self.csv_path, newline="", encoding="utf-8-sig") as fh:
+                try:
+                    reader = csv.DictReader(fh)
+                    header = reader.fieldnames or []
+                    for column in ["code", "date", *columns]:
+                        if column not in header:
+                            raise self.failure(
+                                f"csv is missing column {column!r}", reason="schema", missing_column=column
+                            )
+                    for rec in reader:
+                        try:
+                            slot = query.day_slot((rec.get("date") or "").strip())
+                        except ValueError:
+                            raise self.failure(f"csv holds unparseable date {rec.get('date')!r}") from None
+                        cols = cells.get((rec.get("code") or "").strip())
+                        if cols is None or slot is None:
+                            continue
+                        for col, column in zip(cols, columns):
+                            col[slot] = _parse_cell(rec.get(column, ""), column, self)
+                except UnicodeDecodeError as exc:
+                    raise self.failure(f"csv is unreadable: {_undecodable(exc, fh.buffer.tell())}") from None
+                except csv.Error as exc:  # a cell past csv's field limit
+                    raise self.failure(f"csv is unreadable: {exc}") from None
+        except OSError as exc:  # the file went away or turned unreadable after startup; its path stays unsaid
+            raise self.failure(f"csv is unreadable: {exc.strerror}") from None
+        return cells
 
 
 def _coerce_numeric(value: Any, column: str, config: ProviderConfig) -> float | int | None:
@@ -620,8 +632,7 @@ class HttpProvider(ProviderConfig):
         if self.needs_apikey:
             apikey = credentials.resolve(self.credential_ref or self.id)
         day_index, biggest = query.day_index, sys.float_info.max
-        n = len(day_index)
-        cells = {code: [[None] * n for _ in columns] for code in query.codes}  # per code, one column per field
+        cells = query.table()
         futures: list[Future] = [Future() for _ in query.codes]
         pending = deque(zip(query.codes, futures))
 
@@ -676,7 +687,7 @@ class HttpProvider(ProviderConfig):
                         col[slot] = value
         finally:
             cancel_rest()
-        return {code: dict(zip(query.fields, cols)) for code, cols in cells.items()}
+        return cells
 
     def fetch_bound_s(self, n_codes: int) -> float:
         """Longest an http fetch of ``n_codes`` codes may spend on GETs.
@@ -696,7 +707,7 @@ def fetch_historical(
     credentials: "CredentialStore",
     now: Callable[[], dt.datetime] | None = None,
 ) -> RawProviderPayload:
-    """Fetch canonical columns for the checked ``query`` from the source ``config`` describes.
+    """Fetch the checked ``query``'s ``Rows`` from the source ``config`` describes.
 
     Synthetic sources fill every cell; csv and http sources leave ``None``
     on each day they lack, which normalization carries as a null.

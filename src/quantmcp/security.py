@@ -243,12 +243,11 @@ def cache_key(provider_id: str, query: DataQuery, kind: str = "historical") -> t
     """The query as a tuple of all its answer depends on: queries that may answer differently never share a key.
 
     Codes and fields are sorted, so argument order never splits the cache. Of the options only
-    ``Fill`` changes an answer, so it is the only one kept; no provider reads another. ``kind``
-    separates quote lookups from plain historical ranges because their TTL rules differ.
+    ``Fill`` changes an answer, so the query's ``fill`` is the only one kept; no provider reads another.
+    ``kind`` separates quote lookups from plain historical ranges because their TTL rules differ.
     """
-    fill = query.options.get("Fill", "Blank") if query.options is not None else "Blank"
     return (kind, provider_id, query.sorted_codes, tuple(sorted(query.fields)), query.start_date, query.end_date,
-            sys.intern(fill))
+            sys.intern(query.fill))
 
 
 FILL_WAIT_S = 30.0  # default wait on an identical in-flight miss

@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .registry import ToolRegistry
-from .security import redact, redact_message
+from .security import CredentialStore, redact, redact_message
 from .tools import ToolContext, ToolResult
 from .transport import (
     MISSING,
@@ -50,6 +50,20 @@ SERVER_NAME = "quantmcp"
 MAX_LINE_CHARS = 16 * 1024 * 1024
 
 
+def _scrubbed(value: JsonRpcMessage | dict[str, Any], store: CredentialStore) -> str:
+    """A message's frame or a log event's line, serialized again redacted only if a loaded secret shows in it.
+
+    ``serialize_message``, ``redact_message`` and ``redact`` are read from this module at each call.
+    """
+    dump, scrub = (serialize_message, redact_message) if isinstance(value, JsonRpcMessage) else (_log_line, redact)
+    line = dump(value)
+    return dump(scrub(value, store)) if store.shows_in(line) else line
+
+
+def _log_line(event: dict[str, Any]) -> str:
+    return json_line(event, LOG_ENCODER)
+
+
 class Dispatcher:
     """Routes parsed messages to lifecycle and tool handlers."""
 
@@ -69,14 +83,8 @@ class Dispatcher:
 
     def log_event(self, event: str, **fields: Any) -> None:
         """Hand ``log`` one JSON event line, redacted if a secret shows; without ``log``, do nothing."""
-        if self.log is None:
-            return
-        payload = {"event": event, **fields}
-        store = self.ctx.credentials
-        line = json_line(payload, LOG_ENCODER)
-        if store.shows_in(line):
-            line = json_line(redact(payload, store), LOG_ENCODER)
-        self.log(line)
+        if self.log is not None:
+            self.log(_scrubbed({"event": event, **fields}, self.ctx.credentials))
 
     def dispatch(self, msg: JsonRpcMessage) -> JsonRpcMessage | None:
         """Route one message; notifications and inbound responses yield None."""
@@ -175,23 +183,16 @@ class StdioServer:
         self.concurrency = concurrency
         self._write_lock = threading.Lock()
 
-    def _encode(self, msg: JsonRpcMessage) -> str:
-        """Serialize ``msg``; redact and serialize again only if a secret shows."""
-        store = self.dispatcher.ctx.credentials
-        line = serialize_message(msg)
-        if store.shows_in(line):
-            line = serialize_message(redact_message(msg, store))
-        return line
-
     def _emit(self, msg: JsonRpcMessage) -> None:
+        store = self.dispatcher.ctx.credentials
         try:
-            line = self._encode(msg)
+            line = _scrubbed(msg, store)
         except InternalError as exc:
             # An invariant-violating message must never reach the wire; the
             # client still deserves an answer instead of a dropped frame.
             self.dispatcher.log_event("unserializable_response", detail=exc.message)
             fallback = make_error(msg.id if msg.kind == RESPONSE else None, INTERNAL_ERROR, "internal error")
-            line = self._encode(fallback)
+            line = _scrubbed(fallback, store)
         with self._write_lock:
             self._out.write(line)
             self._out.flush()

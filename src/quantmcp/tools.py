@@ -121,7 +121,7 @@ def fetch_normalized(
     """
     if not query.days:
         fetched_at, cache_hit = ctx.wall_clock().isoformat(), False
-        records = normalize_payload(RawProviderPayload(provider.id, {}, fetched_at), query)
+        records = normalize_payload(RawProviderPayload(provider.id, query.table(), fetched_at), query)
     else:
         decision = ctx.rate_limiter.acquire(provider.id, ctx.mono_clock())
         if not decision.allowed:
@@ -129,14 +129,13 @@ def fetch_normalized(
                 f"rate limited for provider {provider.id!r}",
                 data={"provider": provider.id, "retry_after_ms": decision.retry_after_ms},
             )
-        fill = query.options.get("Fill", "Blank") if query.options is not None else "Blank"
         key = cache_key(provider.id, query, kind)
         ttl = ctx.cache.ttl_for(query, kind, today=ctx.wall_clock().date())
 
         def produce() -> tuple[Records, str]:
             raw = fetch_historical(provider, query, ctx.credentials, now=ctx.wall_clock)
             records = normalize_payload(raw, query, provider.close_time)
-            return apply_fill(records, fill), raw.fetched_at
+            return apply_fill(records, query.fill), raw.fetched_at
 
         wait_s = max(FILL_WAIT_S, provider.fetch_bound_s(len(query.codes)) + FILL_WAIT_MARGIN_S)
         (records, fetched_at), cache_hit = ctx.cache.lookup_or_store(key, produce, ttl, wait_s)
@@ -160,12 +159,11 @@ def _run_query(
     dates. Provider and credential failures come back as an error result.
     """
     provider = _resolve_provider(ctx, values.get("provider_id"))
+    options = parse_options(values.get("options", ""))  # a quote takes none
     if kind == "quote":
-        options = None
         day = _parse_date(values["as_of"], "as_of") if "as_of" in values else ctx.wall_clock().date()
         start = end = day - dt.timedelta(days=max(0, day.weekday() - 4))  # a weekend rolls back to Friday
     else:
-        options = parse_options(values.get("options", ""))
         start = _parse_date(values["start_date"], prefix + "start_date")
         end = _parse_date(values["end_date"], prefix + "end_date")
     query = DataQuery(

@@ -97,8 +97,8 @@ def mean_oracle(values: list[float]) -> float:
 
 
 def day_columns_oracle(by_code: dict, codes: list[str], fields: list[str], days: list[dt.date]) -> dict:
-    """Per-day rows ``{code: {day: {field: value}}}`` as one column per field over ``days``, None where no row is."""
-    return {code: {f: [by_code.get(code, {}).get(day, {}).get(f) for day in days] for f in fields} for code in codes}
+    """Per-day rows ``{code: {day: {field: value}}}`` as ``Rows``, None where no row is."""
+    return {code: [[by_code.get(code, {}).get(day, {}).get(f) for day in days] for f in fields] for code in codes}
 
 
 def _is_query_day(day: dt.date, start: dt.date, end: dt.date) -> bool:

@@ -29,14 +29,14 @@ CLOSE = dt.time(15, 0, 0)
 
 
 def _payload(rows, provider_id="p") -> RawProviderPayload:
-    """A payload of ``rows``, shaped ``{code: {field: column}}``."""
+    """A payload of ``rows``, shaped ``{code: [one column per field]}``."""
     return RawProviderPayload(provider_id=provider_id, rows=rows, fetched_at="2024-06-01T00:00:00+00:00")
 
 
 def _day_rows(rows, query) -> RawProviderPayload:
     """A payload of per-day ``rows``, ``{code: {date: {field: value}}}``, laid out as csv and http lay theirs."""
     days = weekdays_oracle(query.start_date, query.end_date)
-    return _payload(day_columns_oracle(rows, list(rows), query.fields, days))
+    return _payload(day_columns_oracle(rows, query.codes, query.fields, days))
 
 
 def _query(**overrides) -> DataQuery:
@@ -60,11 +60,13 @@ def _values(record) -> dict:
 
 def test_parse_options_standard_string():
     options = parse_options("PriceAdj=F;Fill=Previous")
-    assert options.entries == {"PriceAdj": "F", "Fill": "Previous"}
+    assert options == {"PriceAdj": "F", "Fill": "Previous"}
+    with pytest.raises(TypeError):  # read-only: a query's options stay as parsed
+        options["Fill"] = "Blank"
 
 
 def test_parse_options_empty_string_is_empty_map():
-    assert parse_options("").entries == {}
+    assert parse_options("") == {}
 
 
 def test_parse_options_duplicate_key_is_rejected():
@@ -80,7 +82,7 @@ def test_parse_options_token_without_equals_names_the_token():
 
 def test_parse_options_trims_whitespace_and_skips_empty_tokens():
     options = parse_options("  PriceAdj = F ;; Fill=Blank ; ")
-    assert options.entries == {"PriceAdj": "F", "Fill": "Blank"}
+    assert options == {"PriceAdj": "F", "Fill": "Blank"}
 
 
 def test_parse_options_rejects_unknown_value_for_recognized_key():
@@ -91,7 +93,7 @@ def test_parse_options_rejects_unknown_value_for_recognized_key():
 
 def test_parse_options_preserves_unrecognized_keys_in_order():
     options = parse_options("TradingCalendar=SSE;PriceAdj=N")
-    assert list(options.entries) == ["TradingCalendar", "PriceAdj"]
+    assert list(options) == ["TradingCalendar", "PriceAdj"]
     assert options.get("TradingCalendar") == "SSE"
 
 
@@ -121,12 +123,12 @@ def test_q1_synthetic_payload_normalizes_to_65_records():
 
 def test_weekend_only_range_yields_no_records():
     query = _query(start_date=dt.date(2024, 1, 6), end_date=dt.date(2024, 1, 7))
-    assert normalize_payload(_payload({}), query, CLOSE) == []
+    assert normalize_payload(_payload(query.table()), query, CLOSE) == []
 
 
 def test_missing_days_become_all_null_records():
     raw = _day_rows({"300750.SZ": {dt.date(2024, 1, 3): {"close": 9.0}}}, _query())
-    assert raw.rows == {"300750.SZ": {"close": [None, None, 9.0, None, None]}}
+    assert raw.rows == {"300750.SZ": [[None, None, 9.0, None, None]]}
     records = normalize_payload(raw, _query(), CLOSE)
     assert len(records) == 5
     assert [r["close"] for r in records] == [None, None, 9.0, None, None]
@@ -134,22 +136,29 @@ def test_missing_days_become_all_null_records():
 
 def test_row_outside_the_range_is_a_contract_breach():
     # a value past the query's five days: the column is longer than the calendar
-    raw = _payload({"300750.SZ": {"close": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}})
+    raw = _payload({"300750.SZ": [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]})
     with pytest.raises(InternalError, match="contract"):
         normalize_payload(raw, _query(), CLOSE)
 
 
 def test_row_before_the_range_is_a_contract_breach():
     # a column the calendar cannot place day by day: shorter than the query's five days
-    raw = _payload({"300750.SZ": {"close": [1.0, 1.0]}})
+    raw = _payload({"300750.SZ": [[1.0, 1.0]]})
     with pytest.raises(InternalError, match="contract"):
         normalize_payload(raw, _query(), CLOSE)
 
 
 def test_a_missing_field_is_a_contract_breach():
-    raw = _payload({"300750.SZ": {"close": [1.0] * 5}})
+    raw = _payload({"300750.SZ": [[1.0] * 5]})
     with pytest.raises(InternalError, match="contract"):
         normalize_payload(raw, _query(fields=["close", "turn"]), CLOSE)
+
+
+def test_a_missing_code_is_a_contract_breach():
+    query = _query(codes=["300750.SZ", "600000.SH"])
+    raw = _payload({"300750.SZ": [[1.0] * 5]})
+    with pytest.raises(InternalError, match="contract"):
+        normalize_payload(raw, query, CLOSE)
 
 
 def test_rows_on_weekend_days_inside_the_range_are_ignored():
@@ -162,14 +171,14 @@ def test_rows_on_weekend_days_inside_the_range_are_ignored():
 
 
 def test_row_for_unrequested_code_is_a_contract_breach():
-    raw = _payload({"999999.SZ": {"close": [None, 1.0, None, None, None]}})
+    raw = _payload({"300750.SZ": [[None] * 5], "999999.SZ": [[None, 1.0, None, None, None]]})
     with pytest.raises(InternalError):
         normalize_payload(raw, _query(), CLOSE)
 
 
 def test_records_are_sorted_by_code_then_timestamp():
     query = _query(codes=["600000.SH", "300750.SZ"])
-    records = normalize_payload(_payload({}), query, CLOSE)
+    records = normalize_payload(_payload(query.table()), query, CLOSE)
     keys = [(r["code"], r["timestamp"]) for r in records]
     assert keys == sorted(keys)
     assert records[0]["code"] == "300750.SZ"
@@ -184,13 +193,13 @@ def test_record_count_law_holds_regardless_of_gaps():
 
 def test_close_time_is_stamped_from_config():
     query = _query(start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2))
-    records = normalize_payload(_payload({}), query, dt.time(16, 30, 0))
+    records = normalize_payload(_payload(query.table()), query, dt.time(16, 30, 0))
     assert records[0]["timestamp"] == "2024-01-02 16:30:00"
 
 
 def test_every_stamp_is_the_iso_day_then_the_configured_close_time():
     query = _query(codes=["A", "B"], start_date=dt.date(2023, 12, 20), end_date=dt.date(2024, 3, 4))
-    records = normalize_payload(_payload({}), query, dt.time(9, 5, 7))
+    records = normalize_payload(_payload(query.table()), query, dt.time(9, 5, 7))
     days = [day.isoformat() + " 09:05:07" for day in weekdays_oracle(query.start_date, query.end_date)]
     assert len(days) == 54
     assert [r["timestamp"] for r in records] == days + days
@@ -273,19 +282,15 @@ def test_fill_copies_only_the_records_it_fills_and_never_mutates_its_input():
     # only a column holding a null is rebuilt; the input table and its columns stay as they were
     query = _query(codes=["A", "B"], fields=["close", "turn"])
     gappy, whole = [None, 1.0, None, 2.0, None], [1.0, 2.0, 3.0, 4.0, 5.0]
-    table = normalize_payload(_payload({"A": {"close": gappy, "turn": whole}}), query, CLOSE)
+    rows = query.table()
+    rows["A"] = [gappy, whole]
+    table = normalize_payload(_payload(rows), query, CLOSE)
     snapshot = copy.deepcopy(list(table))
     out = apply_fill(table, "Previous")
     assert [list(map(list, cols)) for cols in out.columns] == [[[None, 1.0, 1.0, 2.0, 2.0], whole], [[None] * 5] * 2]
     assert out.columns[0][1] is table.columns[0][1] and out.columns[0][0] is not gappy
     assert list(table) == snapshot and table.columns[0][0] is gappy and gappy == [None, 1.0, None, 2.0, None]
     assert apply_fill(table, "Blank") is table
-
-
-def test_unknown_policy_is_rejected():
-    with pytest.raises(ValidationError) as excinfo:
-        apply_fill(_series([1.0]), "Forward")
-    assert excinfo.value.data == {"allowed": ["Blank", "Previous"]}
 
 
 def test_each_column_fills_on_its_own():
@@ -344,7 +349,7 @@ def _compact_and_list(rows, query: DataQuery) -> tuple[Records, Records]:
     """The provider payload ``rows`` normalized, and the same table built over the provider's own lists."""
     compact = normalize_payload(_payload(rows), query, CLOSE)
     plain = Records(compact.codes, compact.days, compact.suffix, compact.fields,
-                    tuple(tuple(rows[code][f] for f in compact.fields) for code in compact.codes))
+                    tuple(tuple(rows[code]) for code in compact.codes))
     return compact, plain
 
 
@@ -354,7 +359,7 @@ def _compact_and_list_tables(draw):
     fields = draw(st.lists(st.sampled_from(providers.CANONICAL_FIELDS), min_size=2, max_size=3, unique=True))
     query = DataQuery(codes, fields, dt.date(2024, 1, 1), dt.date(2024, 1, draw(st.integers(1, 10))))
     n = len(query.days)
-    return _compact_and_list({code: {f: draw(_provider_columns(n)) for f in fields} for code in codes}, query)
+    return _compact_and_list({code: [draw(_provider_columns(n)) for _ in fields] for code in codes}, query)
 
 
 # Every edge value at once, over the five weekdays 2024-01-01..05: one column per kind of storage.
@@ -367,7 +372,7 @@ _EDGE_COLUMNS = {
     "open": [1.5, None, 2.5, 3.5, None],  # list, d once filled
 }
 _EDGE_TABLES = _compact_and_list(
-    {code: dict(_EDGE_COLUMNS) for code in ("B", f"A{_SECRET}")},
+    {code: list(_EDGE_COLUMNS.values()) for code in ("B", f"A{_SECRET}")},
     DataQuery(["B", f"A{_SECRET}"], list(_EDGE_COLUMNS), dt.date(2024, 1, 1), dt.date(2024, 1, 5)),
 )
 

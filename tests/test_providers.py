@@ -32,7 +32,7 @@ from oracle_utils import (
 from stub_provider import stub_rows_server
 
 from quantmcp.errors import ConfigError, CredentialMissing, ProviderFailure, ValidationError
-from quantmcp.normalize import OptionsMap, Records, normalize_payload
+from quantmcp.normalize import Records, normalize_payload, parse_options
 from quantmcp import providers
 from quantmcp.providers import (
     CANONICAL_FIELDS,
@@ -51,7 +51,7 @@ from quantmcp.providers import (
 from quantmcp.config import ServerConfig
 from quantmcp.registry import ParamSpec, ToolDescriptor, ValidatedArgs
 from quantmcp.security import CredentialStore, RateDecision
-from quantmcp.tools import ToolResult
+from quantmcp.tools import ToolResult, tool_get_historical_data
 from quantmcp.transport import ErrorObject
 
 from conftest import DATA_DIR, GOLDEN_DIR, REPO_ROOT, TESTS_DIR, make_ctx, src_env
@@ -188,7 +188,7 @@ def test_synthetic_values_match_the_committed_golden_file():
         day = dt.date.fromisoformat(case["day"])  # a weekday: a one-day query over it has one slot
         query = _query(codes=[case["code"]], fields=[case["field"]], start_date=day, end_date=day)
         got = configs[case["seed"]].fetch(query, EMPTY_STORE)
-        assert got == {case["code"]: {case["field"]: [case["value"]]}}, case
+        assert got == {case["code"]: [[case["value"]]]}, case
         # the golden file itself was produced by the independent oracle
         assert synthetic_value_oracle(case["code"], case["field"], day, case["seed"]) == case["value"]
 
@@ -235,7 +235,7 @@ def test_each_field_scales_any_column_of_residues_like_the_oracle(field, ks):
 def _fetch_one(field: str, start: dt.date, end: dt.date) -> list:
     """The column of ``field`` for 300750.SZ over [start, end], fetched by a fresh seed-0 synthetic provider."""
     query = _query(fields=[field], start_date=start, end_date=end)
-    return SyntheticProvider(id="synth", seed=0).fetch(query, EMPTY_STORE)["300750.SZ"][field]
+    return SyntheticProvider(id="synth", seed=0).fetch(query, EMPTY_STORE)["300750.SZ"][0]
 
 
 def test_synthetic_is_deterministic():
@@ -262,8 +262,8 @@ def test_synthetic_fetch_covers_every_code_and_trading_day():
     config = SyntheticProvider(id="synth", seed=0)
     payload = fetch_historical(config, _query(), EMPTY_STORE)
     columns = payload.rows["300750.SZ"]
-    assert [len(columns[f]) for f in ("close", "pb_lf", "turn")] == [65, 65, 65]
-    assert all(v is not None for f in ("close", "pb_lf", "turn") for v in columns[f])
+    assert [len(col) for col in columns] == [65, 65, 65]
+    assert all(v is not None for col in columns for v in col)
 
 
 def test_synthetic_row_count_law_over_random_queries():
@@ -276,9 +276,9 @@ def test_synthetic_row_count_law_over_random_queries():
         end = start + dt.timedelta(days=rng.randrange(30))
         query = _query(codes=sorted(set(codes)), start_date=start, end_date=end)
         payload = fetch_historical(config, query, EMPTY_STORE)
-        rows = sum(len(columns["close"]) for columns in payload.rows.values())
+        rows = sum(len(columns[0]) for columns in payload.rows.values())
         assert rows == len(query.codes) * len(query.days)
-        assert {len(col) for columns in payload.rows.values() for col in columns.values()} == {rows // len(query.codes)}
+        assert {len(col) for columns in payload.rows.values() for col in columns} == {rows // len(query.codes)}
 
 
 def test_synthetic_fetch_is_pure_given_seed_and_query():
@@ -292,9 +292,9 @@ def _assert_synthetic_cells(rows, query: DataQuery, seed: int) -> None:
     """Every (code, field, trading day) of ``query`` in order, each equal to the oracle's value."""
     days = weekdays_oracle(query.start_date, query.end_date)
     assert list(rows) == query.codes
-    for code, by_field in rows.items():
-        assert list(by_field) == query.fields
-        for f, column in by_field.items():
+    for code, columns in rows.items():
+        assert len(columns) == len(query.fields)
+        for f, column in zip(query.fields, columns):
             assert len(column) == len(days)
             for day, got in zip(days, column):
                 oracle = synthetic_value_oracle(code, f, day, seed)
@@ -390,7 +390,7 @@ def test_csv_filters_to_matching_rows():
         fields=["close"], start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2)
     )
     payload = fetch_historical(config, query, EMPTY_STORE)
-    assert payload.rows == {"300750.SZ": {"close": [180.5]}}
+    assert payload.rows == {"300750.SZ": [[180.5]]}
 
 
 def test_csv_missing_column_is_a_provider_failure(tmp_path):
@@ -406,7 +406,7 @@ def test_csv_empty_cells_become_null(tmp_path):
     path.write_text("code,date,close\nA,2024-01-02,\nA,2024-01-03,9.5\n")
     query = _query(codes=["A"], fields=["close"], start_date=dt.date(2024, 1, 1), end_date=dt.date(2024, 1, 5))
     payload = fetch_historical(_csv_config(path), query, EMPTY_STORE)
-    close = dict(zip(weekdays_oracle(query.start_date, query.end_date), payload.rows["A"]["close"]))
+    close = dict(zip(weekdays_oracle(query.start_date, query.end_date), payload.rows["A"][0]))
     assert close[dt.date(2024, 1, 2)] is None
     assert close[dt.date(2024, 1, 3)] == 9.5
 
@@ -416,7 +416,7 @@ def test_csv_later_duplicate_row_wins(tmp_path):
     path.write_text("code,date,close\nA,2024-01-02,1.0\nB,2024-01-02,5.0\nA,2024-01-02,2.0\n")
     query = _query(codes=["A"], fields=["close"], start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2))
     rows = fetch_historical(_csv_config(path), query, EMPTY_STORE).rows
-    assert rows == {"A": {"close": [2.0]}}
+    assert rows == {"A": [[2.0]]}
 
 
 def test_provider_field_names_are_renamed_to_canonical(tmp_path):
@@ -425,7 +425,7 @@ def test_provider_field_names_are_renamed_to_canonical(tmp_path):
     config = CsvProvider(id="x", csv_path=str(path), field_map={"pb_lf": "PB_LF_RAW"})
     query = _query(fields=["pb_lf"], start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2))
     raw = fetch_historical(config, query, EMPTY_STORE)
-    assert raw.rows == {"300750.SZ": {"pb_lf": [5.5]}}
+    assert raw.rows == {"300750.SZ": [[5.5]]}
     records = normalize_payload(raw, query, dt.time(15, 0, 0))
     assert {k: v for k, v in records[0].items() if k not in ("code", "timestamp")} == {"pb_lf": 5.5}
     assert records[0] == {
@@ -455,7 +455,7 @@ def test_csv_export_starting_with_a_utf8_bom_reads_its_first_column(tmp_path):
     path = tmp_path / "excel.csv"
     path.write_text("\ufeffcode,date,close\nA,2024-01-02,1.5\n", encoding="utf-8")  # Excel's "CSV UTF-8"
     query = _query(codes=["A"], fields=["close"], start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2))
-    assert fetch_historical(_csv_config(path), query, EMPTY_STORE).rows == {"A": {"close": [1.5]}}
+    assert fetch_historical(_csv_config(path), query, EMPTY_STORE).rows == {"A": [[1.5]]}
 
 
 @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
@@ -501,11 +501,11 @@ def test_http_payload_matches_the_stub_fixture():
         payload = fetch_historical(_http_config(base_url), query, EMPTY_STORE)
     # one value per day 2024-01-01 .. 2024-01-05; a field the row lacks is None
     assert payload.rows == {
-        "300750.SZ": {
-            "close": [None, 180.5, 181.0, None, None],
-            "pb_lf": [None, 5.1, None, None, None],
-            "turn": [None, 1.23, None, None, None],
-        }
+        "300750.SZ": [
+            [None, 180.5, 181.0, None, None],  # close
+            [None, 5.1, None, None, None],  # pb_lf
+            [None, 1.23, None, None, None],  # turn
+        ]
     }
     assert state.requests and "code=300750.SZ" in state.requests[0]
 
@@ -537,7 +537,7 @@ with stub_rows_server([{"code": "A", "date": "2024-01-02", "close": 1.5}]) as (b
 by_fetch = [name for name in watched if name in set(sys.modules) - before_fetch]
 print(json.dumps({"exit": code, "ids": [json.loads(line)["id"] for line in served.splitlines()],
                   "by_session": by_session, "by_fetch": by_fetch,
-                  "close": [v for v in rows["A"]["close"] if v is not None],
+                  "close": [v for v in rows["A"][0] if v is not None],
                   "resolvable": providers.requests is sys.modules["requests"]}))
 """
 
@@ -656,7 +656,7 @@ def test_http_rows_outside_the_range_are_dropped():
     with stub_rows_server(fixture) as (base_url, _):
         query = _query(fields=["close"], start_date=dt.date(2024, 1, 1), end_date=dt.date(2024, 1, 5))
         payload = fetch_historical(_http_config(base_url), query, EMPTY_STORE)
-    assert payload.rows["300750.SZ"] == {"close": [None, 180.5, None, None, None]}
+    assert payload.rows["300750.SZ"] == [[None, 180.5, None, None, None]]
 
 
 @pytest.mark.parametrize(
@@ -722,7 +722,7 @@ def test_http_fan_out_merges_in_query_order_with_bounded_concurrency(monkeypatch
     query = _query(codes=codes, fields=["close"], start_date=dt.date(2024, 1, 2), end_date=dt.date(2024, 1, 2))
     payload = fetch_historical(_http_config("http://stub.invalid"), query, EMPTY_STORE)
     merged = [(code, columns) for code, columns in payload.rows.items()]
-    assert merged == [(c, {"close": [1.0]}) for c in codes]
+    assert merged == [(c, [[1.0]]) for c in codes]
     assert 1 < peak[0] <= 8
 
 
@@ -738,7 +738,7 @@ def test_http_shared_row_goes_to_the_later_code_in_query_order(monkeypatch):
     day = dt.date(2024, 1, 2)
     query = _query(codes=["A.SZ", "B.SZ"], fields=["close"], start_date=day, end_date=day)
     payload = fetch_historical(_http_config("http://stub.invalid"), query, EMPTY_STORE)
-    assert payload.rows == {"A.SZ": {"close": [None]}, "B.SZ": {"close": [2.0]}}
+    assert payload.rows == {"A.SZ": [[None]], "B.SZ": [[2.0]]}
 
 
 def test_http_substitutes_each_code_as_one_encoded_query_value():
@@ -855,7 +855,7 @@ _KEPT_HTTP_CELLS = {"largest-double": sys.float_info.max, "negative-zero": -0.0,
 @pytest.mark.parametrize("cell", _KEPT_HTTP_CELLS.values(), ids=_KEPT_HTTP_CELLS)
 def test_an_http_cell_holding_a_finite_float_is_kept_as_it_is_and_on_the_wire(cell, monkeypatch):
     query, payload = _fetch_one_cell(cell, monkeypatch)
-    (kept,) = payload.rows["A"]["close"]
+    ((kept,),) = payload.rows["A"]
     assert kept is cell
     assert f'"close":{float.__repr__(cell)}}}' in normalize_payload(payload, query).json_text()
 # (code, date, CLOSE, PB, turn); the provider calls close CLOSE and pb_lf PB,
@@ -884,16 +884,18 @@ def test_rows_are_keyed_by_query_code_then_date_with_exactly_the_query_fields(ki
             "http": _http_config(base_url, field_map=field_map),
         }[kind]
         payload = fetch_historical(config, query, EMPTY_STORE)
+        weekend = {"codes": query.codes, "fields": query.fields, "start_date": "2024-01-06", "end_date": "2024-01-07"}
+        result = tool_get_historical_data(ValidatedArgs("", weekend), make_ctx(providers={config.id: config}))
     assert list(payload.rows) == query.codes
-    assert all(list(columns) == query.fields for columns in payload.rows.values())
+    assert [[len(col) for col in columns] for columns in payload.rows.values()] == [[len(query.days)] * 3] * 2
+    # a range with no trading day answers no records, laid over the table its query allocates
+    assert result == ToolResult({"records": [], "meta": ANY}, human_summary="no trading days in the requested range")
     if kind == "synthetic":
         _assert_synthetic_cells(payload.rows, query, 0)
-    else:  # one value per day 2024-01-01 .. 2024-01-05
+    else:  # pb_lf, turn, close: one value per day 2024-01-01 .. 2024-01-05
         assert payload.rows == {
-            "B": {"pb_lf": [None, None, 4.5, None, None], "turn": [None, None, 0.25, None, None],
-                  "close": [None, None, 3.5, None, None]},
-            "A": {"pb_lf": [None, 2.5, None, None, None], "turn": [None, 0.5, None, None, None],
-                  "close": [None, 1.5, None, None, None]},
+            "B": [[None, None, 4.5, None, None], [None, None, 0.25, None, None], [None, None, 3.5, None, None]],
+            "A": [[None, 2.5, None, None, None], [None, 0.5, None, None, None], [None, 1.5, None, None, None]],
         }
 
 
@@ -923,9 +925,9 @@ def test_csv_and_http_lay_their_rows_out_as_one_column_per_field_over_the_tradin
         config = _csv_config(path) if kind == "csv" else _http_config(base_url)
         payload = fetch_historical(config, query, EMPTY_STORE)
     assert query.days == ("2024-01-01", "2024-01-02", "2024-01-03", "2024-01-04", "2024-01-05", "2024-01-08")
-    assert payload.rows == {
-        "A": {"close": [None, 2.0, 3.0, None, None, None], "turn": [None, 0.2, None, None, None, None]},
-        "B": {"close": [None] * 6, "turn": [None] * 6},
+    assert payload.rows == {  # close, turn
+        "A": [[None, 2.0, 3.0, None, None, None], [None, 0.2, None, None, None, None]],
+        "B": [[None] * 6, [None] * 6],
     }
 
 
@@ -939,7 +941,7 @@ def test_a_bad_cell_on_a_weekend_fails_no_query(kind, tmp_path):
     query = _query(codes=["A"], fields=["close"], start_date=dt.date(2024, 1, 1), end_date=dt.date(2024, 1, 8))
     with stub_rows_server(fixture) as (base_url, state):
         config = _csv_config(path) if kind == "csv" else _http_config(base_url)
-        assert fetch_historical(config, query, EMPTY_STORE).rows == {"A": {"close": [None] * 4 + [1.5, None]}}
+        assert fetch_historical(config, query, EMPTY_STORE).rows == {"A": [[None] * 4 + [1.5, None]]}
         # every row's date (csv) and code (http) are still checked, so a bad one fails every query
         with path.open("a") as fh:
             fh.write("A,Sat 2024-01-06,1.0\n")
@@ -1498,7 +1500,7 @@ _FROZEN_VALUES = {  # (a builder, one of its fields)
     "DataQuery": (_query, "codes"),
     "Records": (lambda: Records(("A",), ("2024-01-02",), " 15:00:00", ("close",), (([1.5],),)), "columns"),
     "RateSpec": (RateSpec, "capacity"),
-    "OptionsMap": (OptionsMap, "entries"),
+    "DataQuery.options": (lambda: _query(options=parse_options("Fill=Previous")), "options"),
     "ParamSpec": (lambda: ParamSpec("string", "a string"), "required"),
     "ToolDescriptor": (lambda: ToolDescriptor("t", "a tool", {}), "params"),
     "ValidatedArgs": (lambda: ValidatedArgs("t"), "values"),
@@ -1524,7 +1526,7 @@ def test_assigning_to_an_attribute_of_a_frozen_value_raises(make, field):
 
 
 _DEFAULT_MAPPINGS = {  # (a builder taking every default, its mapping field)
-    "OptionsMap": (OptionsMap, "entries"),
+    "DataQuery.options": (_query, "options"),
     "ValidatedArgs": (lambda: ValidatedArgs("t"), "values"),
     "ServerConfig": (ServerConfig, "providers"),
     "csv": (lambda: CsvProvider(id="c"), "field_map"),

@@ -615,6 +615,35 @@ def test_csv_nan_cell_answers_a_provider_failure_over_stdio(tmp_path):
     assert frames[1]["result"]["content"]["error_kind"] == "provider_failure"
 
 
+_UNREADABLE_AFTER_STARTUP = {  # how the checked export is taken away, and the strerror its fetch then answers
+    "renamed-away": (lambda path: path.rename(path.with_name("moved.csv")), "No such file or directory"),
+    "a-directory": (lambda path: (path.unlink(), path.mkdir()), "Is a directory"),
+}
+
+
+@pytest.mark.parametrize("take_away, strerror", _UNREADABLE_AFTER_STARTUP.values(), ids=_UNREADABLE_AFTER_STARTUP)
+def test_a_csv_export_unreadable_at_fetch_time_answers_a_provider_failure_without_its_path(
+    tmp_path, take_away, strerror
+):
+    path = tmp_path / "export.csv"
+    path.write_text("code,date,close\nA,2024-01-02,1.5\n")
+    csv_provider = CsvProvider(id="f", csv_path=str(path))
+    csv_provider.check()
+    take_away(path)
+    out = io.StringIO()
+    server = StdioServer(Dispatcher(build_registry(), make_ctx(providers={"f": csv_provider})), io.StringIO(), out)
+    call = {"name": "tool_get_historical_data",
+            "arguments": {"codes": ["A"], "fields": ["close"], "start_date": "2024-01-01", "end_date": "2024-01-05"}}
+    server.handle_line(_session_lines()[0])
+    server.handle_line(json.dumps({"jsonrpc": "2.0", "id": 2, "method": "tools/call", "params": call}))
+    frame = json.loads(out.getvalue().splitlines()[-1])
+    detail = f"provider 'f' csv is unreadable: {strerror}"
+    assert frame == {"jsonrpc": "2.0", "id": 2, "result": {
+        "content": {"error_kind": "provider_failure", "detail": detail}, "is_error": True,
+        "human_summary": f"provider_failure: {detail}"}}
+    assert str(tmp_path) not in out.getvalue()
+
+
 # --- redaction: serialize first, redact only when a secret shows ------------------
 
 # Each needs escaping in JSON or is multi-byte in UTF-8; "hunter2" sits inside

@@ -319,14 +319,14 @@ _CELLS = st.one_of(
 
 @st.composite
 def _tables(draw):
-    """A filled records table: up to 3 codes (some with no columns) x up to 3 fields x up to 10 days."""
+    """A filled records table: up to 3 codes (some left all null) x up to 3 fields x up to 10 days."""
     codes = draw(st.lists(_CODES, min_size=1, max_size=3, unique=True))
     fields = draw(st.lists(st.sampled_from(CANONICAL_FIELDS), min_size=1, max_size=3, unique=True))
     start = dt.date(2024, 1, 1) + dt.timedelta(days=draw(st.integers(0, 30)))
     query = DataQuery(codes, fields, start, start + dt.timedelta(days=draw(st.integers(0, 9))))
-    n = len(query.days)
-    rows = {code: {f: draw(st.lists(_CELLS, min_size=n, max_size=n)) for f in fields}
-            for code in draw(st.sets(st.sampled_from(codes)))}
+    n, rows = len(query.days), query.table()
+    for code in draw(st.sets(st.sampled_from(codes))):
+        rows[code] = [draw(st.lists(_CELLS, min_size=n, max_size=n)) for _ in fields]
     table = normalize_payload(RawProviderPayload("p", rows, "t"), query, dt.time(9, 30, 5))
     return apply_fill(table, draw(st.sampled_from(["Previous", "Blank"])))
 
@@ -347,14 +347,15 @@ def _plain_frame(records, id=1) -> str:
 
 def _one_table(codes=("A\"%宁",)) -> object:
     query = DataQuery(list(codes), ["close", "turn"], dt.date(2024, 1, 1), dt.date(2024, 1, 3))
-    rows = {codes[0]: {"close": [1e-07, None, 180.5], "turn": [0.1234567, -0.0, 2**60]}}
+    rows = query.table()
+    rows[codes[0]] = [[1e-07, None, 180.5], [0.1234567, -0.0, 2**60]]
     return normalize_payload(RawProviderPayload("p", rows, "t"), query)
 
 
 def _array_table(value: float) -> object:
     """A table whose one code holds an all-float column with ``value`` and an all-int column, both arrays."""
     query = DataQuery(["A"], ["close", "volume"], dt.date(2024, 1, 1), dt.date(2024, 1, 3))
-    rows = {"A": {"close": [value, 180.5, value], "volume": [2**63 - 1, -(2**63), 0]}}
+    rows = {"A": [[value, 180.5, value], [2**63 - 1, -(2**63), 0]]}
     table = normalize_payload(RawProviderPayload("p", rows, "t"), query)
     assert [col.typecode for col in table.columns[0]] == ["d", "q"]
     return table
