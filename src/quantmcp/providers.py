@@ -9,9 +9,10 @@ synthetic tail tables, whether an http template takes the key); rate limiting
 and caching are enforced by the caller.
 The GETs run on process-wide daemon worker threads that the first http fetch
 starts and that outlive a fetch; at most HTTP_POOL_SIZE of them stay idle.
-Every GET goes through ``_http_get``, on one ``requests.Session`` per worker
-that pools its connections and keeps a cookie for one GET; what requests
-reads from the environment (proxies, CA bundle, netrc) is read once per origin.
+Every GET goes through ``_http_get``: one request, a redirect never followed, on
+one plain ``requests.Session`` per worker that pools its connections and keeps a
+cookie for one GET. The proxies, CA bundle and netrc login are read from the
+environment once per origin and passed with each GET.
 A query's trading days are one tuple of ISO strings, ``DataQuery.days``; each
 column a provider returns holds one value per entry, and normalization lays
 the records table over the same tuple. Every provider returns ``Rows``, the
@@ -32,6 +33,7 @@ import csv
 import datetime as dt
 import math
 import os
+import re
 import string
 import sys
 import threading
@@ -41,7 +43,7 @@ from functools import cached_property, lru_cache
 from itertools import chain
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
-from urllib.parse import quote, urlsplit
+from urllib.parse import quote
 
 from .errors import ConfigError, Frozen, ProviderFailure, ValidationError
 
@@ -55,6 +57,8 @@ CANONICAL_FIELDS = ("close", "open", "high", "low", "volume", "pb_lf", "turn")
 DEFAULT_CLOSE_TIME = dt.time(15, 0, 0)  # time of day on record timestamps unless configured
 
 HTTP_POOL_SIZE = 8  # most GETs one http fetch keeps in flight
+
+MAX_QUERY_RECORDS = 200_000  # most codes x trading days one query may ask for: 100 codes x 2023 is 26,000
 
 _URL_PLACEHOLDERS = frozenset({"code", "field", "start", "end", "apikey"})
 
@@ -155,6 +159,8 @@ class DataQuery(Frozen):
                 )
         if self.start_date > self.end_date:
             violations.append("start_date: must not be after end_date")
+        elif (records := len(self.codes) * _weekday_count(self.start_date, self.end_date)) > MAX_QUERY_RECORDS:
+            violations.append(f"query: {records} records (codes x trading days), over the limit of {MAX_QUERY_RECORDS}")
         if violations:
             raise ValidationError("invalid query", data={"violations": violations})
 
@@ -219,6 +225,12 @@ def _month(year: int, month: int) -> Month:
     head = "%04d-%02d-" % (year, month)
     days = tuple(d for d in range(1, length + 1) if (first.weekday() + d - 1) % 7 < 5)
     return days, tuple(head + "%02d" % d for d in days), head.encode()
+
+
+def _weekday_count(start: dt.date, end: dt.date) -> int:
+    """The number of weekdays in [start, end], counted without listing them: ordinal 1, 0001-01-01, is a Monday."""
+    last, before = end.toordinal(), start.toordinal() - 1
+    return last // 7 * 5 + min(last % 7, 5) - (before // 7 * 5 + min(before % 7, 5))
 
 
 def _month_slices(start: dt.date, end: dt.date) -> list[tuple[Month, int, int]]:
@@ -412,87 +424,44 @@ def __getattr__(name: str) -> Any:
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class _Environment(NamedTuple):
-    """What requests reads from the environment for a request to one origin."""
-
-    proxies: dict[str, str]  # every ``*_proxy`` variable, or none for an origin ``no_proxy`` lists
-    ca_bundle: str | None  # REQUESTS_CA_BUNDLE, else CURL_CA_BUNDLE
-    netrc: tuple[str, str] | None  # the netrc login for the origin's host
+_HEAD = re.compile(r"[^/?#\\]*(?://[^/?#\\]*)?")  # a URL's scheme and authority, as urllib3's ``parse_url`` splits
 
 
 @lru_cache(maxsize=256)  # bounded: a template may put the code in the host, so clients can choose origins
-def _environment(origin: str) -> _Environment:
-    """What requests reads from the environment for ``origin`` (``scheme://host:port``), read once."""
-    utils = requests.utils
-    ca_bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
-    return _Environment(utils.get_environ_proxies(origin), ca_bundle, utils.get_netrc_auth(origin))
+def _environment(head: str) -> Mapping[str, Any]:
+    """The arguments of a GET to a URL starting ``head`` (its ``_HEAD``) that requests would read from the environment.
 
-
-def _origin(url: str) -> str:
-    """``scheme://host:port`` of a URL requests has prepared, as written there, without any login."""
-    scheme, netloc = urlsplit(url)[:2]
-    return f"{scheme}://{netloc.rpartition('@')[2]}"
-
-
-@lru_cache(maxsize=None)
-def _session_class() -> type:
-    """``requests.Session`` with ``trust_env`` off, fed what ``_environment`` read for each URL's origin instead.
-
-    Each method overridden is one that reads the environment while ``trust_env`` is on, and each does with the
-    memo what requests does with the environment: netrc auth for the request and for each redirect target, the
-    proxies and CA bundle for the request, and the proxies for each redirect target.
+    They are read once, for the origin requests sends the GET to (no login, the host lower-case and IDNA-encoded):
+    the proxies (every ``*_proxy`` variable, or none where ``no_proxy`` lists it), the CA bundle (REQUESTS_CA_BUNDLE,
+    else CURL_CA_BUNDLE; None keeps the default) and the netrc login for its host.
     """
-
-    class Session(_import_requests().Session):
-        def __init__(self):
-            super().__init__()
-            self.trust_env = False
-
-        def _add_netrc(self, prepared):
-            login = _environment(_origin(prepared.url)).netrc
-            if login is not None:
-                prepared.prepare_auth(login)
-
-        def prepare_request(self, request):
-            prepared = super().prepare_request(request)
-            if not request.auth and not self.auth:
-                self._add_netrc(prepared)
-            return prepared
-
-        def rebuild_auth(self, prepared_request, response):
-            super().rebuild_auth(prepared_request, response)
-            self._add_netrc(prepared_request)
-
-        def merge_environment_settings(self, url, proxies, stream, verify, cert):
-            env = _environment(_origin(url))
-            if verify is True or verify is None:
-                verify = env.ca_bundle or verify
-            return super().merge_environment_settings(url, {**env.proxies, **(proxies or {})}, stream, verify, cert)
-
-        def rebuild_proxies(self, prepared_request, proxies):
-            scheme = urlsplit(prepared_request.url).scheme
-            env = _environment(_origin(prepared_request.url)).proxies
-            proxy = env.get(scheme, env.get("all"))
-            return super().rebuild_proxies(prepared_request, {scheme: proxy, **(proxies or {})} if proxy else proxies)
-
-    return Session
+    try:
+        parsed = requests.utils.parse_url(head)  # as requests parses a URL
+        origin = f"{parsed.scheme}://{parsed.netloc}"
+    except ValueError:  # a URL requests refuses as well: its GET fails, before connecting, with no environment
+        origin = ""
+    utils, ca_bundle = requests.utils, os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+    return MappingProxyType(
+        {"proxies": utils.get_environ_proxies(origin), "verify": ca_bundle, "auth": utils.get_netrc_auth(origin)}
+    )
 
 
 _local = threading.local()  # ``session``: the calling GET worker's Session, made by its first GET
 
 
 def _http_get(url: str, timeout: float) -> "requests.Response":
-    """``requests.get(url, timeout=timeout)``, on the calling thread's Session: every GET goes through here.
+    """One request, a redirect never followed, on the calling thread's Session: every GET goes through here.
 
-    A GET that times out raises ``TimeoutError(exc)``, and one that fails otherwise ``ConnectionError(exc)``,
-    so no caller names a requests type. The Session pools connections; its cookie jar is emptied after
-    each GET, so a cookie lasts one GET and its redirects, as it did with a Session per GET.
+    The Session pools connections and, its ``trust_env`` off, takes the environment ``_environment`` read for
+    the URL's origin as arguments. Its cookie jar is emptied after each GET, so a cookie lasts one GET. A GET
+    that times out raises ``TimeoutError(exc)``, and one that fails otherwise ``ConnectionError(exc)``.
     """
     session = getattr(_local, "session", None)
     if session is None:
-        session = _local.session = _session_class()()
+        session = _local.session = _import_requests().Session()
+        session.trust_env = False
     try:
-        return session.get(url, timeout=timeout)
+        return session.get(url, timeout=timeout, allow_redirects=False, **_environment(_HEAD.match(url)[0]))
     except requests.Timeout as exc:
         raise TimeoutError(exc) from exc
     except requests.RequestException as exc:
@@ -620,9 +589,9 @@ class HttpProvider(ProviderConfig):
         the one reported, whichever GET finished first. Once a GET fails, codes whose GET has not
         started are cancelled; a bad answer cancels them once every earlier code is read. GETs in
         flight are left to finish unawaited. Each GET goes through ``_http_get``, on its worker's
-        Session: it reuses a connection the upstream kept alive, sends no cookie an earlier GET was
-        given, and takes proxies, CA bundle and netrc login from what the environment held at the
-        first GET to its origin.
+        Session: it makes one request and follows no redirect, reuses a connection the upstream kept
+        alive, sends no cookie an earlier GET was given, and takes proxies, CA bundle and netrc login
+        from what the environment held at the first GET to its origin.
         """
         from concurrent.futures import Future  # loaded by the first http fetch, not at import
 

@@ -151,8 +151,8 @@ def _definitions_named_nowhere(package: dict[str, str], readers: list[str]) -> l
 
 
 # The top-level functions that may name requests: its lazy import, the module attribute that resolves
-# it, the environment memo, the Session class, and the one GET, which raises only builtin exceptions.
-_REQUESTS_SEAM = frozenset({"_import_requests", "__getattr__", "_environment", "_session_class", "_http_get"})
+# it, the environment memo, and the one GET, which raises only builtin exceptions.
+_REQUESTS_SEAM = frozenset({"_import_requests", "__getattr__", "_environment", "_http_get"})
 
 
 def _requests_named_outside(text: str, seam: frozenset[str] = _REQUESTS_SEAM) -> list[int]:

@@ -267,6 +267,28 @@ def test_calls_differing_only_in_options_no_provider_reads_share_one_fetch_and_o
         _call_historical(ctx, dict(Q1_ARGS, options=""))
 
 
+def test_a_query_over_the_record_limit_answers_32602_before_any_token_or_fetch(monkeypatch):
+    fetches = []
+
+    def failing_fetch(*args, **kwargs):
+        fetches.append(1)
+        raise ProviderFailure("provider 'synth' fetched")
+
+    monkeypatch.setattr(tools, "fetch_historical", failing_fetch)
+    ctx = make_ctx(rate=RateSpec(capacity=1, refill_per_sec=1.0))  # the fake clock never refills
+    n_days = providers.MAX_QUERY_RECORDS // 2 + 1  # weekdays from Monday 2024-01-01, for two codes
+    end = dt.date(2024, 1, 1) + dt.timedelta(days=(n_days - 1) // 5 * 7 + (n_days - 1) % 5)
+    arguments = dict(Q1_ARGS, codes=["A", "B"], start_date="2024-01-01", end_date=end.isoformat())
+    with pytest.raises(ValidationError) as excinfo:
+        _call_historical(ctx, arguments)
+    assert excinfo.value.code == -32602
+    assert excinfo.value.data == {"violations": [
+        f"query: {2 * n_days} records (codes x trading days), over the limit of {providers.MAX_QUERY_RECORDS}"
+    ]}
+    assert fetches == []
+    assert _call_historical(ctx).is_error and fetches == [1]  # the one token was still there for this call
+
+
 def test_inverted_range_is_a_validation_error(ctx):
     with pytest.raises(ValidationError):
         _call_historical(ctx, dict(Q1_ARGS, start_date="2024-03-31", end_date="2024-01-01"))
