@@ -8,7 +8,7 @@ an attribute of a :class:`Frozen` value raises AttributeError.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 PARSE_ERROR = -32700
 INVALID_REQUEST = -32600
@@ -88,7 +88,7 @@ class ConfigError(Exception):
 class Frozen:
     """Base of an immutable value: its ``__init__`` sets fields past ``__setattr__``, through ``object.__setattr__``.
 
-    A subclass with a ``__dict__`` may fill it directly instead; a ``functools.cached_property`` writes there too.
+    A subclass with a ``__dict__`` may fill it directly instead; a :class:`lazy` attribute writes there too.
     """
 
     __slots__ = ()
@@ -98,3 +98,20 @@ class Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"{type(self).__name__} is frozen: cannot delete {name!r}")
+
+
+class lazy:
+    """An attribute ``fn`` computes on its first read into the instance's ``__dict__``, where later reads find it.
+
+    Unlike ``functools.cached_property`` before Python 3.12 it takes no lock: ``fn`` is a pure function of a
+    frozen value, so two threads racing on a first read each compute it and keep equal values.
+    """
+
+    def __init__(self, fn: Callable[[Any], Any]):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, instance: Any, owner: type | None = None) -> Any:
+        if instance is None:  # read on the class, as help() does
+            return self
+        value = vars(instance)[self.name] = self.fn(instance)
+        return value

@@ -158,14 +158,16 @@ def _cell_texts(column: Sequence) -> list[str]:
     return dumps(column)[1:-1].split(",")
 
 
-def _compact(column: list) -> Sequence:
+def _compact(column: Sequence) -> Sequence:
     """``column`` as an ``array("d")`` if every cell is a float, as an ``array("q")`` if every cell
-    is an int within 64 bits, else the list itself.
+    is an int within 64 bits, else the list itself; an array, typed at its source, as it is.
 
     An array holds 8 bytes per value where a list holds a pointer and an object, and gives each value
     back exactly, so the wire text is the same. A column that holds a null, mixes ints and floats
     (``100`` must not turn into ``100.0``) or holds anything else stays a list.
     """
+    if isinstance(column, array):
+        return column
     kinds = set(map(type, column))
     if kinds == {float}:
         return array("d", column)
@@ -191,7 +193,12 @@ def normalize_payload(
     ):
         raise InternalError(f"provider {raw.provider_id!r} returned rows outside the query contract")
     columns = tuple(tuple(map(_compact, rows[code])) for code in query.sorted_codes)
-    return Records(query.sorted_codes, days, " " + close_time.strftime("%H:%M:%S"), fields, columns)
+    return Records(query.sorted_codes, days, _suffix(close_time), fields, columns)
+
+
+@lru_cache(maxsize=64)  # one entry per configured close time
+def _suffix(close_time: dt.time) -> str:
+    return close_time.strftime(" %H:%M:%S")  # the text after the day of every timestamp
 
 
 def _filled(column: Sequence) -> Sequence:

@@ -37,15 +37,16 @@ import re
 import string
 import sys
 import threading
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Sequence
 from urllib.parse import quote
 
-from .errors import ConfigError, Frozen, ProviderFailure, ValidationError
+from .errors import ConfigError, Frozen, ProviderFailure, ValidationError, lazy
 
 if TYPE_CHECKING:
     import queue
@@ -164,22 +165,22 @@ class DataQuery(Frozen):
         if violations:
             raise ValidationError("invalid query", data={"violations": violations})
 
-    @cached_property
+    @lazy
     def sorted_codes(self) -> tuple[str, ...]:
         """The query's codes, sorted: the codes of its records table and of its cache key, one tuple for both."""
         return tuple(sorted(self.codes))
 
-    @cached_property
+    @lazy
     def months(self) -> list[tuple[Month, int, int]]:
         """The query's trading days as ``_month_slices``."""
         return _month_slices(self.start_date, self.end_date)
 
-    @cached_property
+    @lazy
     def days(self) -> tuple[str, ...]:
         """The query's trading days, ascending, as ISO text: the days of every column and table built for it."""
         return tuple(chain.from_iterable(isos[i:j] for (_, isos, _), i, j in self.months))
 
-    @cached_property
+    @lazy
     def day_index(self) -> dict[str, int]:
         """Each trading day's ISO text -> its slot, its index in ``days``."""
         return {iso: slot for slot, iso in enumerate(self.days)}
@@ -205,7 +206,8 @@ class DataQuery(Frozen):
         return {code: [[None] * len(self.days) for _ in self.fields] for code in self.codes}
 
 
-Rows = dict[str, list[list]]  # code -> one column per query field in query order, each value a query day, None a gap
+# code -> one column per query field in query order, each value a query day: a list, None a gap, or an array
+Rows = dict[str, list[Sequence]]
 Month = tuple[tuple[int, ...], tuple[str, ...], bytes]  # weekdays' days of the month, their ISO strings, b"YYYY-MM-"
 
 
@@ -288,7 +290,7 @@ class SyntheticProvider(ProviderConfig):
             raise ConfigError(f"provider.{self.id}.seed: must be in [0, 2**64 - 1]")
         super().check()
 
-    @cached_property
+    @lazy
     def tail_tables(self) -> list[list[int]]:
         """The ``_tail_table`` of each cell key tail ``DD|seed``, at index ``DD - 1``."""
         return [_tail_table(b"%02d|%d" % (day, self.seed)) for day in range(1, 32)]
@@ -309,6 +311,7 @@ class SyntheticProvider(ProviderConfig):
         1e-13) is far below the 0.005 gap to a rounding boundary, an int divided
         by an int is correctly rounded as ``round``'s decimal-to-double step is,
         and a tie falls back to ``round`` (checked for all 10**6 values of ``k``).
+        The column is an ``array("d")``, ``array("q")`` for volume, which normalization keeps as it is.
         """
         tables = self.tail_tables
         step = pow(FNV_PRIME, len(b"01|%d" % self.seed), 1 << 64)  # every tail has this length
@@ -324,7 +327,7 @@ class SyntheticProvider(ProviderConfig):
                     state = fnv1a64(head, prefix)
                     base, lo = state * step, state & 127
                     ks += [((base + table[lo]) & mask) % 1_000_000 for table in day_tables]
-                cols.append(_SCALE[f](ks))
+                cols.append(array("q" if f == "volume" else "d", _SCALE[f](ks)))
         return rows
 
 
@@ -551,7 +554,7 @@ class HttpProvider(ProviderConfig):
         if not 0 <= self.retries <= 100:
             raise ConfigError(f"provider.{self.id}.retries: must be in [0, 100]")
 
-    @cached_property
+    @lazy
     def needs_apikey(self) -> bool:
         """Whether ``base_url_template`` has an ``apikey`` placeholder, so a fetch resolves the credential."""
         return "apikey" in _placeholders(self.base_url_template)

@@ -9,6 +9,7 @@ client can repair its call in a single round trip.
 from __future__ import annotations
 
 import re
+from functools import cache
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple
 
@@ -33,6 +34,7 @@ _KINDS: dict[str, tuple[dict[str, Any], Callable[[Any], bool]]] = {
 }
 
 _NAME_RE = re.compile(r"[a-z0-9_]+\Z")
+_compiled = cache(re.compile)  # each pattern a tool descriptor declares, compiled on its first use
 
 DATE_PATTERN = r"\d{4}-\d{2}-\d{2}"
 
@@ -135,7 +137,7 @@ def validate_arguments(descriptor: ToolDescriptor, arguments: Any) -> ValidatedA
         if not _KINDS[spec.kind][1](value):
             violations.append(f"{pname}: expected {spec.kind}, got {_type_name(value)}")
             continue
-        if spec.pattern is not None and isinstance(value, str) and not re.fullmatch(spec.pattern, value):
+        if spec.pattern is not None and isinstance(value, str) and not _compiled(spec.pattern).fullmatch(value):
             violations.append(f"{pname}: {value!r} does not match pattern {spec.pattern}")
     if violations:
         raise ValidationError(

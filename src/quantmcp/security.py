@@ -65,7 +65,7 @@ class CredentialStore:
         always shows as its escaped form: False means nothing to redact.
         True may be a false alarm (the form also occurs across tokens).
         """
-        return any(e in text for e in self._escaped)
+        return any(map(text.__contains__, self._escaped))
 
     def __len__(self) -> int:
         return len(self._secrets)
@@ -234,7 +234,7 @@ class _Flight:
     __slots__ = ("event", "payload", "exc")
 
     def __init__(self):
-        self.event = threading.Event()
+        self.event: threading.Event | None = None  # made under the cache lock by the first caller to wait
         self.payload: Any = None
         self.exc: BaseException | None = None
 
@@ -290,28 +290,28 @@ class ResponseCache:
                 return payload, True
             flight = self._inflight.get(key)
             if flight is None:
-                flight = _Flight()
-                self._inflight[key] = flight
-                owner = True
-            else:
-                owner = False
-        if not owner:
-            if not flight.event.wait(timeout=min(wait_s, threading.TIMEOUT_MAX)):  # a longer wait raises
+                flight = self._inflight[key] = _Flight()
+            elif flight.event is None:
+                flight.event = threading.Event()
+            event = flight.event
+        if event is not None:  # a waiter
+            if not event.wait(timeout=min(wait_s, threading.TIMEOUT_MAX)):  # a longer wait raises
                 raise InternalError("timed out waiting for an in-flight cache fill")
             if flight.exc is not None:
                 raise flight.exc
             return flight.payload, True
+        # The owner stores its outcome, then reads under the lock whether a waiter made an event to set.
         try:
-            payload = compute()
+            flight.payload = compute()
         except BaseException as exc:
             flight.exc = exc
-            with self._lock:
-                self._inflight.pop(key, None)
-            flight.event.set()
             raise
-        with self._lock:
-            self._entries[key] = (payload, self._clock() + ttl)
-            self._inflight.pop(key, None)
-        flight.payload = payload
-        flight.event.set()
-        return payload, False
+        finally:
+            with self._lock:
+                if flight.exc is None:
+                    self._entries[key] = (flight.payload, self._clock() + ttl)
+                del self._inflight[key]
+                event = flight.event
+            if event is not None:
+                event.set()
+        return flight.payload, False

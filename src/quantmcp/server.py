@@ -48,6 +48,8 @@ SERVER_NAME = "quantmcp"
 # The most characters of one input line, its newline counted, read into memory: 4x the largest
 # answer frame (4 MB, 100 codes x 1 year x 7 fields). A longer line is answered -32600 and dropped.
 MAX_LINE_CHARS = 16 * 1024 * 1024
+# Concurrent mode's tools/calls per worker, running or queued, past which the reader waits for an answer.
+ADMITTED_PER_WORKER = 4
 
 
 def _scrubbed(value: JsonRpcMessage | dict[str, Any], store: CredentialStore) -> str:
@@ -182,6 +184,7 @@ class StdioServer:
         self._out = outstream
         self.concurrency = concurrency
         self._write_lock = threading.Lock()
+        self._admitted = threading.Semaphore(ADMITTED_PER_WORKER * concurrency)  # one slot per call in the pool
 
     def _emit(self, msg: JsonRpcMessage) -> None:
         store = self.dispatcher.ctx.credentials
@@ -205,7 +208,7 @@ class StdioServer:
     def handle_line(self, raw: str, executor: ThreadPoolExecutor | None = None) -> None:
         """Process one frame; unparseable input answers -32700 with id null.
 
-        With an executor, tools/call requests after initialize run on it.
+        With an executor, tools/call requests after initialize run on it; past its bound of calls this waits.
         """
         stripped = raw.strip(" \t\r\n")  # JSON's whitespace only: a line of any other space is malformed
         if not stripped:
@@ -221,7 +224,8 @@ class StdioServer:
             and msg.method == "tools/call"
             and self.dispatcher.initialized
         ):
-            executor.submit(self._dispatch_and_emit, msg)
+            self._admitted.acquire()  # released once the call is answered
+            executor.submit(self._dispatch_and_emit, msg).add_done_callback(lambda _: self._admitted.release())
         else:
             self._dispatch_and_emit(msg)
 

@@ -44,6 +44,7 @@ RESPONSE = "response"
 NOTIFICATION = "notification"
 
 _ENVELOPE_KEYS = ("jsonrpc", "id", "method", "params", "result", "error")
+_LEAVES = frozenset({str, int, bool, type(None)})  # the types round_floats returns as they are, by exact type
 
 
 def slots_repr(self: Any) -> str:
@@ -210,6 +211,8 @@ class PreEncoded:
 
 def round_floats(value: Any, sequences: tuple[type, ...] = (list, tuple, PreEncoded)) -> Any:
     """Return a copy of ``value`` with every float rounded to 6 decimals; only ``sequences`` are walked into."""
+    if type(value) in _LEAVES:
+        return value
     if isinstance(value, float):
         return round(value, 6)
     if isinstance(value, dict):

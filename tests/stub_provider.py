@@ -36,6 +36,9 @@ def _make_handler(state: _StubState, keep_alive_s: float | None):
         if keep_alive_s is not None:
             protocol_version = "HTTP/1.1"
             timeout = keep_alive_s  # an idle connection is closed after this long
+            # Each answer is several small writes; with Nagle's algorithm on, a kept-alive connection's next
+            # answer waits for the client's delayed ACK, about 40 ms a GET.
+            disable_nagle_algorithm = True
 
         def do_GET(self):  # noqa: N802 (http.server API)
             with state.lock:

@@ -16,6 +16,7 @@ from oracle_utils import backfill_oracle, day_columns_oracle, weekdays_oracle
 from quantmcp.errors import InternalError, ValidationError
 from quantmcp.normalize import (
     Records,
+    _compact,
     apply_fill,
     normalize_payload,
     parse_options,
@@ -416,6 +417,15 @@ def test_a_compact_table_reads_and_serializes_as_its_list_columns_do(tables):
     fields = compact.fields[::-1]
     assert _frames(compact.reordered(fields)) == _frames(plain.reordered(fields))
     assert repr(list(compact.reordered(fields))) == repr(list(plain.reordered(fields)))
+
+
+def test_a_column_typed_at_its_source_enters_the_table_as_it_is():
+    for column in (array("d", [1.5, -0.0]), array("q", [2**63 - 1, 0])):
+        assert _compact(column) is column
+    query = DataQuery(["B", "A"], ["close", "volume"], dt.date(2024, 1, 1), dt.date(2024, 1, 31))
+    raw = fetch_historical(SyntheticProvider(id="synth", seed=7), query, CredentialStore({}))
+    table = normalize_payload(raw, query, CLOSE)
+    assert [[id(col) for col in cols] for cols in table.columns] == [[id(col) for col in raw.rows[c]] for c in "AB"]
 
 
 def test_the_edge_columns_are_stored_by_the_type_rule():

@@ -31,7 +31,7 @@ from oracle_utils import (
 )
 from stub_provider import stub_rows_server
 
-from quantmcp.errors import ConfigError, CredentialMissing, ProviderFailure, ValidationError
+from quantmcp.errors import ConfigError, CredentialMissing, ProviderFailure, ValidationError, lazy
 from quantmcp.normalize import Records, normalize_payload, parse_options
 from quantmcp import providers
 from quantmcp.providers import (
@@ -218,7 +218,7 @@ def test_synthetic_values_match_the_committed_golden_file():
         day = dt.date.fromisoformat(case["day"])  # a weekday: a one-day query over it has one slot
         query = _query(codes=[case["code"]], fields=[case["field"]], start_date=day, end_date=day)
         got = configs[case["seed"]].fetch(query, EMPTY_STORE)
-        assert got == {case["code"]: [[case["value"]]]}, case
+        assert {code: list(map(list, cols)) for code, cols in got.items()} == {case["code"]: [[case["value"]]]}, case
         # the golden file itself was produced by the independent oracle
         assert synthetic_value_oracle(case["code"], case["field"], day, case["seed"]) == case["value"]
 
@@ -325,7 +325,7 @@ def _assert_synthetic_cells(rows, query: DataQuery, seed: int) -> None:
     for code, columns in rows.items():
         assert len(columns) == len(query.fields)
         for f, column in zip(query.fields, columns):
-            assert len(column) == len(days)
+            assert len(column) == len(days) and column.typecode == ("q" if f == "volume" else "d"), (code, f)
             for day, got in zip(days, column):
                 oracle = synthetic_value_oracle(code, f, day, seed)
                 assert got == oracle and type(got) is type(oracle), (code, f, day)
@@ -373,6 +373,13 @@ def test_the_tail_cache_holds_one_table_per_day_of_the_month_for_a_seed():
         tables = config.__dict__["tail_tables"]  # the fetch left them cached on the config
         assert config.tail_tables is tables
         assert tables == [providers._tail_table(b"%02d|%d" % (day, seed)) for day in range(1, 32)]
+
+
+def test_a_lazy_attribute_is_kept_by_its_first_read_and_read_on_its_class_is_its_documented_descriptor():
+    query = _query()
+    assert "days" not in vars(query)
+    assert query.days is query.days is vars(query)["days"]
+    assert isinstance(DataQuery.days, lazy) and DataQuery.days.__doc__.startswith("The query's trading days")
 
 
 def test_threads_racing_to_build_the_tail_tables_all_get_the_reference_values():

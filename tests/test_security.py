@@ -5,13 +5,17 @@ from __future__ import annotations
 import datetime as dt
 import random
 import string
+import sys
 import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import FakeMonoClock
 from oracle_utils import BucketSimOracle
 
+from quantmcp import security
 from quantmcp.errors import ConfigError, CredentialMissing, InternalError
 from quantmcp.providers import DataQuery, RateSpec
 from quantmcp.security import (
@@ -398,6 +402,100 @@ def test_a_wait_past_the_thread_timeout_limit_waits_for_the_producer():
         release.set()
         thread.join(timeout=10.0)
     assert not thread.is_alive()
+
+
+def _counted_events(monkeypatch) -> list[threading.Event]:
+    """The ``threading.Event``s the cache builds from now on, counted through ``security``'s ``threading`` name."""
+    made = []
+
+    def event() -> threading.Event:
+        made.append(threading.Event())
+        return made[-1]
+
+    monkeypatch.setattr(security, "threading", SimpleNamespace(**{**vars(threading), "Event": event}))
+    return made
+
+
+def test_a_miss_no_caller_waits_on_builds_no_event(monkeypatch):
+    made = _counted_events(monkeypatch)
+    cache = ResponseCache(clock=FakeMonoClock())
+    assert cache.lookup_or_store(1, lambda: "a", ttl=10.0) == ("a", False)
+    assert cache.lookup_or_store(1, lambda: "b", ttl=10.0) == ("a", True)
+    with pytest.raises(ZeroDivisionError):
+        cache.lookup_or_store(2, lambda: 1 / 0, ttl=10.0)
+    assert made == []
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["payload", "exception"])
+def test_a_caller_of_an_identical_in_flight_miss_waits_on_one_event_for_the_owners_outcome(monkeypatch, fails):
+    made = _counted_events(monkeypatch)
+    cache = ResponseCache(clock=FakeMonoClock())
+    entered, release = threading.Event(), threading.Event()
+    error = RuntimeError("upstream down")
+
+    def slow():
+        entered.set()
+        release.wait(timeout=5.0)
+        if fails:
+            raise error
+        return "shared"
+
+    outcomes = {}
+
+    def call(who: str) -> None:
+        try:
+            outcomes[who] = cache.lookup_or_store(1, slow, ttl=10.0)
+        except RuntimeError as exc:
+            outcomes[who] = exc
+
+    owner, waiter = (threading.Thread(target=call, args=(who,)) for who in ("owner", "waiter"))
+    owner.start()
+    assert entered.wait(timeout=5.0)
+    waiter.start()
+    deadline = time.monotonic() + 5.0
+    while not made and time.monotonic() < deadline:  # the waiter builds the event it then waits on
+        time.sleep(0.005)
+    release.set()
+    for thread in (owner, waiter):
+        thread.join(timeout=10.0)
+    assert not owner.is_alive() and not waiter.is_alive()
+    assert len(made) == 1
+    if fails:
+        assert outcomes["owner"] is error and outcomes["waiter"] is error
+    else:
+        assert outcomes == {"owner": ("shared", False), "waiter": ("shared", True)}
+    assert cache._inflight == {}
+
+
+def test_racing_callers_of_each_key_share_its_one_fill_under_a_short_switch_interval(monkeypatch):
+    made = _counted_events(monkeypatch)
+    cache = ResponseCache(clock=FakeMonoClock())
+    fills, answers, start = [], [], threading.Barrier(12)
+
+    def fill(key: int) -> str:
+        fills.append(key)
+        time.sleep(0.001)  # other callers find the fill in flight
+        return f"v{key}"
+
+    def caller() -> None:
+        start.wait(timeout=10.0)
+        for key in range(40):
+            answers.append((key, cache.lookup_or_store(key, lambda: fill(key), ttl=10.0)[0]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(12)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(fills) == list(range(40))
+    assert len(answers) == 12 * 40 and all(value == f"v{key}" for key, value in answers)
+    assert made and cache._inflight == {}  # some callers waited, each on an event its fill's owner set
 
 
 def test_a_secret_holding_a_unicode_line_break_shows_in_its_serialized_frame():

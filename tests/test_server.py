@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import threading
 import time
 import tracemalloc
 
@@ -576,6 +577,44 @@ def test_concurrent_mode_interleaves_but_correlates_ids(ctx):
     assert by_id[2]["result"]["content"]["tag"] == "slow"
     assert by_id[3]["result"]["content"]["tag"] == "fast"
     assert order == ["fast", "slow"]  # responses interleaved, ids correlate
+
+
+@pytest.mark.parametrize("concurrency", [1, 2])
+def test_concurrent_mode_stops_reading_at_its_bound_of_unanswered_calls_then_answers_every_call(concurrency):
+    release = threading.Event()
+
+    class Gated(SyntheticProvider):
+        def fetch(self, query, credentials):
+            release.wait(timeout=10.0)
+            return super().fetch(query, credentials)
+
+    bound = server_module.ADMITTED_PER_WORKER * concurrency
+    first = json.dumps({"jsonrpc": "2.0", "id": 0, "method": "initialize"}) + "\n"
+    calls = [
+        json.dumps({"jsonrpc": "2.0", "id": i, "method": "tools/call", "params": {
+            **Q1_CALL_PARAMS, "arguments": {**Q1_CALL_PARAMS["arguments"], "codes": [f"C{i}"]}}}) + "\n"
+        for i in range(1, bound + 4)
+    ]
+    ctx = make_ctx(providers={"synth": Gated(id="synth", seed=0, rate=RateSpec(1000, 1000.0))})
+    instream, out = io.StringIO(first + "".join(calls)), io.StringIO()
+    server = StdioServer(Dispatcher(build_registry(), ctx), instream, out, concurrency=concurrency)
+    reader = threading.Thread(target=server.run)
+    reader.start()
+    try:
+        stop = len(first) + sum(map(len, calls[: bound + 1]))  # the call past the bound is read, then waits
+        deadline = time.monotonic() + 5.0
+        while instream.tell() != stop and time.monotonic() < deadline:
+            time.sleep(0.005)
+        time.sleep(0.2)
+        assert (instream.tell(), out.getvalue().count("\n")) == (stop, 1)  # only initialize is answered
+    finally:
+        release.set()
+        reader.join(timeout=30.0)
+    assert not reader.is_alive()
+    frames = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert sorted(f["id"] for f in frames) == list(range(len(calls) + 1))
+    assert all(f["result"]["is_error"] is False and f["result"]["content"]["meta"]["row_count"] == 65
+               for f in frames if f["id"])
 
 
 def test_concurrent_writes_never_shear_frames(ctx):

@@ -214,6 +214,31 @@ def test_the_unnamed_definition_check_sees_a_function_only_its_body_docstrings_o
     assert _definitions_named_nowhere(package, readers) == ["m.unused", "m._private"]
 
 
+def _cached_property_lines(text: str) -> list[int]:
+    """The lines of code naming ``cached_property``: an import of it, an attribute ``functools.cached_property``
+    or a bare name, a decorator's too. A docstring or comment does not count.
+
+    Before Python 3.12 a ``cached_property`` takes one lock per attribute, shared by every instance; the
+    package's lazy attributes use ``errors.lazy``, which takes none.
+    """
+    return sorted({line for name, line in _names_in_code(ast.parse(text)) if name == "cached_property"})
+
+
+def test_no_module_uses_functools_cached_property():
+    used = [f"{path.stem}:{line}" for path in sorted(PACKAGE_DIR.glob("*.py"))
+            for line in _cached_property_lines(path.read_text(encoding="utf-8"))]
+    assert used == []
+
+
+def test_the_cached_property_check_sees_an_import_an_attribute_and_a_decorator():
+    text = (
+        '"""Not ``cached_property``, as ``lazy`` is."""\n\nimport functools\nfrom functools import cached_property\n'
+        "\n\nclass A:\n    @cached_property\n    def a(self):\n        return 1  # cached_property\n"
+        "\n    b = functools.cached_property(lambda self: 2)\n"
+    )
+    assert _cached_property_lines(text) == [4, 8, 12]
+
+
 def test_each_line_report_allow_list_entry_names_one_executable_line_of_its_file_and_a_known_reason():
     spec = importlib.util.spec_from_file_location("line_report", REPO_ROOT / "scripts" / "line_report.py")
     report = importlib.util.module_from_spec(spec)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
+import operator
 from array import array
 from unittest.mock import ANY
 
@@ -279,6 +280,12 @@ def test_serialize_message_equals_rounding_every_float_first(obj):
     for ch in "\x85\u2028\u2029":
         expected = expected.replace(ch, f"\\u{ord(ch):04x}")
     assert serialize_message(msg) == expected + "\n"
+
+
+def test_round_floats_returns_each_leaf_but_a_float_itself():
+    leaves = ["0.1234567", 10**30, True, None]
+    rounded = round_floats([0.1234567, *leaves])
+    assert rounded == [0.123457, *leaves] and all(map(operator.is_, rounded[1:], leaves))
 
 
 @pytest.mark.parametrize("ch", ["\x85", "\u2028", "\u2029"])
