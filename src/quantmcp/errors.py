@@ -1,9 +1,11 @@
 """Error taxonomy shared by the wire protocol and the tool pipeline.
 
 Every exception that can surface on the wire carries one of the documented
-JSON-RPC error codes. Configuration problems raise :class:`ConfigError`,
-which never reaches the wire; the CLI maps it to exit code 2. Assigning to
-an attribute of a :class:`Frozen` value raises AttributeError.
+JSON-RPC error codes, except a :class:`ToolFailure` raised by a tool handler,
+which surfaces as an ``is_error`` tool result carrying its ``error_kind``.
+Configuration problems raise :class:`ConfigError`, which never reaches the
+wire; the CLI maps it to exit code 2. Assigning to an attribute of a
+:class:`Frozen` value raises AttributeError.
 """
 
 from __future__ import annotations
@@ -69,16 +71,28 @@ class InternalError(QuantMcpError):
     code = INTERNAL_ERROR
 
 
-class ProviderFailure(QuantMcpError):
+class ToolFailure(QuantMcpError):
+    """A tool call's failure on its data: the dispatcher answers it as an ``is_error`` result of its kind."""
+
+    error_kind: str
+
+
+class ProviderFailure(ToolFailure):
     code = PROVIDER_FAILURE
+    error_kind = "provider_failure"
 
 
 class RateLimitedError(QuantMcpError):
     code = RATE_LIMITED
 
 
-class CredentialMissing(QuantMcpError):
+class CredentialMissing(ToolFailure):
     code = CREDENTIAL_MISSING
+    error_kind = "credential_missing"
+
+
+class EmptyInput(ToolFailure):
+    error_kind = "empty_input"
 
 
 class ConfigError(Exception):

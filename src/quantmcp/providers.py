@@ -188,8 +188,9 @@ class DataQuery(Frozen):
     def day_slot(self, text: str) -> int | None:
         """The slot of the day ``text`` names, or None for a day that is no trading day of the query.
 
-        Text other than a query day's own ISO text is parsed by ``date.fromisoformat``, so ``20240102``
-        finds its slot and text that names no date raises ValueError.
+        Text other than a query day's own ISO text is parsed by ``date.fromisoformat``, so from Python 3.11
+        ``20240102`` or ``2024-W01-2`` finds its slot (before 3.11 only ``YYYY-MM-DD`` parses) and text that
+        names no date raises ValueError.
         """
         slot = self.day_index.get(text)
         if slot is None:

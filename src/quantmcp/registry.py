@@ -1,17 +1,16 @@
 """Tool catalog: descriptors, handlers, and strict argument validation.
 
 The registry is immutable after startup. Validation is total over arbitrary
-structured input: it either returns :class:`ValidatedArgs` or raises a
-:class:`ValidationError` whose data lists every violation at once, so a
-client can repair its call in a single round trip.
+structured input: it either returns the arguments as a new dict, defaults
+filled in, or raises a :class:`ValidationError` whose data lists every
+violation at once, so a client can repair its call in a single round trip.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cache
-from types import MappingProxyType
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .errors import ConfigError, UnknownToolError, ValidationError
 from .transport import MISSING
@@ -89,11 +88,6 @@ class ToolDescriptor(NamedTuple):
         }
 
 
-class ValidatedArgs(NamedTuple):
-    tool_name: str
-    values: Mapping[str, Any] = MappingProxyType({})
-
-
 def _type_name(value: Any) -> str:
     if isinstance(value, bool):
         return "boolean"
@@ -112,7 +106,7 @@ def _type_name(value: Any) -> str:
     return type(value).__name__
 
 
-def validate_arguments(descriptor: ToolDescriptor, arguments: Any) -> ValidatedArgs:
+def validate_arguments(descriptor: ToolDescriptor, arguments: Any) -> dict[str, Any]:
     """Type-check ``arguments`` against ``descriptor``, applying defaults.
 
     Unknown keys are rejected outright: silently dropping a hallucinated
@@ -148,10 +142,10 @@ def validate_arguments(descriptor: ToolDescriptor, arguments: Any) -> ValidatedA
     for pname, spec in descriptor.params.items():
         if pname not in values and spec.default is not MISSING:
             values[pname] = spec.default
-    return ValidatedArgs(tool_name=name, values=values)
+    return values
 
 
-ToolHandler = Callable[[ValidatedArgs, Any], Any]
+ToolHandler = Callable[[dict[str, Any], Any], Any]
 
 
 class ToolRegistry:
@@ -179,6 +173,6 @@ class ToolRegistry:
         except KeyError:
             raise UnknownToolError(name) from None
 
-    def validate_params(self, name: str, arguments: Any) -> ValidatedArgs:
+    def validate_params(self, name: str, arguments: Any) -> dict[str, Any]:
         descriptor, _ = self.get(name)
         return validate_arguments(descriptor, arguments)

@@ -283,6 +283,7 @@ class ResponseCache:
         Concurrent identical misses wait on the in-flight producer, for at
         most ``wait_s`` seconds, and share its outcome; a failing producer
         propagates its exception and caches nothing, so the next call retries.
+        A ``ttl`` of 0 or less keeps nothing: no later call could hit it.
         """
         with self._lock:
             payload, expires_at = self._entries.get(key, (None, -math.inf))
@@ -308,7 +309,7 @@ class ResponseCache:
             raise
         finally:
             with self._lock:
-                if flight.exc is None:
+                if flight.exc is None and ttl > 0:
                     self._entries[key] = (flight.payload, self._clock() + ttl)
                 del self._inflight[key]
                 event = flight.event

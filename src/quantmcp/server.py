@@ -22,6 +22,7 @@ from .errors import (
     InvalidRequestError,
     ParseError,
     QuantMcpError,
+    ToolFailure,
     ValidationError,
 )
 from .registry import ToolRegistry
@@ -154,14 +155,17 @@ class Dispatcher:
         if not isinstance(name, str) or not name:
             raise ValidationError("tools/call params.name must be a non-empty string")
         arguments = params.get("arguments", {})
-        validated = self.registry.validate_params(name, arguments)
+        values = self.registry.validate_params(name, arguments)
         _, handler = self.registry.get(name)
         self.log_event("tools_call", tool=name)
-        result = handler(validated, self.ctx)
+        try:
+            result = handler(values, self.ctx)
+        except ToolFailure as exc:  # the one place a tool's failure becomes an is_error result
+            content = {"error_kind": exc.error_kind, "detail": exc.message}
+            self.log_event("tool_error", tool=name, content=content)
+            result = ToolResult(content, is_error=True, human_summary=f"{exc.error_kind}: {exc.message}")
         if not isinstance(result, ToolResult):
             raise QuantMcpError(f"tool {name!r} returned a non-ToolResult value")
-        if result.is_error:
-            self.log_event("tool_error", tool=name, content=result.content)
         return JsonRpcMessage(RESPONSE, id=msg.id, result=result.to_result_obj())
 
 

@@ -2,9 +2,10 @@
 
 Three tools: historical retrieval, latest quote, and summary statistics.
 Every numeric value a handler returns is traceable to a provider payload or
-a documented statistic over one; handlers never fabricate data. Provider
-and data failures come back as ``ToolResult(is_error=True)`` so a client
-can read and react to them, while malformed arguments stay protocol errors.
+a documented statistic over one; handlers never fabricate data. A handler
+takes its validated arguments dict and fails only by raising: the dispatcher
+answers a :class:`~quantmcp.errors.ToolFailure` as an ``is_error`` result a
+client can read and react to, and any other error as a protocol error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 import time
 from typing import Any, Callable, NamedTuple
 
-from .errors import CredentialMissing, ProviderFailure, RateLimitedError, ValidationError
+from .errors import EmptyInput, RateLimitedError, ValidationError
 from .normalize import Records, apply_fill, normalize_payload, parse_options
 from .providers import CANONICAL_FIELDS, DataQuery, ProviderConfig, RawProviderPayload, fetch_historical
 from .registry import (
@@ -23,7 +24,6 @@ from .registry import (
     ParamSpec,
     ToolDescriptor,
     ToolRegistry,
-    ValidatedArgs,
     validate_arguments,
 )
 from .security import FILL_WAIT_S, CredentialStore, RateLimiter, ResponseCache, cache_key
@@ -79,14 +79,6 @@ def compute_stats(field_name: str, values: list[float]) -> dict[str, Any]:
         "max": max(values),
         "stddev": math.sqrt(variance),
     }
-
-
-def _error_result(error_kind: str, detail: str) -> ToolResult:
-    return ToolResult(
-        content={"error_kind": error_kind, "detail": detail},
-        is_error=True,
-        human_summary=f"{error_kind}: {detail}",
-    )
 
 
 def _parse_date(raw: str, param: str) -> dt.date:
@@ -152,11 +144,11 @@ def fetch_normalized(
 
 def _run_query(
     ctx: ToolContext, values: dict[str, Any], kind: str, prefix: str = ""
-) -> tuple[Records, dict[str, Any]] | ToolResult:
+) -> tuple[Records, dict[str, Any]]:
     """Build, check and run the query ``values`` describe.
 
     Validation errors raise in a fixed order: provider, then options, then
-    dates. Provider and credential failures come back as an error result.
+    dates. Provider and credential failures raise from the fetch.
     """
     provider = _resolve_provider(ctx, values.get("provider_id"))
     options = parse_options(values.get("options", ""))  # a quote takes none
@@ -174,40 +166,28 @@ def _run_query(
         options=options,
     )
     query.check()
-    try:
-        return fetch_normalized(ctx, provider, query, kind)
-    except ProviderFailure as exc:
-        return _error_result("provider_failure", exc.message)
-    except CredentialMissing as exc:
-        return _error_result("credential_missing", exc.message)
+    return fetch_normalized(ctx, provider, query, kind)
 
 
-def tool_get_historical_data(args: ValidatedArgs, ctx: ToolContext) -> ToolResult:
+def tool_get_historical_data(values: dict[str, Any], ctx: ToolContext) -> ToolResult:
     """Daily history for the requested codes/fields over an inclusive range."""
-    out = _run_query(ctx, args.values, "historical")
-    if isinstance(out, ToolResult):
-        return out
-    records, meta = out
+    records, meta = _run_query(ctx, values, "historical")
     summary = None if records else "no trading days in the requested range"
     return ToolResult(content={"records": records, "meta": meta}, human_summary=summary)
 
 
-def tool_get_quote(args: ValidatedArgs, ctx: ToolContext) -> ToolResult:
+def tool_get_quote(values: dict[str, Any], ctx: ToolContext) -> ToolResult:
     """One record per code for the last trading day at or before ``as_of``."""
-    out = _run_query(ctx, args.values, "quote")
-    if isinstance(out, ToolResult):
-        return out
-    records, meta = out
-    fields = args.values["fields"]
+    records, meta = _run_query(ctx, values, "quote")
+    fields = values["fields"]
     kept = [r for r in records if any(r[f] is not None for f in fields)]
     meta["row_count"] = len(kept)
     summary = None if kept else "no data for the requested codes"
     return ToolResult(content={"records": kept, "meta": meta}, human_summary=summary)
 
 
-def tool_compute_summary(args: ValidatedArgs, ctx: ToolContext) -> ToolResult:
+def tool_compute_summary(values: dict[str, Any], ctx: ToolContext) -> ToolResult:
     """Per-field count/mean/min/max/stddev over non-null record values."""
-    values = args.values
     summarize_fields = values["summarize_fields"]
     if not summarize_fields:
         raise ValidationError(
@@ -233,17 +213,14 @@ def tool_compute_summary(args: ValidatedArgs, ctx: ToolContext) -> ToolResult:
                 else:
                     nums.append(float(v))
     else:  # server-built records hold a number or null in every field but the strings code and timestamp
-        validated = validate_arguments(HISTORICAL_DESCRIPTOR, values["query"])
-        out = _run_query(ctx, validated.values, "historical", prefix="query.")
-        if isinstance(out, ToolResult):
-            return out
-        rows = out[0]
+        query = validate_arguments(HISTORICAL_DESCRIPTOR, values["query"])
+        rows, _ = _run_query(ctx, query, "historical", prefix="query.")
         text = [f for f in summarize_fields if f in ("code", "timestamp")]
         violations = [f"records[{i}].{f}: expected number or null" for i in range(len(rows)) for f in text]
         numbers = [(f, [float(v) for v in rows.column(f) if v is not None])
                    for f in summarize_fields if f not in text]  # unread when text is not empty
     if not rows:
-        return _error_result("empty_input", "no records to summarize")
+        raise EmptyInput("no records to summarize")
     if violations:
         raise ValidationError("records hold non-numeric values", data={"violations": violations})
     summaries: list[dict[str, Any]] = []

@@ -294,8 +294,8 @@ def test_criterion_08_validation_strictness_100_bad_100_good():
             assert expected <= named, f"incomplete violation list: {expected} vs {violations}"
 
         for _ in range(100):
-            validated = registry.validate_params("tool_get_historical_data", _conforming_arguments(rng))
-            assert validated.tool_name == "tool_get_historical_data"
+            arguments = _conforming_arguments(rng)
+            assert registry.validate_params("tool_get_historical_data", arguments) == {"options": "", **arguments}
 
 
 def test_criterion_09_wire_round_trip_and_parse_error_survival():

@@ -49,7 +49,7 @@ from quantmcp.providers import (
     fnv1a64,
 )
 from quantmcp.config import ServerConfig
-from quantmcp.registry import ParamSpec, ToolDescriptor, ValidatedArgs
+from quantmcp.registry import ParamSpec, ToolDescriptor
 from quantmcp.security import CredentialStore, RateDecision
 from quantmcp.tools import ToolResult, tool_get_historical_data
 from quantmcp.transport import ErrorObject
@@ -861,6 +861,29 @@ def test_each_provider_fault_has_its_exact_message_and_data(answer, message, dat
     assert list(excinfo.value.data.items()) == list(data.items())
 
 
+# Row date texts other than YYYY-MM-DD that date.fromisoformat reads as 2024-01-02 from Python 3.11 on, one per
+# code; before 3.11 it reads only YYYY-MM-DD, and each is an unparseable date that fails the query.
+_OTHER_ISO_FORMS = {"A": "20240102", "B": "2024-W01-2", "C": "2024W012"}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="date.fromisoformat reads only YYYY-MM-DD before 3.11")
+@pytest.mark.parametrize("kind", ["csv", "http"])
+def test_a_row_date_in_another_iso_8601_form_lands_on_its_day(kind, tmp_path, monkeypatch):
+    if kind == "csv":
+        path = tmp_path / "forms.csv"
+        cells = enumerate(_OTHER_ISO_FORMS.items())
+        path.write_text("code,date,close\n" + "".join(f"{code},{day},{i}.5\n" for i, (code, day) in cells))
+        config, codes = _csv_config(path), list(_OTHER_ISO_FORMS)
+    else:  # an http row's JSON number is read as its text
+        rows = [{"code": c, "date": d, "close": i + 0.5} for i, (c, d) in enumerate(_OTHER_ISO_FORMS.items())]
+        answer = _FakeResponse(200, [*rows, {"code": "D", "date": 20240102, "close": 3.5}])
+        monkeypatch.setattr(providers, "_http_get", lambda url, timeout: answer)
+        config, codes = _http_config("http://stub.invalid"), [*_OTHER_ISO_FORMS, "D"]
+    query = _query(codes=codes, fields=["close"], start_date=dt.date(2024, 1, 1), end_date=dt.date(2024, 1, 3))
+    payload = fetch_historical(config, query, EMPTY_STORE)
+    assert payload.rows == {code: [[None, i + 0.5, None]] for i, code in enumerate(codes)}
+
+
 class _Price(float):
     pass
 
@@ -922,7 +945,7 @@ def test_rows_are_keyed_by_query_code_then_date_with_exactly_the_query_fields(ki
         }[kind]
         payload = fetch_historical(config, query, EMPTY_STORE)
         weekend = {"codes": query.codes, "fields": query.fields, "start_date": "2024-01-06", "end_date": "2024-01-07"}
-        result = tool_get_historical_data(ValidatedArgs("", weekend), make_ctx(providers={config.id: config}))
+        result = tool_get_historical_data(weekend, make_ctx(providers={config.id: config}))
     assert list(payload.rows) == query.codes
     assert [[len(col) for col in columns] for columns in payload.rows.values()] == [[len(query.days)] * 3] * 2
     # a range with no trading day answers no records, laid over the table its query allocates
@@ -1605,7 +1628,6 @@ _FROZEN_VALUES = {  # (a builder, one of its fields)
     "DataQuery.options": (lambda: _query(options=parse_options("Fill=Previous")), "options"),
     "ParamSpec": (lambda: ParamSpec("string", "a string"), "required"),
     "ToolDescriptor": (lambda: ToolDescriptor("t", "a tool", {}), "params"),
-    "ValidatedArgs": (lambda: ValidatedArgs("t"), "values"),
     "RawProviderPayload": (lambda: RawProviderPayload("p", {}, "t"), "rows"),
     "RateDecision": (lambda: RateDecision(True), "allowed"),
     "ToolContext": (make_ctx, "providers"),
@@ -1629,7 +1651,6 @@ def test_assigning_to_an_attribute_of_a_frozen_value_raises(make, field):
 
 _DEFAULT_MAPPINGS = {  # (a builder taking every default, its mapping field)
     "DataQuery.options": (_query, "options"),
-    "ValidatedArgs": (lambda: ValidatedArgs("t"), "values"),
     "ServerConfig": (ServerConfig, "providers"),
     "csv": (lambda: CsvProvider(id="c"), "field_map"),
     "http": (lambda: HttpProvider(id="h"), "field_map"),

@@ -73,16 +73,15 @@ def test_unknown_param_kind_is_a_startup_failure():
 def test_validate_echoes_all_provided_arguments():
     registry = build_registry()
     validated = registry.validate_params("tool_get_historical_data", PAPER_STYLE_ARGS)
-    assert validated.tool_name == "tool_get_historical_data"
-    for key, value in PAPER_STYLE_ARGS.items():
-        assert validated.values[key] == value
+    assert validated == PAPER_STYLE_ARGS
+    assert validated is not PAPER_STYLE_ARGS  # a new dict: a handler writing to it leaves the request as it was
 
 
 def test_defaults_apply_for_absent_optional_params():
     registry = build_registry()
     args = {k: v for k, v in PAPER_STYLE_ARGS.items() if k != "options"}
     validated = registry.validate_params("tool_get_historical_data", args)
-    assert validated.values["options"] == ""
+    assert validated["options"] == ""
 
 
 def test_wrong_type_names_the_parameter_and_expected_type():
@@ -150,7 +149,7 @@ def test_validation_never_crashes_on_arbitrary_input():
 def test_validation_is_idempotent():
     registry = build_registry()
     first = registry.validate_params("tool_get_historical_data", PAPER_STYLE_ARGS)
-    second = registry.validate_params("tool_get_historical_data", first.values)
+    second = registry.validate_params("tool_get_historical_data", first)
     assert second == first
 
 
@@ -161,7 +160,7 @@ def test_no_required_params_accepts_empty_arguments():
         params={"verbose": ParamSpec("boolean", "chatty", default=False)},
     )
     validated = validate_arguments(descriptor, {})
-    assert validated.values == {"verbose": False}
+    assert validated == {"verbose": False}
 
 
 # --- schema/validator agreement ---------------------------------------------
@@ -204,4 +203,4 @@ def test_schema_sampled_arguments_always_validate(case):
     descriptor, args = case
     validated = validate_arguments(descriptor, args)
     for key, value in args.items():
-        assert validated.values[key] == value
+        assert validated[key] == value

@@ -467,6 +467,39 @@ def test_a_caller_of_an_identical_in_flight_miss_waits_on_one_event_for_the_owne
     assert cache._inflight == {}
 
 
+def test_a_ttl_of_zero_keeps_no_entry_yet_an_identical_in_flight_miss_still_shares_its_fill(monkeypatch):
+    made = _counted_events(monkeypatch)
+    cache = ResponseCache(clock=FakeMonoClock(), historical_ttl_s=0.0, live_ttl_s=0.0)
+    fills = []
+    for key in range(500):  # distinct misses: an entry kept at TTL 0 could never be hit
+        assert cache.lookup_or_store(key, lambda: fills.append(key) or "v", ttl=0.0) == ("v", False)
+    assert len(fills) == 500 and cache._entries == {}
+    entered, release = threading.Event(), threading.Event()
+
+    def slow():
+        entered.set()
+        release.wait(timeout=5.0)
+        return "shared"
+
+    outcomes = {}
+
+    def call(who: str) -> None:
+        outcomes[who] = cache.lookup_or_store(1, slow, ttl=0.0)
+
+    owner, waiter = (threading.Thread(target=call, args=(who,)) for who in ("owner", "waiter"))
+    owner.start()
+    assert entered.wait(timeout=5.0)
+    waiter.start()
+    deadline = time.monotonic() + 5.0
+    while not made and time.monotonic() < deadline:  # the waiter builds the event it then waits on
+        time.sleep(0.005)
+    release.set()
+    for thread in (owner, waiter):
+        thread.join(timeout=10.0)
+    assert outcomes == {"owner": ("shared", False), "waiter": ("shared", True)}
+    assert cache._entries == {} and cache._inflight == {}
+
+
 def test_racing_callers_of_each_key_share_its_one_fill_under_a_short_switch_interval(monkeypatch):
     made = _counted_events(monkeypatch)
     cache = ResponseCache(clock=FakeMonoClock())

@@ -13,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import initialize, make_ctx
+from stub_provider import stub_rows_server
 
+import quantmcp.providers as providers_module
 import quantmcp.server as server_module
-from quantmcp.errors import InternalError, ValidationError
+from quantmcp.errors import InternalError, ProviderFailure, ValidationError
 from quantmcp.providers import CsvProvider, HttpProvider, RateSpec, SyntheticProvider
 from quantmcp.registry import ParamSpec, ToolDescriptor, ToolRegistry
 from quantmcp.security import CredentialStore, redact, redact_message
@@ -544,11 +546,11 @@ def test_concurrent_mode_interleaves_but_correlates_ids(ctx):
     registry = ToolRegistry()
     order = []
 
-    def slow(args, _ctx):
-        delay = args.values["delay_ms"] / 1000.0
+    def slow(values, _ctx):
+        delay = values["delay_ms"] / 1000.0
         time.sleep(delay)
-        order.append(args.values["tag"])
-        return ToolResult(content={"tag": args.values["tag"]})
+        order.append(values["tag"])
+        return ToolResult(content={"tag": values["tag"]})
 
     registry.register(
         ToolDescriptor(
@@ -625,7 +627,7 @@ def test_concurrent_writes_never_shear_frames(ctx):
             description="returns a large blob",
             params={"n": ParamSpec("integer", "blob size", required=True)},
         ),
-        lambda args, _ctx: ToolResult(content={"blob": "x" * args.values["n"]}),
+        lambda values, _ctx: ToolResult(content={"blob": "x" * values["n"]}),
     )
     dispatcher = Dispatcher(registry, ctx)
     out = io.StringIO()
@@ -639,19 +641,6 @@ def test_concurrent_writes_never_shear_frames(ctx):
     assert server.run() == 0
     frames = [parse_message(line) for line in out.getvalue().splitlines()]
     assert sorted(f.id for f in frames) == list(range(21))
-
-
-def test_csv_nan_cell_answers_a_provider_failure_over_stdio(tmp_path):
-    path = tmp_path / "nan.csv"
-    path.write_text("code,date,close\nA,2024-01-02,nan\n")
-    csv_provider = CsvProvider(id="f", csv_path=str(path), rate=RateSpec(1000, 1000.0))
-    call = {"name": "tool_get_historical_data",
-            "arguments": {"codes": ["A"], "fields": ["close"], "start_date": "2024-01-01", "end_date": "2024-01-05"}}
-    lines = [_session_lines()[0], json.dumps({"jsonrpc": "2.0", "id": 2, "method": "tools/call", "params": call})]
-    frames = _run_session(lines, ctx=make_ctx(providers={"f": csv_provider}))
-    assert "error" not in frames[1]
-    assert frames[1]["result"]["is_error"] is True
-    assert frames[1]["result"]["content"]["error_kind"] == "provider_failure"
 
 
 _UNREADABLE_AFTER_STARTUP = {  # how the checked export is taken away, and the strerror its fetch then answers
@@ -683,6 +672,97 @@ def test_a_csv_export_unreadable_at_fetch_time_answers_a_provider_failure_withou
     assert str(tmp_path) not in out.getvalue()
 
 
+# --- tool failures on the wire: an is_error answer, one tools_call and one tool_error line ---------
+
+_RATE = RateSpec(1000, 1000.0)
+_A_WEEK = {"codes": ["A"], "fields": ["close"], "start_date": "2024-01-01", "end_date": "2024-01-05"}
+_A_WEEKEND = dict(_A_WEEK, start_date="2024-01-06", end_date="2024-01-07")
+_TOOL_FAILURES = {  # (tool, arguments, error_kind, detail)
+    "csv-provider-failure": ("tool_get_historical_data", dict(_A_WEEK, provider_id="f"), "provider_failure",
+                             "provider 'f' csv column 'close' holds non-numeric or non-finite value 'nan'"),
+    "http-provider-failure": ("tool_get_historical_data", dict(_A_WEEK, provider_id="h"), "provider_failure",
+                              "provider 'h' returned HTTP 503"),
+    "credential-missing": ("tool_get_quote", {"codes": ["A"], "fields": ["close"], "provider_id": "k"},
+                           "credential_missing", "no credential loaded for provider 'k'"),
+    "empty-inline-records": ("tool_compute_summary", {"records": [], "summarize_fields": ["close"]}, "empty_input",
+                             "no records to summarize"),
+    "empty-nested-query": ("tool_compute_summary", {"query": _A_WEEKEND, "summarize_fields": ["close"]},
+                           "empty_input", "no records to summarize"),
+}
+
+
+def _tool_failure_lines(tool: str, kind: str, detail: str, id: int) -> tuple[str, list[str]]:
+    """The frame a failed call is answered with, and the stderr lines its call and failure log."""
+    quoted, summary = json.dumps(detail), json.dumps(f"{kind}: {detail}")
+    frame = (f'{{"jsonrpc":"2.0","id":{id},"result":{{"content":{{"error_kind":"{kind}","detail":{quoted}}},'
+             f'"is_error":true,"human_summary":{summary}}}}}\n')
+    log = [f'{{"event": "tools_call", "tool": "{tool}"}}',
+           f'{{"event": "tool_error", "tool": "{tool}", "content": {{"error_kind": "{kind}", "detail": {quoted}}}}}']
+    return frame, log
+
+
+@pytest.mark.parametrize("tool, arguments, kind, detail", _TOOL_FAILURES.values(), ids=_TOOL_FAILURES)
+def test_a_tool_failure_answers_an_is_error_frame_and_logs_the_call_and_the_failure(
+    tmp_path, tool, arguments, kind, detail
+):
+    path = tmp_path / "nan.csv"
+    path.write_text("code,date,close\nA,2024-01-02,nan\n")
+    log: list[str] = []
+    out = io.StringIO()
+    with stub_rows_server(status=503) as (base_url, _):
+        providers = {
+            "synth": SyntheticProvider(id="synth", rate=_RATE),
+            "f": CsvProvider(id="f", csv_path=str(path), rate=_RATE),
+            "h": HttpProvider(id="h", base_url_template=base_url + "/q?code={code}", rate=_RATE),
+            "k": HttpProvider(id="k", base_url_template=base_url + "/q?code={code}&key={apikey}", rate=_RATE),
+        }
+        server = StdioServer(Dispatcher(build_registry(), make_ctx(providers=providers), log=log.append),
+                             io.StringIO(), out)
+        server.handle_line('{"jsonrpc":"2.0","id":1,"method":"initialize"}')
+        server.handle_line(json.dumps({"jsonrpc": "2.0", "id": 2, "method": "tools/call",
+                                       "params": {"name": tool, "arguments": arguments}}))
+    frame, log_lines = _tool_failure_lines(tool, kind, detail, 2)
+    assert out.getvalue().splitlines(keepends=True)[1] == frame
+    assert log == ['{"event": "initialize", "client": {}}', *log_lines]
+
+
+def test_a_concurrent_call_waiting_on_its_identical_fill_answers_the_owners_failure(monkeypatch):
+    joined = threading.Event()
+
+    class Response:
+        status_code = 503
+
+    def failing_get(url, timeout):
+        joined.wait(timeout=5.0)  # the owner's GET fails only once the second call waits on it
+        return Response()
+
+    class Inflight(dict):  # sets ``joined`` once a call finds another's fill in flight
+        def get(self, key, default=None):
+            flight = super().get(key, default)
+            if flight is not None:
+                joined.set()
+            return flight
+
+    monkeypatch.setattr(providers_module, "_http_get", failing_get)
+    ctx = make_ctx(providers={"h": HttpProvider(id="h", base_url_template="http://stub.invalid/q?code={code}",
+                                                rate=_RATE)})
+    monkeypatch.setattr(ctx.cache, "_inflight", Inflight())
+    log: list[str] = []
+    call = {"name": "tool_get_historical_data", "arguments": _A_WEEK}
+    lines = ['{"jsonrpc":"2.0","id":1,"method":"initialize"}',
+             *(json.dumps({"jsonrpc": "2.0", "id": i, "method": "tools/call", "params": call}) for i in (2, 3))]
+    out = io.StringIO()
+    server = StdioServer(Dispatcher(build_registry(), ctx, log=log.append),
+                         io.StringIO("".join(line + "\n" for line in lines)), out, concurrency=2)
+    assert server.run() == 0
+    assert joined.is_set()
+    detail = "provider 'h' returned HTTP 503"
+    frames = sorted(out.getvalue().splitlines(keepends=True)[1:])
+    assert frames == [_tool_failure_lines("tool_get_historical_data", "provider_failure", detail, i)[0] for i in (2, 3)]
+    tools_call, tool_error = _tool_failure_lines("tool_get_historical_data", "provider_failure", detail, 2)[1]
+    assert log[1:] == [tools_call, tools_call, tool_error, tool_error, '{"event": "shutdown"}']
+
+
 # --- redaction: serialize first, redact only when a secret shows ------------------
 
 # Each needs escaping in JSON or is multi-byte in UTF-8; "hunter2" sits inside
@@ -697,13 +777,13 @@ SECRETS = {
 S = list(SECRETS.values())
 
 
-def _leak(args, _ctx):
-    case = args.values["case"]
+def _leak(values, _ctx):
+    case = values["case"]
     if case == "value":
         content = {f"key-{s}": [s, f"pre{s}post", {"n": 1.23456789, s: None}] for s in S}
         return ToolResult(content=content, human_summary=f"done {S[0]}")
     if case == "tool_error":
-        return ToolResult(content={"detail": f"bad {S[1]}", S[2]: 1}, is_error=True)
+        raise ProviderFailure(f"bad {S[1]} and {S[2]}", data={S[2]: 1})
     if case == "raise":
         raise ValidationError(f"rejected {S[3]}", data={"why": S[4], S[0]: [S[1]]})
     if case == "crash":

@@ -91,6 +91,32 @@ def test_the_provider_failure_check_sees_each_call_outside_the_config_failure_me
     assert _provider_failures_built_elsewhere(text) == [7, 11]
 
 
+def _error_results_built(text: str) -> list[int]:
+    """The lines of ``ToolResult(...)`` calls that may set ``is_error``: by keyword or second position, to anything
+    but the constant False."""
+    calls = [node for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Call)
+             and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "ToolResult"]
+    return [call.lineno for call in calls
+            if any(not (isinstance(flag, ast.Constant) and flag.value is False)
+                   for flag in [k.value for k in call.keywords if k.arg == "is_error"] + call.args[1:2])]
+
+
+def test_only_the_dispatcher_builds_an_is_error_tool_result():
+    """A tool handler fails by raising; ``server.py`` answers the failure, in one place."""
+    built = {path.name: lines for path in sorted(PACKAGE_DIR.glob("*.py"))
+             if (lines := _error_results_built(path.read_text(encoding="utf-8")))}
+    assert list(built) == ["server.py"] and len(built["server.py"]) == 1
+
+
+def test_the_error_result_check_sees_a_flag_set_by_keyword_or_position():
+    text = (
+        "def f(c, flag):\n    ToolResult(c)\n    ToolResult(c, is_error=False, human_summary='x')\n"
+        "    ToolResult(c, True)\n    tools.ToolResult(content=c, is_error=True)\n    ToolResult(c, is_error=flag)\n"
+        "    return ToolResult(c, False), NotToolResult(c, True)\n"
+    )
+    assert _error_results_built(text) == [4, 5, 6]
+
+
 def test_every_golden_and_data_file_is_named_by_a_test_config_or_benchmark_file():
     """A golden or data file that no code or config names is a stray: the test that read it is gone."""
     artifacts = sorted(p for directory in (GOLDEN_DIR, DATA_DIR) for p in directory.iterdir())

@@ -15,7 +15,7 @@ from oracle_utils import mean_oracle, synthetic_value_oracle, weekdays_oracle
 from stub_provider import stub_rows_server
 
 from quantmcp.cli import mask_volatile
-from quantmcp.errors import ProviderFailure, RateLimitedError, ValidationError
+from quantmcp.errors import CredentialMissing, ProviderFailure, RateLimitedError, ToolFailure, ValidationError
 from quantmcp import providers, security, tools
 from quantmcp.providers import (
     CsvProvider,
@@ -25,7 +25,6 @@ from quantmcp.providers import (
     SyntheticProvider,
     fetch_historical,
 )
-from quantmcp.registry import ValidatedArgs
 from quantmcp.tools import (
     build_registry,
     compute_stats,
@@ -43,12 +42,19 @@ Q1_ARGS = {
 }
 
 
-def _validated(tool: str, arguments: dict) -> ValidatedArgs:
+def _validated(tool: str, arguments: dict) -> dict:
     return build_registry().validate_params(tool, arguments)
 
 
 def _call_historical(ctx, arguments=Q1_ARGS):
     return tool_get_historical_data(_validated("tool_get_historical_data", arguments), ctx)
+
+
+def _failure(call, *args) -> ToolFailure:
+    """The failure ``call(*args)`` raises, which the dispatcher answers as an ``is_error`` result of its kind."""
+    with pytest.raises(ToolFailure) as excinfo:
+        call(*args)
+    return excinfo.value
 
 
 # --- tool_get_historical_data ---------------------------------------------------
@@ -109,10 +115,9 @@ def test_unreachable_http_provider_is_a_tool_level_error():
         rate=RateSpec(1000, 1000.0),
     )
     ctx = make_ctx(providers={"alpha": http})
-    result = _call_historical(ctx)
-    assert result.is_error
-    assert result.content["error_kind"] == "provider_failure"
-    assert "detail" in result.content
+    failure = _failure(_call_historical, ctx)
+    assert failure.error_kind == "provider_failure"
+    assert failure.message.startswith("provider 'alpha' ")
 
 
 def test_missing_credential_is_a_tool_level_error():
@@ -122,10 +127,10 @@ def test_missing_credential_is_a_tool_level_error():
         rate=RateSpec(1000, 1000.0),
     )
     ctx = make_ctx(providers={"alpha": http})
-    result = _call_historical(ctx)
-    assert result.is_error
-    assert result.content["error_kind"] == "credential_missing"
-    assert _call_quote(ctx, {"codes": ["300750.SZ"], "fields": ["close"], "as_of": "2024-03-29"}) == result
+    failure = _failure(_call_historical, ctx)
+    assert isinstance(failure, CredentialMissing) and failure.error_kind == "credential_missing"
+    quote = _failure(_call_quote, ctx, {"codes": ["300750.SZ"], "fields": ["close"], "as_of": "2024-03-29"})
+    assert (quote.error_kind, quote.message) == (failure.error_kind, failure.message)
 
 
 def test_a_call_waiting_on_a_failing_identical_fill_answers_its_provider_failure(monkeypatch):
@@ -155,7 +160,9 @@ def test_a_call_waiting_on_a_failing_identical_fill_answers_its_provider_failure
     def call():
         try:
             outcomes.append(_call_historical(ctx).content)
-        except Exception as exc:  # an escaping error would answer -32603
+        except ToolFailure as exc:  # what the dispatcher answers it with
+            outcomes.append({"error_kind": exc.error_kind, "detail": exc.message})
+        except Exception as exc:  # any other error would answer a protocol error
             outcomes.append(exc)
 
     owner, waiter = threading.Thread(target=call), threading.Thread(target=call)
@@ -286,7 +293,8 @@ def test_a_query_over_the_record_limit_answers_32602_before_any_token_or_fetch(m
         f"query: {2 * n_days} records (codes x trading days), over the limit of {providers.MAX_QUERY_RECORDS}"
     ]}
     assert fetches == []
-    assert _call_historical(ctx).is_error and fetches == [1]  # the one token was still there for this call
+    assert isinstance(_failure(_call_historical, ctx), ProviderFailure)
+    assert fetches == [1]  # the one token was still there for this call
 
 
 def test_inverted_range_is_a_validation_error(ctx):
@@ -402,19 +410,18 @@ def test_non_finite_provider_value_is_an_uncached_provider_failure(tmp_path, mon
         path.write_text(f"code,date,close\nA,2024-01-02,{cell}\n")
         provider = CsvProvider(id="f", csv_path=str(path), rate=rate)
         ctx = make_ctx(providers={"f": provider})
-        results = [_call_historical(ctx, args) for _ in range(2)]
+        failures = [_failure(_call_historical, ctx, args) for _ in range(2)]
     else:
         with stub_rows_server([{"code": "A", "date": "2024-01-02", "close": math.nan}]) as (base_url, state):
             provider = HttpProvider(
                 id="h", base_url_template=base_url + "/q?code={code}", rate=rate
             )
             ctx = make_ctx(providers={"h": provider})
-            results = [_call_historical(ctx, args) for _ in range(2)]
+            failures = [_failure(_call_historical, ctx, args) for _ in range(2)]
         assert len(state.requests) == 2
-    for result in results:
-        assert result.is_error
-        assert result.content["error_kind"] == "provider_failure"
-        assert "'close'" in result.content["detail"]
+    for failure in failures:
+        assert failure.error_kind == "provider_failure"
+        assert "'close'" in failure.message
     assert len(fetches) == 2  # failures are not cached: the retry fetches again
 
 
@@ -444,10 +451,9 @@ def test_unreadable_csv_is_an_uncached_schema_failure(tmp_path, monkeypatch, bod
     ctx = make_ctx(providers={"f": provider})
     args = {"codes": ["A"], "fields": ["close"], "start_date": "2024-01-01", "end_date": "2024-01-05"}
     for _ in range(2):
-        result = _call_historical(ctx, args)
-        assert result.is_error
-        assert result.content["error_kind"] == "provider_failure"
-        assert detail in result.content["detail"]
+        failure = _failure(_call_historical, ctx, args)
+        assert failure.error_kind == "provider_failure"
+        assert detail in failure.message
     assert len(fetches) == 2  # failures are not cached: the retry fetches again
 
 
@@ -467,10 +473,9 @@ def test_http_row_with_a_non_string_code_is_an_uncached_provider_failure(monkeyp
     ctx = make_ctx(providers={"h": provider})
     args = {"codes": ["A"], "fields": ["close"], "start_date": "2024-01-01", "end_date": "2024-01-05"}
     for _ in range(2):
-        result = _call_historical(ctx, args)
-        assert result.is_error
-        assert result.content["error_kind"] == "provider_failure"
-        assert "non-string code" in result.content["detail"]
+        failure = _failure(_call_historical, ctx, args)
+        assert failure.error_kind == "provider_failure"
+        assert "non-string code" in failure.message
     assert len(gets) == 2  # failures are not cached: the retry fetches again
 
 
@@ -486,9 +491,8 @@ def test_http_body_nested_past_the_recursion_limit_is_a_schema_failure(monkeypat
         id="h", base_url_template="http://stub.invalid/q?code={code}", rate=RateSpec(1000, 1000.0)
     )
     args = {"codes": ["A"], "fields": ["close"], "start_date": "2024-01-01", "end_date": "2024-01-05"}
-    result = _call_historical(make_ctx(providers={"h": provider}), args)
-    assert result.is_error
-    assert result.content == {"error_kind": "provider_failure", "detail": "provider 'h' returned a non-JSON body"}
+    failure = _failure(_call_historical, make_ctx(providers={"h": provider}), args)
+    assert (failure.error_kind, failure.message) == ("provider_failure", "provider 'h' returned a non-JSON body")
     with pytest.raises(ProviderFailure) as excinfo:
         fetch_historical(provider, DataQuery(["A"], ["close"], dt.date(2024, 1, 1), dt.date(2024, 1, 5)), None)
     assert excinfo.value.data == {"reason": "schema"}
@@ -602,15 +606,14 @@ def test_no_summarize_field_is_a_validation_error(ctx):
 
 
 def test_empty_record_set_is_a_tool_error(ctx):
-    result = _call_summary(ctx, {"records": [], "summarize_fields": ["close"]})
-    assert result.is_error
-    assert result.content["error_kind"] == "empty_input"
+    failure = _failure(_call_summary, ctx, {"records": [], "summarize_fields": ["close"]})
+    assert (failure.error_kind, failure.message) == ("empty_input", "no records to summarize")
 
 
 def test_weekend_only_nested_query_is_a_tool_error(ctx):
     args = dict(Q1_ARGS, start_date="2024-01-06", end_date="2024-01-07")
-    result = _call_summary(ctx, {"query": args, "summarize_fields": ["close"]})
-    assert result.is_error and result.content["error_kind"] == "empty_input"
+    failure = _failure(_call_summary, ctx, {"query": args, "summarize_fields": ["close"]})
+    assert (failure.error_kind, failure.message) == ("empty_input", "no records to summarize")
 
 
 def test_records_and_query_are_mutually_exclusive(ctx):
@@ -723,8 +726,8 @@ def test_summary_over_failing_provider_is_a_tool_error():
         rate=RateSpec(1000, 1000.0),
     )
     ctx = make_ctx(providers={"alpha": http})
-    result = _call_summary(ctx, {"query": dict(Q1_ARGS), "summarize_fields": ["close"]})
-    assert result.is_error and result.content["error_kind"] == "provider_failure"
+    failure = _failure(_call_summary, ctx, {"query": dict(Q1_ARGS), "summarize_fields": ["close"]})
+    assert failure.error_kind == "provider_failure"
 
 
 # --- grounding -------------------------------------------------------------------
